@@ -25,7 +25,7 @@ from .synthgen import (GroundTruth, generate_corpus, generate_dataset,
                        generate_survival, generate_topic_model)
 from .topics import (TopicModel, bayes_topic_posterior, doc_topic_features,
                      kl_divergence, recover_topics_unsupervised,
-                     recover_word_topic_matrix, representability)
+                     recover_word_topic_matrix)
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,6 @@ __all__ = [
     "kaplan_meier", "kl_divergence", "load_corpus", "load_model",
     "normalize_columns", "predict", "predict_median", "predict_model",
     "project_rows", "recover_topics_unsupervised", "recover_word_topic_matrix",
-    "representability", "rmse_mae", "row_normalize", "save_corpus", "save_model",
+    "rmse_mae", "row_normalize", "save_corpus", "save_model",
     "split", "stable_anchors", "subset", "update_theta", "vocabulary_hash",
 ]

@@ -68,18 +68,3 @@ def row_normalize(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     if (~pos).any():
         log.debug("row_normalize: %d degenerate row(s) set uniform", int((~pos).sum()))
     return out
-
-
-def dump_q(stats: CooccurrenceStats, path) -> None:
-    """Debug dump: little-endian int64 d, then Q row-major as float64."""
-    d = stats.Q.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(np.int64(d).astype("<i8").tobytes())
-        fh.write(np.ascontiguousarray(stats.Q, dtype="<f8").tobytes())
-
-
-def load_q(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        d = int(np.frombuffer(fh.read(8), dtype="<i8")[0])
-        Q = np.frombuffer(fh.read(8 * d * d), dtype="<f8").reshape(d, d)
-    return Q.copy()

@@ -4,7 +4,7 @@ The objective is block convex: the KL representation cost of the topic side
 plus the elastic-net regularized Cox partial likelihood on the per-document
 topic proportions. Anchors are found once up front; the alternation then
 switches between an elastic-net Cox fit (warm-started, so it can only lower
-the objective) and a monotone exponentiated-gradient pass over all free
+the objective) and a monotone pass of the simplex KL kernel over all free
 theta rows, which the Cox term couples together.
 """
 
@@ -22,7 +22,7 @@ from .corpus import (Corpus, SurvivalLabels, Vocabulary, document_frequencies,
 from .seeding import derive_seed
 from .survival import (CoxModel, RiskSets, breslow_baseline, elastic_net_penalty,
                        fit_elastic_net_cox, predict_median)
-from .topics import (LOG_FLOOR, TopicModel, doc_topic_features, kl_residuals,
+from .topics import (TopicModel, doc_topic_features, kl_residuals, minimize_simplex_kl,
                      recover_topics_unsupervised, recover_word_topic_matrix)
 
 log = logging.getLogger(__name__)
@@ -105,19 +105,6 @@ def _check_feasible(theta: np.ndarray, anchors: AnchorSet) -> None:
             raise ValueError(f"anchor row {a} is not the indicator of topic {g}")
 
 
-def _kl_total(theta: np.ndarray, stats: CooccurrenceStats, anchors: AnchorSet,
-              floor: float = LOG_FLOOR) -> float:
-    aidx = np.asarray(anchors.indices, dtype=int)
-    free = np.ones(stats.Qbar.shape[0], dtype=bool)
-    free[aidx] = False
-    P = stats.Qbar[free]
-    mix = theta[free] @ stats.Qbar[aidx]
-    mask = P > 0
-    safe_p = np.where(mask, P, 1.0)
-    terms = np.where(mask, P * (np.log(safe_p) - np.log(np.maximum(mix, floor))), 0.0)
-    return float(terms.sum())
-
-
 def joint_objective(
     theta: np.ndarray,
     beta: np.ndarray,
@@ -136,7 +123,8 @@ def joint_objective(
     _check_feasible(theta, anchors)
     rs = risk_sets if risk_sets is not None else RiskSets(labels)
     eta = doc_topic_features(theta, Xbar) @ beta
-    return _kl_total(theta, stats, anchors) + rs.nll(eta) + elastic_net_penalty(beta, lam, alpha)
+    kl = float(kl_residuals(theta, stats, anchors).sum())
+    return kl + rs.nll(eta) + elastic_net_penalty(beta, lam, alpha)
 
 
 def update_theta(
@@ -150,80 +138,34 @@ def update_theta(
     max_iters: int = 100,
     inner_tol: float = 1e-12,
     risk_sets: RiskSets | None = None,
-    floor: float = LOG_FLOOR,
 ) -> tuple[np.ndarray, bool]:
     """One budgeted pass of the theta subproblem at fixed beta.
 
-    Exponentiated gradient on all free rows jointly (the Cox term couples
-    them through the document features) with a halving line search on the
-    full subproblem objective, so it never increases. Returns the updated
+    The simplex KL kernel runs on all free rows jointly, with the Cox
+    partial likelihood of the document features as its coupling term, so
+    the full subproblem objective never increases. Returns the updated
     theta and a stall flag set when no step length made progress.
     """
     theta = np.array(theta, dtype=float)
     beta = np.asarray(beta, dtype=float)
     aidx = np.asarray(anchors.indices, dtype=int)
-    d = stats.Qbar.shape[0]
-    free = np.ones(d, dtype=bool)
-    free[aidx] = False
-    if not free.any():  # every word is an anchor; nothing to optimize
+    free = np.setdiff1d(np.arange(stats.Qbar.shape[0]), aidx)
+    if not free.size:  # every word is an anchor; nothing to optimize
         return theta, True
-    B = stats.Qbar[aidx]
-    P = stats.Qbar[free]
-    mask = P > 0
-    plogp = float((P[mask] * np.log(P[mask])).sum()) if mask.any() else 0.0
     rs = risk_sets if risk_sets is not None else RiskSets(labels)
-
     Xb = Xbar.tocsr() if hasattr(Xbar, "tocsr") else np.asarray(Xbar, dtype=float)
-    Xf = Xb[np.flatnonzero(free)]
-    Xa = Xb[aidx]
-    eta_const = np.asarray(Xa.T @ (theta[aidx] @ beta)).ravel()
+    Xf = Xb[free]
+    XfT = Xf.T  # once per half-step; every line-search probe reuses it
+    eta_const = np.asarray(Xb[aidx].T @ (theta[aidx] @ beta)).ravel()
 
-    def kl_part(mix):
-        return plogp - float((np.where(mask, P, 0.0) * np.log(np.maximum(mix, floor))).sum())
+    def cox_term(th):
+        eta = np.asarray(XfT @ (th @ beta)).ravel() + eta_const
+        return rs.nll(eta), lambda: np.outer(np.asarray(Xf @ rs.eta_gradient(eta)).ravel(), beta)
 
-    def eta_of(th_free):
-        return np.asarray(Xf.T @ (th_free @ beta)).ravel() + eta_const
-
-    th = theta[free].copy()
-    mix = th @ B
-    eta = eta_of(th)
-    f_val = kl_part(mix) + rs.nll(eta)
-    s = step
-    any_accept = False
-    for _ in range(max_iters):
-        ratio = np.where(mask, P / np.maximum(mix, floor), 0.0)
-        Gkl = -(ratio @ B.T)
-        dLde = rs.eta_gradient(eta)
-        Gcox = np.outer(np.asarray(Xf @ dLde).ravel(), beta)
-        G = Gkl + Gcox
-        shifted = G - G.min(axis=1, keepdims=True)
-        s_try = s
-        accepted = False
-        halved = False
-        for _ in range(60):
-            W = th * np.exp(-s_try * shifted)
-            tot = W.sum(axis=1, keepdims=True)
-            if np.isfinite(tot).all() and (tot > 0).all():
-                cand = W / tot
-                mix_c = cand @ B
-                eta_c = eta_of(cand)
-                f_c = kl_part(mix_c) + rs.nll(eta_c)
-                if np.isfinite(f_c) and f_c <= f_val:
-                    accepted = True
-                    break
-            s_try *= 0.5
-            halved = True
-        if not accepted:
-            break
-        any_accept = True
-        drop = f_val - f_c
-        th, mix, eta, f_val = cand, mix_c, eta_c, f_c
-        s = s_try if halved else min(s_try * 1.5, 1e12)
-        if drop <= inner_tol * max(abs(f_val), 1e-10):
-            break
-    out = theta
-    out[free] = th
-    return out, (not any_accept)
+    theta[free], _, _, steps = minimize_simplex_kl(
+        stats.Qbar[free], stats.Qbar[aidx], theta[free], tol=inner_tol,
+        max_iter=max_iters, step0=step, coupling=cox_term)
+    return theta, bool(steps[0] == 0)
 
 
 def _prepare(corpus: Corpus, config: SawConfig):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 
 from .corpus import Corpus, SurvivalLabels, Vocabulary
 from .seeding import derive_seed
@@ -116,6 +116,8 @@ def generate_survival(
     def gap(log_c):
         c = np.exp(log_c)
         return float(np.mean(c / (c + rate))) - censor_fraction
+
+    from scipy import optimize  # imported here: slow to load, and only synthesis needs it
 
     log_c = optimize.brentq(gap, np.log(lo), np.log(hi))
     C = rng.exponential(np.exp(-log_c), size=T.size)

@@ -1,6 +1,6 @@
 """Topic recovery: represent each word's co-occurrence profile as a convex
-combination of the anchor rows by per-row KL minimization on the simplex,
-then convert the word-to-topic posteriors into the word-topic matrix by a
+combination of the anchor rows by KL minimization on the simplex, solved
+for all rows at once, then convert the word-to-topic posteriors into the word-topic matrix by a
 Bayes step.
 """
 
@@ -41,86 +41,109 @@ class TopicModel:
         return self.theta.shape[1]
 
 
-def kl_divergence(p, q, floor: float = LOG_FLOOR) -> float:
-    """KL(p || q) with 0 log 0 = 0 and q floored at ``floor`` inside the log."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], floor)))))
+def _plogp(P: np.ndarray) -> np.ndarray:
+    """Row-wise sum of P log P, with 0 log 0 = 0."""
+    return np.sum(P * np.log(np.where(P > 0, P, 1.0)), axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class RowFit:
-    theta: np.ndarray
-    objective: float
-    iterations: int
-    converged: bool
-    trace: np.ndarray  # objective value at the start and after each accepted step
+def kl_divergence(P, Q, plogp=None):
+    """Row-wise KL(P || Q) along the last axis (a float for single rows),
+    with 0 log 0 = 0 and Q floored at LOG_FLOOR inside the log. ``plogp``
+    is the rows' constant sum P log P when the caller has it already."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if P.shape != Q.shape:
+        raise ValueError(f"length mismatch: {P.shape} vs {Q.shape}")
+    if plogp is None:
+        plogp = _plogp(P)
+    return plogp - np.sum(P * np.log(np.maximum(Q, LOG_FLOOR)), axis=-1)
 
 
-def minimize_row_kl(
-    p_row: np.ndarray,
+def minimize_simplex_kl(
+    P: np.ndarray,
     B: np.ndarray,
+    theta0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 1000,
     step0: float = 1.0,
-    floor: float = LOG_FLOOR,
-) -> RowFit:
-    """Minimize KL(p_row || theta @ B) over the simplex by exponentiated
-    gradient with a halving line search, so the objective never increases.
+    coupling=None,
+):
+    """Minimize sum_i KL(P_i || theta_i @ B) over row-stochastic theta by
+    exponentiated gradient with a halving line search, so the objective
+    never increases. theta starts uniform unless ``theta0`` is given.
 
-    Stops when the relative objective drop falls below ``tol`` or when no
-    step length yields a decrease (numerical optimum). Hitting ``max_iter``
-    without either leaves ``converged`` False for the caller to handle.
+    Without ``coupling`` the rows separate: each row keeps its own step
+    size and line search, and stops on its own when its relative objective
+    drop falls below ``tol``, when its objective reaches zero, or when no
+    step length yields a decrease (numerical optimum). ``coupling`` maps
+    theta to a (value, gradient thunk) pair added to the objective; the rows
+    then share one step size, one line search on the total and one stop.
+
+    Returns theta, the objective, the converged flags and the accepted step
+    counts, per row when separable and as one-element arrays when coupled.
+    Rows that exhaust ``max_iter`` are left unconverged for the caller.
     """
-    p = np.asarray(p_row, dtype=float)
+    P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
-    k = B.shape[0]
-    mask = p > 0
-    p_pos = p[mask]
-    plogp = float(np.sum(p_pos * np.log(p_pos))) if p_pos.size else 0.0
-    Bm = B[:, mask]
+    m, k = P.shape[0], B.shape[0]
+    theta = np.full((m, k), 1.0 / k) if theta0 is None else np.array(theta0, dtype=float)
+    plogp = _plogp(P)
+    coupled = coupling is not None
+    # step sizes, line searches and stops act per unit: each row is its own
+    # unit when separable, and all rows form one unit when coupled
 
-    def objective(th: np.ndarray) -> float:
-        mix = th @ Bm
-        return plogp - float(np.sum(p_pos * np.log(np.maximum(mix, floor))))
+    def rows(units):  # the theta rows that a selection of units covers
+        return slice(None) if coupled else units
 
-    theta = np.full(k, 1.0 / k)
-    f = objective(theta)
-    trace = [f]
-    step = step0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        mix = theta @ Bm
-        g = -(Bm @ (p_pos / np.maximum(mix, floor)))
-        s = step
-        accepted = False
-        halved = False
+    def objective(th, units):
+        r = rows(units)
+        kl = kl_divergence(P[r], th @ B, plogp[r])
+        if not coupled:
+            return kl, None
+        value, grad = coupling(th)
+        return np.array([kl.sum() + value]), grad
+
+    f, grad_c = objective(theta, np.arange(m))
+    step = np.full(f.size, float(step0))
+    steps = np.zeros(f.size, dtype=int)
+    converged = np.zeros(f.size, dtype=bool)
+    act = np.arange(f.size)
+    for _ in range(max_iter):
+        if not act.size:
+            break
+        th = theta[rows(act)]
+        G = -((P[rows(act)] / np.maximum(th @ B, LOG_FLOOR)) @ B.T)
+        if coupled:
+            G = G + grad_c()
+        shifted = G - G.min(axis=1, keepdims=True)
+        s = step[act]
+        halved = np.zeros(act.size, dtype=bool)
+        todo = np.arange(act.size)  # positions in act still searching for a step
         for _ in range(60):
-            w = theta * np.exp(-s * (g - g.min()))
-            tot = w.sum()
-            if np.isfinite(tot) and tot > 0:
-                cand = w / tot
-                fc = objective(cand)
-                if np.isfinite(fc) and fc <= f:
-                    accepted = True
-                    break
-            s *= 0.5
-            halved = True
-        if not accepted:
-            converged = True  # no descent direction at machine precision
-            break
-        drop = f - fc
-        theta, f = cand, fc
-        trace.append(f)
-        step = s if halved else min(s * 1.5, 1e12)
-        if drop <= tol * max(abs(f), 1e-10) or f <= 1e-15:
-            converged = True
-            break
-    return RowFit(theta, f, it, converged, np.array(trace))
+            W = th[rows(todo)] * np.exp(-s[todo, None] * shifted[rows(todo)])
+            tot = W.sum(axis=1, keepdims=True)
+            ok = np.isfinite(tot) & (tot > 0)
+            cand = W / np.where(ok, tot, 1.0)
+            fc, grad_cand = objective(cand, act[todo])
+            good = (ok.all() if coupled else ok[:, 0]) & np.isfinite(fc) & (fc <= f[act[todo]])
+            if good.any():
+                win = todo[good]
+                u = act[win]
+                drop = f[u] - fc[good]
+                theta[rows(u)] = cand[rows(good)]
+                f[u] = fc[good]
+                converged[u] = (drop <= tol * np.maximum(np.abs(f[u]), 1e-10)) | (f[u] <= 1e-15)
+                step[u] = np.where(halved[win], s[win], np.minimum(s[win] * 1.5, 1e12))
+                steps[u] += 1
+                grad_c = grad_cand
+            todo = todo[~good]
+            if not todo.size:
+                break
+            s[todo] *= 0.5
+            halved[todo] = True
+        converged[act[todo]] = True  # no step length decreases: numerical optimum
+        act = act[~converged[act]]
+    return theta, f, converged, steps
 
 
 def recover_topics_unsupervised(
@@ -130,48 +153,35 @@ def recover_topics_unsupervised(
     max_iter: int = 4000,
     step0: float = 1.0,
 ) -> TopicModel:
-    """Solve every non-anchor row independently; anchor rows are pinned to
-    indicator vectors. Raises ConvergenceError (with the worst offending
-    row) if any row exhausts its iteration budget."""
+    """Solve all non-anchor rows in one separable batch; anchor rows are
+    pinned to indicator vectors. Raises ConvergenceError (with the worst
+    offending row) if any row exhausts its iteration budget."""
     d = stats.Qbar.shape[0]
     aidx = np.asarray(anchors.indices, dtype=int)
     if aidx.size and (aidx.min() < 0 or aidx.max() >= d):
         raise ValueError("anchor indices out of range for these stats")
     k = aidx.size
-    B = stats.Qbar[aidx]
     theta = np.zeros((d, k))
     theta[aidx, np.arange(k)] = 1.0
     residuals = np.zeros(d)
-    anchor_mask = np.zeros(d, dtype=bool)
-    anchor_mask[aidx] = True
-    failed: list[tuple[int, float]] = []
-    for w in range(d):
-        if anchor_mask[w]:
-            continue
-        fit = minimize_row_kl(stats.Qbar[w], B, tol=tol, max_iter=max_iter, step0=step0)
-        theta[w] = fit.theta
-        residuals[w] = fit.objective
-        if not fit.converged:
-            failed.append((w, fit.objective))
-    if failed:
-        worst = max(failed, key=lambda t: t[1])[0]
+    free = np.setdiff1d(np.arange(d), aidx)
+    theta[free], residuals[free], converged, _ = minimize_simplex_kl(
+        stats.Qbar[free], stats.Qbar[aidx], tol=tol, max_iter=max_iter, step0=step0)
+    failed = free[~converged]
+    if failed.size:
+        worst = int(failed[np.argmax(residuals[failed])])
         raise ConvergenceError(
-            f"{len(failed)} row(s) failed to converge within {max_iter} iterations; "
+            f"{failed.size} row(s) failed to converge within {max_iter} iterations; "
             f"worst row {worst}",
             worst_row=worst,
         )
     return TopicModel(theta, None, anchors, residuals)
 
 
-def kl_residuals(theta: np.ndarray, stats: CooccurrenceStats, anchors: AnchorSet,
-                 floor: float = LOG_FLOOR) -> np.ndarray:
+def kl_residuals(theta: np.ndarray, stats: CooccurrenceStats, anchors: AnchorSet) -> np.ndarray:
     """Per-row KL(Qbar_w || theta_w @ B); exact zeros on anchor rows."""
     aidx = np.asarray(anchors.indices, dtype=int)
-    B = stats.Qbar[aidx]
-    d = stats.Qbar.shape[0]
-    out = np.zeros(d)
-    for w in range(d):
-        out[w] = kl_divergence(stats.Qbar[w], theta[w] @ B, floor=floor)
+    out = kl_divergence(stats.Qbar, theta @ stats.Qbar[aidx])
     out[aidx] = 0.0
     return out
 
@@ -210,19 +220,6 @@ def doc_topic_features(theta: np.ndarray, Xbar) -> np.ndarray:
             f"dimension mismatch: Xbar has {Xbar.shape[0]} rows, theta has {theta.shape[0]}"
         )
     return np.asarray(Xbar.T @ theta)
-
-
-def representability(
-    stats: CooccurrenceStats,
-    anchors: AnchorSet,
-    threshold: float,
-    **solver_kwargs,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual KL per word plus the indices whose residual exceeds the
-    threshold (words the chosen anchors cannot express)."""
-    model = recover_topics_unsupervised(stats, anchors, **solver_kwargs)
-    flagged = np.flatnonzero(model.residuals > threshold)
-    return model.residuals, flagged
 
 
 def topic_report(model: TopicModel, words: tuple[str, ...], top_n: int = 10,

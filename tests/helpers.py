@@ -2,14 +2,18 @@
 
 These stay deliberately independent of the library's own code paths: pair
 enumeration for concordance, LP-based convex hull membership, central finite
-differences, and exhaustive simplex grids.
+differences, exhaustive simplex grids, and a one-row-at-a-time solver of the
+simplex KL subproblem as a reference for the batched library kernel.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from sawtopics.corpus import Corpus, SurvivalLabels, Vocabulary
+from sawtopics.topics import LOG_FLOOR
 
 
 def make_corpus(counts, times=None, observed=None, words=None):
@@ -72,3 +76,75 @@ def simplex_grid_2(step=0.01):
     """All [t, 1 - t] rows for t on a uniform grid."""
     ts = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
     return np.column_stack([ts, 1.0 - ts])
+
+
+@dataclass(frozen=True, eq=False)
+class RowFit:
+    theta: np.ndarray
+    objective: float
+    iterations: int
+    converged: bool
+    trace: np.ndarray  # objective value at the start and after each accepted step
+
+
+def minimize_row_kl(
+    p_row: np.ndarray,
+    B: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int = 1000,
+    step0: float = 1.0,
+    floor: float = LOG_FLOOR,
+) -> RowFit:
+    """Minimize KL(p_row || theta @ B) over the simplex by exponentiated
+    gradient with a halving line search, so the objective never increases.
+
+    Stops when the relative objective drop falls below ``tol`` or when no
+    step length yields a decrease (numerical optimum). Hitting ``max_iter``
+    without either leaves ``converged`` False for the caller to handle.
+    """
+    p = np.asarray(p_row, dtype=float)
+    B = np.asarray(B, dtype=float)
+    k = B.shape[0]
+    mask = p > 0
+    p_pos = p[mask]
+    plogp = float(np.sum(p_pos * np.log(p_pos))) if p_pos.size else 0.0
+    Bm = B[:, mask]
+
+    def objective(th: np.ndarray) -> float:
+        mix = th @ Bm
+        return plogp - float(np.sum(p_pos * np.log(np.maximum(mix, floor))))
+
+    theta = np.full(k, 1.0 / k)
+    f = objective(theta)
+    trace = [f]
+    step = step0
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        mix = theta @ Bm
+        g = -(Bm @ (p_pos / np.maximum(mix, floor)))
+        s = step
+        accepted = False
+        halved = False
+        for _ in range(60):
+            w = theta * np.exp(-s * (g - g.min()))
+            tot = w.sum()
+            if np.isfinite(tot) and tot > 0:
+                cand = w / tot
+                fc = objective(cand)
+                if np.isfinite(fc) and fc <= f:
+                    accepted = True
+                    break
+            s *= 0.5
+            halved = True
+        if not accepted:
+            converged = True  # no descent direction at machine precision
+            break
+        drop = f - fc
+        theta, f = cand, fc
+        trace.append(f)
+        step = s if halved else min(s * 1.5, 1e12)
+        if drop <= tol * max(abs(f), 1e-10) or f <= 1e-15:
+            converged = True
+            break
+    return RowFit(theta, f, it, converged, np.array(trace))

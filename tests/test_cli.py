@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sawtopics
 from sawtopics.cli import main, read_config
 from sawtopics.corpus import load_corpus
 from sawtopics.methods import load_model
@@ -177,3 +182,14 @@ class TestIngestCli:
         corpus = load_corpus(out)
         assert corpus.n_docs == 8
         assert all(w.startswith("hr:bin") for w in corpus.vocab.words)
+
+
+def test_cli_import_skips_scipy_optimize():
+    # only synthesis needs scipy.optimize; every other command must not pay
+    # for loading it
+    src = str(Path(sawtopics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, sawtopics.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

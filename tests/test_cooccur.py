@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sawtopics.cooccur import build_cooccurrence, dump_q, load_q, row_normalize
+from sawtopics.cooccur import build_cooccurrence, row_normalize
 from sawtopics.seeding import derive_seed
 from sawtopics.synthgen import generate_corpus, generate_topic_model
 
@@ -90,18 +90,6 @@ class TestBuildCooccurrence:
             s = build_cooccurrence(corpus)
             errs.append(np.abs(s.Q - pop).max())
         assert errs[0] > errs[1] > errs[2]
-
-
-def test_binary_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    counts = rng.integers(0, 4, size=(5, 10))
-    counts[0] += 1
-    counts[1] += 1
-    s = build_cooccurrence(make_corpus(counts))
-    path = tmp_path / "q.bin"
-    dump_q(s, path)
-    assert path.stat().st_size == 8 + 8 * 25
-    assert np.array_equal(load_q(path), s.Q)
 
 
 class TestRowNormalize:

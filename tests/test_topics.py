@@ -5,11 +5,10 @@ from sawtopics.anchors import AnchorSet, stable_anchors
 from sawtopics.cooccur import CooccurrenceStats, build_cooccurrence
 from sawtopics.synthgen import generate_corpus, generate_topic_model
 from sawtopics.topics import (ConvergenceError, bayes_topic_posterior,
-                              doc_topic_features, kl_divergence, minimize_row_kl,
-                              recover_topics_unsupervised,
-                              recover_word_topic_matrix, representability)
+                              doc_topic_features, kl_divergence, minimize_simplex_kl,
+                              recover_topics_unsupervised, recover_word_topic_matrix)
 
-from helpers import simplex_grid_2
+from helpers import minimize_row_kl, simplex_grid_2
 
 
 def anchors_of(indices, d):
@@ -23,6 +22,18 @@ def stats_from_qbar(Qbar, p=None):
     p = np.full(d, 1.0 / d) if p is None else np.asarray(p, dtype=float)
     Q = Qbar * p[:, None]
     return CooccurrenceStats(Q, p, Qbar, np.flatnonzero(p <= 0))
+
+
+def solve_row(p, B, **kwargs):
+    """The batched kernel on a one-row matrix: (theta, objective, converged)."""
+    theta, f, converged, _ = minimize_simplex_kl(np.atleast_2d(p), B, **kwargs)
+    return theta[0], f[0], converged[0]
+
+
+def prefix_objectives(P, B, n_iter):
+    """Per-row objectives after max_iter = 1..n_iter; the kernel is
+    deterministic, so these are prefixes of one trajectory."""
+    return np.array([minimize_simplex_kl(P, B, max_iter=it)[1] for it in range(1, n_iter + 1)])
 
 
 class TestKlDivergence:
@@ -50,35 +61,45 @@ class TestKlDivergence:
             q = rng.dirichlet(np.ones(5))
             assert kl_divergence(p, q) >= -1e-12
 
+    def test_row_wise(self):
+        rng = np.random.default_rng(7)
+        P = rng.dirichlet(np.ones(5), size=4)
+        Q = rng.dirichlet(np.ones(5), size=4)
+        expect = [kl_divergence(p, q) for p, q in zip(P, Q)]
+        assert np.allclose(kl_divergence(P, Q), expect, rtol=1e-12)
+
 
 class TestRowSolver:
     def test_exact_anchor_copy(self):
         rng = np.random.default_rng(2)
         B = rng.dirichlet(np.ones(8), size=3)
-        fit = minimize_row_kl(B[2], B)
-        assert np.abs(fit.theta - [0, 0, 1]).max() <= 1e-6
-        assert fit.objective <= 1e-10
+        theta, f, _ = solve_row(B[2], B)
+        assert np.abs(theta - [0, 0, 1]).max() <= 1e-6
+        assert f <= 1e-10
+        # the zero-objective stop ends the row after as many steps as the reference
+        steps = minimize_simplex_kl(B[2][None], B)[3]
+        assert steps[0] == len(minimize_row_kl(B[2], B).trace) - 1
 
     def test_even_mixture(self):
         rng = np.random.default_rng(3)
         B = rng.dirichlet(np.ones(8), size=2)
-        fit = minimize_row_kl(0.5 * B[0] + 0.5 * B[1], B, tol=1e-12)
-        assert np.abs(fit.theta - 0.5).max() <= 1e-8
-        assert fit.objective <= 1e-8
+        theta, f, _ = solve_row(0.5 * B[0] + 0.5 * B[1], B, tol=1e-12)
+        assert np.abs(theta - 0.5).max() <= 1e-8
+        assert f <= 1e-8
 
     def test_uneven_mixture(self):
         rng = np.random.default_rng(4)
         B = rng.dirichlet(np.ones(10), size=2)
-        fit = minimize_row_kl(0.3 * B[0] + 0.7 * B[1], B, tol=1e-12)
-        assert np.abs(fit.theta - [0.3, 0.7]).max() <= 1e-6
+        theta, _, _ = solve_row(0.3 * B[0] + 0.7 * B[1], B, tol=1e-12)
+        assert np.abs(theta - [0.3, 0.7]).max() <= 1e-6
 
     def test_objective_never_increases(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             B = rng.dirichlet(np.ones(6), size=3)
             p = rng.dirichlet(np.ones(6))
-            fit = minimize_row_kl(p, B)
-            assert np.all(np.diff(fit.trace) <= 1e-12)
+            values = prefix_objectives(p[None], B, 30)
+            assert np.all(np.diff(values, axis=0) <= 1e-12)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(6)
@@ -87,11 +108,11 @@ class TestRowSolver:
             d = int(rng.integers(3, 7))
             B = rng.dirichlet(np.ones(d), size=2)
             p = rng.dirichlet(np.ones(d))
-            fit = minimize_row_kl(p, B, tol=1e-12)
+            theta, f, _ = solve_row(p, B, tol=1e-12)
             vals = [kl_divergence(p, th @ B) for th in grid]
             best = grid[int(np.argmin(vals))]
-            assert np.abs(fit.theta - best).sum() <= 0.02
-            assert fit.objective <= min(vals) + 1e-9
+            assert np.abs(theta - best).sum() <= 0.02
+            assert f <= min(vals) + 1e-9
 
 
 class TestRecoverUnsupervised:
@@ -117,12 +138,37 @@ class TestRecoverUnsupervised:
         stats = build_cooccurrence(corpus)
         aset = anchors_of(truth.anchor_indices, 20)
         B = stats.Qbar[list(aset.indices)]
-        for w in range(20):
-            if w in aset.indices:
-                continue
-            fit = minimize_row_kl(stats.Qbar[w], B)
-            assert fit.converged
-            assert np.all(np.diff(fit.trace) <= 1e-12)
+        P = np.delete(stats.Qbar, aset.indices, axis=0)
+        assert minimize_simplex_kl(P, B)[2].all()
+        values = prefix_objectives(P, B, 40)
+        assert np.all(np.diff(values, axis=0) <= 1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_batched_matches_row_reference(self, k):
+        # the planted k converges everywhere; the over-specified k = 4 at a
+        # short budget leaves a mix of converged and failed rows
+        truth = generate_topic_model(24, 3, 0.4, seed=21)
+        corpus, _ = generate_corpus(truth, 500, 100, 0.3, 22)
+        stats = build_cooccurrence(corpus)
+        aset = stable_anchors(stats, k, T=3, seed=23)
+        B = stats.Qbar[list(aset.indices)]
+        free = np.setdiff1d(np.arange(24), aset.indices)
+        ref = [minimize_row_kl(stats.Qbar[w], B, max_iter=500) for w in free]
+        theta, f, converged, steps = minimize_simplex_kl(stats.Qbar[free], B, max_iter=500)
+        assert converged.tolist() == [r.converged for r in ref]
+        assert steps.tolist() == [len(r.trace) - 1 for r in ref]
+        assert np.abs(theta - [r.theta for r in ref]).max() <= 1e-6
+        assert np.allclose(f, [r.objective for r in ref], rtol=1e-9, atol=1e-15)
+        failed = [(w, r.objective) for w, r in zip(free, ref) if not r.converged]
+        if not failed:
+            tm = recover_topics_unsupervised(stats, aset, max_iter=500)
+            assert np.abs(tm.theta[free] - [r.theta for r in ref]).max() <= 1e-6
+            return
+        assert 0 < len(failed) < free.size
+        with pytest.raises(ConvergenceError) as err:
+            recover_topics_unsupervised(stats, aset, max_iter=500)
+        assert err.value.worst_row == max(failed, key=lambda t: t[1])[0]
+        assert str(err.value).startswith(f"{len(failed)} row(s) failed")
 
     def test_iteration_cap_raises_with_worst_row(self):
         rng = np.random.default_rng(10)
@@ -208,16 +254,18 @@ class TestRepresentability:
         corpus, _ = generate_corpus(truth, 4000, 200, 0.3, 16)
         stats = build_cooccurrence(corpus)
         aset = anchors_of(truth.anchor_indices, 25)
-        residuals, flagged = representability(stats, aset, threshold=1e-3)
-        assert flagged.size == 0
+        residuals = recover_topics_unsupervised(stats, aset).residuals
+        assert np.all(residuals <= 1e-3)
 
     def test_threshold_zero_flags_positive_residuals(self):
         truth = generate_topic_model(15, 2, 0.4, seed=17)
         corpus, _ = generate_corpus(truth, 200, 50, 0.3, 18)
         stats = build_cooccurrence(corpus)
         aset = anchors_of(truth.anchor_indices, 15)
-        residuals, flagged = representability(stats, aset, threshold=0.0)
-        assert set(flagged.tolist()) == set(np.flatnonzero(residuals > 0).tolist())
+        residuals = recover_topics_unsupervised(stats, aset).residuals
+        flagged = np.flatnonzero(residuals > 0.0)
+        # sampling noise leaves every non-anchor word a positive residual
+        assert set(flagged.tolist()) == set(range(15)) - set(aset.indices)
 
     def test_disjoint_support_word_flagged(self):
         # word 3's row lives where no anchor row has mass: not representable
@@ -228,6 +276,6 @@ class TestRepresentability:
             [0.0, 0.0, 0.0, 0.0, 0.5, 0.5],
         ])
         stats = stats_from_qbar(Qbar)
-        residuals, flagged = representability(stats, anchors_of([0, 1], 4), threshold=0.1)
-        assert 3 in flagged.tolist()
+        residuals = recover_topics_unsupervised(stats, anchors_of([0, 1], 4)).residuals
+        assert residuals[3] > 0.1
         assert residuals[3] > 1.0  # log-floor KL blows up on disjoint support
