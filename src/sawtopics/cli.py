@@ -11,7 +11,6 @@ from the single --seed value, fanned out per stage by seeding.derive_seed.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -25,9 +24,8 @@ from .saw import SawConfig, SawModel
 from .seeding import derive_seed
 from .topics import topic_report
 
-log = logging.getLogger(__name__)
-
-METHODS = ("saw", "usaw", "encox", "km")
+METHODS = tuple(methods.METHODS)
+CV_METHODS = tuple(m for m, entry in methods.METHODS.items() if entry.cv)
 
 
 def _parse_optional_float(s: str):
@@ -66,7 +64,6 @@ _SCHEMAS = {
         "k": (5, int), "lam": (0.1, float), "alpha": (0.5, float),
         "seed": (0, int), "outer_tol": (1e-6, float), "max_outer_iters": (50, int),
         "anchor_runs": (10, int), "projection_dim": (None, _parse_optional_int),
-        "threads": (1, int),
     },
     "predict": {
         "model": (None, str), "corpus": (None, str), "out": (None, str),
@@ -81,7 +78,6 @@ _SCHEMAS = {
         "lams": ((0.01, 0.1, 1.0, 10.0), _parse_floats),
         "alphas": ((0.5, 1.0), _parse_floats),
         "folds": (3, int), "seed": (0, int), "method": ("saw", str),
-        "threads": (1, int),
     },
     "report": {
         "model": (None, str), "out": (None, str), "top_n": (10, int),
@@ -213,8 +209,6 @@ def _cmd_train(resolved: dict) -> None:
     _require(resolved, "corpus", "out")
     if resolved["method"] not in METHODS:
         raise ValueError(f"unknown method {resolved['method']!r}; choose from {METHODS}")
-    if resolved["threads"] != 1:
-        log.info("threads=%s requested; running single-threaded", resolved["threads"])
     corpus = load_corpus(resolved["corpus"])
     model = methods.fit_method(corpus, resolved["method"], _saw_config(resolved))
     out = Path(resolved["out"])
@@ -257,14 +251,11 @@ def _cmd_cv(resolved: dict) -> None:
     corpus = load_corpus(resolved["corpus"])
     grid = [(k, lam, a) for k in resolved["ks"] for lam in resolved["lams"]
             for a in resolved["alphas"]]
-    from .saw import fit_saw, fit_usaw
-
-    fitter = {"saw": fit_saw, "usaw": fit_usaw}.get(resolved["method"])
-    if fitter is None:
-        raise ValueError("cv supports methods saw and usaw")
+    if resolved["method"] not in CV_METHODS:
+        raise ValueError("cv supports methods " + " and ".join(CV_METHODS))
     result, model = evaluation.cross_validate(
         corpus, grid, folds=resolved["folds"], seed=derive_seed(resolved["seed"], "cv"),
-        fitter=fitter,
+        fitter=methods.METHODS[resolved["method"]].fit,
     )
     out_dir = Path(resolved["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--truth-out", dest="truth_out")
 
-    p = add("train", "fit a model (saw | usaw | encox | km) on a corpus file")
+    p = add("train", f"fit a model ({' | '.join(METHODS)}) on a corpus file")
     p.add_argument("--corpus")
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--out")
@@ -344,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer-iters", dest="max_outer_iters", type=int)
     p.add_argument("--anchor-runs", dest="anchor_runs", type=int)
     p.add_argument("--projection-dim", dest="projection_dim", type=int)
-    p.add_argument("--threads", type=int)
 
     p = add("predict", "score a corpus with a trained model")
     p.add_argument("--model")
@@ -365,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=_parse_floats)
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=("saw", "usaw"))
-    p.add_argument("--threads", type=int)
+    p.add_argument("--method", choices=CV_METHODS)
 
     p = add("report", "write the topic/anchor report for a trained model")
     p.add_argument("--model")

@@ -146,17 +146,14 @@ class Corpus:
 class IngestConfig:
     """Knobs for corpus construction.
 
-    ``cutoff`` is a global time bound; ``cutoffs`` maps patient id to an
-    individual bound and takes precedence. Events at or after the bound are
-    dropped. ``min_variance``, when set, drops words whose normalized
+    ``cutoff`` is a global time bound: events at or after it are dropped.
+    ``min_variance``, when set, drops words whose normalized
     per-document frequency variance falls below it.
     """
 
     bins: int = 5
-    bins_per_event: Mapping[str, int] = field(default_factory=dict)
     min_doc_freq: int = 3
     cutoff: float | None = None
-    cutoffs: Mapping[str, float] | None = None
     min_variance: float | None = None
 
 
@@ -240,12 +237,6 @@ def load_labels(path) -> dict[str, tuple[float, bool]]:
         return read_labels(fh)
 
 
-def _cutoff_for(cfg: IngestConfig, pid: str) -> float | None:
-    if cfg.cutoffs is not None and pid in cfg.cutoffs:
-        return cfg.cutoffs[pid]
-    return cfg.cutoff
-
-
 def _bin_word(event: str, edges: tuple[float, ...], value: float) -> str:
     # value equal to a cut point goes to the lower bin
     j = int(np.searchsorted(np.asarray(edges), value, side="left"))
@@ -280,12 +271,8 @@ def build_corpus(
     vocabularies and scoring new patients against a fitted model.
     """
     cfg = cfg or IngestConfig()
-    kept = []
-    for e in events:
-        cut = _cutoff_for(cfg, e.patient_id)
-        if cut is not None and e.time >= cut:
-            continue
-        kept.append(e)
+    cut = cfg.cutoff
+    kept = [e for e in events if cut is None or e.time < cut]
     if not kept:
         raise ValueError("no events remain after cutoff filtering")
 
@@ -304,7 +291,7 @@ def build_corpus(
         for ev in sorted(by_event):
             vals = by_event[ev]
             if vals and all(_is_number(v) for v in vals):
-                b = int(cfg.bins_per_event.get(ev, cfg.bins))
+                b = int(cfg.bins)
                 if b < 1:
                     raise ValueError(f"bin count for event {ev!r} must be >= 1")
                 arr = np.array([float(v) for v in vals], dtype=float)

@@ -10,15 +10,17 @@ ordering, so its risk scores are NaN.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .anchors import AnchorSet
 from .corpus import Corpus, Vocabulary, normalize_columns, vocabulary_hash
-from .saw import FitTrace, Predictions, SawConfig, SawModel, fit_saw, fit_usaw, predict
+from .saw import (FitTrace, Predictions, SawConfig, SawModel, cox_predictions, fit_saw,
+                  fit_usaw, predict)
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, fit_elastic_net_cox,
-                       kaplan_meier, predict_median)
+                       kaplan_meier)
 from .topics import TopicModel
 
 MODEL_FORMAT = "sawtopics-model"
@@ -60,13 +62,7 @@ def predict_encox(model: EncoxModel, corpus: Corpus) -> Predictions:
     if vocabulary_hash(corpus.vocab) != model.vocab_hash:
         raise ValueError("vocabulary mismatch between model and corpus")
     Z = np.asarray(normalize_columns(corpus).T.todense())
-    risk = Z @ model.cox.beta
-    n = corpus.n_docs
-    median = np.empty(n)
-    saturated = np.empty(n, dtype=bool)
-    for i in range(n):
-        median[i], saturated[i] = predict_median(model.cox, Z[i])
-    return Predictions(corpus.patient_ids, risk, median, saturated)
+    return cox_predictions(model.cox, Z, corpus.patient_ids)
 
 
 def predict_km(model: KmModel, corpus: Corpus) -> Predictions:
@@ -77,29 +73,6 @@ def predict_km(model: KmModel, corpus: Corpus) -> Predictions:
         np.full(n, model.median),
         np.full(n, model.saturated, dtype=bool),
     )
-
-
-def fit_method(corpus: Corpus, method: str, config: SawConfig):
-    if method == "saw":
-        return fit_saw(corpus, config)
-    if method == "usaw":
-        return fit_usaw(corpus, config)
-    if method == "encox":
-        return fit_encox(corpus, config.lam, config.alpha, tol=config.beta_tol,
-                         max_iter=config.beta_iters)
-    if method == "km":
-        return fit_km(corpus)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def predict_model(model, corpus: Corpus) -> Predictions:
-    if isinstance(model, SawModel):
-        return predict(model, corpus)
-    if isinstance(model, EncoxModel):
-        return predict_encox(model, corpus)
-    if isinstance(model, KmModel):
-        return predict_km(model, corpus)
-    raise TypeError(f"cannot predict with {type(model).__name__}")
 
 
 def _encode_matrix(M: np.ndarray):
@@ -123,72 +96,132 @@ def _decode_matrix(obj) -> np.ndarray:
     return M
 
 
-def _encode_baseline(base: BaselineHazard | None):
-    if base is None:
-        return None
-    return {"times": [float(t) for t in base.times],
-            "cum_hazard": [float(h) for h in base.cum_hazard]}
+def _write_cox(cox: CoxModel) -> dict:
+    base = cox.baseline
+    return {"beta": [float(x) for x in cox.beta],
+            "baseline": None if base is None else {
+                "times": [float(t) for t in base.times],
+                "cum_hazard": [float(h) for h in base.cum_hazard]}}
 
 
-def _decode_baseline(obj) -> BaselineHazard | None:
-    if obj is None:
-        return None
-    return BaselineHazard(np.array(obj["times"], dtype=float),
-                          np.array(obj["cum_hazard"], dtype=float))
+def _read_cox(payload: dict, lam: float, alpha: float) -> CoxModel:
+    base = payload["baseline"]
+    if base is not None:
+        base = BaselineHazard(np.array(base["times"], dtype=float),
+                              np.array(base["cum_hazard"], dtype=float))
+    return CoxModel(np.array(payload["beta"], dtype=float), base, lam, alpha)
+
+
+def _read_words(payload: dict) -> Vocabulary | None:
+    return None if payload["words"] is None else Vocabulary(tuple(payload["words"]))
+
+
+def _write_saw(model: SawModel) -> dict:
+    tm = model.topic_model
+    return {
+        "config": asdict(model.config),
+        "words": None if model.vocab is None else list(model.vocab.words),
+        "anchors": {
+            "indices": list(tm.anchors.indices),
+            "stability": {str(w): c for w, c in tm.anchors.stability.items()},
+            "runs": tm.anchors.runs,
+            "projection_dim": tm.anchors.projection_dim,
+        },
+        "theta": _encode_matrix(tm.theta),
+        "A": None if tm.A is None else _encode_matrix(tm.A),
+        "residuals": [float(x) for x in tm.residuals],
+        "trace": asdict(model.trace),
+        **_write_cox(model.cox),
+    }
+
+
+def _read_saw(payload: dict) -> SawModel:
+    cfg = SawConfig(**payload["config"])
+    anchors = AnchorSet(
+        indices=tuple(payload["anchors"]["indices"]),
+        stability={int(w): int(c) for w, c in payload["anchors"]["stability"].items()},
+        runs=payload["anchors"]["runs"],
+        projection_dim=payload["anchors"]["projection_dim"],
+    )
+    tm = TopicModel(
+        theta=_decode_matrix(payload["theta"]),
+        A=None if payload["A"] is None else _decode_matrix(payload["A"]),
+        anchors=anchors,
+        residuals=np.array(payload["residuals"], dtype=float),
+    )
+    trace = FitTrace(tuple(payload["trace"]["objective_values"]),
+                     payload["trace"]["converged"], payload["trace"]["iterations"])
+    return SawModel(tm, _read_cox(payload, cfg.lam, cfg.alpha), cfg, trace,
+                    _read_words(payload), payload["vocab_hash"], method=payload["method"])
+
+
+def _write_encox(model: EncoxModel) -> dict:
+    return {"words": None if model.vocab is None else list(model.vocab.words),
+            "lam": model.cox.lam, "alpha": model.cox.alpha, **_write_cox(model.cox)}
+
+
+def _read_encox(payload: dict) -> EncoxModel:
+    cox = _read_cox(payload, payload["lam"], payload["alpha"])
+    return EncoxModel(cox, _read_words(payload), payload["vocab_hash"])
+
+
+def _write_km(model: KmModel) -> dict:
+    return {"times": [float(t) for t in model.curve.times],
+            "survival": [float(s) for s in model.curve.survival],
+            "median": float(model.median), "saturated": bool(model.saturated)}
+
+
+def _read_km(payload: dict) -> KmModel:
+    curve = SurvivalCurve(np.array(payload["times"], dtype=float),
+                          np.array(payload["survival"], dtype=float))
+    return KmModel(curve, payload["median"], payload["saturated"], payload["vocab_hash"])
+
+
+@dataclass(frozen=True)
+class Method:
+    """How one method fits and predicts, and writes and reads its fields of
+    the model file. ``fit`` and ``predict`` look functions up as module
+    globals at call time, so wrappers installed on module attributes after
+    import (``perfbench/tracing.py``) see every call."""
+
+    fit: Callable[[Corpus, SawConfig], object]
+    predict: Callable[[object, Corpus], Predictions]
+    write: Callable[[object], dict]
+    read: Callable[[dict], object]
+    cv: bool = False  # cross-validated over (k, lam, alpha) by ``cli cv``
+
+
+METHODS: dict[str, Method] = {
+    "saw": Method(lambda c, cfg: fit_saw(c, cfg), lambda m, c: predict(m, c),
+                  _write_saw, _read_saw, cv=True),
+    "usaw": Method(lambda c, cfg: fit_usaw(c, cfg), lambda m, c: predict(m, c),
+                   _write_saw, _read_saw, cv=True),
+    "encox": Method(lambda c, cfg: fit_encox(c, cfg.lam, cfg.alpha, tol=cfg.beta_tol,
+                                             max_iter=cfg.beta_iters),
+                    lambda m, c: predict_encox(m, c), _write_encox, _read_encox),
+    "km": Method(lambda c, cfg: fit_km(c), lambda m, c: predict_km(m, c), _write_km, _read_km),
+}
+
+
+def _method_of(model, action: str) -> Method:
+    if getattr(model, "method", None) not in METHODS:
+        raise TypeError(f"cannot {action} {type(model).__name__}")
+    return METHODS[model.method]
+
+
+def fit_method(corpus: Corpus, method: str, config: SawConfig):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method].fit(corpus, config)
+
+
+def predict_model(model, corpus: Corpus) -> Predictions:
+    return _method_of(model, "predict with").predict(model, corpus)
 
 
 def save_model(model, path) -> None:
-    if isinstance(model, SawModel):
-        cfg = model.config
-        body = {
-            "config": {
-                "k": cfg.k, "lam": cfg.lam, "alpha": cfg.alpha,
-                "outer_tol": cfg.outer_tol, "max_outer_iters": cfg.max_outer_iters,
-                "theta_step": cfg.theta_step, "theta_iters": cfg.theta_iters,
-                "recover_tol": cfg.recover_tol, "recover_iters": cfg.recover_iters,
-                "beta_tol": cfg.beta_tol, "beta_iters": cfg.beta_iters,
-                "anchor_runs": cfg.anchor_runs, "projection_dim": cfg.projection_dim,
-                "seed": cfg.seed,
-            },
-            "words": list(model.vocab.words) if model.vocab is not None else None,
-            "anchors": {
-                "indices": list(model.topic_model.anchors.indices),
-                "stability": {str(w): c for w, c in model.topic_model.anchors.stability.items()},
-                "runs": model.topic_model.anchors.runs,
-                "projection_dim": model.topic_model.anchors.projection_dim,
-            },
-            "theta": _encode_matrix(model.topic_model.theta),
-            "A": None if model.topic_model.A is None else _encode_matrix(model.topic_model.A),
-            "residuals": [float(x) for x in model.topic_model.residuals],
-            "beta": [float(x) for x in model.cox.beta],
-            "baseline": _encode_baseline(model.cox.baseline),
-            "trace": {
-                "objective_values": [float(v) for v in model.trace.objective_values],
-                "converged": model.trace.converged,
-                "iterations": model.trace.iterations,
-            },
-        }
-        payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
-                   "method": model.method, "vocab_hash": model.vocab_hash, **body}
-    elif isinstance(model, EncoxModel):
-        payload = {
-            "format": MODEL_FORMAT, "version": MODEL_VERSION, "method": "encox",
-            "vocab_hash": model.vocab_hash,
-            "words": list(model.vocab.words) if model.vocab is not None else None,
-            "beta": [float(x) for x in model.cox.beta],
-            "lam": model.cox.lam, "alpha": model.cox.alpha,
-            "baseline": _encode_baseline(model.cox.baseline),
-        }
-    elif isinstance(model, KmModel):
-        payload = {
-            "format": MODEL_FORMAT, "version": MODEL_VERSION, "method": "km",
-            "vocab_hash": model.vocab_hash,
-            "times": [float(t) for t in model.curve.times],
-            "survival": [float(s) for s in model.curve.survival],
-            "median": float(model.median), "saturated": bool(model.saturated),
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
+    payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "method": model.method,
+               "vocab_hash": model.vocab_hash, **_method_of(model, "serialize").write(model)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -201,35 +234,6 @@ def load_model(path):
         raise ValueError(f"not a model file: {path}")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')}")
-    method = payload["method"]
-    if method in ("saw", "usaw"):
-        cfg = SawConfig(**payload["config"])
-        anchors = AnchorSet(
-            indices=tuple(payload["anchors"]["indices"]),
-            stability={int(w): int(c) for w, c in payload["anchors"]["stability"].items()},
-            runs=payload["anchors"]["runs"],
-            projection_dim=payload["anchors"]["projection_dim"],
-        )
-        tm = TopicModel(
-            theta=_decode_matrix(payload["theta"]),
-            A=None if payload["A"] is None else _decode_matrix(payload["A"]),
-            anchors=anchors,
-            residuals=np.array(payload["residuals"], dtype=float),
-        )
-        cox = CoxModel(np.array(payload["beta"], dtype=float),
-                       _decode_baseline(payload["baseline"]), cfg.lam, cfg.alpha)
-        trace = FitTrace(tuple(payload["trace"]["objective_values"]),
-                         payload["trace"]["converged"], payload["trace"]["iterations"])
-        vocab = None if payload["words"] is None else Vocabulary(tuple(payload["words"]))
-        return SawModel(tm, cox, cfg, trace, vocab, payload["vocab_hash"], method=method)
-    if method == "encox":
-        cox = CoxModel(np.array(payload["beta"], dtype=float),
-                       _decode_baseline(payload["baseline"]),
-                       payload["lam"], payload["alpha"])
-        vocab = None if payload["words"] is None else Vocabulary(tuple(payload["words"]))
-        return EncoxModel(cox, vocab, payload["vocab_hash"])
-    if method == "km":
-        curve = SurvivalCurve(np.array(payload["times"], dtype=float),
-                              np.array(payload["survival"], dtype=float))
-        return KmModel(curve, payload["median"], payload["saturated"], payload["vocab_hash"])
-    raise ValueError(f"unknown method {method!r} in model file")
+    if payload["method"] not in METHODS:
+        raise ValueError(f"unknown method {payload['method']!r} in model file")
+    return METHODS[payload["method"]].read(payload)

@@ -277,12 +277,12 @@ def predict(model: SawModel, new_corpus: Corpus) -> Predictions:
     on the same vocabulary as the training data."""
     if vocabulary_hash(new_corpus.vocab) != model.vocab_hash:
         raise ValueError("vocabulary mismatch between model and corpus")
-    Xbar = normalize_columns(new_corpus)
-    Z = doc_topic_features(model.topic_model.theta, Xbar)
-    risk = Z @ model.cox.beta
-    n = new_corpus.n_docs
-    median = np.empty(n)
-    saturated = np.empty(n, dtype=bool)
-    for i in range(n):
-        median[i], saturated[i] = predict_median(model.cox, Z[i])
-    return Predictions(new_corpus.patient_ids, risk, median, saturated)
+    Z = doc_topic_features(model.topic_model.theta, normalize_columns(new_corpus))
+    return cox_predictions(model.cox, Z, new_corpus.patient_ids)
+
+
+def cox_predictions(cox: CoxModel, Z: np.ndarray, patient_ids) -> Predictions:
+    """Risk scores Z @ beta and the median survival times they imply."""
+    risk = Z @ cox.beta
+    median, saturated = predict_median(cox, risk)
+    return Predictions(patient_ids, risk, median, saturated)

@@ -86,9 +86,9 @@ class RiskSets:
         self.first = np.searchsorted(self.y, self.y, side="left")
         self.last = np.searchsorted(self.y, self.y, side="right") - 1
 
-    def nll(self, eta: np.ndarray) -> float:
-        """Negative Cox partial log likelihood at linear predictor eta
-        (original patient order).
+    def log_risk_sums(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """eta in sorted order and, per sorted position, the log of the
+        risk set's total exp(eta) (everyone with Y >= that time).
 
         Suffix logsumexps are computed max-shifted with a stable running
         accumulation; a plain shifted cumsum can underflow to zero for
@@ -98,7 +98,12 @@ class RiskSets:
         es = np.asarray(eta, dtype=float)[self.order]
         c = es.max()
         acc = np.logaddexp.accumulate((es - c)[::-1])[::-1]
-        lse = acc[self.first] + c
+        return es, acc[self.first] + c
+
+    def nll(self, eta: np.ndarray) -> float:
+        """Negative Cox partial log likelihood at linear predictor eta
+        (original patient order)."""
+        es, lse = self.log_risk_sums(eta)
         return float(np.sum(lse[self.events]) - np.sum(es[self.events]))
 
     def eta_gradient(self, eta: np.ndarray) -> np.ndarray:
@@ -219,34 +224,40 @@ def breslow_baseline(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) ->
     """Cumulative baseline hazard: at each distinct event time, the number
     of events there divided by the risk set's total exp(beta.z)."""
     rs = RiskSets(labels)
-    Z = np.asarray(Z, dtype=float)
-    es = (Z @ np.asarray(beta, dtype=float))[rs.order]
-    c = es.max()
-    log_s0 = np.logaddexp.accumulate((es - c)[::-1])[::-1] + c
+    _, log_s0 = rs.log_risk_sums(np.asarray(Z, dtype=float) @ np.asarray(beta, dtype=float))
     event_pos = np.flatnonzero(rs.events)
     t_event = rs.y[event_pos]
     times, start = np.unique(t_event, return_index=True)
     d_e = np.bincount(np.searchsorted(times, t_event), minlength=times.size).astype(float)
-    inc = np.exp(np.log(d_e) - log_s0[rs.first[event_pos[start]]])
+    inc = np.exp(np.log(d_e) - log_s0[event_pos[start]])
     return BaselineHazard(times, np.cumsum(inc))
 
 
-def predict_median(model: CoxModel, z: np.ndarray) -> tuple[float, bool]:
-    """Smallest baseline time where predicted survival drops to <= 0.5.
+def predict_median(model: CoxModel, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per linear predictor eta, the smallest baseline time where predicted
+    survival exp(-H * exp(eta)) drops to <= 0.5.
 
-    If the survival curve never reaches 0.5, returns the largest baseline
-    time with the saturated flag set.
+    Where the survival curve never reaches 0.5, returns the largest
+    baseline time with the saturated flag set. The first crossing is found
+    by one bisection over the baseline for all patients at once, so memory
+    stays O(n).
     """
     base = model.baseline
     if base is None or base.times.size == 0:
         raise ValueError("model has no baseline hazard")
-    eta = float(np.dot(model.beta, np.asarray(z, dtype=float)))
-    with np.errstate(over="ignore"):
-        surv = np.exp(-base.cum_hazard * np.exp(eta))
-    hit = np.flatnonzero(surv <= 0.5)
-    if hit.size:
-        return float(base.times[hit[0]]), False
-    return float(base.times[-1]), True
+    H, T = base.cum_hazard, base.times.size
+    eta = np.asarray(eta, dtype=float)
+    lo = np.zeros(eta.shape, dtype=np.intp)  # bisect for the first hit; T means none
+    hi = np.full(eta.shape, T, dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(eta) = inf, inf * 0
+        scale = np.exp(eta)
+        for _ in range(T.bit_length()):
+            mid = np.minimum((lo + hi) // 2, T - 1)
+            hit = np.exp(-H[mid] * scale) <= 0.5
+            open_ = lo < hi
+            hi = np.where(open_ & hit, mid, hi)
+            lo = np.where(open_ & ~hit, mid + 1, lo)
+    return base.times[np.minimum(lo, T - 1)], lo == T
 
 
 def kaplan_meier(labels: SurvivalLabels) -> tuple[SurvivalCurve, float, bool]:

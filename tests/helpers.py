@@ -2,8 +2,10 @@
 
 These stay deliberately independent of the library's own code paths: pair
 enumeration for concordance, LP-based convex hull membership, central finite
-differences, exhaustive simplex grids, and a one-row-at-a-time solver of the
-simplex KL subproblem as a reference for the batched library kernel.
+differences, exhaustive simplex grids, a one-row-at-a-time solver of the
+simplex KL subproblem as a reference for the batched library kernel, and a
+one-patient-at-a-time median survival time as a reference for the
+vectorised one.
 """
 
 from dataclasses import dataclass
@@ -148,3 +150,21 @@ def minimize_row_kl(
             converged = True
             break
     return RowFit(theta, f, it, converged, np.array(trace))
+
+
+def predict_median(model, z):
+    """Smallest baseline time where predicted survival drops to <= 0.5.
+
+    If the survival curve never reaches 0.5, returns the largest baseline
+    time with the saturated flag set.
+    """
+    base = model.baseline
+    if base is None or base.times.size == 0:
+        raise ValueError("model has no baseline hazard")
+    eta = float(np.dot(model.beta, np.asarray(z, dtype=float)))
+    with np.errstate(over="ignore"):
+        surv = np.exp(-base.cum_hazard * np.exp(eta))
+    hit = np.flatnonzero(surv <= 0.5)
+    if hit.size:
+        return float(base.times[hit[0]]), False
+    return float(base.times[-1]), True

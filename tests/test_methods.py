@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,20 @@ def test_loaded_model_predicts_identically(corpus, tmp_path, method):
     before = predict_model(model, corpus)
     path = tmp_path / "m.json"
     save_model(model, path)
-    after = predict_model(load_model(path), corpus)
+    loaded = load_model(path)
+    after = predict_model(loaded, corpus)
     assert before.patient_ids == after.patient_ids
     assert np.array_equal(before.risk, after.risk, equal_nan=True)
     assert np.array_equal(before.median, after.median)
     assert np.array_equal(before.saturated, after.saturated)
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    payload = json.loads(path.read_text())
+    payload["method"] = "svd"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="unknown method"):
+        load_model(path)
 
 
 def test_matrix_encoding_round_trip():

@@ -10,6 +10,7 @@ from sawtopics.survival import (BaselineHazard, CoxModel, SurvivalCurve,
                                 kaplan_meier, predict_median)
 
 from helpers import fd_gradient
+from helpers import predict_median as reference_median
 
 
 def random_instance(rng, n=20, k=5, censor=0.3):
@@ -235,22 +236,39 @@ class TestPredictMedian:
 
     def test_crosses_half(self):
         t, sat = predict_median(self._model(), np.array([0.0]))
-        assert (t, sat) == (2.0, False)
+        assert (t[0], sat[0]) == (2.0, False)
 
     def test_saturated(self):
         t, sat = predict_median(self._model(), np.array([-3.0]))
-        assert (t, sat) == (2.0, True)
+        assert (t[0], sat[0]) == (2.0, True)
 
     def test_extreme_risk_hits_first_time(self):
         base = BaselineHazard(np.array([1.0, 5.0]), np.array([0.1, 0.2]))
         model = CoxModel(np.array([1.0]), base, 1.0, 0.5)
         t, sat = predict_median(model, np.array([1000.0]))
-        assert (t, sat) == (1.0, False)
+        assert (t[0], sat[0]) == (1.0, False)
 
     def test_no_baseline(self):
         model = CoxModel(np.array([1.0]), None, 1.0, 0.5)
         with pytest.raises(ValueError, match="baseline"):
             predict_median(model, np.array([0.0]))
+
+    def test_matches_per_patient_reference(self):
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            T = int(rng.integers(1, 40))
+            steps = rng.exponential(0.3, T) * (rng.uniform(size=T) < 0.7)  # repeats
+            H = np.cumsum(steps) + (0.0 if trial % 3 == 0 else rng.exponential(0.05))
+            H = np.sort(np.append(H, np.log(2.0)))  # survival exactly 0.5 at eta = 0
+            base = BaselineHazard(np.cumsum(rng.uniform(0.5, 3.0, T + 1)), H)
+            model = CoxModel(np.array([1.0]), base, 1.0, 0.5)
+            eta = np.concatenate([rng.normal(0.0, 3.0, 50),
+                                  [0.0, 700.0, -700.0, 1000.0, -1000.0]])
+            median, saturated = predict_median(model, eta)
+            with np.errstate(invalid="ignore"):  # 0 * inf at a zero hazard
+                ref = [reference_median(model, np.array([e])) for e in eta]
+            assert np.array_equal(median, [m for m, _ in ref])
+            assert np.array_equal(saturated, [s for _, s in ref])
 
 
 class TestKaplanMeier:
