@@ -19,8 +19,7 @@ from .methods import (EncoxModel, KmModel, fit_encox, fit_km, fit_method,
 from .saw import (FitTrace, Predictions, SawConfig, SawModel, fit_saw, fit_usaw,
                   joint_objective, predict, update_theta)
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, breslow_baseline,
-                       cox_gradient, cox_nll, fit_elastic_net_cox, kaplan_meier,
-                       predict_median)
+                       fit_elastic_net_cox, kaplan_meier, predict_median)
 from .synthgen import (GroundTruth, generate_corpus, generate_dataset,
                        generate_survival, generate_topic_model)
 from .topics import (TopicModel, bayes_topic_posterior, doc_topic_features,
@@ -35,8 +34,7 @@ __all__ = [
     "IngestConfig", "KmModel", "Metrics", "Predictions", "SawConfig", "SawModel",
     "SurvivalCurve", "SurvivalLabels", "TopicModel", "Vocabulary",
     "bayes_topic_posterior", "breslow_baseline", "build_cooccurrence",
-    "build_corpus", "c_index", "compute_metrics", "cox_gradient", "cox_nll",
-    "cross_validate", "default_candidates", "doc_topic_features", "fit_encox",
+    "build_corpus", "c_index", "compute_metrics", "cross_validate", "default_candidates", "doc_topic_features", "fit_encox",
     "fit_elastic_net_cox", "fit_km", "fit_method", "fit_saw", "fit_usaw",
     "generate_corpus", "generate_dataset", "generate_survival",
     "generate_topic_model", "greedy_anchors", "ingest_events", "joint_objective",

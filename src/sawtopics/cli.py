@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,61 +29,65 @@ METHODS = tuple(methods.METHODS)
 CV_METHODS = tuple(m for m, entry in methods.METHODS.items() if entry.cv)
 
 
-def _parse_optional_float(s: str):
+# argparse names a flag's parser in its errors: "invalid float_list value: 'x'"
+def optional_float(s: str):
     return None if s == "" else float(s)
 
 
-def _parse_optional_int(s: str):
+def optional_int(s: str):
     return None if s == "" else int(s)
 
 
-def _parse_floats(s: str):
+def float_list(s: str):
     return tuple(float(x) for x in s.split(",") if x.strip() != "")
 
 
-def _parse_ints(s: str):
+def int_list(s: str):
     return tuple(int(x) for x in s.split(",") if x.strip() != "")
 
 
-# command -> {key: (default, parser)}; the parser converts config-file strings
+# command -> (help, {key: (default, parser)}). Each key is one --key-with-dashes
+# flag; its parser converts both the flag's argument and config-file strings.
 _SCHEMAS = {
-    "ingest": {
+    "ingest": ("build a corpus file from 4-column events + labels", {
         "events": (None, str), "labels": (None, str), "out": (None, str),
         "bins": (5, int), "min_doc_freq": (3, int),
-        "cutoff": (None, _parse_optional_float),
-        "min_variance": (None, _parse_optional_float),
-    },
-    "synth": {
+        "cutoff": (None, optional_float),
+        "min_variance": (None, optional_float),
+    }),
+    "synth": ("generate a synthetic corpus with planted ground truth", {
         "d": (60, int), "k": (5, int), "n": (1000, int), "doc_length": (300, int),
         "a0": (0.1, float), "anchor_mass": (0.3, float),
-        "beta": (None, _parse_floats), "base_rate": (0.1, float),
+        "beta": (None, float_list), "base_rate": (0.1, float),
         "censor_fraction": (0.2, float), "seed": (0, int),
         "out": (None, str), "truth_out": (None, str),
-    },
-    "train": {
+    }),
+    "train": (f"fit a model ({' | '.join(METHODS)}) on a corpus file", {
         "corpus": (None, str), "method": ("saw", str), "out": (None, str),
         "k": (5, int), "lam": (0.1, float), "alpha": (0.5, float),
         "seed": (0, int), "outer_tol": (1e-6, float), "max_outer_iters": (50, int),
-        "anchor_runs": (10, int), "projection_dim": (None, _parse_optional_int),
-    },
-    "predict": {
+        "anchor_runs": (10, int), "projection_dim": (None, optional_int),
+    }),
+    "predict": ("score a corpus with a trained model", {
         "model": (None, str), "corpus": (None, str), "out": (None, str),
-    },
-    "evaluate": {
+    }),
+    "evaluate": ("compute rmse/mae/c-index from a predictions file", {
         "predictions": (None, str), "corpus": (None, str), "out": (None, str),
         "method": ("model", str),
-    },
-    "cv": {
+    }),
+    "cv": ("grid search (k, lam, alpha) by K-fold RMSE, then refit", {
         "corpus": (None, str), "out_dir": (None, str),
-        "ks": ((2, 5, 8), _parse_ints),
-        "lams": ((0.01, 0.1, 1.0, 10.0), _parse_floats),
-        "alphas": ((0.5, 1.0), _parse_floats),
+        "ks": ((2, 5, 8), int_list),
+        "lams": ((0.01, 0.1, 1.0, 10.0), float_list),
+        "alphas": ((0.5, 1.0), float_list),
         "folds": (3, int), "seed": (0, int), "method": ("saw", str),
-    },
-    "report": {
+    }),
+    "report": ("write the topic/anchor report for a trained model", {
         "model": (None, str), "out": (None, str), "top_n": (10, int),
-    },
+    }),
 }
+
+_CHOICES = {("train", "method"): METHODS, ("cv", "method"): CV_METHODS}
 
 
 def _format_value(v) -> str:
@@ -114,7 +119,7 @@ def read_config(path: Path) -> dict[str, str]:
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    schema = _SCHEMAS[command]
+    schema = _SCHEMAS[command][1]
     resolved = {k: default for k, (default, _) in schema.items()}
     if getattr(args, "config", None):
         for k, v in read_config(Path(args.config)).items():
@@ -135,12 +140,9 @@ def _require(resolved: dict, *keys: str) -> None:
 
 
 def _saw_config(resolved: dict) -> SawConfig:
-    return SawConfig(
-        k=resolved["k"], lam=resolved["lam"], alpha=resolved["alpha"],
-        outer_tol=resolved["outer_tol"], max_outer_iters=resolved["max_outer_iters"],
-        anchor_runs=resolved["anchor_runs"], projection_dim=resolved["projection_dim"],
-        seed=derive_seed(resolved["seed"], "train"),
-    )
+    values = {f.name: resolved[f.name] for f in fields(SawConfig)}
+    values["seed"] = derive_seed(resolved["seed"], "train")
+    return SawConfig(**values)
 
 
 def _write_predictions(path: Path, preds) -> None:
@@ -300,68 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    for command, (help_, schema) in _SCHEMAS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help="key=value config file; flags override it")
-        return p
-
-    p = add("ingest", "build a corpus file from 4-column events + labels")
-    p.add_argument("--events")
-    p.add_argument("--labels")
-    p.add_argument("--out")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--min-doc-freq", dest="min_doc_freq", type=int)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--min-variance", dest="min_variance", type=float)
-
-    p = add("synth", "generate a synthetic corpus with planted ground truth")
-    for flag, typ in [("--d", int), ("--k", int), ("--n", int),
-                      ("--doc-length", int), ("--a0", float), ("--anchor-mass", float),
-                      ("--base-rate", float), ("--censor-fraction", float), ("--seed", int)]:
-        p.add_argument(flag, dest=flag.lstrip("-").replace("-", "_"), type=typ)
-    p.add_argument("--beta", type=_parse_floats)
-    p.add_argument("--out")
-    p.add_argument("--truth-out", dest="truth_out")
-
-    p = add("train", f"fit a model ({' | '.join(METHODS)}) on a corpus file")
-    p.add_argument("--corpus")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--out")
-    p.add_argument("--k", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--outer-tol", dest="outer_tol", type=float)
-    p.add_argument("--max-outer-iters", dest="max_outer_iters", type=int)
-    p.add_argument("--anchor-runs", dest="anchor_runs", type=int)
-    p.add_argument("--projection-dim", dest="projection_dim", type=int)
-
-    p = add("predict", "score a corpus with a trained model")
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-
-    p = add("evaluate", "compute rmse/mae/c-index from a predictions file")
-    p.add_argument("--predictions")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--method")
-
-    p = add("cv", "grid search (k, lam, alpha) by K-fold RMSE, then refit")
-    p.add_argument("--corpus")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--ks", type=_parse_ints)
-    p.add_argument("--lams", type=_parse_floats)
-    p.add_argument("--alphas", type=_parse_floats)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=CV_METHODS)
-
-    p = add("report", "write the topic/anchor report for a trained model")
-    p.add_argument("--model")
-    p.add_argument("--out")
-    p.add_argument("--top-n", dest="top_n", type=int)
-
+        for key, (_, parse) in schema.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
+                           choices=_CHOICES.get((command, key)))
     return parser
 
 

@@ -25,6 +25,10 @@ from .topics import TopicModel
 
 MODEL_FORMAT = "sawtopics-model"
 MODEL_VERSION = 1
+# solver settings that saw/usaw files once carried in their config block;
+# each solver now uses its own default, so reading ignores these keys
+RETIRED_CONFIG_KEYS = ("theta_step", "theta_iters", "recover_tol", "recover_iters",
+                       "beta_tol", "beta_iters")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +50,9 @@ class KmModel:
     method: str = "km"
 
 
-def fit_encox(corpus: Corpus, lam: float, alpha: float, tol: float = 1e-9,
-              max_iter: int = 10000) -> EncoxModel:
+def fit_encox(corpus: Corpus, lam: float, alpha: float) -> EncoxModel:
     Z = np.asarray(normalize_columns(corpus).T.todense())
-    cox = fit_elastic_net_cox(Z, corpus.labels, lam, alpha, tol=tol, max_iter=max_iter)
+    cox = fit_elastic_net_cox(Z, corpus.labels, lam, alpha)
     return EncoxModel(cox, corpus.vocab, vocabulary_hash(corpus.vocab))
 
 
@@ -136,7 +139,8 @@ def _write_saw(model: SawModel) -> dict:
 
 
 def _read_saw(payload: dict) -> SawModel:
-    cfg = SawConfig(**payload["config"])
+    cfg = SawConfig(**{k: v for k, v in payload["config"].items()
+                       if k not in RETIRED_CONFIG_KEYS})
     anchors = AnchorSet(
         indices=tuple(payload["anchors"]["indices"]),
         stability={int(w): int(c) for w, c in payload["anchors"]["stability"].items()},
@@ -196,8 +200,7 @@ METHODS: dict[str, Method] = {
                   _write_saw, _read_saw, cv=True),
     "usaw": Method(lambda c, cfg: fit_usaw(c, cfg), lambda m, c: predict(m, c),
                    _write_saw, _read_saw, cv=True),
-    "encox": Method(lambda c, cfg: fit_encox(c, cfg.lam, cfg.alpha, tol=cfg.beta_tol,
-                                             max_iter=cfg.beta_iters),
+    "encox": Method(lambda c, cfg: fit_encox(c, cfg.lam, cfg.alpha),
                     lambda m, c: predict_encox(m, c), _write_encox, _read_encox),
     "km": Method(lambda c, cfg: fit_km(c), lambda m, c: predict_km(m, c), _write_km, _read_km),
 }

@@ -37,12 +37,6 @@ class SawConfig:
     alpha: float = 0.5
     outer_tol: float = 1e-6
     max_outer_iters: int = 50
-    theta_step: float = 1.0
-    theta_iters: int = 100
-    recover_tol: float = 1e-10
-    recover_iters: int = 4000  # multiplicative updates crawl near simplex faces
-    beta_tol: float = 1e-9
-    beta_iters: int = 10000
     anchor_runs: int = 10
     projection_dim: int | None = None  # None: min(d, 1000)
     seed: int = 0
@@ -54,9 +48,8 @@ class SawConfig:
             raise ValueError("lam must be > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        for name in ("outer_tol", "recover_tol", "beta_tol", "theta_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.outer_tol <= 0:
+            raise ValueError("outer_tol must be > 0")
         if self.max_outer_iters < 0 or self.anchor_runs < 1:
             raise ValueError("max_outer_iters must be >= 0 and anchor_runs >= 1")
 
@@ -180,10 +173,7 @@ def _prepare(corpus: Corpus, config: SawConfig):
         stats, config.k, T=config.anchor_runs, r=r,
         seed=derive_seed(config.seed, "anchors"), candidates=cand,
     )
-    tm = recover_topics_unsupervised(
-        stats, anchors, tol=config.recover_tol,
-        max_iter=config.recover_iters, step0=config.theta_step,
-    )
+    tm = recover_topics_unsupervised(stats, anchors)
     Xbar = normalize_columns(corpus)
     rs = RiskSets(corpus.labels)
     return stats, anchors, tm, Xbar, rs
@@ -206,7 +196,7 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
     monotone theta pass until the joint objective stops improving.
 
     With ``max_outer_iters == 0`` the unsupervised initialization itself is
-    returned (beta zero, no baseline hazard).
+    returned, with beta zero and the baseline hazard fitted for it.
     """
     stats, anchors, tm, Xbar, rs = _prepare(corpus, config)
     labels = corpus.labels
@@ -214,25 +204,18 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
     beta = np.zeros(config.k)
     obj = [joint_objective(theta, beta, stats, Xbar, labels, anchors,
                            config.lam, config.alpha, risk_sets=rs)]
-    if config.max_outer_iters == 0:
-        return _finish(corpus, config, stats, anchors, theta, beta, None,
-                       obj, False, 0, "saw")
     converged = False
     outer_done = 0
     for _ in range(config.max_outer_iters):
         prev = obj[-1]
         Z = doc_topic_features(theta, Xbar)
-        cox = fit_elastic_net_cox(
-            Z, labels, config.lam, config.alpha, tol=config.beta_tol,
-            beta0=beta, max_iter=config.beta_iters, fit_baseline=False,
-        )
+        cox = fit_elastic_net_cox(Z, labels, config.lam, config.alpha, beta0=beta,
+                                  fit_baseline=False)
         beta = cox.beta
         obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
                                    config.lam, config.alpha, risk_sets=rs))
-        theta, stalled = update_theta(
-            theta, beta, stats, Xbar, labels, anchors,
-            step=config.theta_step, max_iters=config.theta_iters, risk_sets=rs,
-        )
+        theta, stalled = update_theta(theta, beta, stats, Xbar, labels, anchors,
+                                      risk_sets=rs)
         obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
                                    config.lam, config.alpha, risk_sets=rs))
         outer_done += 1
@@ -262,10 +245,7 @@ def fit_usaw(corpus: Corpus, config: SawConfig) -> SawModel:
     obj = [joint_objective(theta, beta0, stats, Xbar, labels, anchors,
                            config.lam, config.alpha, risk_sets=rs)]
     Z = doc_topic_features(theta, Xbar)
-    cox = fit_elastic_net_cox(
-        Z, labels, config.lam, config.alpha, tol=config.beta_tol,
-        max_iter=config.beta_iters, fit_baseline=True,
-    )
+    cox = fit_elastic_net_cox(Z, labels, config.lam, config.alpha)
     obj.append(joint_objective(theta, cox.beta, stats, Xbar, labels, anchors,
                                config.lam, config.alpha, risk_sets=rs))
     return _finish(corpus, config, stats, anchors, theta, cox.beta, cox.baseline,

@@ -121,18 +121,6 @@ class RiskSets:
         return g
 
 
-def cox_nll(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> float:
-    """Sum over observed events of (-beta.z_i + log sum_{Y_j >= Y_i} exp(beta.z_j))."""
-    Z = np.asarray(Z, dtype=float)
-    return RiskSets(labels).nll(Z @ np.asarray(beta, dtype=float))
-
-
-def cox_gradient(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> np.ndarray:
-    Z = np.asarray(Z, dtype=float)
-    rs = RiskSets(labels)
-    return Z.T @ rs.eta_gradient(Z @ np.asarray(beta, dtype=float))
-
-
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -155,7 +143,8 @@ def fit_elastic_net_cox(
     gtol: float | None = None,
     fit_baseline: bool = True,
 ) -> CoxModel:
-    """Minimize cox_nll + lam * (alpha*||b||_1 + (1-alpha)/2*||b||_2^2).
+    """Minimize the negative Cox partial log likelihood of Z @ b plus
+    lam * (alpha*||b||_1 + (1-alpha)/2*||b||_2^2).
 
     Proximal gradient: the ridge part rides with the smooth term, the L1
     part is handled by soft-thresholding. A step is accepted only when the

@@ -150,7 +150,7 @@ def recover_topics_unsupervised(
     stats: CooccurrenceStats,
     anchors: AnchorSet,
     tol: float = 1e-10,
-    max_iter: int = 4000,
+    max_iter: int = 4000,  # multiplicative updates crawl near simplex faces
     step0: float = 1.0,
 ) -> TopicModel:
     """Solve all non-anchor rows in one separable batch; anchor rows are

@@ -3,9 +3,11 @@
 These stay deliberately independent of the library's own code paths: pair
 enumeration for concordance, LP-based convex hull membership, central finite
 differences, exhaustive simplex grids, a one-row-at-a-time solver of the
-simplex KL subproblem as a reference for the batched library kernel, and a
+simplex KL subproblem as a reference for the batched library kernel, a
 one-patient-at-a-time median survival time as a reference for the
-vectorised one.
+vectorised one, and the Cox partial likelihood and its gradient as
+functions of beta (on the library's risk sets; the finite-difference and
+convexity tests check them).
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from sawtopics.corpus import Corpus, SurvivalLabels, Vocabulary
+from sawtopics.survival import RiskSets
 from sawtopics.topics import LOG_FLOOR
 
 
@@ -168,3 +171,15 @@ def predict_median(model, z):
     if hit.size:
         return float(base.times[hit[0]]), False
     return float(base.times[-1]), True
+
+
+def cox_nll(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> float:
+    """Sum over observed events of (-beta.z_i + log sum_{Y_j >= Y_i} exp(beta.z_j))."""
+    Z = np.asarray(Z, dtype=float)
+    return RiskSets(labels).nll(Z @ np.asarray(beta, dtype=float))
+
+
+def cox_gradient(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> np.ndarray:
+    Z = np.asarray(Z, dtype=float)
+    rs = RiskSets(labels)
+    return Z.T @ rs.eta_gradient(Z @ np.asarray(beta, dtype=float))

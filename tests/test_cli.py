@@ -1,16 +1,20 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sawtopics
-from sawtopics.cli import main, read_config
-from sawtopics.corpus import load_corpus
+from sawtopics.cli import (_SCHEMAS, _resolve, build_parser, float_list, int_list, main,
+                           optional_float, optional_int, read_config, write_config)
+from sawtopics.corpus import IngestConfig, load_corpus
 from sawtopics.methods import load_model
+from sawtopics.saw import SawConfig
 
 
 def run(*args):
@@ -107,6 +111,16 @@ class TestTrainPredictEvaluate:
         assert model.topic_model.theta.shape == (25, 3)
         assert model.cox.baseline is not None
 
+    def test_zero_outer_iters_model_predicts(self, synth_corpus, tmp_path):
+        model = tmp_path / "m.json"
+        preds = tmp_path / "p.csv"
+        assert run("train", "--corpus", str(synth_corpus), "--method", "saw", "--k", "3",
+                   "--seed", "4", "--max-outer-iters", "0", "--out", str(model)) == 0
+        assert run("predict", "--model", str(model), "--corpus", str(synth_corpus),
+                   "--out", str(preds)) == 0
+        assert run("evaluate", "--predictions", str(preds), "--corpus", str(synth_corpus),
+                   "--out", str(tmp_path / "metrics.csv")) == 0
+
     def test_train_without_events_fails_with_diagnostic(self, tmp_path, capsys):
         corpus_path = tmp_path / "c.json"
         run("synth", "--d", "10", "--k", "2", "--n", "30", "--doc-length", "20",
@@ -193,3 +207,98 @@ def test_cli_import_skips_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# option strings, dests and choices of every subcommand, as the CLI has
+# always accepted them; --help is left out
+SURFACE = {
+    "ingest": {("--config", "config", None), ("--events", "events", None),
+               ("--labels", "labels", None), ("--out", "out", None),
+               ("--bins", "bins", None), ("--min-doc-freq", "min_doc_freq", None),
+               ("--cutoff", "cutoff", None), ("--min-variance", "min_variance", None)},
+    "synth": {("--config", "config", None), ("--d", "d", None), ("--k", "k", None),
+              ("--n", "n", None), ("--doc-length", "doc_length", None),
+              ("--a0", "a0", None), ("--anchor-mass", "anchor_mass", None),
+              ("--beta", "beta", None), ("--base-rate", "base_rate", None),
+              ("--censor-fraction", "censor_fraction", None), ("--seed", "seed", None),
+              ("--out", "out", None), ("--truth-out", "truth_out", None)},
+    "train": {("--config", "config", None), ("--corpus", "corpus", None),
+              ("--method", "method", ("saw", "usaw", "encox", "km")),
+              ("--out", "out", None), ("--k", "k", None), ("--lam", "lam", None),
+              ("--alpha", "alpha", None), ("--seed", "seed", None),
+              ("--outer-tol", "outer_tol", None),
+              ("--max-outer-iters", "max_outer_iters", None),
+              ("--anchor-runs", "anchor_runs", None),
+              ("--projection-dim", "projection_dim", None)},
+    "predict": {("--config", "config", None), ("--model", "model", None),
+                ("--corpus", "corpus", None), ("--out", "out", None)},
+    "evaluate": {("--config", "config", None), ("--predictions", "predictions", None),
+                 ("--corpus", "corpus", None), ("--out", "out", None),
+                 ("--method", "method", None)},
+    "cv": {("--config", "config", None), ("--corpus", "corpus", None),
+           ("--out-dir", "out_dir", None), ("--ks", "ks", None), ("--lams", "lams", None),
+           ("--alphas", "alphas", None), ("--folds", "folds", None),
+           ("--seed", "seed", None), ("--method", "method", ("saw", "usaw"))},
+    "report": {("--config", "config", None), ("--model", "model", None),
+               ("--out", "out", None), ("--top-n", "top_n", None)},
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+def test_cli_surface():
+    _, subs = _subparsers()
+    assert set(subs) == set(SURFACE)
+    for command, sp in subs.items():
+        got = set()
+        for action in sp._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (flag,) = action.option_strings
+            got.add((flag, action.dest, None if action.choices is None else tuple(action.choices)))
+        assert got == SURFACE[command], command
+
+
+# one non-default argument per option parser
+SAMPLES = {str: "x", int: "7", float: "0.25", optional_float: "2.5",
+           optional_int: "3", float_list: "0.5,1.5", int_list: "1,2"}
+
+
+@pytest.mark.parametrize("command", list(_SCHEMAS))
+def test_config_round_trip(command, tmp_path):
+    parser, subs = _subparsers()
+    choices = {a.dest: a.choices for a in subs[command]._actions}
+    argv = [command]
+    for key, (default, parse) in _SCHEMAS[command][1].items():
+        value = SAMPLES[parse]
+        if choices.get(key):
+            value = next(c for c in choices[key] if c != default)
+        argv += ["--" + key.replace("_", "-"), value]
+    resolved = _resolve(command, parser.parse_args(argv))
+    for key, (default, _) in _SCHEMAS[command][1].items():
+        assert resolved[key] != default, key
+    path = tmp_path / "run.config"
+    write_config(path, resolved)
+    assert _resolve(command, parser.parse_args([command, "--config", str(path)])) == resolved
+
+
+@pytest.mark.parametrize("argv", [["ingest", "--cutoff", "abc"],
+                                  ["train", "--projection-dim", "x"]])
+def test_bad_flag_value_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[1] in err and repr(argv[2]) in err
+
+
+@pytest.mark.parametrize("command, config_class", [("train", SawConfig),
+                                                   ("ingest", IngestConfig)])
+def test_option_defaults_match_config_class(command, config_class):
+    schema = _SCHEMAS[command][1]
+    for f in fields(config_class):
+        assert schema[f.name][0] == f.default, f.name

@@ -123,8 +123,7 @@ class TestCrossValidate:
         return corpus
 
     def _config(self):
-        return SawConfig(max_outer_iters=3, anchor_runs=2, beta_tol=1e-6,
-                         theta_iters=20)
+        return SawConfig(max_outer_iters=3, anchor_runs=2)
 
     def test_singleton_grid(self):
         corpus = self._corpus()

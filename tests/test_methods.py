@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sawtopics.methods import (_decode_matrix, _encode_matrix, fit_method,
-                               load_model, predict_model, save_model)
+from sawtopics.methods import (RETIRED_CONFIG_KEYS, _decode_matrix, _encode_matrix,
+                               fit_method, load_model, predict_model, save_model)
 from sawtopics.saw import SawConfig
 from sawtopics.synthgen import generate_dataset
 
@@ -71,3 +71,28 @@ def test_saved_trace_survives_round_trip(corpus, tmp_path):
     assert back.topic_model.anchors.indices == model.topic_model.anchors.indices
     assert back.topic_model.anchors.stability == model.topic_model.anchors.stability
     assert np.array_equal(back.topic_model.residuals, model.topic_model.residuals)
+
+
+def test_retired_config_keys_ignored_on_load(corpus, tmp_path):
+    # saw/usaw files written before these solver settings left SawConfig
+    # carry them in the config block with their then-fixed defaults
+    model = fit_method(corpus, "saw", SawConfig(k=3, lam=0.1, seed=31, max_outer_iters=5))
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    old = {"theta_step": 1.0, "theta_iters": 100, "recover_tol": 1e-10,
+           "recover_iters": 4000, "beta_tol": 1e-9, "beta_iters": 10000}
+    assert set(old) == set(RETIRED_CONFIG_KEYS)
+    assert not set(old) & set(payload["config"])
+    payload["config"].update(old)
+    path.write_text(json.dumps(payload))
+    loaded = load_model(path)
+    assert loaded.config == model.config
+    before, after = predict_model(model, corpus), predict_model(loaded, corpus)
+    assert np.array_equal(before.risk, after.risk)
+    assert np.array_equal(before.median, after.median)
+    assert np.array_equal(before.saturated, after.saturated)
+    payload["config"]["inner_step"] = 1.0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TypeError, match="inner_step"):
+        load_model(path)

@@ -6,7 +6,7 @@ from sawtopics.corpus import SurvivalLabels, normalize_columns
 from sawtopics.evaluation import c_index
 from sawtopics.saw import (OBJECTIVE_SLACK, SawConfig, fit_saw, fit_usaw,
                            joint_objective, predict, update_theta)
-from sawtopics.survival import RiskSets
+from sawtopics.survival import RiskSets, breslow_baseline
 from sawtopics.synthgen import generate_dataset
 from sawtopics.topics import (doc_topic_features, kl_divergence,
                               recover_topics_unsupervised)
@@ -198,11 +198,13 @@ class TestFitSaw:
         cfg = SawConfig(k=3, lam=0.1, seed=7, max_outer_iters=0)
         model = fit_saw(corpus, cfg)
         assert np.array_equal(model.cox.beta, np.zeros(3))
-        assert model.cox.baseline is None
+        expect = breslow_baseline(np.zeros(3), doc_topic_features(
+            model.topic_model.theta, normalize_columns(corpus)), corpus.labels)
+        assert np.array_equal(model.cox.baseline.times, expect.times)
+        assert np.array_equal(model.cox.baseline.cum_hazard, expect.cum_hazard)
         assert model.trace.iterations == 0
         stats = build_cooccurrence(corpus)
-        tm = recover_topics_unsupervised(stats, model.topic_model.anchors,
-                                         tol=cfg.recover_tol)
+        tm = recover_topics_unsupervised(stats, model.topic_model.anchors)
         assert np.abs(model.topic_model.theta - tm.theta).max() <= 1e-12
 
     def test_huge_penalty_collapses_to_unsupervised(self):
@@ -211,8 +213,7 @@ class TestFitSaw:
         model = fit_saw(corpus, cfg)
         assert np.array_equal(model.cox.beta, np.zeros(3))
         stats = build_cooccurrence(corpus)
-        tm = recover_topics_unsupervised(stats, model.topic_model.anchors,
-                                         tol=cfg.recover_tol)
+        tm = recover_topics_unsupervised(stats, model.topic_model.anchors)
         assert np.abs(model.topic_model.theta - tm.theta).max() <= 1e-6
 
     def test_block_descent_trace_monotone(self):

@@ -5,11 +5,10 @@ from hypothesis import strategies as hst
 
 from sawtopics.corpus import SurvivalLabels
 from sawtopics.survival import (BaselineHazard, CoxModel, SurvivalCurve,
-                                breslow_baseline, cox_gradient, cox_nll,
-                                elastic_net_penalty, fit_elastic_net_cox,
-                                kaplan_meier, predict_median)
+                                breslow_baseline, elastic_net_penalty,
+                                fit_elastic_net_cox, kaplan_meier, predict_median)
 
-from helpers import fd_gradient
+from helpers import cox_gradient, cox_nll, fd_gradient
 from helpers import predict_median as reference_median
 
 
