@@ -10,7 +10,7 @@ subproblems.
 
 from .anchors import AnchorSet, default_candidates, greedy_anchors, project_rows, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence, row_normalize
-from .corpus import (Corpus, EventRecord, IngestConfig, SurvivalLabels, Vocabulary,
+from .corpus import (Corpus, Events, IngestConfig, SurvivalLabels, Vocabulary,
                      build_corpus, ingest_events, load_corpus, normalize_columns,
                      save_corpus, split, subset, vocabulary_hash)
 from .evaluation import CvResult, Metrics, c_index, compute_metrics, cross_validate, rmse_mae
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnchorSet", "BaselineHazard", "CooccurrenceStats", "Corpus", "CoxModel",
-    "CvResult", "EncoxModel", "EventRecord", "FitTrace", "GroundTruth",
+    "CvResult", "EncoxModel", "Events", "FitTrace", "GroundTruth",
     "IngestConfig", "KmModel", "Metrics", "Predictions", "SawConfig", "SawModel",
     "SurvivalCurve", "SurvivalLabels", "TopicModel", "Vocabulary",
     "bayes_topic_posterior", "breslow_baseline", "build_cooccurrence",

@@ -170,13 +170,12 @@ def _read_predictions(path: Path):
 
 def _cmd_ingest(resolved: dict) -> None:
     _require(resolved, "events", "labels", "out")
-    events = load_events(resolved["events"])
-    labels = load_labels(resolved["labels"])
     cfg = IngestConfig(
         bins=resolved["bins"], min_doc_freq=resolved["min_doc_freq"],
         cutoff=resolved["cutoff"], min_variance=resolved["min_variance"],
     )
-    corpus = build_corpus(events, labels, cfg)
+    # no name holds the event columns, so they are freed before the corpus is saved
+    corpus = build_corpus(load_events(resolved["events"]), load_labels(resolved["labels"]), cfg)
     out = Path(resolved["out"])
     save_corpus(corpus, out)
     write_config(out.with_name(out.name + ".config"), resolved)

@@ -9,10 +9,13 @@ count matrix with aligned survival labels.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import itertools
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -33,12 +36,26 @@ class EventParseError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    patient_id: str
-    time: float
-    event: str
-    event_value: str
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Event rows as four aligned 1-d columns: ``patient_id``, ``event`` and
+    ``event_value`` hold str objects, ``time`` holds floats (days)."""
+
+    patient_id: np.ndarray
+    time: np.ndarray
+    event: np.ndarray
+    event_value: np.ndarray
+
+    def __post_init__(self):
+        for name in ("patient_id", "event", "event_value"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=object))
+        object.__setattr__(self, "time", np.asarray(self.time, dtype=float))
+        n = len(self.time)
+        if any(c.shape != (n,) for c in (self.patient_id, self.time, self.event, self.event_value)):
+            raise ValueError("event columns must be 1-d and aligned")
+
+    def __len__(self) -> int:
+        return int(self.time.size)
 
 
 @dataclass(frozen=True)
@@ -164,46 +181,124 @@ def _try_float(s: str) -> float | None:
         return None
 
 
-def _is_number(s: str) -> bool:
-    v = _try_float(s)
-    return v is not None and math.isfinite(v)
+def _floats(strings) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each string, and the mask of those float() accepts (the
+    others read NaN)."""
+    try:
+        return np.fromiter(map(float, strings), float, len(strings)), np.ones(len(strings), bool)
+    except ValueError:
+        parsed = [_try_float(s) for s in strings]
+        ok = np.array([v is not None for v in parsed], dtype=bool)
+        return np.array([np.nan if v is None else v for v in parsed], dtype=float), ok
 
 
-def ingest_events(rows: Iterable[str], delimiter: str | None = None) -> list[EventRecord]:
-    """Parse delimiter-separated 4-column event rows.
+def _numbers(strings) -> np.ndarray | None:
+    """The strings as floats if every one is a finite number, else None.
+    Parsing stops at the first string that is not a number."""
+    try:
+        x = np.fromiter(map(float, strings), float, len(strings))
+    except ValueError:
+        return None
+    return x if np.isfinite(x).all() else None
 
-    The delimiter is sniffed per row (tab wins over comma) unless given. A
-    single header row at the top is tolerated when both its time and
-    event_value fields are non-numeric; any other row with an unparseable
-    time is an error carrying the row number. Empty input yields an empty
-    list.
+
+def _codes(values) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct values, and each value's position among them."""
+    distinct = sorted(set(values))
+    position = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(position.__getitem__, values), np.int64, len(values))
+
+
+def _seps(lines: list[str], delimiter: str | None) -> list[str]:
+    """Each row's delimiter: the given one, else tab if the row has one, else comma."""
+    if delimiter is not None:
+        return [delimiter] * len(lines)
+    return ["\t" if "\t" in line else "," for line in lines]
+
+
+def _fields(line: str, delimiter: str | None) -> list[str]:
+    return [f.strip() for f in line.split(_seps([line], delimiter)[0])]
+
+
+def _is_header(line: str, delimiter: str | None) -> bool:
+    fields = _fields(line, delimiter)
+    return len(fields) == 4 and _try_float(fields[1]) is None and _try_float(fields[3]) is None
+
+
+def _row_error(rownum: int, line: str, delimiter: str | None) -> EventParseError:
+    """The error of the first check that a malformed event row fails."""
+    fields = _fields(line, delimiter)
+    if len(fields) != 4:
+        return EventParseError(rownum, f"expected 4 fields, got {len(fields)}")
+    time_s = fields[1]
+    time = _try_float(time_s)
+    if time is None:
+        return EventParseError(rownum, f"unparseable time {time_s!r}")
+    if not math.isfinite(time) or time < 0:
+        return EventParseError(rownum, f"time must be finite and >= 0, got {time_s!r}")
+    return EventParseError(rownum, "empty event name")
+
+
+def _split_rows(lines: list[str], seps: list[str]) -> list[list[str]]:
+    """The unstripped fields of rows of exactly 4 fields each, as 4 columns;
+    each run of rows with one separator is split in one call."""
+    columns: list[list[str]] = [[], [], [], []]
+    end = 0
+    for sep, run in itertools.groupby(seps):
+        start, end = end, end + len(list(run))
+        flat = sep.join(lines[start:end]).split(sep)
+        for k, column in enumerate(columns):
+            column += flat[k::4]
+    return columns
+
+
+def _stripped(strings: list[str]) -> np.ndarray:
+    return np.fromiter(map(str.strip, strings), object, len(strings))
+
+
+_BLOCK_ROWS = 1 << 16  # rows split at a time, which bounds the memory of the split fields
+
+
+def ingest_events(rows: Iterable[str], delimiter: str | None = None) -> Events:
+    """Parse delimiter-separated 4-column event rows into columns.
+
+    The delimiter is sniffed per row (tab wins over comma) unless given.
+    Blank rows are skipped. A single header row at the top is tolerated when
+    both its time and event_value fields are non-numeric. The first row with
+    a field count other than 4, an unparseable, non-finite or negative time,
+    or an empty event name is an error carrying its row number. Empty input
+    yields empty columns.
     """
-    records: list[EventRecord] = []
-    for rownum, raw in enumerate(rows, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        sep = delimiter if delimiter is not None else ("\t" if "\t" in line else ",")
-        fields = [f.strip() for f in line.split(sep)]
-        if len(fields) != 4:
-            raise EventParseError(rownum, f"expected 4 fields, got {len(fields)}")
-        pid, time_s, event, value = fields
-        time = _try_float(time_s)
-        if time is None:
-            if rownum == 1 and not records and _try_float(value) is None:
-                continue  # header row
-            raise EventParseError(rownum, f"unparseable time {time_s!r}")
-        if not math.isfinite(time) or time < 0:
-            raise EventParseError(rownum, f"time must be finite and >= 0, got {time_s!r}")
-        if not event:
-            raise EventParseError(rownum, "empty event name")
-        records.append(EventRecord(pid, time, event, value))
-    return records
+    lines = [raw.rstrip("\r\n") for raw in rows]
+    rownums = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
+    if rownums.size and rownums[0] == 1 and _is_header(lines[0], delimiter):
+        rownums = rownums[1:]
+    pids, times, events, values = [], [], [], []
+    for start in range(0, rownums.size, _BLOCK_ROWS):
+        nums = rownums[start:start + _BLOCK_ROWS].tolist()
+        block = [lines[i - 1] for i in nums]
+        seps = _seps(block, delimiter)
+        n_fields = np.fromiter(map(str.count, block, seps), np.int64, len(block)) + 1
+        wrong = np.flatnonzero(n_fields != 4)
+        stop = int(wrong[0]) if wrong.size else len(block)
+        pid, time, event, value = _split_rows(block[:stop], seps[:stop])
+        time, _ = _floats(list(map(str.strip, time)))
+        event = _stripped(event)
+        bad = np.flatnonzero(~(np.isfinite(time) & (time >= 0)) | (event == ""))
+        first = int(bad[0]) if bad.size else stop
+        if first < len(block):
+            raise _row_error(nums[first], block[first], delimiter)
+        pids += pid
+        times.append(time)
+        events.append(event)
+        values += value
+    return Events(_stripped(pids), np.concatenate(times) if times else (),
+                  np.concatenate(events) if events else (), _stripped(values))
 
 
-def load_events(path) -> list[EventRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ingest_events(fh)
+def load_events(path) -> Events:
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return ingest_events(fh.read().split("\n"))
 
 
 def read_labels(rows: Iterable[str], delimiter: str | None = None) -> dict[str, tuple[float, bool]]:
@@ -213,8 +308,7 @@ def read_labels(rows: Iterable[str], delimiter: str | None = None) -> dict[str, 
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        sep = delimiter if delimiter is not None else ("\t" if "\t" in line else ",")
-        fields = [f.strip() for f in line.split(sep)]
+        fields = _fields(line, delimiter)
         if len(fields) != 3:
             raise EventParseError(rownum, f"expected 3 fields, got {len(fields)}")
         pid, y_s, r_s = fields
@@ -233,32 +327,52 @@ def read_labels(rows: Iterable[str], delimiter: str | None = None) -> dict[str, 
 
 
 def load_labels(path) -> dict[str, tuple[float, bool]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return read_labels(fh)
 
 
-def _bin_word(event: str, edges: tuple[float, ...], value: float) -> str:
-    # value equal to a cut point goes to the lower bin
-    j = int(np.searchsorted(np.asarray(edges), value, side="left"))
-    return f"{event}:bin{j + 1}"
+def _by_event(event: np.ndarray, value: np.ndarray) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(name, row positions, values) per distinct event name, names sorted
+    and each event's rows in input order."""
+    names, code = _codes(event)
+    order = np.argsort(code, kind="stable")
+    cuts = np.cumsum(np.bincount(code, minlength=len(names)))[:-1]
+    return list(zip(names, np.split(order, cuts), np.split(value[order], cuts)))
 
 
-def _word_for(rec: EventRecord, bin_edges: Mapping[str, tuple[float, ...]]) -> str | None:
-    if rec.event in bin_edges:
-        value = _try_float(rec.event_value)
-        if value is None:  # non-numeric value for a binned event: no word
-            return None
-        return _bin_word(rec.event, bin_edges[rec.event], value)
-    return f"{rec.event}={rec.event_value}"
+def _code_words(groups, bin_edges: Mapping[str, tuple[float, ...]],
+                n: int) -> tuple[list[str], np.ndarray]:
+    """The distinct words of n event rows, and each row's position among
+    them (-1: the row makes no word).
+
+    A binned event's numeric value becomes "event:binJ" (a value equal to a
+    cut point goes to the lower bin) and its non-numeric value no word; any
+    other event's value becomes "event=value".
+    """
+    words: list[str] = []
+    word_of = np.full(n, -1, dtype=np.int64)
+    for name, rows, values in groups:
+        if name in bin_edges:
+            x, ok = _floats(values)
+            edges = np.asarray(bin_edges[name], dtype=float)
+            bins, code = np.unique(np.searchsorted(edges, x[ok], side="left"), return_inverse=True)
+            new = [f"{name}:bin{j + 1}" for j in bins.tolist()]
+            rows = rows[ok]
+        else:
+            distinct, code = _codes(values)
+            new = [f"{name}={v}" for v in distinct]
+        word_of[rows] = code + len(words)
+        words += new
+    return words, word_of
 
 
 def build_corpus(
-    events: Iterable[EventRecord],
+    events: Events,
     labels: Mapping[str, tuple[float, float]],
     cfg: IngestConfig | None = None,
     vocabulary: Vocabulary | None = None,
 ) -> Corpus:
-    """Assemble a Corpus from event records and per-patient labels.
+    """Assemble a Corpus from event columns and per-patient labels.
 
     Continuous events (all values numeric) are discretized into
     equal-frequency bins computed from the retained values; categorical
@@ -271,38 +385,40 @@ def build_corpus(
     vocabularies and scoring new patients against a fitted model.
     """
     cfg = cfg or IngestConfig()
-    cut = cfg.cutoff
-    kept = [e for e in events if cut is None or e.time < cut]
-    if not kept:
+    kept = np.ones(len(events), bool) if cfg.cutoff is None else events.time < cfg.cutoff
+    if not kept.any():
         raise ValueError("no events remain after cutoff filtering")
 
-    pids = sorted({e.patient_id for e in kept})
-    missing = sorted(p for p in pids if p not in labels)
+    pids, col = _codes(events.patient_id[kept])
+    missing = [p for p in pids if p not in labels]
     if missing:
         raise ValueError("patients with events but no label: " + ", ".join(missing))
-    pid_col = {p: i for i, p in enumerate(pids)}
     n = len(pids)
 
+    groups = _by_event(events.event[kept], events.event_value[kept])
     if vocabulary is None:
-        by_event: dict[str, list[str]] = {}
-        for e in kept:
-            by_event.setdefault(e.event, []).append(e.event_value)
         bin_edges: dict[str, tuple[float, ...]] = {}
-        for ev in sorted(by_event):
-            vals = by_event[ev]
-            if vals and all(_is_number(v) for v in vals):
+        for name, _, values in groups:
+            x = _numbers(values)
+            if x is not None:
                 b = int(cfg.bins)
                 if b < 1:
-                    raise ValueError(f"bin count for event {ev!r} must be >= 1")
-                arr = np.array([float(v) for v in vals], dtype=float)
-                qs = np.arange(1, b) / b
-                bin_edges[ev] = tuple(float(x) for x in np.quantile(arr, qs)) if b > 1 else ()
-        tokens = [(w, pid_col[e.patient_id]) for e in kept
-                  if (w := _word_for(e, bin_edges)) is not None]
-        cand_words = sorted({w for w, _ in tokens})
-        widx = {w: i for i, w in enumerate(cand_words)}
-        counts = _counts_matrix([(widx[w], c) for w, c in tokens], len(cand_words), n)
+                    raise ValueError(f"bin count for event {name!r} must be >= 1")
+                bin_edges[name] = tuple(np.quantile(x, np.arange(1, b) / b).tolist())
+    else:
+        bin_edges = vocabulary.bin_edges
+    words, word_of = _code_words(groups, bin_edges, len(col))
+    if vocabulary is None:
+        index = {w: i for i, w in enumerate(sorted(words))}
+    else:
+        index = vocabulary.index
+    # a row without a word (word_of == -1) picks the appended -1
+    row = np.array([index.get(w, -1) for w in words] + [-1], dtype=np.int64)[word_of]
+    hit = row >= 0
+    counts = sparse.coo_matrix((np.ones(int(hit.sum()), dtype=np.int64), (row[hit], col[hit])),
+                               shape=(len(index), n)).tocsc()
 
+    if vocabulary is None:
         doc_freq = np.asarray((counts != 0).sum(axis=1)).ravel()
         keep_w = doc_freq >= cfg.min_doc_freq
         if cfg.min_variance is not None:
@@ -310,16 +426,9 @@ def build_corpus(
         if not keep_w.any():
             raise ValueError("no words survive filtering; relax min_doc_freq or filters")
         counts = counts[np.flatnonzero(keep_w)]
-        vocab = Vocabulary(tuple(w for w, k in zip(cand_words, keep_w) if k), bin_edges)
+        vocab = Vocabulary(tuple(w for w, k in zip(index, keep_w) if k), bin_edges)
     else:
         vocab = vocabulary
-        trips = []
-        for e in kept:
-            word = _word_for(e, vocab.bin_edges)
-            w = vocab.index.get(word) if word is not None else None
-            if w is not None:
-                trips.append((w, pid_col[e.patient_id]))
-        counts = _counts_matrix(trips, len(vocab), n)
 
     m = np.asarray(counts.sum(axis=0)).ravel()
     keep_p = m >= 2
@@ -337,17 +446,6 @@ def build_corpus(
     y = np.array([float(labels[p][0]) for p in final_pids])
     r = np.array([bool(labels[p][1]) for p in final_pids])
     return Corpus(counts, vocab, SurvivalLabels(y, r), final_pids)
-
-
-def _counts_matrix(tokens: list[tuple[int, int]], d: int, n: int) -> sparse.csc_matrix:
-    if tokens:
-        rows = np.array([t[0] for t in tokens], dtype=np.int64)
-        cols = np.array([t[1] for t in tokens], dtype=np.int64)
-        data = np.ones(len(tokens), dtype=np.int64)
-    else:
-        rows = cols = data = np.empty(0, dtype=np.int64)
-    return sparse.coo_matrix((data, (rows, cols)), shape=(d, n)).tocsc()
-
 
 def _frequency_variance(counts: sparse.csc_matrix) -> np.ndarray:
     """Variance across documents of per-document normalized frequency."""
@@ -401,41 +499,56 @@ def split(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Cor
     )
 
 
+@contextmanager
+def _gc_paused():
+    """Pause cyclic garbage collection. A corpus file holds about a million
+    3-int triplet lists; building or reading them with the collector on
+    costs about twice as long, and they hold no reference cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def write_json(payload, path) -> None:
+    """Write ``payload`` as compact JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def save_corpus(corpus: Corpus, path) -> None:
     coo = corpus.counts.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    payload = {
-        "format": CORPUS_FORMAT,
-        "version": CORPUS_VERSION,
-        "words": list(corpus.vocab.words),
-        "bin_edges": {k: list(v) for k, v in sorted(corpus.vocab.bin_edges.items())},
-        "patient_ids": list(corpus.patient_ids),
-        "times": [float(t) for t in corpus.labels.times],
-        "observed": [int(o) for o in corpus.labels.observed],
-        "triplets": [
-            [int(coo.row[j]), int(coo.col[j]), int(coo.data[j])] for j in order
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    triplets = np.column_stack((coo.row, coo.col, coo.data.astype(np.int64)))[order]
+    with _gc_paused():
+        write_json({
+            "format": CORPUS_FORMAT,
+            "version": CORPUS_VERSION,
+            "words": list(corpus.vocab.words),
+            "bin_edges": {k: list(v) for k, v in corpus.vocab.bin_edges.items()},
+            "patient_ids": list(corpus.patient_ids),
+            "times": corpus.labels.times.tolist(),
+            "observed": corpus.labels.observed.astype(int).tolist(),
+            "triplets": triplets.tolist(),
+        }, path)
 
 
 def load_corpus(path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CORPUS_FORMAT:
-        raise ValueError(f"not a corpus file: {path}")
-    if payload.get("version") != CORPUS_VERSION:
-        raise ValueError(f"unsupported corpus version {payload.get('version')}")
+    with _gc_paused():
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("format") != CORPUS_FORMAT:
+            raise ValueError(f"not a corpus file: {path}")
+        if payload.get("version") != CORPUS_VERSION:
+            raise ValueError(f"unsupported corpus version {payload.get('version')}")
+        trips = np.array(payload.pop("triplets"), dtype=np.int64).reshape(-1, 3)
     words = tuple(payload["words"])
     edges = {k: tuple(float(x) for x in v) for k, v in payload["bin_edges"].items()}
     d, n = len(words), len(payload["patient_ids"])
-    trips = payload["triplets"]
-    rows = np.array([t[0] for t in trips], dtype=np.int64)
-    cols = np.array([t[1] for t in trips], dtype=np.int64)
-    data = np.array([t[2] for t in trips], dtype=np.int64)
-    counts = sparse.coo_matrix((data, (rows, cols)), shape=(d, n)).tocsc()
+    counts = sparse.coo_matrix((trips[:, 2], (trips[:, 0], trips[:, 1])), shape=(d, n)).tocsc()
     labels = SurvivalLabels(np.array(payload["times"], dtype=float),
                             np.array(payload["observed"], dtype=bool))
     return Corpus(counts, Vocabulary(words, edges), labels, tuple(payload["patient_ids"]))

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .anchors import AnchorSet
-from .corpus import Corpus, Vocabulary, normalize_columns, vocabulary_hash
+from .corpus import Corpus, Vocabulary, normalize_columns, vocabulary_hash, write_json
 from .saw import (FitTrace, Predictions, SawConfig, SawModel, cox_predictions, fit_saw,
                   fit_usaw, predict)
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, fit_elastic_net_cox,
@@ -225,9 +225,7 @@ def predict_model(model, corpus: Corpus) -> Predictions:
 def save_model(model, path) -> None:
     payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "method": model.method,
                "vocab_hash": model.vocab_hash, **_method_of(model, "serialize").write(model)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_model(path):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, SurvivalLabels, Vocabulary
+from .corpus import Corpus, SurvivalLabels, Vocabulary, write_json
 from .seeding import derive_seed
 
 
@@ -152,9 +152,7 @@ def generate_dataset(
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
-    import json
-
-    payload = {
+    write_json({
         "format": "sawtopics-truth",
         "version": 1,
         "A_true": [[float(x) for x in row] for row in truth.A_true],
@@ -163,10 +161,7 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
         else [[float(x) for x in row] for row in truth.W_true],
         "beta_true": None if truth.beta_true is None
         else [float(x) for x in truth.beta_true],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    }, path)
 
 
 def load_ground_truth(path) -> GroundTruth:

@@ -7,16 +7,21 @@ simplex KL subproblem as a reference for the batched library kernel, a
 one-patient-at-a-time median survival time as a reference for the
 vectorised one, and the Cox partial likelihood and its gradient as
 functions of beta (on the library's risk sets; the finite-difference and
-convexity tests check them).
+convexity tests check them), and a row-at-a-time event parser and corpus
+builder as a reference for the columnar ones.
 """
 
+import logging
+import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from sawtopics.corpus import Corpus, SurvivalLabels, Vocabulary
+from sawtopics.corpus import (Corpus, EventParseError, IngestConfig, SurvivalLabels, Vocabulary,
+                              _frequency_variance)
 from sawtopics.survival import RiskSets
 from sawtopics.topics import LOG_FLOOR
 
@@ -183,3 +188,172 @@ def cox_gradient(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> np.
     Z = np.asarray(Z, dtype=float)
     rs = RiskSets(labels)
     return Z.T @ rs.eta_gradient(Z @ np.asarray(beta, dtype=float))
+
+
+# Row-at-a-time ingest: the reference for corpus.ingest_events/build_corpus.
+
+log = logging.getLogger("sawtopics.corpus")
+
+
+@dataclass(frozen=True)
+class EventRecord:
+    patient_id: str
+    time: float
+    event: str
+    event_value: str
+
+
+def _try_float(s: str) -> float | None:
+    try:
+        return float(s)
+    except (TypeError, ValueError):
+        return None
+
+
+def _is_number(s: str) -> bool:
+    v = _try_float(s)
+    return v is not None and math.isfinite(v)
+
+
+def ingest_events(rows: Iterable[str], delimiter: str | None = None) -> list[EventRecord]:
+    """Parse delimiter-separated 4-column event rows.
+
+    The delimiter is sniffed per row (tab wins over comma) unless given. A
+    single header row at the top is tolerated when both its time and
+    event_value fields are non-numeric; any other row with an unparseable
+    time is an error carrying the row number. Empty input yields an empty
+    list.
+    """
+    records: list[EventRecord] = []
+    for rownum, raw in enumerate(rows, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        sep = delimiter if delimiter is not None else ("\t" if "\t" in line else ",")
+        fields = [f.strip() for f in line.split(sep)]
+        if len(fields) != 4:
+            raise EventParseError(rownum, f"expected 4 fields, got {len(fields)}")
+        pid, time_s, event, value = fields
+        time = _try_float(time_s)
+        if time is None:
+            if rownum == 1 and not records and _try_float(value) is None:
+                continue  # header row
+            raise EventParseError(rownum, f"unparseable time {time_s!r}")
+        if not math.isfinite(time) or time < 0:
+            raise EventParseError(rownum, f"time must be finite and >= 0, got {time_s!r}")
+        if not event:
+            raise EventParseError(rownum, "empty event name")
+        records.append(EventRecord(pid, time, event, value))
+    return records
+
+
+def _bin_word(event: str, edges: tuple[float, ...], value: float) -> str:
+    # value equal to a cut point goes to the lower bin
+    j = int(np.searchsorted(np.asarray(edges), value, side="left"))
+    return f"{event}:bin{j + 1}"
+
+
+def _word_for(rec: EventRecord, bin_edges: Mapping[str, tuple[float, ...]]) -> str | None:
+    if rec.event in bin_edges:
+        value = _try_float(rec.event_value)
+        if value is None:  # non-numeric value for a binned event: no word
+            return None
+        return _bin_word(rec.event, bin_edges[rec.event], value)
+    return f"{rec.event}={rec.event_value}"
+
+
+def build_corpus(
+    events: Iterable[EventRecord],
+    labels: Mapping[str, tuple[float, float]],
+    cfg: IngestConfig | None = None,
+    vocabulary: Vocabulary | None = None,
+) -> Corpus:
+    """Assemble a Corpus from event records and per-patient labels.
+
+    Continuous events (all values numeric) are discretized into
+    equal-frequency bins computed from the retained values; categorical
+    values become words verbatim. Words below the document-frequency floor
+    are removed, then patients left with fewer than 2 tokens are dropped
+    (the co-occurrence estimator needs length >= 2) and the drop is logged.
+
+    Passing a prebuilt ``vocabulary`` skips vocabulary construction and
+    filtering: tokens not in it are ignored, supporting train-only
+    vocabularies and scoring new patients against a fitted model.
+    """
+    cfg = cfg or IngestConfig()
+    cut = cfg.cutoff
+    kept = [e for e in events if cut is None or e.time < cut]
+    if not kept:
+        raise ValueError("no events remain after cutoff filtering")
+
+    pids = sorted({e.patient_id for e in kept})
+    missing = sorted(p for p in pids if p not in labels)
+    if missing:
+        raise ValueError("patients with events but no label: " + ", ".join(missing))
+    pid_col = {p: i for i, p in enumerate(pids)}
+    n = len(pids)
+
+    if vocabulary is None:
+        by_event: dict[str, list[str]] = {}
+        for e in kept:
+            by_event.setdefault(e.event, []).append(e.event_value)
+        bin_edges: dict[str, tuple[float, ...]] = {}
+        for ev in sorted(by_event):
+            vals = by_event[ev]
+            if vals and all(_is_number(v) for v in vals):
+                b = int(cfg.bins)
+                if b < 1:
+                    raise ValueError(f"bin count for event {ev!r} must be >= 1")
+                arr = np.array([float(v) for v in vals], dtype=float)
+                qs = np.arange(1, b) / b
+                bin_edges[ev] = tuple(float(x) for x in np.quantile(arr, qs)) if b > 1 else ()
+        tokens = [(w, pid_col[e.patient_id]) for e in kept
+                  if (w := _word_for(e, bin_edges)) is not None]
+        cand_words = sorted({w for w, _ in tokens})
+        widx = {w: i for i, w in enumerate(cand_words)}
+        counts = _counts_matrix([(widx[w], c) for w, c in tokens], len(cand_words), n)
+
+        doc_freq = np.asarray((counts != 0).sum(axis=1)).ravel()
+        keep_w = doc_freq >= cfg.min_doc_freq
+        if cfg.min_variance is not None:
+            keep_w &= _frequency_variance(counts) >= cfg.min_variance
+        if not keep_w.any():
+            raise ValueError("no words survive filtering; relax min_doc_freq or filters")
+        counts = counts[np.flatnonzero(keep_w)]
+        vocab = Vocabulary(tuple(w for w, k in zip(cand_words, keep_w) if k), bin_edges)
+    else:
+        vocab = vocabulary
+        trips = []
+        for e in kept:
+            word = _word_for(e, vocab.bin_edges)
+            w = vocab.index.get(word) if word is not None else None
+            if w is not None:
+                trips.append((w, pid_col[e.patient_id]))
+        counts = _counts_matrix(trips, len(vocab), n)
+
+    m = np.asarray(counts.sum(axis=0)).ravel()
+    keep_p = m >= 2
+    if not keep_p.all():
+        dropped = [p for p, k in zip(pids, keep_p) if not k]
+        log.warning(
+            "dropping %d patient(s) with fewer than 2 retained tokens: %s",
+            len(dropped), ", ".join(dropped[:20]) + ("..." if len(dropped) > 20 else ""),
+        )
+    if not keep_p.any():
+        raise ValueError("no patients remain with at least 2 retained tokens")
+    cols = np.flatnonzero(keep_p)
+    counts = counts[:, cols]
+    final_pids = tuple(pids[i] for i in cols)
+    y = np.array([float(labels[p][0]) for p in final_pids])
+    r = np.array([bool(labels[p][1]) for p in final_pids])
+    return Corpus(counts, vocab, SurvivalLabels(y, r), final_pids)
+
+
+def _counts_matrix(tokens: list[tuple[int, int]], d: int, n: int) -> sparse.csc_matrix:
+    if tokens:
+        rows = np.array([t[0] for t in tokens], dtype=np.int64)
+        cols = np.array([t[1] for t in tokens], dtype=np.int64)
+        data = np.ones(len(tokens), dtype=np.int64)
+    else:
+        rows = cols = data = np.empty(0, dtype=np.int64)
+    return sparse.coo_matrix((data, (rows, cols)), shape=(d, n)).tocsc()

@@ -198,6 +198,23 @@ class TestIngestCli:
         assert all(w.startswith("hr:bin") for w in corpus.vocab.words)
 
 
+    @pytest.mark.parametrize("bom_on", ["events", "labels"])
+    def test_utf8_bom_ignored(self, tmp_path, bom_on):
+        # headerless files, so the byte order mark would start a patient id
+        paths = {"events": tmp_path / "events.csv", "labels": tmp_path / "labels.csv"}
+        texts = {"events": "".join(f"p{i},{t},hr,{50 + 7 * i + t}\n"
+                                   for i in range(6) for t in range(4)),
+                 "labels": "".join(f"p{i},{i + 1}.5,1\n" for i in range(6))}
+        for name, path in paths.items():
+            path.write_text(texts[name], encoding="utf-8-sig" if name == bom_on else "utf-8")
+        assert paths[bom_on].read_bytes().startswith(b"\xef\xbb\xbfp0,")
+        out = tmp_path / "corpus.json"
+        rc = run("ingest", "--events", str(paths["events"]), "--labels", str(paths["labels"]),
+                 "--out", str(out), "--bins", "2", "--min-doc-freq", "1")
+        assert rc == 0
+        assert load_corpus(out).patient_ids == tuple(f"p{i}" for i in range(6))
+
+
 def test_cli_import_skips_scipy_optimize():
     # only synthesis needs scipy.optimize; every other command must not pay
     # for loading it

@@ -1,26 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import sparse
 
-from sawtopics.corpus import (Corpus, EventParseError, EventRecord, IngestConfig,
+from sawtopics.corpus import (Corpus, EventParseError, Events, IngestConfig,
                               SurvivalLabels, Vocabulary, build_corpus,
                               ingest_events, load_corpus, normalize_columns,
                               read_labels, save_corpus, split, subset)
 
+import helpers
 from helpers import make_corpus
 
 
 def ev(pid, time, event, value):
-    return EventRecord(pid, time, event, value)
+    return (pid, time, event, value)
+
+
+def columns(rows):
+    """Events columns from (patient_id, time, event, event_value) rows."""
+    return Events(*zip(*rows)) if rows else Events((), (), (), ())
+
+
+def rows_of(events):
+    return list(zip(events.patient_id, events.time.tolist(), events.event, events.event_value))
 
 
 class TestIngestEvents:
     def test_direct_field_mapping(self):
         recs = ingest_events(["p1,0.5,hr,88"])
-        assert recs == [EventRecord("p1", 0.5, "hr", "88")]
+        assert rows_of(recs) == [("p1", 0.5, "hr", "88")]
 
     def test_empty_input(self):
-        assert ingest_events([]) == []
+        assert rows_of(ingest_events([])) == []
 
     def test_unparseable_time_is_an_error_with_row_number(self):
         with pytest.raises(EventParseError, match="row 1"):
@@ -28,11 +40,11 @@ class TestIngestEvents:
 
     def test_header_row_skipped(self):
         recs = ingest_events(["patient_id,time,event,event_value", "p1,1.0,hr,88"])
-        assert len(recs) == 1 and recs[0].patient_id == "p1"
+        assert len(recs) == 1 and recs.patient_id[0] == "p1"
 
     def test_tab_delimited(self):
         recs = ingest_events(["p1\t2\thr\t90"])
-        assert recs[0].time == 2.0 and recs[0].event_value == "90"
+        assert recs.time[0] == 2.0 and recs.event_value[0] == "90"
 
     def test_wrong_field_count(self):
         with pytest.raises(EventParseError, match="row 2"):
@@ -50,7 +62,7 @@ class TestIngestEvents:
 class TestBuildCorpus:
     def test_single_word_column(self):
         events = [ev("p1", 0.0, "hr", "88"), ev("p1", 1.0, "hr", "88")]
-        c = build_corpus(events, {"p1": (3.0, True)},
+        c = build_corpus(columns(events), {"p1": (3.0, True)},
                          IngestConfig(bins=1, min_doc_freq=1))
         assert c.counts.toarray().tolist() == [[2]]
         assert c.doc_lengths.tolist() == [2]
@@ -66,7 +78,7 @@ class TestBuildCorpus:
             events += [ev(pid, 0, "common", "x"), ev(pid, 1, "common", "y")]
             if i < 2:
                 events.append(ev(pid, 2, "rare", "z"))
-        c = build_corpus(events, labels, IngestConfig(min_doc_freq=3))
+        c = build_corpus(columns(events), labels, IngestConfig(min_doc_freq=3))
         assert "rare=z" not in c.vocab.words
         assert "common=x" in c.vocab.words
 
@@ -75,7 +87,7 @@ class TestBuildCorpus:
         events = [ev(f"p{i}", 0, "lab", str(v)) for i, v in enumerate([1, 2, 3, 4, 5, 6])]
         events += [ev(f"p{i}", 1, "pad", "x") for i in range(6)]
         labels = {f"p{i}": (1.0, True) for i in range(6)}
-        c = build_corpus(events, labels, IngestConfig(bins=2, min_doc_freq=1))
+        c = build_corpus(columns(events), labels, IngestConfig(bins=2, min_doc_freq=1))
         assert c.vocab.bin_edges["lab"] == (3.5,)
         w = c.vocab.index["lab:bin1"]
         p1 = c.patient_ids.index("p1")  # the patient whose value was 2
@@ -85,11 +97,11 @@ class TestBuildCorpus:
         events = [ev(f"p{i}", 0, "lab", str(v)) for i, v in enumerate([1, 2, 3, 4])]
         events += [ev(f"p{i}", 1, "pad", "x") for i in range(4)]
         labels = {f"p{i}": (1.0, True) for i in range(4)}
-        c = build_corpus(events, labels, IngestConfig(bins=2, min_doc_freq=1))
+        c = build_corpus(columns(events), labels, IngestConfig(bins=2, min_doc_freq=1))
         edge = c.vocab.bin_edges["lab"][0]
         assert edge == 2.5
         # add a record exactly at the edge via the same vocabulary
-        c2 = build_corpus(events + [ev("p0", 2, "lab", "2.5")], labels,
+        c2 = build_corpus(columns(events + [ev("p0", 2, "lab", "2.5")]), labels,
                           IngestConfig(bins=2, min_doc_freq=1), vocabulary=c.vocab)
         w = c.vocab.index["lab:bin1"]
         p0 = c2.patient_ids.index("p0")
@@ -99,18 +111,18 @@ class TestBuildCorpus:
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "90"),
                   ev("p2", 0, "hr", "88"), ev("p2", 1, "hr", "90")]
         with pytest.raises(ValueError, match="p2"):
-            build_corpus(events, {"p1": (1.0, True)}, IngestConfig(min_doc_freq=1))
+            build_corpus(columns(events), {"p1": (1.0, True)}, IngestConfig(min_doc_freq=1))
 
     def test_zero_surviving_words(self):
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "90")]
         with pytest.raises(ValueError, match="no words"):
-            build_corpus(events, {"p1": (1.0, True)}, IngestConfig(min_doc_freq=5))
+            build_corpus(columns(events), {"p1": (1.0, True)}, IngestConfig(min_doc_freq=5))
 
     def test_short_documents_dropped(self, caplog):
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "88"),
                   ev("p2", 0, "hr", "88")]  # p2 has a single token
         with caplog.at_level("WARNING"):
-            c = build_corpus(events, {"p1": (1.0, True), "p2": (1.0, True)},
+            c = build_corpus(columns(events), {"p1": (1.0, True), "p2": (1.0, True)},
                              IngestConfig(bins=1, min_doc_freq=1))
         assert c.patient_ids == ("p1",)
         assert "p2" in caplog.text
@@ -118,7 +130,7 @@ class TestBuildCorpus:
     def test_cutoff_drops_events_at_or_after(self):
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "88"),
                   ev("p1", 5, "late", "x"), ev("p1", 6, "late", "x")]
-        c = build_corpus(events, {"p1": (1.0, True)},
+        c = build_corpus(columns(events), {"p1": (1.0, True)},
                          IngestConfig(bins=1, min_doc_freq=1, cutoff=5.0))
         assert c.vocab.words == ("hr:bin1",)
         assert c.doc_lengths.tolist() == [2]
@@ -131,8 +143,8 @@ class TestBuildCorpus:
             labels[pid] = (float(i + 1), bool(i % 2))
             for _ in range(6):
                 events.append(ev(pid, rng.uniform(0, 10), "lab", f"{rng.uniform(0, 100):.2f}"))
-        a = build_corpus(events, labels)
-        b = build_corpus(events, labels)
+        a = build_corpus(columns(events), labels)
+        b = build_corpus(columns(events), labels)
         assert a.vocab.words == b.vocab.words
         assert (a.counts != b.counts).nnz == 0
         assert np.array_equal(a.labels.times, b.labels.times)
@@ -145,9 +157,111 @@ class TestBuildCorpus:
             labels[pid] = (float(i + 1), True)
             for _ in range(rng.integers(1, 5)):
                 events.append(ev(pid, 0.0, f"e{rng.integers(0, 4)}", "v"))
-        c = build_corpus(events, labels, IngestConfig(min_doc_freq=1))
+        c = build_corpus(columns(events), labels, IngestConfig(min_doc_freq=1))
         assert (c.doc_lengths >= 2).all()
         assert np.array_equal(c.doc_lengths, np.asarray(c.counts.sum(axis=0)).ravel())
+
+
+PIDS = ("p1", "p2", "p3", "p4")
+EVENT_NAMES = ("hr", "lab", "sex", "x y")
+VALUES = ("1", "2.5", "-3", "1e2", "0", "7", "0.5", "a", "b", "nan", "inf", "-inf", "", "a,b")
+TIMES = ("0", "0.5", "1", "2", "3.25", "1e1", "4.0")
+HEADERS = ("patient_id,time,event,event_value", "id\tt\tev\tval", "pid,t,ev,1")
+BAD_ROWS = ("p1,1,hr", "p1,1,hr,2,3", "p1,-1,hr,2", "p1,nan,hr,2", "p1,abc,hr,2",
+            "p1,1,,2", "p1\t1\t \t2", "p1\tinf\thr\t2", "p1,-0,hr,2")
+
+
+@hst.composite
+def event_texts(draw):
+    """Event file texts mixing comma and tab rows, with optional header,
+    blank lines, padding, CRLF and at most one malformed row."""
+    lines = []
+    for _ in range(draw(hst.integers(0, 25))):
+        sep = draw(hst.sampled_from((",", "\t")))
+        fields = [draw(hst.sampled_from(PIDS)), draw(hst.sampled_from(TIMES)),
+                  draw(hst.sampled_from(EVENT_NAMES)), draw(hst.sampled_from(VALUES))]
+        if sep == ",":
+            fields[3] = fields[3].replace(",", ";")
+        if draw(hst.integers(0, 4)) == 0:
+            pad = draw(hst.sampled_from((" ", "\x1f")))  # str.strip removes both, float() only " "
+            fields = [pad + f + pad for f in fields]
+        lines.append(sep.join(fields))
+    for _ in range(draw(hst.integers(0, 2))):
+        lines.insert(draw(hst.integers(0, len(lines))), draw(hst.sampled_from(("", "  ", "\t"))))
+    if draw(hst.booleans()):
+        lines.insert(0, draw(hst.sampled_from(HEADERS)))
+    if lines and draw(hst.integers(0, 5)) == 0:
+        lines[draw(hst.integers(0, len(lines) - 1))] = draw(hst.sampled_from(BAD_ROWS))
+    eol = draw(hst.sampled_from(("\n", "\r\n")))
+    return eol.join(lines) + draw(hst.sampled_from(("", eol)))
+
+
+ingest_configs = hst.builds(
+    IngestConfig, bins=hst.integers(1, 6), min_doc_freq=hst.integers(0, 2),
+    cutoff=hst.none() | hst.sampled_from((0.5, 2.0, 5.0)),
+    min_variance=hst.none() | hst.sampled_from((0.0, 0.01, 0.05)))
+label_sets = hst.sampled_from(((),) * 14 + (("p4",), ("p1", "p3"))).map(
+    lambda missing: {p: (float(i + 1), i % 2 == 0) for i, p in enumerate(PIDS) if p not in missing})
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def corpus_fields(c):
+    if isinstance(c, tuple):
+        return c
+    return (c.vocab.words, dict(c.vocab.bin_edges), c.counts.dtype, c.counts.shape,
+            c.counts.toarray().tolist(), c.labels.times.tolist(), c.labels.observed.tolist(),
+            c.patient_ids)
+
+
+class TestMatchesRowReference:
+    """The columnar parser and builder against the row-at-a-time reference."""
+
+    @given(event_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_ingest_events(self, text):
+        got = outcome(ingest_events, text.split("\n"))
+        want = outcome(helpers.ingest_events, text.split("\n"))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert rows_of(got) == [(r.patient_id, r.time, r.event, r.event_value) for r in want]
+
+    @given(event_texts(), event_texts(), label_sets, ingest_configs, ingest_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_build_corpus(self, text, other_text, labels, cfg, other_cfg):
+        try:
+            records = helpers.ingest_events(text.split("\n"))
+        except EventParseError:
+            return
+        cols = ingest_events(text.split("\n"))
+        want = outcome(helpers.build_corpus, records, labels, cfg)
+        assert corpus_fields(outcome(build_corpus, cols, labels, cfg)) == corpus_fields(want)
+        # the prebuilt-vocabulary path, with the vocabulary of another text
+        try:
+            vocab = helpers.build_corpus(helpers.ingest_events(other_text.split("\n")),
+                                         {p: (1.0, True) for p in PIDS}, other_cfg).vocab
+        except ValueError:
+            return
+        want = outcome(helpers.build_corpus, records, labels, cfg, vocabulary=vocab)
+        got = outcome(build_corpus, cols, labels, cfg, vocabulary=vocab)
+        assert corpus_fields(got) == corpus_fields(want)
+
+
+class TestEvents:
+    def test_columns_must_align(self):
+        with pytest.raises(ValueError, match="aligned"):
+            Events(["p1", "p2"], [0.0], ["hr", "hr"], ["1", "2"])
+
+    def test_header_only_on_first_line(self):
+        with pytest.raises(EventParseError, match="row 2: unparseable time 'time'"):
+            ingest_events(["", "patient_id,time,event,event_value", "p1,1,hr,88"])
 
 
 class TestNormalizeColumns:
@@ -230,6 +344,20 @@ class TestSerialization:
         assert np.array_equal(c2.labels.times, c.labels.times)
         assert np.array_equal(c2.labels.observed, c.labels.observed)
         assert c2.patient_ids == c.patient_ids
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(6)
+        rows = [ev(f"p{i}", float(t), "lab", f"{rng.uniform(0, 100):.3f}")
+                for i in range(12) for t in range(3)]
+        rows += [ev(f"p{i}", 4.0, "sex", "fm"[i % 2]) for i in range(12)]
+        labels = {f"p{i}": (float(i + 1), bool(i % 3)) for i in range(12)}
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        for c in (build_corpus(columns(rows), labels, IngestConfig(bins=3, min_doc_freq=1)),
+                  make_corpus(np.random.default_rng(5).integers(0, 4, size=(6, 9)) + 1,
+                              times=np.linspace(0.5, 9.5, 9))):
+            save_corpus(c, first)
+            save_corpus(load_corpus(first), second)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "x.json"

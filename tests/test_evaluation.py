@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,31 @@ class TestCIndex:
                 continue
             lab = labels(y, r)
             assert abs(c_index(risk, lab) - brute_force_c_index(risk, y, r)) <= 1e-12
+
+    def test_equals_brute_force_exactly_with_heavy_ties(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            y = np.array([1.0, 2.0, 3.0, np.inf])[rng.integers(0, 4, n)]  # few distinct times
+            r = rng.uniform(size=n) > 0.4
+            risk = np.array([-1.0, -0.0, 0.0, 0.5])[rng.integers(0, 4, n)]  # -0.0 ties 0.0
+            if not np.any((y[:, None] < y[None, :]) & r[:, None]):
+                continue
+            assert c_index(risk, labels(y, r)) == brute_force_c_index(risk, y, r)
+
+    def test_memory_linear_in_n(self):
+        # n x n pair matrices would take 400 MB each at this size
+        rng = np.random.default_rng(8)
+        n = 20000
+        lab = labels(rng.uniform(0.1, 100.0, n), rng.uniform(size=n) > 0.2)
+        risk = np.round(rng.standard_normal(n), 2)
+        tracemalloc.start()
+        try:
+            c_index(risk, lab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_no_comparable_pairs(self):
         with pytest.raises(ValueError):
