@@ -32,10 +32,6 @@ class AnchorSet:
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("anchor indices must be distinct")
 
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
 
 def project_rows(Qbar: np.ndarray, r: int, seed: int,
                  projection: np.ndarray | None = None) -> np.ndarray:

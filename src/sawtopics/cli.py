@@ -11,6 +11,7 @@ from the single --seed value, fanned out per stage by seeding.derive_seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -145,22 +146,27 @@ def _saw_config(resolved: dict) -> SawConfig:
     return SawConfig(**values)
 
 
+_PREDICTIONS_HEADER = ["patient_id", "risk_score", "predicted_median_days", "saturated"]
+
+
 def _write_predictions(path: Path, preds) -> None:
-    lines = ["patient_id,risk_score,predicted_median_days,saturated"]
-    for pid, r, m, s in zip(preds.patient_ids, preds.risk, preds.median, preds.saturated):
-        lines.append(f"{pid},{float(r)!r},{float(m)!r},{int(s)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(_PREDICTIONS_HEADER)
+        for pid, r, m, s in zip(preds.patient_ids, preds.risk, preds.median, preds.saturated):
+            out.writerow([pid, repr(float(r)), repr(float(m)), int(s)])
 
 
 def _read_predictions(path: Path):
-    rows = path.read_text(encoding="utf-8").splitlines()
-    if not rows or rows[0] != "patient_id,risk_score,predicted_median_days,saturated":
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != _PREDICTIONS_HEADER:
         raise ValueError(f"not a predictions file: {path}")
     pids, risk, median, saturated = [], [], [], []
-    for line in rows[1:]:
-        if not line.strip():
+    for row in rows[1:]:
+        if not "".join(row).strip():
             continue
-        pid, r, m, s = line.split(",")
+        pid, r, m, s = row
         pids.append(pid)
         risk.append(float(r))
         median.append(float(m))

@@ -65,6 +65,4 @@ def row_normalize(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     pos = p > 0
     out[pos] = Q[pos] / p[pos, None]
     out[~pos] = 1.0 / Q.shape[1]
-    if (~pos).any():
-        log.debug("row_normalize: %d degenerate row(s) set uniform", int((~pos).sum()))
     return out

@@ -22,6 +22,8 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy import sparse
 
+from .survival import SurvivalLabels
+
 log = logging.getLogger(__name__)
 
 CORPUS_FORMAT = "sawtopics-corpus"
@@ -84,39 +86,6 @@ class Vocabulary:
 def vocabulary_hash(vocab: Vocabulary) -> str:
     """Stable fingerprint of the word list, used to match models to corpora."""
     return hashlib.sha256("\n".join(vocab.words).encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True, eq=False)
-class SurvivalLabels:
-    """Per-patient time Y (> 0, days) and event indicator R.
-
-    ``observed[i]`` False means ``times[i]`` is a censoring time, a lower
-    bound on the true duration.
-    """
-
-    times: np.ndarray
-    observed: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        observed = np.asarray(self.observed, dtype=bool)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "observed", observed)
-        if times.ndim != 1 or observed.shape != times.shape:
-            raise ValueError("times and observed must be 1-d and aligned")
-        if times.size and not np.all(times > 0):
-            raise ValueError("survival times must be positive")
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def n_events(self) -> int:
-        return int(self.observed.sum())
-
-    def subset(self, indices) -> "SurvivalLabels":
-        idx = np.asarray(indices, dtype=int)
-        return SurvivalLabels(self.times[idx], self.observed[idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,14 +505,20 @@ def save_corpus(corpus: Corpus, path) -> None:
         }, path)
 
 
+def read_json(path, format: str, version: int, kind: str) -> dict:
+    """Read a file written by ``write_json``, checking its format tag and version."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or payload.get("format") != format:
+        raise ValueError(f"not a {kind} file: {path}")
+    if payload.get("version") != version:
+        raise ValueError(f"unsupported {kind} version {payload.get('version')}")
+    return payload
+
+
 def load_corpus(path) -> Corpus:
     with _gc_paused():
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != CORPUS_FORMAT:
-            raise ValueError(f"not a corpus file: {path}")
-        if payload.get("version") != CORPUS_VERSION:
-            raise ValueError(f"unsupported corpus version {payload.get('version')}")
+        payload = read_json(path, CORPUS_FORMAT, CORPUS_VERSION, "corpus")
         trips = np.array(payload.pop("triplets"), dtype=np.int64).reshape(-1, 3)
     words = tuple(payload["words"])
     edges = {k: tuple(float(x) for x in v) for k, v in payload["bin_edges"].items()}

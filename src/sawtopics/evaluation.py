@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, SurvivalLabels, subset
+from .corpus import Corpus, subset
 from .saw import SawConfig, SawModel, fit_saw, predict
 from .seeding import derive_seed
+from .survival import SurvivalLabels
 
 log = logging.getLogger(__name__)
 
@@ -51,21 +52,24 @@ def rmse_mae(predicted, labels: SurvivalLabels) -> tuple[float, float]:
 def c_index(risk, labels: SurvivalLabels) -> float:
     """Harrell's concordance: a pair (i, j) is comparable when Y_i < Y_j and
     patient i's event was observed; it is concordant when risk_i > risk_j,
-    risk ties counting one half.
+    risk ties counting one half: j is in i's risk set (the rule in
+    ``sawtopics.survival``) but not tied with i.
 
-    Patients are visited by decreasing time, one group of equal times at a
-    time; a Fenwick tree over risk ranks counts the patients already visited
-    (strictly later times) below and at each observed patient's risk. The
-    counts are exact integers: O(n log n) time and O(n) memory.
+    Patients are visited by decreasing time, one tie group of
+    ``labels.risk_sets`` at a time; a Fenwick tree over risk ranks counts
+    the patients already visited (strictly later times) below and at each
+    observed patient's risk. The counts are exact integers: O(n log n) time
+    and O(n) memory.
     """
     risk = np.asarray(risk, dtype=float)
     if risk.shape != labels.times.shape:
         raise ValueError("risk scores and labels must be aligned")
     if np.isnan(risk).any():
         raise ValueError("risk scores contain NaN")
-    y = labels.times
-    later = y.size - np.searchsorted(np.sort(y), y[labels.observed], side="right")
-    n_comp = int(later.sum())
+    n_comp = 0
+    if labels.n_events:
+        rs = labels.risk_sets
+        n_comp = int((rs.n - 1 - rs.last[rs.events]).sum())
     if n_comp == 0:
         raise ValueError("no comparable pairs")
     rank = (np.unique(risk, return_inverse=True)[1] + 1).tolist()  # 1-based tree positions
@@ -78,14 +82,11 @@ def c_index(risk, labels: SurvivalLabels) -> float:
             r &= r - 1
         return total
 
-    order = np.argsort(-y, kind="stable")
-    y_desc = y[order]
-    group_ends = (np.flatnonzero(y_desc[1:] != y_desc[:-1]) + 1).tolist() + [y.size]
-    order = order.tolist()
+    order = rs.order.tolist()
     observed = labels.observed.tolist()
     higher = tied = 0
-    start = 0
-    for end in group_ends:
+    end = rs.n
+    for start in np.flatnonzero(rs.first == np.arange(rs.n))[::-1].tolist():
         group = order[start:end]
         for i in group:
             if observed[i]:
@@ -97,7 +98,7 @@ def c_index(risk, labels: SurvivalLabels) -> float:
             while r < len(tree):
                 tree[r] += 1
                 r += r & -r
-        start = end
+        end = start
     return float((higher + 0.5 * tied) / n_comp)
 
 

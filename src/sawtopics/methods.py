@@ -9,14 +9,14 @@ ordering, so its risk scores are NaN.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .anchors import AnchorSet
-from .corpus import Corpus, Vocabulary, normalize_columns, vocabulary_hash, write_json
+from .corpus import (Corpus, Vocabulary, normalize_columns, read_json, vocabulary_hash,
+                     write_json)
 from .saw import (FitTrace, Predictions, SawConfig, SawModel, cox_predictions, fit_saw,
                   fit_usaw, predict)
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, fit_elastic_net_cox,
@@ -229,12 +229,7 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model file: {path}")
-    if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')}")
+    payload = read_json(path, MODEL_FORMAT, MODEL_VERSION, "model")
     if payload["method"] not in METHODS:
         raise ValueError(f"unknown method {payload['method']!r} in model file")
     return METHODS[payload["method"]].read(payload)

@@ -17,10 +17,9 @@ import numpy as np
 
 from .anchors import AnchorSet, default_candidates, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence
-from .corpus import (Corpus, SurvivalLabels, Vocabulary, document_frequencies,
-                     normalize_columns, vocabulary_hash)
+from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns, vocabulary_hash
 from .seeding import derive_seed
-from .survival import (CoxModel, RiskSets, breslow_baseline, elastic_net_penalty,
+from .survival import (CoxModel, SurvivalLabels, breslow_baseline, elastic_net_penalty,
                        fit_elastic_net_cox, predict_median)
 from .topics import (TopicModel, doc_topic_features, kl_residuals, minimize_simplex_kl,
                      recover_topics_unsupervised, recover_word_topic_matrix)
@@ -107,17 +106,15 @@ def joint_objective(
     anchors: AnchorSet,
     lam: float,
     alpha: float,
-    risk_sets: RiskSets | None = None,
 ) -> float:
     """KL representation cost over non-anchor words + Cox partial
     likelihood on topic features + elastic-net penalty."""
     theta = np.asarray(theta, dtype=float)
     beta = np.asarray(beta, dtype=float)
     _check_feasible(theta, anchors)
-    rs = risk_sets if risk_sets is not None else RiskSets(labels)
     eta = doc_topic_features(theta, Xbar) @ beta
     kl = float(kl_residuals(theta, stats, anchors).sum())
-    return kl + rs.nll(eta) + elastic_net_penalty(beta, lam, alpha)
+    return kl + labels.risk_sets.nll(eta) + elastic_net_penalty(beta, lam, alpha)
 
 
 def update_theta(
@@ -130,7 +127,6 @@ def update_theta(
     step: float = 1.0,
     max_iters: int = 100,
     inner_tol: float = 1e-12,
-    risk_sets: RiskSets | None = None,
 ) -> tuple[np.ndarray, bool]:
     """One budgeted pass of the theta subproblem at fixed beta.
 
@@ -145,7 +141,7 @@ def update_theta(
     free = np.setdiff1d(np.arange(stats.Qbar.shape[0]), aidx)
     if not free.size:  # every word is an anchor; nothing to optimize
         return theta, True
-    rs = risk_sets if risk_sets is not None else RiskSets(labels)
+    rs = labels.risk_sets
     Xb = Xbar.tocsr() if hasattr(Xbar, "tocsr") else np.asarray(Xbar, dtype=float)
     Xf = Xb[free]
     XfT = Xf.T  # once per half-step; every line-search probe reuses it
@@ -168,15 +164,12 @@ def _prepare(corpus: Corpus, config: SawConfig):
         raise ValueError("need at least 1 observed event to fit a survival model")
     stats = build_cooccurrence(corpus)
     cand = default_candidates(document_frequencies(corpus), corpus.n_docs)
-    r = config.projection_dim if config.projection_dim is not None else min(stats.n_words, 1000)
     anchors = stable_anchors(
-        stats, config.k, T=config.anchor_runs, r=r,
+        stats, config.k, T=config.anchor_runs, r=config.projection_dim,
         seed=derive_seed(config.seed, "anchors"), candidates=cand,
     )
     tm = recover_topics_unsupervised(stats, anchors)
-    Xbar = normalize_columns(corpus)
-    rs = RiskSets(corpus.labels)
-    return stats, anchors, tm, Xbar, rs
+    return stats, anchors, tm, normalize_columns(corpus)
 
 
 def _finish(corpus, config, stats, anchors, theta, beta, baseline, obj, converged,
@@ -198,12 +191,12 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
     With ``max_outer_iters == 0`` the unsupervised initialization itself is
     returned, with beta zero and the baseline hazard fitted for it.
     """
-    stats, anchors, tm, Xbar, rs = _prepare(corpus, config)
+    stats, anchors, tm, Xbar = _prepare(corpus, config)
     labels = corpus.labels
     theta = tm.theta
     beta = np.zeros(config.k)
     obj = [joint_objective(theta, beta, stats, Xbar, labels, anchors,
-                           config.lam, config.alpha, risk_sets=rs)]
+                           config.lam, config.alpha)]
     converged = False
     outer_done = 0
     for _ in range(config.max_outer_iters):
@@ -213,11 +206,10 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
                                   fit_baseline=False)
         beta = cox.beta
         obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
-                                   config.lam, config.alpha, risk_sets=rs))
-        theta, stalled = update_theta(theta, beta, stats, Xbar, labels, anchors,
-                                      risk_sets=rs)
+                                   config.lam, config.alpha))
+        theta, stalled = update_theta(theta, beta, stats, Xbar, labels, anchors)
         obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
-                                   config.lam, config.alpha, risk_sets=rs))
+                                   config.lam, config.alpha))
         outer_done += 1
         dec = prev - obj[-1]
         if dec < -OBJECTIVE_SLACK * max(abs(prev), 1.0):
@@ -238,16 +230,16 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
 def fit_usaw(corpus: Corpus, config: SawConfig) -> SawModel:
     """Two-stage baseline: unsupervised topics, then a single elastic-net
     Cox fit on the resulting features. No alternation."""
-    stats, anchors, tm, Xbar, rs = _prepare(corpus, config)
+    stats, anchors, tm, Xbar = _prepare(corpus, config)
     labels = corpus.labels
     theta = tm.theta
     beta0 = np.zeros(config.k)
     obj = [joint_objective(theta, beta0, stats, Xbar, labels, anchors,
-                           config.lam, config.alpha, risk_sets=rs)]
+                           config.lam, config.alpha)]
     Z = doc_topic_features(theta, Xbar)
     cox = fit_elastic_net_cox(Z, labels, config.lam, config.alpha)
     obj.append(joint_objective(theta, cox.beta, stats, Xbar, labels, anchors,
-                               config.lam, config.alpha, risk_sets=rs))
+                               config.lam, config.alpha))
     return _finish(corpus, config, stats, anchors, theta, cox.beta, cox.baseline,
                    obj, True, 1, "usaw")
 

@@ -1,19 +1,58 @@
-"""Cox proportional hazards with elastic-net regularization.
+"""Survival labels, risk sets, and Cox proportional hazards with
+elastic-net regularization.
 
-Partial likelihood and gradient use the Breslow convention: the risk set for
-an event at time t is every patient with Y >= t, ties included. Censored
-patients contribute only through risk sets. The fitter is proximal gradient
-with a halving line search and soft-thresholding, so the penalized objective
-never increases across accepted steps.
+One risk-set rule serves every estimator (Breslow): the risk set at time t
+is every patient with Y >= t, ties included, so a patient censored at t is
+still at risk at t. Each label set builds its time order and tie groups
+once, as ``SurvivalLabels.risk_sets``. The Cox fitter is proximal gradient
+with a halving line search and soft-thresholding, so the penalized
+objective never increases across accepted steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .corpus import SurvivalLabels
+
+@dataclass(frozen=True, eq=False)
+class SurvivalLabels:
+    """Per-patient time Y (> 0, days) and event indicator R.
+
+    ``observed[i]`` False means ``times[i]`` is a censoring time, a lower
+    bound on the true duration.
+    """
+
+    times: np.ndarray
+    observed: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        observed = np.asarray(self.observed, dtype=bool)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "observed", observed)
+        if times.ndim != 1 or observed.shape != times.shape:
+            raise ValueError("times and observed must be 1-d and aligned")
+        if times.size and not np.all(times > 0):
+            raise ValueError("survival times must be positive")
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    @property
+    def n_events(self) -> int:
+        return int(self.observed.sum())
+
+    @cached_property
+    def risk_sets(self) -> "RiskSets":
+        """The labels' time order and tie groups, built on first use."""
+        return RiskSets(self)
+
+    def subset(self, indices) -> "SurvivalLabels":
+        idx = np.asarray(indices, dtype=int)
+        return SurvivalLabels(self.times[idx], self.observed[idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +106,13 @@ class CoxModel:
 
 
 class RiskSets:
-    """Sorted views and tie-group bounds reused across likelihood calls.
+    """One label set's time order and tie groups, shared by every estimator.
 
-    ``first``/``last`` give, for each sorted position, the bounds of its
-    tie group, so suffix sums starting at ``first`` cover everyone with
-    Y >= that time.
+    Sorted by time (stable), ``first``/``last`` give each position's tie
+    group bounds, so a suffix sum starting at ``first`` covers the risk set.
+    ``event_times`` are the distinct event times in increasing order,
+    ``event_counts`` the number of events at each, and ``risk_start`` the
+    sorted position where each one's risk set starts.
     """
 
     def __init__(self, labels: SurvivalLabels):
@@ -85,10 +126,13 @@ class RiskSets:
         self.events = labels.observed[order]
         self.first = np.searchsorted(self.y, self.y, side="left")
         self.last = np.searchsorted(self.y, self.y, side="right") - 1
+        self.risk_start, self.event_counts = np.unique(self.first[self.events],
+                                                       return_counts=True)
+        self.event_times = self.y[self.risk_start]
 
     def log_risk_sums(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """eta in sorted order and, per sorted position, the log of the
-        risk set's total exp(eta) (everyone with Y >= that time).
+        risk set's total exp(eta).
 
         Suffix logsumexps are computed max-shifted with a stable running
         accumulation; a plain shifted cumsum can underflow to zero for
@@ -157,7 +201,7 @@ def fit_elastic_net_cox(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     Z = np.asarray(Z, dtype=float)
-    rs = RiskSets(labels)
+    rs = labels.risk_sets
     k = Z.shape[1]
     beta = np.zeros(k) if beta0 is None else np.array(beta0, dtype=float)
     ridge = lam * (1.0 - alpha)
@@ -212,14 +256,10 @@ def fit_elastic_net_cox(
 def breslow_baseline(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> BaselineHazard:
     """Cumulative baseline hazard: at each distinct event time, the number
     of events there divided by the risk set's total exp(beta.z)."""
-    rs = RiskSets(labels)
+    rs = labels.risk_sets
     _, log_s0 = rs.log_risk_sums(np.asarray(Z, dtype=float) @ np.asarray(beta, dtype=float))
-    event_pos = np.flatnonzero(rs.events)
-    t_event = rs.y[event_pos]
-    times, start = np.unique(t_event, return_index=True)
-    d_e = np.bincount(np.searchsorted(times, t_event), minlength=times.size).astype(float)
-    inc = np.exp(np.log(d_e) - log_s0[event_pos[start]])
-    return BaselineHazard(times, np.cumsum(inc))
+    inc = np.exp(np.log(rs.event_counts) - log_s0[rs.risk_start])
+    return BaselineHazard(rs.event_times, np.cumsum(inc))
 
 
 def predict_median(model: CoxModel, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +297,11 @@ def kaplan_meier(labels: SurvivalLabels) -> tuple[SurvivalCurve, float, bool]:
     """
     if len(labels) == 0:
         raise ValueError("empty labels")
-    y = labels.times
-    r = labels.observed
-    times, d_at = np.unique(y[r], return_counts=True)
-    if times.size == 0:
-        return SurvivalCurve(times, times.astype(float)), float(y.max()), True
-    y_sorted = np.sort(y)
-    n_at = y.size - np.searchsorted(y_sorted, times, side="left")
-    surv = np.cumprod(1.0 - d_at / n_at)
+    if labels.n_events == 0:
+        return SurvivalCurve(np.empty(0), np.empty(0)), float(labels.times.max()), True
+    rs = labels.risk_sets
+    times = rs.event_times
+    surv = np.cumprod(1.0 - rs.event_counts / (rs.n - rs.risk_start))
     hit = np.flatnonzero(surv <= 0.5)
     if hit.size:
         return SurvivalCurve(times, surv), float(times[hit[0]]), False

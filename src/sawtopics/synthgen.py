@@ -9,8 +9,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, SurvivalLabels, Vocabulary, write_json
+from .corpus import Corpus, Vocabulary, read_json, write_json
 from .seeding import derive_seed
+from .survival import SurvivalLabels
+
+TRUTH_FORMAT = "sawtopics-truth"
+TRUTH_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +157,8 @@ def generate_dataset(
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
     write_json({
-        "format": "sawtopics-truth",
-        "version": 1,
+        "format": TRUTH_FORMAT,
+        "version": TRUTH_VERSION,
         "A_true": [[float(x) for x in row] for row in truth.A_true],
         "anchor_indices": list(truth.anchor_indices),
         "W_true": None if truth.W_true is None
@@ -165,12 +169,7 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "sawtopics-truth":
-        raise ValueError(f"not a ground-truth file: {path}")
+    payload = read_json(path, TRUTH_FORMAT, TRUTH_VERSION, "ground-truth")
     return GroundTruth(
         A_true=np.array(payload["A_true"], dtype=float),
         anchor_indices=tuple(payload["anchor_indices"]),

@@ -36,10 +36,6 @@ class TopicModel:
     anchors: AnchorSet
     residuals: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.theta.shape[1]
-
 
 def _plogp(P: np.ndarray) -> np.ndarray:
     """Row-wise sum of P log P, with 0 log 0 = 0."""

@@ -214,6 +214,27 @@ class TestIngestCli:
         assert rc == 0
         assert load_corpus(out).patient_ids == tuple(f"p{i}" for i in range(6))
 
+    def test_patient_ids_with_commas_and_quotes(self, tmp_path):
+        # a tab-separated events file may hold any of these ids; the
+        # predictions CSV must quote them so evaluate reads them back
+        pids = ["p0", "p1", "p,2", 'p"3', "p4"]
+        events, labels = tmp_path / "events.tsv", tmp_path / "labels.tsv"
+        events.write_text("".join(f"{p}\t{t}\thr\t{50 + 7 * i + t}\n"
+                                  for i, p in enumerate(pids) for t in range(4)))
+        labels.write_text("".join(f"{p}\t{i + 1}.5\t1\n" for i, p in enumerate(pids)))
+        corpus, model = tmp_path / "corpus.json", tmp_path / "model.json"
+        preds, metrics = tmp_path / "preds.csv", tmp_path / "metrics.csv"
+        assert run("ingest", "--events", str(events), "--labels", str(labels),
+                   "--out", str(corpus), "--bins", "2", "--min-doc-freq", "1") == 0
+        assert run("train", "--corpus", str(corpus), "--method", "km", "--out", str(model)) == 0
+        assert run("predict", "--model", str(model), "--corpus", str(corpus),
+                   "--out", str(preds)) == 0
+        rows = preds.read_text().splitlines()
+        assert '"p,2",nan,3.5,0' in rows and '"p""3",nan,3.5,0' in rows
+        assert run("evaluate", "--predictions", str(preds), "--corpus", str(corpus),
+                   "--method", "km", "--out", str(metrics)) == 0
+        assert metrics.read_text().splitlines()[1].endswith(",nan,5,0")
+
 
 def test_cli_import_skips_scipy_optimize():
     # only synthesis needs scipy.optimize; every other command must not pay

@@ -365,6 +365,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a corpus"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("text", ["[]", "3", "null"])
+    def test_rejects_json_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a corpus"):
+            load_corpus(path)
+
 
 class TestLabelFile:
     def test_basic(self):

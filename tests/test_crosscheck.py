@@ -3,8 +3,8 @@
 These are belt-and-braces on top of the first-principles oracles: the
 unpenalized Cox fit against PHReg (Breslow ties) and the product-limit
 curve against SurvfuncRight. The baseline hazard is checked against direct
-risk-set enumeration instead, because PHReg reports the left-continuous
-(lagged) version of the same step function.
+risk-set enumeration in test_survival.py instead, because PHReg reports the
+left-continuous (lagged) version of the same step function.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 sm = pytest.importorskip("statsmodels.api")
 
 from sawtopics.corpus import SurvivalLabels
-from sawtopics.survival import breslow_baseline, fit_elastic_net_cox, kaplan_meier
+from sawtopics.survival import fit_elastic_net_cox, kaplan_meier
 
 
 def instance(seed, n=60, k=3, censor=0.3):
@@ -43,16 +43,3 @@ def test_km_matches_survfunc(seed):
     at = np.searchsorted(sf.surv_times, curve.times)
     assert np.abs(sf.surv_prob[at] - curve.survival).max() <= 1e-12
 
-
-@pytest.mark.parametrize("seed", [5, 6])
-def test_breslow_matches_risk_set_enumeration(seed):
-    Z, y, r = instance(seed)
-    rng = np.random.default_rng(seed + 100)
-    beta = rng.standard_normal(Z.shape[1])
-    bh = breslow_baseline(beta, Z, SurvivalLabels(y, r))
-    eta = Z @ beta
-    cum = 0.0
-    for t, got in zip(bh.times, bh.cum_hazard):
-        d = int(((y == t) & r).sum())
-        cum += d / np.exp(eta[y >= t]).sum()
-        assert abs(got - cum) <= 1e-12

@@ -249,6 +249,16 @@ class TestFitSaw:
         assert m1.trace.objective_values == m2.trace.objective_values
         assert np.array_equal(m1.cox.beta, m2.cox.beta)
 
+    def test_one_risk_set_structure_per_fit(self, monkeypatch):
+        built = []
+        init = RiskSets.__init__
+        monkeypatch.setattr(RiskSets, "__init__",
+                            lambda rs, labels: built.append(labels) or init(rs, labels))
+        corpus, _ = small_dataset(seed=13)
+        model = fit_saw(corpus, SawConfig(k=3, lam=0.1, seed=13))
+        assert model.trace.iterations >= 2
+        assert built == [corpus.labels]
+
     def test_needs_an_event(self):
         corpus, _ = small_dataset(seed=12, n=40)
         no_events = corpus.with_labels(

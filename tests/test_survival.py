@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from sawtopics.corpus import SurvivalLabels
-from sawtopics.survival import (BaselineHazard, CoxModel, SurvivalCurve,
+from sawtopics.survival import (BaselineHazard, CoxModel, RiskSets, SurvivalCurve,
                                 breslow_baseline, elastic_net_penalty,
                                 fit_elastic_net_cox, kaplan_meier, predict_median)
 
@@ -88,7 +88,6 @@ class TestCoxNll:
         for b in (1e3, 1e4, -1e4):
             v = cox_nll(np.array([b]), Z, lab)
             assert np.isfinite(v) and v >= -1e-9
-        from sawtopics.survival import RiskSets
         g = RiskSets(lab).eta_gradient(Z @ np.array([1e4]))
         assert np.all(np.isfinite(g))
 
@@ -226,6 +225,77 @@ class TestBreslowBaseline:
             bh = breslow_baseline(rng.standard_normal(3), Z, lab)
             assert bh.cum_hazard[0] >= 0
             assert np.all(np.diff(bh.cum_hazard) >= 0)
+
+
+def tied_instance(seed, n=60, k=3):
+    """Times on a grid of 8 days, so most share a tie group, and patients
+    censored on days where others have events."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, k))
+    y = rng.integers(1, 9, n).astype(float)
+    r = rng.uniform(size=n) > 0.3
+    mixed = [t for t in np.unique(y) if r[y == t].any() and not r[y == t].all()]
+    assert len(mixed) >= 3  # censored at an event time, several times over
+    return Z, SurvivalLabels(y, r)
+
+
+class TestRiskSetEnumeration:
+    """Breslow and Kaplan-Meier against the risk-set rule spelled out: at an
+    event time t, everyone with Y >= t is at risk, including patients
+    censored at t."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_breslow_matches_risk_set_enumeration(self, seed):
+        Z, lab = tied_instance(seed)
+        y, r = lab.times, lab.observed
+        beta = np.random.default_rng(seed + 100).standard_normal(Z.shape[1])
+        bh = breslow_baseline(beta, Z, lab)
+        eta = Z @ beta
+        assert bh.times.tolist() == sorted(set(y[r]))
+        cum = 0.0
+        for t, got in zip(bh.times, bh.cum_hazard):
+            d = int(((y == t) & r).sum())
+            cum += d / np.exp(eta[y >= t]).sum()
+            assert abs(got - cum) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_km_matches_risk_set_enumeration(self, seed):
+        _, lab = tied_instance(seed)
+        y, r = lab.times, lab.observed
+        curve, median, saturated = kaplan_meier(lab)
+        assert curve.times.tolist() == sorted(set(y[r]))
+        surv = 1.0
+        for t, got in zip(curve.times, curve.survival):
+            surv *= 1.0 - ((y == t) & r).sum() / (y >= t).sum()
+            assert abs(got - surv) <= 1e-12
+        below = curve.times[curve.survival <= 0.5]
+        assert (median, saturated) == ((below[0], False) if below.size
+                                       else (curve.times[-1], True))
+
+
+class TestRiskSets:
+    def test_fields(self):
+        lab = SurvivalLabels(np.array([3.0, 1.0, 2.0, 1.0, 3.0, 4.0]),
+                             np.array([True, False, True, True, False, False]))
+        rs = lab.risk_sets
+        assert rs.y.tolist() == [1.0, 1.0, 2.0, 3.0, 3.0, 4.0]
+        assert rs.first.tolist() == [0, 0, 2, 3, 3, 5]
+        assert rs.last.tolist() == [1, 1, 2, 4, 4, 5]
+        assert rs.event_times.tolist() == [1.0, 2.0, 3.0]
+        assert rs.event_counts.tolist() == [1, 1, 1]
+        assert rs.risk_start.tolist() == [0, 2, 3]
+
+    def test_built_once_per_label_set(self):
+        lab = SurvivalLabels(np.array([1.0, 2.0]), np.array([True, False]))
+        assert lab.risk_sets is lab.risk_sets
+        assert lab.subset([0, 1]).risk_sets is not lab.risk_sets
+
+    def test_no_events_raise_on_use(self):
+        lab = SurvivalLabels(np.array([1.0, 2.0]), np.array([False, False]))
+        with pytest.raises(ValueError, match="no observed events"):
+            lab.risk_sets
+        curve, median, saturated = kaplan_meier(lab)
+        assert curve.times.size == 0 and (median, saturated) == (2.0, True)
 
 
 class TestPredictMedian:

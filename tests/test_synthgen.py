@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -140,6 +142,16 @@ class TestGenerateDataset:
         assert np.array_equal(back.W_true, truth.W_true)
         assert np.array_equal(back.beta_true, truth.beta_true)
         assert back.anchor_indices == truth.anchor_indices
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("format", "sawtopics-model", "not a ground-truth file"),
+        ("version", 2, "unsupported ground-truth version 2"),
+    ])
+    def test_truth_file_checked(self, tmp_path, field, value, message):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"format": "sawtopics-truth", "version": 1, field: value}))
+        with pytest.raises(ValueError, match=message):
+            load_ground_truth(path)
 
     def test_theta_star_oracle_shape(self):
         truth = generate_topic_model(12, 3, 0.5, seed=20)
