@@ -8,23 +8,21 @@ elastic-net regularized Cox model, alternating between the two convex
 subproblems.
 """
 
-from .anchors import AnchorSet, default_candidates, greedy_anchors, project_rows, stable_anchors
-from .cooccur import CooccurrenceStats, build_cooccurrence, row_normalize
+from .anchors import AnchorSet, default_candidates, stable_anchors
+from .cooccur import CooccurrenceStats, build_cooccurrence
 from .corpus import (Corpus, Events, IngestConfig, SurvivalLabels, Vocabulary,
                      build_corpus, ingest_events, load_corpus, normalize_columns,
                      save_corpus, split, subset, vocabulary_hash)
 from .evaluation import CvResult, Metrics, c_index, compute_metrics, cross_validate, rmse_mae
 from .methods import (EncoxModel, KmModel, fit_encox, fit_km, fit_method,
                       load_model, predict_model, save_model)
-from .saw import (FitTrace, Predictions, SawConfig, SawModel, fit_saw, fit_usaw,
-                  joint_objective, predict, update_theta)
+from .saw import FitTrace, Predictions, SawConfig, SawModel, fit_saw, fit_usaw, predict
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, breslow_baseline,
                        fit_elastic_net_cox, kaplan_meier, predict_median)
 from .synthgen import (GroundTruth, generate_corpus, generate_dataset,
                        generate_survival, generate_topic_model)
-from .topics import (TopicModel, bayes_topic_posterior, doc_topic_features,
-                     kl_divergence, recover_topics_unsupervised,
-                     recover_word_topic_matrix)
+from .topics import (TopicModel, doc_topic_features, kl_divergence,
+                     recover_topics_unsupervised, recover_word_topic_matrix)
 
 __version__ = "0.1.0"
 
@@ -33,14 +31,13 @@ __all__ = [
     "CvResult", "EncoxModel", "Events", "FitTrace", "GroundTruth",
     "IngestConfig", "KmModel", "Metrics", "Predictions", "SawConfig", "SawModel",
     "SurvivalCurve", "SurvivalLabels", "TopicModel", "Vocabulary",
-    "bayes_topic_posterior", "breslow_baseline", "build_cooccurrence",
-    "build_corpus", "c_index", "compute_metrics", "cross_validate", "default_candidates", "doc_topic_features", "fit_encox",
-    "fit_elastic_net_cox", "fit_km", "fit_method", "fit_saw", "fit_usaw",
+    "breslow_baseline", "build_cooccurrence", "build_corpus", "c_index",
+    "compute_metrics", "cross_validate", "default_candidates", "doc_topic_features",
+    "fit_elastic_net_cox", "fit_encox", "fit_km", "fit_method", "fit_saw", "fit_usaw",
     "generate_corpus", "generate_dataset", "generate_survival",
-    "generate_topic_model", "greedy_anchors", "ingest_events", "joint_objective",
-    "kaplan_meier", "kl_divergence", "load_corpus", "load_model",
-    "normalize_columns", "predict", "predict_median", "predict_model",
-    "project_rows", "recover_topics_unsupervised", "recover_word_topic_matrix",
-    "rmse_mae", "row_normalize", "save_corpus", "save_model",
-    "split", "stable_anchors", "subset", "update_theta", "vocabulary_hash",
+    "generate_topic_model", "ingest_events", "kaplan_meier", "kl_divergence",
+    "load_corpus", "load_model", "normalize_columns", "predict", "predict_median",
+    "predict_model", "recover_topics_unsupervised", "recover_word_topic_matrix",
+    "rmse_mae", "save_corpus", "save_model", "split", "stable_anchors", "subset",
+    "vocabulary_hash",
 ]

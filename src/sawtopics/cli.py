@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -238,6 +239,9 @@ def _cmd_predict(resolved: dict) -> None:
 def _cmd_evaluate(resolved: dict) -> None:
     _require(resolved, "predictions", "corpus", "out")
     pids, risk, median, saturated = _read_predictions(Path(resolved["predictions"]))
+    repeated = [p for p, c in Counter(pids).items() if c > 1]
+    if repeated:
+        raise ValueError("duplicate patient id in predictions: " + ", ".join(repeated[:10]))
     corpus = load_corpus(resolved["corpus"])
     by_id = {p: i for i, p in enumerate(corpus.patient_ids)}
     missing = [p for p in pids if p not in by_id]

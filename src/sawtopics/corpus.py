@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -27,7 +28,7 @@ from .survival import SurvivalLabels
 log = logging.getLogger(__name__)
 
 CORPUS_FORMAT = "sawtopics-corpus"
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2
 
 
 class EventParseError(ValueError):
@@ -470,9 +471,9 @@ def split(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Cor
 
 @contextmanager
 def _gc_paused():
-    """Pause cyclic garbage collection. A corpus file holds about a million
-    3-int triplet lists; building or reading them with the collector on
-    costs about twice as long, and they hold no reference cycles."""
+    """Pause cyclic garbage collection. A version-1 corpus file holds about a
+    million 3-int triplet lists; parsing them with the collector on costs
+    about twice as long, and they hold no reference cycles."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -489,41 +490,102 @@ def write_json(payload, path) -> None:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    coo = corpus.counts.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    triplets = np.column_stack((coo.row, coo.col, coo.data.astype(np.int64)))[order]
-    with _gc_paused():
-        write_json({
-            "format": CORPUS_FORMAT,
-            "version": CORPUS_VERSION,
-            "words": list(corpus.vocab.words),
-            "bin_edges": {k: list(v) for k, v in corpus.vocab.bin_edges.items()},
-            "patient_ids": list(corpus.patient_ids),
-            "times": corpus.labels.times.tolist(),
-            "observed": corpus.labels.observed.astype(int).tolist(),
-            "triplets": triplets.tolist(),
-        }, path)
+    """Write a version-2 corpus file: the canonical CSC arrays of the counts
+    (``indptr`` over patients, ``indices`` holding word ids, ``data``
+    holding counts) next to the vocabulary and labels."""
+    counts = corpus.counts
+    write_json({
+        "format": CORPUS_FORMAT,
+        "version": CORPUS_VERSION,
+        "words": list(corpus.vocab.words),
+        "bin_edges": {k: list(v) for k, v in corpus.vocab.bin_edges.items()},
+        "patient_ids": list(corpus.patient_ids),
+        "times": corpus.labels.times.tolist(),
+        "observed": corpus.labels.observed.astype(int).tolist(),
+        "indptr": counts.indptr.tolist(),
+        "indices": counts.indices.tolist(),
+        "data": counts.data.astype(np.int64).tolist(),
+    }, path)
 
 
-def read_json(path, format: str, version: int, kind: str) -> dict:
-    """Read a file written by ``write_json``, checking its format tag and version."""
+def read_json(path, format: str, versions: tuple[int, ...], kind: str) -> dict:
+    """Read a file written by ``write_json``, checking its format tag and
+    that its version is one of ``versions``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != format:
         raise ValueError(f"not a {kind} file: {path}")
-    if payload.get("version") != version:
+    if payload.get("version") not in versions:
         raise ValueError(f"unsupported {kind} version {payload.get('version')}")
     return payload
 
 
-def load_corpus(path) -> Corpus:
-    with _gc_paused():
-        payload = read_json(path, CORPUS_FORMAT, CORPUS_VERSION, "corpus")
-        trips = np.array(payload.pop("triplets"), dtype=np.int64).reshape(-1, 3)
-    words = tuple(payload["words"])
+def _triplet_counts(payload: dict, d: int, n: int) -> sparse.csc_matrix:
+    """Version 1: one [word, patient, count] list per nonzero count (freed
+    here, while the collector is paused)."""
+    trips = np.array(payload.pop("triplets"), dtype=np.int64).reshape(-1, 3)
+    return sparse.coo_matrix((trips[:, 2], (trips[:, 0], trips[:, 1])), shape=(d, n)).tocsc()
+
+
+def _int_array(payload: dict, key: str) -> np.ndarray:
+    try:
+        a = np.asarray(payload[key])
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.ndim != 1 or (a.size and a.dtype.kind != "i"):
+        raise ValueError(f"{key} must be a list of integers")
+    return a.astype(np.int64, copy=False)
+
+
+def _csc_counts(payload: dict, d: int, n: int) -> sparse.csc_matrix:
+    """Version 2: the canonical CSC arrays, checked in O(nnz) before scipy
+    sees them."""
+    indptr, indices, data = (_int_array(payload, k) for k in ("indptr", "indices", "data"))
+    if indptr.size != n + 1:
+        raise ValueError(f"indptr has {indptr.size} entries, expected {n + 1}")
+    if indices.size != data.size:
+        raise ValueError(f"indices has {indices.size} entries but data has {data.size}")
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        raise ValueError(f"indptr must rise from 0 to {indices.size}")
+    if indices.size and (indices.min() < 0 or indices.max() >= d):
+        raise ValueError(f"word index outside [0, {d})")
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new column begins
+    if not rising.all():
+        raise ValueError("word indices must increase strictly within each patient")
+    return sparse.csc_matrix((data, indices, indptr), shape=(d, n))
+
+
+# per readable version: the keys holding its counts, and their reader
+_COUNT_LAYOUTS = {1: (("triplets",), _triplet_counts),
+                  2: (("indptr", "indices", "data"), _csc_counts)}
+_CORPUS_KEYS = ("words", "bin_edges", "patient_ids", "times", "observed")
+
+
+def _corpus_from(payload: dict) -> Corpus:
+    count_keys, read_counts = _COUNT_LAYOUTS[payload["version"]]
+    for key in _CORPUS_KEYS + count_keys:
+        kind, name = (dict, "object") if key == "bin_edges" else (list, "array")
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"{key} is missing or not a JSON {name}")
+    words, pids = tuple(payload["words"]), tuple(payload["patient_ids"])
+    repeated = [p for p, c in Counter(pids).items() if c > 1]
+    if repeated:
+        raise ValueError("duplicate patient id(s): " + ", ".join(map(str, repeated[:10])))
+    counts = read_counts(payload, len(words), len(pids))
     edges = {k: tuple(float(x) for x in v) for k, v in payload["bin_edges"].items()}
-    d, n = len(words), len(payload["patient_ids"])
-    counts = sparse.coo_matrix((trips[:, 2], (trips[:, 0], trips[:, 1])), shape=(d, n)).tocsc()
     labels = SurvivalLabels(np.array(payload["times"], dtype=float),
                             np.array(payload["observed"], dtype=bool))
-    return Corpus(counts, Vocabulary(words, edges), labels, tuple(payload["patient_ids"]))
+    return Corpus(counts, Vocabulary(words, edges), labels, pids)
+
+
+def load_corpus(path) -> Corpus:
+    """Read a corpus file of any readable version; a malformed one raises
+    ValueError naming the file."""
+    with _gc_paused():  # for a version-1 file, known as one only once parsed
+        payload = read_json(path, CORPUS_FORMAT, tuple(_COUNT_LAYOUTS), "corpus")
+        try:
+            return _corpus_from(payload)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad corpus file {path}: {exc}") from exc

@@ -229,7 +229,7 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    payload = read_json(path, MODEL_FORMAT, MODEL_VERSION, "model")
+    payload = read_json(path, MODEL_FORMAT, (MODEL_VERSION,), "model")
     if payload["method"] not in METHODS:
         raise ValueError(f"unknown method {payload['method']!r} in model file")
     return METHODS[payload["method"]].read(payload)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(seed: int, tag: str) -> int:
     """Map (seed, tag) to an independent 63-bit seed.
@@ -20,7 +18,3 @@ def derive_seed(seed: int, tag: str) -> int:
     """
     digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-def rng_for(seed: int, tag: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(seed, tag))

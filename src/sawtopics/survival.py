@@ -16,6 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
+# Smallest max-shifted risk-set sum the plain gradient arithmetic accepts:
+# above it, terms lost to underflow (< 1e-308) each weigh below 1e-158.
+_SAFE_RISK_SUM = 1e-150
+
 
 @dataclass(frozen=True, eq=False)
 class SurvivalLabels:
@@ -151,15 +155,27 @@ class RiskSets:
         return float(np.sum(lse[self.events]) - np.sum(es[self.events]))
 
     def eta_gradient(self, eta: np.ndarray) -> np.ndarray:
-        """Gradient of nll with respect to eta, in original patient order."""
+        """Gradient of nll with respect to eta, in original patient order.
+
+        Patient i's term is the sum, over the events whose risk set holds
+        i, of exp(eta_i) over that risk set's total. Max-shifted sums are
+        used while every event's risk-set sum stays far above the underflow
+        range; past that (eta spread by hundreds) the terms are summed in
+        the log domain from ``log_risk_sums``.
+        """
         es = np.asarray(eta, dtype=float)[self.order]
         c = es.max()
         e = np.exp(es - c)
         s0 = np.cumsum(e[::-1])[::-1]
-        s0 = np.maximum(s0, np.finfo(float).tiny)  # guard suffix underflow
-        inc = np.where(self.events, 1.0 / s0[self.first], 0.0)
-        cum = np.cumsum(inc)
-        g_sorted = e * cum[self.last] - self.events.astype(float)
+        if s0[self.risk_start].min() > _SAFE_RISK_SUM:
+            s0 = np.maximum(s0, np.finfo(float).tiny)  # non-event positions may underflow
+            inc = np.where(self.events, 1.0 / s0[self.first], 0.0)
+            cum = np.cumsum(inc)
+            g_sorted = e * cum[self.last] - self.events.astype(float)
+        else:
+            _, lse = self.log_risk_sums(eta)
+            log_cum = np.logaddexp.accumulate(np.where(self.events, -lse, -np.inf))
+            g_sorted = np.exp(es + log_cum[self.last]) - self.events.astype(float)
         g = np.empty_like(g_sorted)
         g[self.order] = g_sorted
         return g

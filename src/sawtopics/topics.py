@@ -195,19 +195,6 @@ def recover_word_topic_matrix(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     return unnorm / mass
 
 
-def bayes_topic_posterior(A: np.ndarray, topic_weights: np.ndarray | None = None) -> np.ndarray:
-    """Invert the Bayes step: posterior theta from a word-topic matrix and
-    topic weights (uniform when omitted)."""
-    A = np.asarray(A, dtype=float)
-    k = A.shape[1]
-    wgt = np.full(k, 1.0 / k) if topic_weights is None else np.asarray(topic_weights, dtype=float)
-    joint = A * wgt[None, :]
-    row = joint.sum(axis=1)
-    if np.any(row <= 0):
-        raise ValueError("word with zero probability under every topic")
-    return joint / row[:, None]
-
-
 def doc_topic_features(theta: np.ndarray, Xbar) -> np.ndarray:
     """Per-document topic proportions: row i is (Xbar column i)^T theta."""
     theta = np.asarray(theta, dtype=float)

@@ -7,8 +7,11 @@ simplex KL subproblem as a reference for the batched library kernel, a
 one-patient-at-a-time median survival time as a reference for the
 vectorised one, and the Cox partial likelihood and its gradient as
 functions of beta (on the library's risk sets; the finite-difference and
-convexity tests check them), and a row-at-a-time event parser and corpus
-builder as a reference for the columnar ones.
+convexity tests check them), a row-at-a-time event parser and corpus
+builder as a reference for the columnar ones, the version-1 corpus writer
+(triplet lists) that wrote the files version 2 replaced, the analytic
+word-topic posterior of a planted topic matrix, and a seeded generator per
+test tag.
 """
 
 import logging
@@ -20,8 +23,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from sawtopics.corpus import (Corpus, EventParseError, IngestConfig, SurvivalLabels, Vocabulary,
-                              _frequency_variance)
+from sawtopics.corpus import (CORPUS_FORMAT, Corpus, EventParseError, IngestConfig, SurvivalLabels,
+                              Vocabulary, _frequency_variance, _gc_paused, write_json)
+from sawtopics.seeding import derive_seed
 from sawtopics.survival import RiskSets
 from sawtopics.topics import LOG_FLOOR
 
@@ -357,3 +361,39 @@ def _counts_matrix(tokens: list[tuple[int, int]], d: int, n: int) -> sparse.csc_
     else:
         rows = cols = data = np.empty(0, dtype=np.int64)
     return sparse.coo_matrix((data, (rows, cols)), shape=(d, n)).tocsc()
+
+
+def save_corpus_v1(corpus: Corpus, path) -> None:
+    """The version-1 corpus writer: one [word, patient, count] list per
+    nonzero count, sorted by word, then patient."""
+    coo = corpus.counts.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    triplets = np.column_stack((coo.row, coo.col, coo.data.astype(np.int64)))[order]
+    with _gc_paused():
+        write_json({
+            "format": CORPUS_FORMAT,
+            "version": 1,
+            "words": list(corpus.vocab.words),
+            "bin_edges": {k: list(v) for k, v in corpus.vocab.bin_edges.items()},
+            "patient_ids": list(corpus.patient_ids),
+            "times": corpus.labels.times.tolist(),
+            "observed": corpus.labels.observed.astype(int).tolist(),
+            "triplets": triplets.tolist(),
+        }, path)
+
+
+def bayes_topic_posterior(A: np.ndarray, topic_weights: np.ndarray | None = None) -> np.ndarray:
+    """Invert the Bayes step: posterior theta from a word-topic matrix and
+    topic weights (uniform when omitted)."""
+    A = np.asarray(A, dtype=float)
+    k = A.shape[1]
+    wgt = np.full(k, 1.0 / k) if topic_weights is None else np.asarray(topic_weights, dtype=float)
+    joint = A * wgt[None, :]
+    row = joint.sum(axis=1)
+    if np.any(row <= 0):
+        raise ValueError("word with zero probability under every topic")
+    return joint / row[:, None]
+
+
+def rng_for(seed: int, tag: str) -> np.random.Generator:
+    return np.random.default_rng(derive_seed(seed, tag))

@@ -13,13 +13,13 @@ from sawtopics.cooccur import build_cooccurrence
 from sawtopics.corpus import SurvivalLabels, split
 from sawtopics.evaluation import c_index
 from sawtopics.saw import (OBJECTIVE_SLACK, SawConfig, fit_saw, fit_usaw, predict)
-from sawtopics.seeding import derive_seed, rng_for
+from sawtopics.seeding import derive_seed
 from sawtopics.survival import breslow_baseline, kaplan_meier
 from sawtopics.synthgen import generate_dataset, generate_survival
-from sawtopics.topics import (bayes_topic_posterior, kl_divergence,
-                              minimize_simplex_kl, recover_topics_unsupervised)
+from sawtopics.topics import kl_divergence, minimize_simplex_kl, recover_topics_unsupervised
 
-from helpers import brute_force_c_index, cox_gradient, cox_nll, fd_gradient, simplex_grid_2
+from helpers import (bayes_topic_posterior, brute_force_c_index, cox_gradient, cox_nll,
+                     fd_gradient, rng_for, simplex_grid_2)
 
 FAMILY = dict(d=60, k=5, n=1000, doc_length=300, dirichlet_concentration=0.1,
               anchor_mass=0.3, beta_true=np.array([3.0, -3.0, 0.0, 3.0, -3.0]),

@@ -12,9 +12,11 @@ import pytest
 import sawtopics
 from sawtopics.cli import (_SCHEMAS, _resolve, build_parser, float_list, int_list, main,
                            optional_float, optional_int, read_config, write_config)
-from sawtopics.corpus import IngestConfig, load_corpus
+from sawtopics.corpus import IngestConfig, load_corpus, save_corpus
 from sawtopics.methods import load_model
 from sawtopics.saw import SawConfig
+
+import helpers
 
 
 def run(*args):
@@ -138,6 +140,35 @@ class TestTrainPredictEvaluate:
                  "--out", str(tmp_path / "m.json"))
         assert rc != 0
         assert "nope.json" in capsys.readouterr().err
+
+    def test_duplicate_prediction_rows_rejected(self, synth_corpus, tmp_path, capsys):
+        model, preds = tmp_path / "m.json", tmp_path / "p.csv"
+        run("train", "--corpus", str(synth_corpus), "--method", "encox", "--out", str(model))
+        run("predict", "--model", str(model), "--corpus", str(synth_corpus), "--out", str(preds))
+        lines = preds.read_text().splitlines(keepends=True)
+        preds.write_text("".join(lines + lines[1:31]))
+        rc = run("evaluate", "--predictions", str(preds), "--corpus", str(synth_corpus),
+                 "--out", str(tmp_path / "metrics.csv"))
+        assert rc == 1
+        assert "duplicate patient id in predictions: s000, s001," in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_v1_corpus_scores_like_its_v2_resave(self, synth_corpus, tmp_path):
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        helpers.save_corpus_v1(load_corpus(synth_corpus), v1)
+        assert run("train", "--corpus", str(v1), "--method", "usaw", "--k", "3",
+                   "--seed", "2", "--out", str(tmp_path / "m.json")) == 0
+        save_corpus(load_corpus(v1), v2)
+        out = {}
+        for name, corpus in (("v1", v1), ("v2", v2)):
+            preds, metrics = tmp_path / f"{name}.csv", tmp_path / f"{name}_metrics.csv"
+            assert run("predict", "--model", str(tmp_path / "m.json"), "--corpus", str(corpus),
+                       "--out", str(preds)) == 0
+            assert run("evaluate", "--predictions", str(preds), "--corpus", str(corpus),
+                       "--out", str(metrics)) == 0
+            out[name] = preds.read_bytes(), metrics.read_bytes()
+        assert out["v1"] == out["v2"]
+        assert v2.read_bytes() == synth_corpus.read_bytes()
 
 
 class TestReport:

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -370,6 +373,124 @@ class TestSerialization:
         path = tmp_path / "x.json"
         path.write_text(text)
         with pytest.raises(ValueError, match="not a corpus"):
+            load_corpus(path)
+
+
+@hst.composite
+def small_corpora(draw):
+    """Corpora of up to 5 words x 6 patients, mostly zero counts (nnz = 0
+    and empty patient columns included), odd ids and optional bin edges."""
+    d, n = draw(hst.integers(0, 5)), draw(hst.integers(0, 6))
+    cells = draw(hst.lists(hst.sampled_from((0, 0, 0, 1, 2, 40)), min_size=d * n, max_size=d * n))
+    counts = np.array(cells, dtype=np.int64).reshape(d, n)
+    suffixes = hst.sampled_from(("", "=a,b", ":bin1", "\u00e9\"q"))
+    words = tuple(f"w{i}" + draw(suffixes) for i in range(d))
+    edges = draw(hst.dictionaries(hst.sampled_from(("hr", "lab", "x y")),
+                                  hst.lists(hst.floats(-1e3, 1e3), max_size=3).map(tuple),
+                                  max_size=2))
+    times = draw(hst.lists(hst.floats(1e-3, 1e4), min_size=n, max_size=n))
+    observed = draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
+    pids = tuple(f"p{i}" + draw(hst.sampled_from(("", ",x", "\t\u00fc"))) for i in range(n))
+    labels = SurvivalLabels(np.array(times, dtype=float), np.array(observed, dtype=bool))
+    return Corpus(sparse.csc_matrix(counts), Vocabulary(words, edges), labels, pids)
+
+
+def stored_fields(c):
+    """Everything a corpus file stores, with the count arrays' dtypes."""
+    m = c.counts
+    return (m.shape, [(a.dtype, a.tolist()) for a in (m.indptr, m.indices, m.data)],
+            c.vocab.words, dict(c.vocab.bin_edges), c.labels.times.tolist(),
+            c.labels.observed.tolist(), c.patient_ids)
+
+
+class TestVersions:
+    """Version 2 (CSC arrays) against the version-1 triplet files it replaced."""
+
+    @given(small_corpora())
+    @settings(max_examples=100, deadline=None)
+    def test_v1_and_v2_files_load_the_same(self, tmp_path_factory, corpus):
+        tmp = tmp_path_factory.mktemp("versions")
+        v1, v2, again = tmp / "v1.json", tmp / "v2.json", tmp / "again.json"
+        helpers.save_corpus_v1(corpus, v1)
+        save_corpus(corpus, v2)
+        from_v1, from_v2 = load_corpus(v1), load_corpus(v2)
+        assert stored_fields(from_v1) == stored_fields(from_v2) == stored_fields(corpus)
+        save_corpus(from_v1, again)  # a v1 file saved again is written as v2
+        assert json.loads(again.read_text())["version"] == 2
+        assert again.read_bytes() == v2.read_bytes()
+        save_corpus(load_corpus(again), v2)
+        assert v2.read_bytes() == again.read_bytes()
+
+    def test_rejects_unknown_version(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"format": "sawtopics-corpus", "version": 3}))
+        with pytest.raises(ValueError, match="unsupported corpus version 3"):
+            load_corpus(path)
+
+
+def corpus_payload(**changes):
+    """A version-2 payload of 3 words x 3 patients (the middle one has no
+    counts) with some fields replaced; a field set to None is dropped."""
+    payload = {"format": "sawtopics-corpus", "version": 2, "words": ["a", "b", "c"],
+               "bin_edges": {}, "patient_ids": ["p1", "p2", "p3"], "times": [1.0, 2.0, 3.0],
+               "observed": [1, 0, 1], "indptr": [0, 2, 2, 4], "indices": [0, 2, 0, 1],
+               "data": [1, 3, 2, 1]}
+    payload.update(changes)
+    return {k: v for k, v in payload.items() if v is not None}
+
+
+MALFORMED = {
+    "missing key": (dict(indices=None), "indices is missing"),
+    "words not a list": (dict(words="abc"), "words is missing or not a JSON array"),
+    "bin_edges not an object": (dict(bin_edges=[]), "bin_edges is missing or not a JSON object"),
+    "indptr too short": (dict(indptr=[0, 2, 4]), "indptr has 3 entries"),
+    "indptr too long": (dict(indptr=[0, 2, 2, 4, 4]), "indptr has 5 entries"),
+    "indptr not from 0": (dict(indptr=[1, 2, 2, 4]), "indptr must rise"),
+    "indptr decreases": (dict(indptr=[0, 3, 2, 4]), "indptr must rise"),
+    "indptr end past nnz": (dict(indptr=[0, 2, 2, 5]), "indptr must rise"),
+    "indptr end before nnz": (dict(indptr=[0, 2, 2, 3]), "indptr must rise"),
+    "data shorter than indices": (dict(data=[1, 3, 2]), "indices has 4 entries but data has 3"),
+    "negative index": (dict(indices=[0, -1, 0, 1]), "outside"),
+    "index past d": (dict(indices=[0, 3, 0, 1]), "outside"),
+    "index repeats in a column": (dict(indices=[0, 0, 0, 1]), "increase strictly"),
+    "indices out of order": (dict(indices=[0, 2, 1, 0]), "increase strictly"),
+    "indices not integers": (dict(indices=[0, 2.0, 0, 1]), "list of integers"),
+    "indices nested": (dict(indices=[0, [2], 0, 1]), "list of integers"),
+    "negative count": (dict(data=[1, -3, 2, 1]), "nonnegative"),
+    "times length": (dict(times=[1.0, 2.0]), "aligned"),
+    "observed length": (dict(observed=[1, 0, 1, 1]), "aligned"),
+    "patient_ids length": (dict(patient_ids=["p1", "p2"]), "indptr has 4 entries"),
+    "labels length": (dict(times=[1.0, 2.0], observed=[1, 0]), "labels length"),
+    "repeated patient id": (dict(patient_ids=["p1", "p2", "p1"]), "duplicate patient id.*p1"),
+}
+
+
+class TestMalformedFiles:
+    """A bad corpus file fails with a ValueError naming the file, never a
+    KeyError, an IndexError or an error inside scipy."""
+
+    def test_the_base_payload_loads(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(corpus_payload()))
+        c = load_corpus(path)
+        assert c.counts.toarray().tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejected_with_file_name(self, tmp_path, case):
+        changes, message = MALFORMED[case]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(corpus_payload(**changes)))
+        with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: ")) as info:
+            load_corpus(path)
+        assert re.search(message, str(info.value))
+
+    def test_repeated_patient_id_in_a_v1_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        helpers.save_corpus_v1(make_corpus(np.ones((2, 3), dtype=int)), path)
+        payload = json.loads(path.read_text())
+        payload["patient_ids"][2] = payload["patient_ids"][0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"bad corpus file .*duplicate patient id.*p000"):
             load_corpus(path)
 
 

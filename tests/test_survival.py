@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,7 +275,34 @@ class TestRiskSetEnumeration:
                                        else (curve.times[-1], True))
 
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("scale", [1.0, 400.0])
+    def test_eta_gradient_matches_risk_set_enumeration(self, seed, scale):
+        # at scale 400 eta spreads by thousands, so plain sums underflow
+        Z, lab = tied_instance(seed)
+        y, r = lab.times, lab.observed
+        eta = scale * Z @ np.random.default_rng(seed + 200).standard_normal(Z.shape[1])
+        want = -r.astype(float)
+        for j in np.flatnonzero(r):
+            at_risk = y >= y[j]
+            top = eta[at_risk].max()
+            want[at_risk] += np.exp(eta[at_risk] - top) / np.exp(eta[at_risk] - top).sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lab.risk_sets.eta_gradient(eta)
+        assert np.abs(got - want).max() <= 1e-10
+
+
 class TestRiskSets:
+    def test_eta_gradient_past_underflow(self):
+        lab = SurvivalLabels(np.arange(1.0, 7.0), np.ones(6, dtype=bool))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = lab.risk_sets.eta_gradient(np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        # patient 0's own risk set is all exp(800); the others share 5, 4, ... equal terms
+        exact = np.concatenate(([0.0], np.cumsum([1 / 5, 1 / 4, 1 / 3, 1 / 2, 1.0]) - 1.0))
+        assert np.abs(g - exact).max() <= 1e-12
+
     def test_fields(self):
         lab = SurvivalLabels(np.array([3.0, 1.0, 2.0, 1.0, 3.0, 4.0]),
                              np.array([True, False, True, True, False, False]))

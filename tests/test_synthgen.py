@@ -155,7 +155,7 @@ class TestGenerateDataset:
 
     def test_theta_star_oracle_shape(self):
         truth = generate_topic_model(12, 3, 0.5, seed=20)
-        from sawtopics.topics import bayes_topic_posterior
+        from helpers import bayes_topic_posterior
         theta_star = bayes_topic_posterior(truth.A_true)
         assert np.abs(theta_star.sum(axis=1) - 1.0).max() <= 1e-10
         for g, a in enumerate(truth.anchor_indices):

@@ -4,11 +4,11 @@ import pytest
 from sawtopics.anchors import AnchorSet, stable_anchors
 from sawtopics.cooccur import CooccurrenceStats, build_cooccurrence
 from sawtopics.synthgen import generate_corpus, generate_topic_model
-from sawtopics.topics import (ConvergenceError, bayes_topic_posterior,
-                              doc_topic_features, kl_divergence, minimize_simplex_kl,
-                              recover_topics_unsupervised, recover_word_topic_matrix)
+from sawtopics.topics import (ConvergenceError, doc_topic_features, kl_divergence,
+                              minimize_simplex_kl, recover_topics_unsupervised,
+                              recover_word_topic_matrix)
 
-from helpers import minimize_row_kl, simplex_grid_2
+from helpers import bayes_topic_posterior, minimize_row_kl, simplex_grid_2
 
 
 def anchors_of(indices, d):
