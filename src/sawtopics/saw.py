@@ -149,12 +149,13 @@ def update_theta(
 
     def cox_term(th):
         eta = np.asarray(XfT @ (th @ beta)).ravel() + eta_const
-        return rs.nll(eta), lambda: np.outer(np.asarray(Xf @ rs.eta_gradient(eta)).ravel(), beta)
+        value, grad = rs.partial_likelihood(eta)
+        return value, lambda: np.outer(np.asarray(Xf @ grad()).ravel(), beta)
 
     theta[free], _, _, steps = minimize_simplex_kl(
-        stats.Qbar[free], stats.Qbar[aidx], theta[free], tol=inner_tol,
-        max_iter=max_iters, step0=step, coupling=cox_term)
-    return theta, bool(steps[0] == 0)
+        stats.Qbar[free], stats.Qbar[aidx], theta[free], cox_term, tol=inner_tol,
+        max_iter=max_iters, step0=step)
+    return theta, steps == 0
 
 
 def _prepare(corpus: Corpus, config: SawConfig):

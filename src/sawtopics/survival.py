@@ -133,6 +133,7 @@ class RiskSets:
         self.risk_start, self.event_counts = np.unique(self.first[self.events],
                                                        return_counts=True)
         self.event_times = self.y[self.risk_start]
+        self.n_events = int(self.event_counts.sum())
 
     def log_risk_sums(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """eta in sorted order and, per sorted position, the log of the
@@ -148,37 +149,47 @@ class RiskSets:
         acc = np.logaddexp.accumulate((es - c)[::-1])[::-1]
         return es, acc[self.first] + c
 
-    def nll(self, eta: np.ndarray) -> float:
+    def partial_likelihood(self, eta: np.ndarray):
         """Negative Cox partial log likelihood at linear predictor eta
-        (original patient order)."""
-        es, lse = self.log_risk_sums(eta)
-        return float(np.sum(lse[self.events]) - np.sum(es[self.events]))
+        (original patient order) and a thunk for its gradient in eta.
 
-    def eta_gradient(self, eta: np.ndarray) -> np.ndarray:
-        """Gradient of nll with respect to eta, in original patient order.
-
-        Patient i's term is the sum, over the events whose risk set holds
-        i, of exp(eta_i) over that risk set's total. Max-shifted sums are
-        used while every event's risk-set sum stays far above the underflow
-        range; past that (eta spread by hundreds) the terms are summed in
-        the log domain from ``log_risk_sums``.
+        Both come from one pass: max-shifted exponentials in time order and
+        their suffix sums. Patient i's gradient term is the sum, over the
+        events whose risk set holds i, of exp(eta_i) over that risk set's
+        total, less 1 for an event. When some event's risk-set sum falls
+        to ``_SAFE_RISK_SUM`` or below (eta spread by hundreds), both are
+        summed in the log domain from ``log_risk_sums`` instead.
         """
         es = np.asarray(eta, dtype=float)[self.order]
         c = es.max()
         e = np.exp(es - c)
         s0 = np.cumsum(e[::-1])[::-1]
+        events = self.events.astype(float)
         if s0[self.risk_start].min() > _SAFE_RISK_SUM:
-            s0 = np.maximum(s0, np.finfo(float).tiny)  # non-event positions may underflow
-            inc = np.where(self.events, 1.0 / s0[self.first], 0.0)
-            cum = np.cumsum(inc)
-            g_sorted = e * cum[self.last] - self.events.astype(float)
+            value = (float(np.log(s0[self.risk_start]) @ self.event_counts)
+                     + c * self.n_events - float(es @ events))
+
+            def gradient():
+                s = np.maximum(s0, np.finfo(float).tiny)  # non-event positions may underflow
+                cum = np.cumsum(np.where(self.events, 1.0 / s[self.first], 0.0))
+                return self._unsort(e * cum[self.last] - events)
         else:
             _, lse = self.log_risk_sums(eta)
-            log_cum = np.logaddexp.accumulate(np.where(self.events, -lse, -np.inf))
-            g_sorted = np.exp(es + log_cum[self.last]) - self.events.astype(float)
-        g = np.empty_like(g_sorted)
-        g[self.order] = g_sorted
-        return g
+            value = float(np.sum(lse[self.events]) - np.sum(es[self.events]))
+
+            def gradient():
+                log_cum = np.logaddexp.accumulate(np.where(self.events, -lse, -np.inf))
+                return self._unsort(np.exp(es + log_cum[self.last]) - events)
+        return value, gradient
+
+    def _unsort(self, sorted_values: np.ndarray) -> np.ndarray:
+        out = np.empty_like(sorted_values)
+        out[self.order] = sorted_values
+        return out
+
+    def nll(self, eta: np.ndarray) -> float:
+        """Negative Cox partial log likelihood at eta (original order)."""
+        return self.partial_likelihood(eta)[0]
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -223,17 +234,15 @@ def fit_elastic_net_cox(
     ridge = lam * (1.0 - alpha)
     l1 = lam * alpha
 
-    def smooth(b):
-        return rs.nll(Z @ b) + 0.5 * ridge * float(b @ b)
+    def smooth(b):  # value and gradient thunk, from one risk-set pass
+        value, grad = rs.partial_likelihood(Z @ b)
+        return value + 0.5 * ridge * float(b @ b), lambda: Z.T @ grad() + ridge * b
 
-    def smooth_grad(b):
-        return Z.T @ rs.eta_gradient(Z @ b) + ridge * b
-
-    f = smooth(beta)
+    f, smooth_grad = smooth(beta)
     F = f + l1 * float(np.abs(beta).sum())
     step = 1.0
     for _ in range(max_iter):
-        g = smooth_grad(beta)
+        g = smooth_grad()
         s = step
         accepted = False
         halved = False
@@ -241,7 +250,7 @@ def fit_elastic_net_cox(
             cand = _soft_threshold(beta - s * g, s * l1)
             diff = cand - beta
             with np.errstate(over="ignore"):
-                f_c = smooth(cand)
+                f_c, grad_c = smooth(cand)
             bound = f + float(g @ diff) + float(diff @ diff) / (2.0 * s)
             if np.isfinite(f_c) and f_c <= bound + 1e-12 * max(1.0, abs(bound)):
                 F_c = f_c + l1 * float(np.abs(cand).sum())
@@ -256,7 +265,7 @@ def fit_elastic_net_cox(
             raise RuntimeError("line search diverged in elastic-net Cox fit")
         drop = F - F_c
         opt_norm = float(np.abs(diff).max()) / s if diff.size else 0.0
-        beta, f, F = cand, f_c, F_c
+        beta, f, F, smooth_grad = cand, f_c, F_c, grad_c
         step = s if halved else min(s * 1.5, 1e8)
         if gtol is not None:
             # prox-gradient norm is the sole stopping rule when requested;

@@ -1,7 +1,9 @@
 """Topic recovery: represent each word's co-occurrence profile as a convex
 combination of the anchor rows by KL minimization on the simplex, solved
-for all rows at once, then convert the word-to-topic posteriors into the word-topic matrix by a
-Bayes step.
+for all rows at once by an active-set Newton method that certifies each row
+by its Frank-Wolfe gap, then convert the word-to-topic posteriors into the
+word-topic matrix by a Bayes step. Exponentiated gradient serves the theta
+half-step of the joint fit, whose Cox term couples the rows.
 """
 
 from __future__ import annotations
@@ -17,12 +19,17 @@ from .cooccur import CooccurrenceStats
 log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-12  # floor inside logs so disjoint supports stay finite
+GAP_TOL = 1e-10  # Frank-Wolfe gap that certifies a recovered row
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, worst_row: int):
+    """Recovery left rows uncertified: ``worst_row`` has the largest
+    Frank-Wolfe gap, ``gap``."""
+
+    def __init__(self, message: str, worst_row: int, gap: float):
         super().__init__(message)
         self.worst_row = worst_row
+        self.gap = gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,103 +62,209 @@ def kl_divergence(P, Q, plogp=None):
     return plogp - np.sum(P * np.log(np.maximum(Q, LOG_FLOOR)), axis=-1)
 
 
-def minimize_simplex_kl(
-    P: np.ndarray,
-    B: np.ndarray,
-    theta0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-    step0: float = 1.0,
-    coupling=None,
-):
-    """Minimize sum_i KL(P_i || theta_i @ B) over row-stochastic theta by
-    exponentiated gradient with a halving line search, so the objective
-    never increases. theta starts uniform unless ``theta0`` is given.
+def newton_budget(k: int) -> int:
+    """Newton iterations a row may take. From the uniform start a step
+    drops at most one coordinate, so the budget grows with k."""
+    return 100 + 10 * k
 
-    Without ``coupling`` the rows separate: each row keeps its own step
-    size and line search, and stops on its own when its relative objective
-    drop falls below ``tol``, when its objective reaches zero, or when no
-    step length yields a decrease (numerical optimum). ``coupling`` maps
-    theta to a (value, gradient thunk) pair added to the objective; the rows
-    then share one step size, one line search on the total and one stop.
 
-    Returns theta, the objective, the converged flags and the accepted step
-    counts, per row when separable and as one-element arrays when coupled.
-    Rows that exhaust ``max_iter`` are left unconverged for the caller.
+def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve of M x = rhs; a singular system leaves its row NaN."""
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(M)):
+            try:
+                out[i] = np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def newton_simplex_kl(P: np.ndarray, B: np.ndarray):
+    """Minimize KL(P_i || theta_i @ B) over the simplex for every row i by
+    an active-set Newton method, batched over the rows; theta starts uniform.
+
+    Each iteration takes, per row, a Newton step on the support under the
+    sum-to-one constraint (all face Hessians B diag(P/q^2) B^T, with a
+    ridge of the row's gap for singular faces, solved at once), cut by a
+    ratio test at the simplex boundary, where the blocking coordinate
+    leaves the support, and by a halving line search on the exact
+    objective change, so the objective never rises. When the Frank-Wolfe
+    vertex (the coordinate of most negative gradient) lies off the support,
+    the row counts as face-optimal and that vertex joins the support. A row
+    whose Newton step is singular, not a descent direction or without
+    decrease takes a pairwise Frank-Wolfe step instead, which also breaks
+    add/drop cycles. A row stops once its Frank-Wolfe gap theta.g - min g
+    is at most GAP_TOL, or when not even that step lowers its objective.
+
+    The steps minimize the KL itself, without kl_divergence's LOG_FLOOR: a
+    step that would leave q = 0 where P > 0 is rejected, and columns that
+    no anchor row covers are constant.
+
+    Returns theta, the per-row objective, Frank-Wolfe gap and accepted step
+    count. Rows still above GAP_TOL when ``newton_budget(k)`` iterations
+    run out are left to the caller.
     """
     P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
     m, k = P.shape[0], B.shape[0]
-    theta = np.full((m, k), 1.0 / k) if theta0 is None else np.array(theta0, dtype=float)
-    plogp = _plogp(P)
-    coupled = coupling is not None
-    # step sizes, line searches and stops act per unit: each row is its own
-    # unit when separable, and all rows form one unit when coupled
-
-    def rows(units):  # the theta rows that a selection of units covers
-        return slice(None) if coupled else units
-
-    def objective(th, units):
-        r = rows(units)
-        kl = kl_divergence(P[r], th @ B, plogp[r])
-        if not coupled:
-            return kl, None
-        value, grad = coupling(th)
-        return np.array([kl.sum() + value]), grad
-
-    f, grad_c = objective(theta, np.arange(m))
-    step = np.full(f.size, float(step0))
-    steps = np.zeros(f.size, dtype=int)
-    converged = np.zeros(f.size, dtype=bool)
-    act = np.arange(f.size)
-    for _ in range(max_iter):
-        if not act.size:
+    budget = newton_budget(k)
+    theta = np.full((m, k), 1.0 / k)
+    gap = np.zeros(m)
+    steps = np.zeros(m, dtype=int)
+    fw = np.zeros(m, dtype=bool)  # the row's last Newton step failed
+    upper = np.triu_indices(k)
+    pairs = B[upper[0]] * B[upper[1]]  # Hessian entries = (P/q^2) @ pairs.T
+    diag = np.arange(k)
+    act = np.arange(m)
+    for it in range(budget + 1):
+        th, p = theta[act], P[act]
+        q = th @ B
+        pos = q > 0  # where q = 0, P = 0 too or no anchor row has mass
+        qs = np.where(pos, q, 1.0)
+        # the gradient plus one (B's rows sum to one), formed from (q - P) / q
+        # so that it stays exact where it vanishes
+        g = np.where(pos, (q - p) / qs, 1.0) @ B.T
+        fv = g.argmin(axis=1)  # the Frank-Wolfe vertex
+        gap[act] = np.sum(th * g, axis=1) - g[np.arange(act.size), fv]
+        run = gap[act] > GAP_TOL
+        act = act[run]
+        if it == budget or not act.size:
             break
-        th = theta[rows(act)]
-        G = -((P[rows(act)] / np.maximum(th @ B, LOG_FLOOR)) @ B.T)
-        if coupled:
-            G = G + grad_c()
-        shifted = G - G.min(axis=1, keepdims=True)
-        s = step[act]
-        halved = np.zeros(act.size, dtype=bool)
-        todo = np.arange(act.size)  # positions in act still searching for a step
+        th, p, pos, qs, g, fv = (v[run] for v in (th, p, pos, qs, g, fv))
+        a = act.size
+        rows = np.arange(a)
+        supp = th > 0
+        # a row whose Frank-Wolfe vertex lies off the support is face-optimal
+        # enough: that vertex joins the support
+        add = ~supp[rows, fv]
+        work = supp.copy()
+        work[rows, fv] = True
+
+        H = np.empty((a, k, k))
+        H[:, upper[0], upper[1]] = H[:, upper[1], upper[0]] = (
+            np.where(pos, p / qs ** 2, 0.0) @ pairs.T)
+        M = np.zeros((a, k + 1, k + 1))
+        M[:, :k, :k] = np.where(work[:, :, None] & work[:, None, :], H, 0.0)
+        M[:, diag, diag] += np.where(work, gap[act, None], 1.0)  # ridge on singular faces
+        M[:, :k, k] = work
+        M[:, k, :k] = work
+        rhs = np.concatenate([np.where(work, -g, 0.0), np.zeros((a, 1))], axis=1)
+        d = np.where(work, _solve_rows(M, rhs)[:, :k], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(d < 0, th / -d, np.inf)
+        block = ratio.argmin(axis=1)
+        t_max = ratio[rows, block]
+        slope = np.sum(g * d, axis=1)
+        newton = (~fw[act] & np.isfinite(slope) & (slope < 0) & (t_max > 0)
+                  & (~add | (d[rows, fv] > 0)))
+        t = np.minimum(1.0, t_max)
+        pw = rows[~newton]  # pairwise Frank-Wolfe: mass moves from the worst
+        if pw.size:         # support coordinate to the best coordinate
+            s = fv[pw]
+            w = np.where(supp[pw], g[pw], -np.inf).argmax(axis=1)
+            d[pw] = 0.0
+            d[pw, s] = 1.0
+            d[pw, w] = -1.0
+            block[pw] = w
+            t_max[pw] = th[pw, w]
+            curv = H[pw, s, s] - 2.0 * H[pw, s, w] + H[pw, w, w]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_line = (g[pw, w] - g[pw, s]) / curv  # the minimum along the line
+            t[pw] = np.where(curv > 0, np.minimum(t_line, t_max[pw]), t_max[pw])
+        dq = d @ B
+        moved = np.zeros(a, dtype=bool)
+        todo = rows
         for _ in range(60):
-            W = th[rows(todo)] * np.exp(-s[todo, None] * shifted[rows(todo)])
-            tot = W.sum(axis=1, keepdims=True)
-            ok = np.isfinite(tot) & (tot > 0)
-            cand = W / np.where(ok, tot, 1.0)
-            fc, grad_cand = objective(cand, act[todo])
-            good = (ok.all() if coupled else ok[:, 0]) & np.isfinite(fc) & (fc <= f[act[todo]])
-            if good.any():
-                win = todo[good]
-                u = act[win]
-                drop = f[u] - fc[good]
-                theta[rows(u)] = cand[rows(good)]
-                f[u] = fc[good]
-                converged[u] = (drop <= tol * np.maximum(np.abs(f[u]), 1e-10)) | (f[u] <= 1e-15)
-                step[u] = np.where(halved[win], s[win], np.minimum(s[win] * 1.5, 1e12))
-                steps[u] += 1
-                grad_c = grad_cand
-            todo = todo[~good]
+            # the exact objective change, which stays resolvable where a
+            # difference of two objective values would round to zero; it is
+            # +inf (or NaN) where q would leave a column of P at 0 or below
+            x = np.where(pos[todo], t[todo, None] * dq[todo] / qs[todo], 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                change = -np.sum(np.where(p[todo] > 0, p[todo] * np.log1p(x), 0.0), axis=1)
+            ok = (change < 0) | ((change <= 0) & (t[todo] == t_max[todo]))
+            moved[todo[ok]] = True
+            todo = todo[~ok]
             if not todo.size:
                 break
-            s[todo] *= 0.5
-            halved[todo] = True
-        converged[act[todo]] = True  # no step length decreases: numerical optimum
-        act = act[~converged[act]]
+            t[todo] *= 0.5
+        new = th + t[:, None] * d
+        hit = moved & (t == t_max)
+        new[rows[hit], block[hit]] = 0.0
+        theta[act[moved]] = np.maximum(new[moved], 0.0)
+        steps[act[moved]] += 1
+        fw[act] = ~moved
+        act = act[moved | newton]  # drop rows where not even a Frank-Wolfe step helps
+    return theta, kl_divergence(P, theta @ B), gap, steps
+
+
+def minimize_simplex_kl(
+    P: np.ndarray,
+    B: np.ndarray,
+    theta0: np.ndarray,
+    coupling,
+    tol: float = 1e-10,
+    max_iter: int = 1000,
+    step0: float = 1.0,
+):
+    """Minimize sum_i KL(P_i || theta_i @ B) + coupling(theta) over
+    row-stochastic theta, starting at ``theta0``, by exponentiated gradient
+    with one step size and a halving line search on the total, so the
+    objective never increases. ``coupling`` maps theta to a (value,
+    gradient thunk) pair.
+
+    Stops when the relative objective drop falls below ``tol``, when the
+    objective reaches zero, or when no step length yields a decrease
+    (numerical optimum). Returns theta, the objective, the converged flag
+    and the number of accepted steps; ``max_iter`` steps without a stop
+    leave the flag False.
+    """
+    P = np.asarray(P, dtype=float)
+    B = np.asarray(B, dtype=float)
+    theta = np.array(theta0, dtype=float)
+    plogp = _plogp(P)
+
+    def objective(th):
+        value, grad = coupling(th)
+        return kl_divergence(P, th @ B, plogp).sum() + value, grad
+
+    f, grad_c = objective(theta)
+    step = float(step0)
+    steps = 0
+    converged = False
+    for _ in range(max_iter):
+        G = -((P / np.maximum(theta @ B, LOG_FLOOR)) @ B.T) + grad_c()
+        shifted = G - G.min(axis=1, keepdims=True)
+        s = step
+        for halving in range(60):
+            W = theta * np.exp(-s * shifted)
+            tot = W.sum(axis=1, keepdims=True)
+            if np.all(np.isfinite(tot) & (tot > 0)):
+                cand = W / tot
+                fc, grad_cand = objective(cand)
+                if np.isfinite(fc) and fc <= f:
+                    break
+            s *= 0.5
+        else:
+            converged = True  # no step length decreases: numerical optimum
+            break
+        drop = f - fc
+        theta, f, grad_c = cand, fc, grad_cand
+        step = s if halving else min(s * 1.5, 1e12)
+        steps += 1
+        if drop <= tol * max(abs(f), 1e-10) or f <= 1e-15:
+            converged = True
+            break
     return theta, f, converged, steps
 
 
-def recover_topics_unsupervised(
-    stats: CooccurrenceStats,
-    anchors: AnchorSet,
-    tol: float = 1e-10,
-    max_iter: int = 4000,  # multiplicative updates crawl near simplex faces
-    step0: float = 1.0,
-) -> TopicModel:
-    """Solve all non-anchor rows in one separable batch; anchor rows are
-    pinned to indicator vectors. Raises ConvergenceError (with the worst
-    offending row) if any row exhausts its iteration budget."""
+def recover_topics_unsupervised(stats: CooccurrenceStats, anchors: AnchorSet) -> TopicModel:
+    """Solve all non-anchor rows in one batch, each certified by its
+    Frank-Wolfe gap; anchor rows are pinned to indicator vectors. Raises
+    ConvergenceError (with the row of largest gap) if any row ends above
+    GAP_TOL."""
     d = stats.Qbar.shape[0]
     aidx = np.asarray(anchors.indices, dtype=int)
     if aidx.size and (aidx.min() < 0 or aidx.max() >= d):
@@ -161,15 +274,15 @@ def recover_topics_unsupervised(
     theta[aidx, np.arange(k)] = 1.0
     residuals = np.zeros(d)
     free = np.setdiff1d(np.arange(d), aidx)
-    theta[free], residuals[free], converged, _ = minimize_simplex_kl(
-        stats.Qbar[free], stats.Qbar[aidx], tol=tol, max_iter=max_iter, step0=step0)
-    failed = free[~converged]
-    if failed.size:
-        worst = int(failed[np.argmax(residuals[failed])])
+    theta[free], residuals[free], gap, _ = newton_simplex_kl(stats.Qbar[free], stats.Qbar[aidx])
+    failed = gap > GAP_TOL
+    if failed.any():
+        worst = int(np.argmax(gap))
         raise ConvergenceError(
-            f"{failed.size} row(s) failed to converge within {max_iter} iterations; "
-            f"worst row {worst}",
-            worst_row=worst,
+            f"{int(failed.sum())} row(s) failed to reach Frank-Wolfe gap {GAP_TOL:g} "
+            f"within {newton_budget(k)} Newton iterations; worst row {free[worst]} "
+            f"has gap {gap[worst]:.3g}",
+            worst_row=int(free[worst]), gap=float(gap[worst]),
         )
     return TopicModel(theta, None, anchors, residuals)
 

@@ -3,11 +3,14 @@
 These stay deliberately independent of the library's own code paths: pair
 enumeration for concordance, LP-based convex hull membership, central finite
 differences, exhaustive simplex grids, a one-row-at-a-time solver of the
-simplex KL subproblem as a reference for the batched library kernel, a
-one-patient-at-a-time median survival time as a reference for the
-vectorised one, and the Cox partial likelihood and its gradient as
-functions of beta (on the library's risk sets; the finite-difference and
-convexity tests check them), a row-at-a-time event parser and corpus
+simplex KL subproblem and the batched exponentiated-gradient kernel that
+solved it before the Newton kernel (references for the Newton kernel and
+for the coupled theta half-step), a one-patient-at-a-time median survival
+time as a reference for the vectorised one, the Cox partial likelihood and
+its gradient as functions of beta (on the library's risk sets; the
+finite-difference and convexity tests check them) and in eta, summed in
+the log domain, as a reference for the one-pass risk-set term, a row-at-a-time
+event parser and corpus
 builder as a reference for the columnar ones, the version-1 corpus writer
 (triplet lists) that wrote the files version 2 replaced, the analytic
 word-topic posterior of a planted topic matrix, and a seeded generator per
@@ -27,7 +30,7 @@ from sawtopics.corpus import (CORPUS_FORMAT, Corpus, EventParseError, IngestConf
                               Vocabulary, _frequency_variance, _gc_paused, write_json)
 from sawtopics.seeding import derive_seed
 from sawtopics.survival import RiskSets
-from sawtopics.topics import LOG_FLOOR
+from sawtopics.topics import LOG_FLOOR, _plogp, kl_divergence
 
 
 def make_corpus(counts, times=None, observed=None, words=None):
@@ -164,6 +167,93 @@ def minimize_row_kl(
     return RowFit(theta, f, it, converged, np.array(trace))
 
 
+def eg_simplex_kl(
+    P: np.ndarray,
+    B: np.ndarray,
+    theta0: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 1000,
+    step0: float = 1.0,
+    coupling=None,
+):
+    """Minimize sum_i KL(P_i || theta_i @ B) over row-stochastic theta by
+    exponentiated gradient with a halving line search, so the objective
+    never increases. theta starts uniform unless ``theta0`` is given.
+
+    Without ``coupling`` the rows separate: each row keeps its own step
+    size and line search, and stops on its own when its relative objective
+    drop falls below ``tol``, when its objective reaches zero, or when no
+    step length yields a decrease (numerical optimum). ``coupling`` maps
+    theta to a (value, gradient thunk) pair added to the objective; the rows
+    then share one step size, one line search on the total and one stop.
+
+    Returns theta, the objective, the converged flags and the accepted step
+    counts, per row when separable and as one-element arrays when coupled.
+    Rows that exhaust ``max_iter`` are left unconverged for the caller.
+    """
+    P = np.asarray(P, dtype=float)
+    B = np.asarray(B, dtype=float)
+    m, k = P.shape[0], B.shape[0]
+    theta = np.full((m, k), 1.0 / k) if theta0 is None else np.array(theta0, dtype=float)
+    plogp = _plogp(P)
+    coupled = coupling is not None
+    # step sizes, line searches and stops act per unit: each row is its own
+    # unit when separable, and all rows form one unit when coupled
+
+    def rows(units):  # the theta rows that a selection of units covers
+        return slice(None) if coupled else units
+
+    def objective(th, units):
+        r = rows(units)
+        kl = kl_divergence(P[r], th @ B, plogp[r])
+        if not coupled:
+            return kl, None
+        value, grad = coupling(th)
+        return np.array([kl.sum() + value]), grad
+
+    f, grad_c = objective(theta, np.arange(m))
+    step = np.full(f.size, float(step0))
+    steps = np.zeros(f.size, dtype=int)
+    converged = np.zeros(f.size, dtype=bool)
+    act = np.arange(f.size)
+    for _ in range(max_iter):
+        if not act.size:
+            break
+        th = theta[rows(act)]
+        G = -((P[rows(act)] / np.maximum(th @ B, LOG_FLOOR)) @ B.T)
+        if coupled:
+            G = G + grad_c()
+        shifted = G - G.min(axis=1, keepdims=True)
+        s = step[act]
+        halved = np.zeros(act.size, dtype=bool)
+        todo = np.arange(act.size)  # positions in act still searching for a step
+        for _ in range(60):
+            W = th[rows(todo)] * np.exp(-s[todo, None] * shifted[rows(todo)])
+            tot = W.sum(axis=1, keepdims=True)
+            ok = np.isfinite(tot) & (tot > 0)
+            cand = W / np.where(ok, tot, 1.0)
+            fc, grad_cand = objective(cand, act[todo])
+            good = (ok.all() if coupled else ok[:, 0]) & np.isfinite(fc) & (fc <= f[act[todo]])
+            if good.any():
+                win = todo[good]
+                u = act[win]
+                drop = f[u] - fc[good]
+                theta[rows(u)] = cand[rows(good)]
+                f[u] = fc[good]
+                converged[u] = (drop <= tol * np.maximum(np.abs(f[u]), 1e-10)) | (f[u] <= 1e-15)
+                step[u] = np.where(halved[win], s[win], np.minimum(s[win] * 1.5, 1e12))
+                steps[u] += 1
+                grad_c = grad_cand
+            todo = todo[~good]
+            if not todo.size:
+                break
+            s[todo] *= 0.5
+            halved[todo] = True
+        converged[act[todo]] = True  # no step length decreases: numerical optimum
+        act = act[~converged[act]]
+    return theta, f, converged, steps
+
+
 def predict_median(model, z):
     """Smallest baseline time where predicted survival drops to <= 0.5.
 
@@ -191,7 +281,24 @@ def cox_nll(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> float:
 def cox_gradient(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     rs = RiskSets(labels)
-    return Z.T @ rs.eta_gradient(Z @ np.asarray(beta, dtype=float))
+    return Z.T @ rs.partial_likelihood(Z @ np.asarray(beta, dtype=float))[1]()
+
+
+def log_domain_nll(rs: RiskSets, eta: np.ndarray) -> float:
+    """Negative Cox partial log likelihood at eta from the risk sets'
+    log-domain suffix sums."""
+    es, lse = rs.log_risk_sums(eta)
+    return float(np.sum(lse[rs.events]) - np.sum(es[rs.events]))
+
+
+def log_domain_eta_gradient(rs: RiskSets, eta: np.ndarray) -> np.ndarray:
+    """Gradient of the partial likelihood in eta, summed in the log domain
+    from the risk sets' log-domain suffix sums."""
+    es, lse = rs.log_risk_sums(eta)
+    log_cum = np.logaddexp.accumulate(np.where(rs.events, -lse, -np.inf))
+    g = np.empty(es.size)
+    g[rs.order] = np.exp(es + log_cum[rs.last]) - rs.events.astype(float)
+    return g
 
 
 # Row-at-a-time ingest: the reference for corpus.ingest_events/build_corpus.

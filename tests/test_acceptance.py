@@ -16,7 +16,7 @@ from sawtopics.saw import (OBJECTIVE_SLACK, SawConfig, fit_saw, fit_usaw, predic
 from sawtopics.seeding import derive_seed
 from sawtopics.survival import breslow_baseline, kaplan_meier
 from sawtopics.synthgen import generate_dataset, generate_survival
-from sawtopics.topics import kl_divergence, minimize_simplex_kl, recover_topics_unsupervised
+from sawtopics.topics import kl_divergence, newton_simplex_kl, recover_topics_unsupervised
 
 from helpers import (bayes_topic_posterior, brute_force_c_index, cox_gradient, cox_nll,
                      fd_gradient, rng_for, simplex_grid_2)
@@ -74,7 +74,7 @@ def test_criterion_3_kl_subproblem_oracle():
             d = int(rng.integers(2, 7))
             B = rng.dirichlet(np.ones(d), size=2)
             p = rng.dirichlet(np.ones(d))
-            theta = minimize_simplex_kl(p[None], B, tol=1e-12)[0][0]
+            theta = newton_simplex_kl(p[None], B)[0][0]
             vals = np.array([kl_divergence(p, th @ B) for th in grid])
             best = grid[int(np.argmin(vals))]
             assert np.abs(theta - best).sum() <= 0.02

@@ -69,6 +69,24 @@ class TestTrainPredictEvaluate:
         else:
             assert 0.0 <= float(fields[3]) <= 1.0
 
+    @pytest.mark.parametrize("method", ["saw", "usaw"])
+    def test_over_specified_k_trains(self, tmp_path, method):
+        # 3 planted topics, k = 4: recovery certifies every row
+        corpus = tmp_path / "c.json"
+        assert run("synth", "--d", "24", "--k", "3", "--n", "300", "--doc-length", "80",
+                   "--beta", "3,-3,0", "--seed", "3", "--out", str(corpus)) == 0
+        model = tmp_path / "m.json"
+        assert run("train", "--corpus", str(corpus), "--method", method, "--k", "4",
+                   "--seed", "3", "--out", str(model)) == 0
+        assert load_model(model).topic_model.theta.shape == (24, 4)
+
+    def test_k_one_below_vocabulary_size_trains(self, tmp_path):
+        corpus = tmp_path / "c.json"
+        assert run("synth", "--d", "60", "--k", "5", "--n", "1000", "--doc-length", "300",
+                   "--beta", "3,-3,0,3,-3", "--seed", "7", "--out", str(corpus)) == 0
+        assert run("train", "--corpus", str(corpus), "--method", "saw", "--k", "59",
+                   "--seed", "7", "--out", str(tmp_path / "m.json")) == 0
+
     def test_km_risk_is_nan_in_predictions(self, synth_corpus, tmp_path):
         model = tmp_path / "km.json"
         preds = tmp_path / "p.csv"

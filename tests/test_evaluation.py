@@ -177,6 +177,23 @@ class TestCrossValidate:
         assert np.isnan(result.fold_scores[0]).all()
         assert result.best == (3, 0.1, 0.5)
 
+    def test_over_specified_k_scores_every_cell(self):
+        # 3 planted topics: k = 4 and 5 recover certified topics on every fold
+        corpus = self._corpus()
+        grid = [(3, 0.1, 0.5), (4, 0.1, 0.5), (5, 0.1, 0.5)]
+        result, _ = cross_validate(corpus, grid, folds=3, seed=6, base_config=self._config())
+        assert np.isfinite(result.fold_scores).all()
+
+    def test_failure_warning_names_the_gap(self, monkeypatch, caplog):
+        from sawtopics import topics
+        monkeypatch.setattr(topics, "newton_budget", lambda k: 1)
+        with pytest.raises(RuntimeError, match="every grid cell"):
+            cross_validate(self._corpus(), [(3, 0.1, 0.5)], folds=3, seed=6,
+                           base_config=self._config())
+        [record] = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert "failed on fold 0" in record.getMessage()
+        assert "worst row" in record.getMessage() and "has gap" in record.getMessage()
+
     def test_all_cells_failing(self):
         corpus = self._corpus()
         with pytest.raises(RuntimeError, match="every grid cell"):

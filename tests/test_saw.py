@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from sawtopics import saw
 from sawtopics.cooccur import build_cooccurrence
-from sawtopics.corpus import SurvivalLabels, normalize_columns
+from sawtopics.corpus import SurvivalLabels, normalize_columns, split
+from sawtopics.seeding import derive_seed
 from sawtopics.evaluation import c_index
 from sawtopics.saw import (OBJECTIVE_SLACK, SawConfig, fit_saw, fit_usaw,
                            joint_objective, predict, update_theta)
@@ -11,7 +13,7 @@ from sawtopics.synthgen import generate_dataset
 from sawtopics.topics import (doc_topic_features, kl_divergence,
                               recover_topics_unsupervised)
 
-from helpers import make_corpus
+from helpers import eg_simplex_kl, make_corpus
 
 
 def small_dataset(seed=0, n=120, d=20, k=3, m=60, censor=0.2):
@@ -89,7 +91,7 @@ class TestJointObjective:
         p = np.full(4, 0.25)
         stats = CooccurrenceStats(Qbar * p[:, None], p, Qbar, np.empty(0, dtype=int))
         aset = AnchorSet((0, 1), {0: 1, 1: 1}, 1, 4)
-        tm = recover_topics_unsupervised(stats, aset, tol=1e-14)
+        tm = recover_topics_unsupervised(stats, aset)
         labels = SurvivalLabels(np.array([1.0, 2.0, 3.0]), np.array([True] * 3))
         Xbar = normalize_columns(make_corpus(np.array([[1, 2, 1], [1, 1, 2],
                                                        [2, 1, 1], [1, 1, 1]])))
@@ -103,7 +105,7 @@ class TestUpdateTheta:
         stats = build_cooccurrence(corpus)
         from sawtopics.anchors import stable_anchors
         aset = stable_anchors(stats, 3, T=3, seed=4)
-        tm = recover_topics_unsupervised(stats, aset, tol=1e-12)
+        tm = recover_topics_unsupervised(stats, aset)
         Xbar = normalize_columns(corpus)
         out, stalled = update_theta(tm.theta, np.zeros(3), stats, Xbar,
                                     corpus.labels, aset, max_iters=50)
@@ -190,6 +192,39 @@ class TestUpdateTheta:
             tot = nll + kl_tab[0, ai[lo:hi]] + kl_tab[1, bi[lo:hi]] + kl_tab[2, ci[lo:hi]]
             best = min(best, float(tot.min()))
         assert after <= best + 0.02
+
+
+    @pytest.mark.parametrize("shape", ["walkthrough", "fit_large"])
+    def test_coupled_kernel_matches_eg_reference(self, shape, monkeypatch):
+        # the coupled-only kernel returns theta bit-identical to the batched
+        # EG kernel it came from, over 4 outer iterations of the README
+        # corpus (k = 5) and of a fit_large-sized corpus (d = 400, k = 10)
+        if shape == "walkthrough":
+            params = dict(d=60, k=5, n=1000, beta_true=np.array([3.0, -3.0, 0.0, 3.0, -3.0]))
+        else:
+            params = dict(d=400, k=10, n=4000, beta_true=np.array([3.0, -3.0, 0.0] * 3 + [0.0]))
+        corpus, _ = generate_dataset(doc_length=300, dirichlet_concentration=0.1,
+                                     anchor_mass=0.3, base_rate=0.1, censor_fraction=0.2,
+                                     seed=derive_seed(7, "synth"), **params)
+        if shape == "fit_large":
+            corpus, _ = split(corpus, 0.75, seed=8)
+        kernel = saw.minimize_simplex_kl
+        calls = []
+
+        def checked(P, B, theta0, coupling, tol, max_iter, step0):
+            theta, f, converged, steps = kernel(P, B, theta0, coupling, tol=tol,
+                                                max_iter=max_iter, step0=step0)
+            ref = eg_simplex_kl(P, B, theta0, tol=tol, max_iter=max_iter, step0=step0,
+                                coupling=coupling)
+            assert np.array_equal(theta, ref[0])
+            assert (f, converged, steps) == (ref[1][0], ref[2][0], ref[3][0])
+            calls.append(steps)
+            return theta, f, converged, steps
+
+        monkeypatch.setattr(saw, "minimize_simplex_kl", checked)
+        fit_saw(corpus, SawConfig(k=params["k"], lam=0.1, alpha=0.5, seed=7, max_outer_iters=4,
+                                  anchor_runs=2))
+        assert len(calls) == 4 and min(calls) > 0
 
 
 class TestFitSaw:

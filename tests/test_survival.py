@@ -10,7 +10,7 @@ from sawtopics.survival import (BaselineHazard, CoxModel, RiskSets, SurvivalCurv
                                 breslow_baseline, elastic_net_penalty,
                                 fit_elastic_net_cox, kaplan_meier, predict_median)
 
-from helpers import cox_gradient, cox_nll, fd_gradient
+from helpers import cox_gradient, cox_nll, fd_gradient, log_domain_eta_gradient, log_domain_nll
 from helpers import predict_median as reference_median
 
 
@@ -90,7 +90,7 @@ class TestCoxNll:
         for b in (1e3, 1e4, -1e4):
             v = cox_nll(np.array([b]), Z, lab)
             assert np.isfinite(v) and v >= -1e-9
-        g = RiskSets(lab).eta_gradient(Z @ np.array([1e4]))
+        g = RiskSets(lab).partial_likelihood(Z @ np.array([1e4]))[1]()
         assert np.all(np.isfinite(g))
 
 
@@ -289,7 +289,7 @@ class TestRiskSetEnumeration:
             want[at_risk] += np.exp(eta[at_risk] - top) / np.exp(eta[at_risk] - top).sum()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = lab.risk_sets.eta_gradient(eta)
+            got = lab.risk_sets.partial_likelihood(eta)[1]()
         assert np.abs(got - want).max() <= 1e-10
 
 
@@ -298,10 +298,44 @@ class TestRiskSets:
         lab = SurvivalLabels(np.arange(1.0, 7.0), np.ones(6, dtype=bool))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = lab.risk_sets.eta_gradient(np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+            g = lab.risk_sets.partial_likelihood(np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0]))[1]()
         # patient 0's own risk set is all exp(800); the others share 5, 4, ... equal terms
         exact = np.concatenate(([0.0], np.cumsum([1 / 5, 1 / 4, 1 / 3, 1 / 2, 1.0]) - 1.0))
         assert np.abs(g - exact).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 20.0])
+    def test_one_pass_matches_log_domain_reference(self, seed, scale):
+        Z, lab = tied_instance(seed, n=200)
+        rs = lab.risk_sets
+        rng = np.random.default_rng(seed + 300)
+        for _ in range(5):
+            eta = scale * Z @ rng.standard_normal(Z.shape[1])
+            value, gradient = rs.partial_likelihood(eta)
+            want = log_domain_nll(rs, eta)
+            assert abs(value - want) <= 1e-12 * abs(want)
+            want_g = log_domain_eta_gradient(rs, eta)
+            assert np.abs(gradient() - want_g).max() <= 1e-12 * np.abs(want_g).max()
+            assert value == rs.nll(eta)
+
+    def test_wide_eta_spread_takes_log_domain_path(self, monkeypatch):
+        lab = SurvivalLabels(np.arange(1.0, 7.0), np.ones(6, dtype=bool))
+        calls = []
+        log_risk_sums = RiskSets.log_risk_sums
+        monkeypatch.setattr(RiskSets, "log_risk_sums",
+                            lambda rs, eta: calls.append(1) or log_risk_sums(rs, eta))
+        eta = np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, gradient = lab.risk_sets.partial_likelihood(eta)
+            g = gradient()
+        assert calls
+        exact = np.concatenate(([0.0], np.cumsum([1 / 5, 1 / 4, 1 / 3, 1 / 2, 1.0]) - 1.0))
+        assert np.abs(g - exact).max() <= 1e-12
+        assert abs(value - sum(np.log(m) for m in range(1, 6))) <= 1e-12
+        calls.clear()
+        lab.risk_sets.partial_likelihood(eta / 10.0)  # a spread of 80 stays on the plain path
+        assert not calls
 
     def test_fields(self):
         lab = SurvivalLabels(np.array([3.0, 1.0, 2.0, 1.0, 3.0, 4.0]),

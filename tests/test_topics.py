@@ -4,8 +4,9 @@ import pytest
 from sawtopics.anchors import AnchorSet, stable_anchors
 from sawtopics.cooccur import CooccurrenceStats, build_cooccurrence
 from sawtopics.synthgen import generate_corpus, generate_topic_model
-from sawtopics.topics import (ConvergenceError, doc_topic_features, kl_divergence,
-                              minimize_simplex_kl, recover_topics_unsupervised,
+from sawtopics import topics
+from sawtopics.topics import (GAP_TOL, ConvergenceError, doc_topic_features, kl_divergence,
+                              newton_simplex_kl, recover_topics_unsupervised,
                               recover_word_topic_matrix)
 
 from helpers import bayes_topic_posterior, minimize_row_kl, simplex_grid_2
@@ -24,16 +25,21 @@ def stats_from_qbar(Qbar, p=None):
     return CooccurrenceStats(Q, p, Qbar, np.flatnonzero(p <= 0))
 
 
-def solve_row(p, B, **kwargs):
-    """The batched kernel on a one-row matrix: (theta, objective, converged)."""
-    theta, f, converged, _ = minimize_simplex_kl(np.atleast_2d(p), B, **kwargs)
-    return theta[0], f[0], converged[0]
+def solve_row(p, B):
+    """The batched kernel on a one-row matrix: (theta, objective, certified)."""
+    theta, f, gap, _ = newton_simplex_kl(np.atleast_2d(p), B)
+    return theta[0], f[0], gap[0] <= GAP_TOL
 
 
-def prefix_objectives(P, B, n_iter):
-    """Per-row objectives after max_iter = 1..n_iter; the kernel is
+def prefix_objectives(P, B, n_iter, monkeypatch):
+    """Per-row objectives after Newton budgets of 1..n_iter; the kernel is
     deterministic, so these are prefixes of one trajectory."""
-    return np.array([minimize_simplex_kl(P, B, max_iter=it)[1] for it in range(1, n_iter + 1)])
+    values = []
+    for it in range(1, n_iter + 1):
+        monkeypatch.setattr(topics, "newton_budget", lambda k: it)
+        values.append(newton_simplex_kl(P, B)[1])
+    monkeypatch.undo()
+    return np.array(values)
 
 
 class TestKlDivergence:
@@ -73,32 +79,30 @@ class TestRowSolver:
     def test_exact_anchor_copy(self):
         rng = np.random.default_rng(2)
         B = rng.dirichlet(np.ones(8), size=3)
-        theta, f, _ = solve_row(B[2], B)
+        theta, f, certified = solve_row(B[2], B)
         assert np.abs(theta - [0, 0, 1]).max() <= 1e-6
         assert f <= 1e-10
-        # the zero-objective stop ends the row after as many steps as the reference
-        steps = minimize_simplex_kl(B[2][None], B)[3]
-        assert steps[0] == len(minimize_row_kl(B[2], B).trace) - 1
+        assert certified
 
     def test_even_mixture(self):
         rng = np.random.default_rng(3)
         B = rng.dirichlet(np.ones(8), size=2)
-        theta, f, _ = solve_row(0.5 * B[0] + 0.5 * B[1], B, tol=1e-12)
+        theta, f, _ = solve_row(0.5 * B[0] + 0.5 * B[1], B)
         assert np.abs(theta - 0.5).max() <= 1e-8
         assert f <= 1e-8
 
     def test_uneven_mixture(self):
         rng = np.random.default_rng(4)
         B = rng.dirichlet(np.ones(10), size=2)
-        theta, _, _ = solve_row(0.3 * B[0] + 0.7 * B[1], B, tol=1e-12)
+        theta, _, _ = solve_row(0.3 * B[0] + 0.7 * B[1], B)
         assert np.abs(theta - [0.3, 0.7]).max() <= 1e-6
 
-    def test_objective_never_increases(self):
+    def test_objective_never_increases(self, monkeypatch):
         rng = np.random.default_rng(5)
         for _ in range(10):
             B = rng.dirichlet(np.ones(6), size=3)
             p = rng.dirichlet(np.ones(6))
-            values = prefix_objectives(p[None], B, 30)
+            values = prefix_objectives(p[None], B, 30, monkeypatch)
             assert np.all(np.diff(values, axis=0) <= 1e-12)
 
     def test_matches_grid_oracle(self):
@@ -108,7 +112,7 @@ class TestRowSolver:
             d = int(rng.integers(3, 7))
             B = rng.dirichlet(np.ones(d), size=2)
             p = rng.dirichlet(np.ones(d))
-            theta, f, _ = solve_row(p, B, tol=1e-12)
+            theta, f, _ = solve_row(p, B)
             vals = [kl_divergence(p, th @ B) for th in grid]
             best = grid[int(np.argmin(vals))]
             assert np.abs(theta - best).sum() <= 0.02
@@ -130,7 +134,7 @@ class TestRecoverUnsupervised:
             assert np.array_equal(tm.theta[a], expect)
         assert tm.A is None
 
-    def test_every_row_trace_monotone_on_real_stats(self):
+    def test_every_row_trace_monotone_on_real_stats(self, monkeypatch):
         # the per-iteration non-increase must hold for every row of an
         # actual recovery, not just test vectors
         truth = generate_topic_model(20, 3, 0.4, seed=8)
@@ -139,14 +143,16 @@ class TestRecoverUnsupervised:
         aset = anchors_of(truth.anchor_indices, 20)
         B = stats.Qbar[list(aset.indices)]
         P = np.delete(stats.Qbar, aset.indices, axis=0)
-        assert minimize_simplex_kl(P, B)[2].all()
-        values = prefix_objectives(P, B, 40)
+        assert (newton_simplex_kl(P, B)[2] <= GAP_TOL).all()
+        values = prefix_objectives(P, B, 40, monkeypatch)
         assert np.all(np.diff(values, axis=0) <= 1e-12)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_batched_matches_row_reference(self, k):
-        # the planted k converges everywhere; the over-specified k = 4 at a
-        # short budget leaves a mix of converged and failed rows
+        # the planted k: the row-at-a-time EG reference converges everywhere
+        # and the Newton rows agree with it; at the over-specified k = 4 EG
+        # leaves rows unconverged, while every Newton row is certified within
+        # its budget and none is above the reference
         truth = generate_topic_model(24, 3, 0.4, seed=21)
         corpus, _ = generate_corpus(truth, 500, 100, 0.3, 22)
         stats = build_cooccurrence(corpus)
@@ -154,29 +160,48 @@ class TestRecoverUnsupervised:
         B = stats.Qbar[list(aset.indices)]
         free = np.setdiff1d(np.arange(24), aset.indices)
         ref = [minimize_row_kl(stats.Qbar[w], B, max_iter=500) for w in free]
-        theta, f, converged, steps = minimize_simplex_kl(stats.Qbar[free], B, max_iter=500)
-        assert converged.tolist() == [r.converged for r in ref]
-        assert steps.tolist() == [len(r.trace) - 1 for r in ref]
-        assert np.abs(theta - [r.theta for r in ref]).max() <= 1e-6
-        assert np.allclose(f, [r.objective for r in ref], rtol=1e-9, atol=1e-15)
-        failed = [(w, r.objective) for w, r in zip(free, ref) if not r.converged]
-        if not failed:
-            tm = recover_topics_unsupervised(stats, aset, max_iter=500)
-            assert np.abs(tm.theta[free] - [r.theta for r in ref]).max() <= 1e-6
-            return
-        assert 0 < len(failed) < free.size
-        with pytest.raises(ConvergenceError) as err:
-            recover_topics_unsupervised(stats, aset, max_iter=500)
-        assert err.value.worst_row == max(failed, key=lambda t: t[1])[0]
-        assert str(err.value).startswith(f"{len(failed)} row(s) failed")
+        ref_f = np.array([r.objective for r in ref])
+        theta, f, gap, steps = newton_simplex_kl(stats.Qbar[free], B)
+        assert np.all(gap <= GAP_TOL) and steps.max() < topics.newton_budget(k)
+        assert np.all(f <= ref_f + 1e-15)
+        assert np.array_equal(recover_topics_unsupervised(stats, aset).theta[free], theta)
+        if k == 3:
+            assert all(r.converged for r in ref)
+            assert np.abs(theta - [r.theta for r in ref]).max() <= 1e-6
+            assert np.allclose(f, ref_f, rtol=1e-9, atol=1e-12)
+        else:
+            assert not all(r.converged for r in ref)
 
-    def test_iteration_cap_raises_with_worst_row(self):
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_k_up_to_vocabulary_size(self, extra):
+        # k = d - 1 leaves one free row, which starts from a uniform mix of
+        # d - 1 anchors; k = d leaves none
+        truth = generate_topic_model(12, 3, 0.4, seed=24)
+        corpus, _ = generate_corpus(truth, 300, 60, 0.3, 25)
+        stats = build_cooccurrence(corpus)
+        d = stats.n_words
+        tm = recover_topics_unsupervised(stats, anchors_of(range(d - 1 + extra), d))
+        assert tm.theta.shape == (d, d - 1 + extra)
+        assert np.abs(tm.theta.sum(axis=1) - 1.0).max() <= 1e-12
+        if extra:
+            assert np.array_equal(tm.theta, np.eye(d)) and not tm.residuals.any()
+
+    def test_iteration_cap_raises_with_worst_row(self, monkeypatch):
         rng = np.random.default_rng(10)
         Qbar = rng.dirichlet(np.ones(6), size=4)
         stats = stats_from_qbar(Qbar)
+        monkeypatch.setattr(topics, "newton_budget", lambda k: 1)
         with pytest.raises(ConvergenceError) as err:
-            recover_topics_unsupervised(stats, anchors_of([0, 1], 4), tol=1e-30, max_iter=1)
+            recover_topics_unsupervised(stats, anchors_of([0, 1], 4))
         assert 0 <= err.value.worst_row < 4
+        B = Qbar[[0, 1]]
+        gap = newton_simplex_kl(Qbar[[2, 3]], B)[2]
+        assert err.value.gap == gap.max() > GAP_TOL
+        assert err.value.worst_row == 2 + int(np.argmax(gap))
+        n = int((gap > GAP_TOL).sum())
+        assert str(err.value) == (
+            f"{n} row(s) failed to reach Frank-Wolfe gap {GAP_TOL:g} within 1 Newton "
+            f"iterations; worst row {err.value.worst_row} has gap {gap.max():.3g}")
 
 
 class TestRecoverWordTopicMatrix:
