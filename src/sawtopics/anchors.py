@@ -135,13 +135,10 @@ def stable_anchors(
     )
 
 
-def anchor_report(anchor_set: AnchorSet, vocab: Vocabulary,
-                  doc_freq: np.ndarray | None = None) -> str:
-    """Text table: anchor index, word, stability count, document frequency."""
-    lines = ["topic\tanchor_index\tword\tstability\tdoc_freq"]
+def anchor_report(anchor_set: AnchorSet, vocab: Vocabulary) -> str:
+    """Text table: topic, anchor index, word, and the runs that picked it."""
+    lines = ["topic\tanchor_index\tword\tstability"]
     for g, a in enumerate(anchor_set.indices):
-        freq = "" if doc_freq is None else str(int(doc_freq[a]))
-        lines.append(
-            f"{g}\t{a}\t{vocab.words[a]}\t{anchor_set.stability.get(a, 0)}/{anchor_set.runs}\t{freq}"
-        )
+        picked = f"{anchor_set.stability.get(a, 0)}/{anchor_set.runs}"
+        lines.append(f"{g}\t{a}\t{vocab.words[a]}\t{picked}")
     return "\n".join(lines) + "\n"

@@ -21,19 +21,18 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class CooccurrenceStats:
-    """Symmetric co-occurrence matrix Q, word probabilities p = row sums,
-    and the row-normalized Qbar. Words with p == 0 get a uniform Qbar row
-    and are listed in ``zero_words`` (they are excluded from anchor
-    candidacy downstream)."""
+    """Word probabilities p (the row sums of the symmetric co-occurrence
+    matrix Q) and the row-normalized Qbar = Q / p. Words with p == 0 get a
+    uniform Qbar row and are listed in ``zero_words`` (they are excluded
+    from anchor candidacy downstream)."""
 
-    Q: np.ndarray
     p: np.ndarray
     Qbar: np.ndarray
     zero_words: np.ndarray
 
     @property
     def n_words(self) -> int:
-        return self.Q.shape[0]
+        return self.Qbar.shape[0]
 
 
 def build_cooccurrence(corpus: Corpus) -> CooccurrenceStats:
@@ -54,7 +53,7 @@ def build_cooccurrence(corpus: Corpus) -> CooccurrenceStats:
     zero = np.flatnonzero(p <= 0)
     if zero.size:
         log.warning("%d word(s) never co-occur; their rows are set uniform", zero.size)
-    return CooccurrenceStats(Q, p, Qbar, zero)
+    return CooccurrenceStats(p, Qbar, zero)
 
 
 def row_normalize(Q: np.ndarray, p: np.ndarray) -> np.ndarray:

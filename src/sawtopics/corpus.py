@@ -179,25 +179,23 @@ def _codes(values) -> tuple[list[str], np.ndarray]:
     return distinct, np.fromiter(map(position.__getitem__, values), np.int64, len(values))
 
 
-def _seps(lines: list[str], delimiter: str | None) -> list[str]:
-    """Each row's delimiter: the given one, else tab if the row has one, else comma."""
-    if delimiter is not None:
-        return [delimiter] * len(lines)
+def _seps(lines: list[str]) -> list[str]:
+    """Each row's delimiter: tab if the row has one, else comma."""
     return ["\t" if "\t" in line else "," for line in lines]
 
 
-def _fields(line: str, delimiter: str | None) -> list[str]:
-    return [f.strip() for f in line.split(_seps([line], delimiter)[0])]
+def _fields(line: str) -> list[str]:
+    return [f.strip() for f in line.split(_seps([line])[0])]
 
 
-def _is_header(line: str, delimiter: str | None) -> bool:
-    fields = _fields(line, delimiter)
+def _is_header(line: str) -> bool:
+    fields = _fields(line)
     return len(fields) == 4 and _try_float(fields[1]) is None and _try_float(fields[3]) is None
 
 
-def _row_error(rownum: int, line: str, delimiter: str | None) -> EventParseError:
+def _row_error(rownum: int, line: str) -> EventParseError:
     """The error of the first check that a malformed event row fails."""
-    fields = _fields(line, delimiter)
+    fields = _fields(line)
     if len(fields) != 4:
         return EventParseError(rownum, f"expected 4 fields, got {len(fields)}")
     time_s = fields[1]
@@ -229,10 +227,10 @@ def _stripped(strings: list[str]) -> np.ndarray:
 _BLOCK_ROWS = 1 << 16  # rows split at a time, which bounds the memory of the split fields
 
 
-def ingest_events(rows: Iterable[str], delimiter: str | None = None) -> Events:
+def ingest_events(rows: Iterable[str]) -> Events:
     """Parse delimiter-separated 4-column event rows into columns.
 
-    The delimiter is sniffed per row (tab wins over comma) unless given.
+    The delimiter is sniffed per row: tab wins over comma.
     Blank rows are skipped. A single header row at the top is tolerated when
     both its time and event_value fields are non-numeric. The first row with
     a field count other than 4, an unparseable, non-finite or negative time,
@@ -241,13 +239,13 @@ def ingest_events(rows: Iterable[str], delimiter: str | None = None) -> Events:
     """
     lines = [raw.rstrip("\r\n") for raw in rows]
     rownums = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
-    if rownums.size and rownums[0] == 1 and _is_header(lines[0], delimiter):
+    if rownums.size and rownums[0] == 1 and _is_header(lines[0]):
         rownums = rownums[1:]
     pids, times, events, values = [], [], [], []
     for start in range(0, rownums.size, _BLOCK_ROWS):
         nums = rownums[start:start + _BLOCK_ROWS].tolist()
         block = [lines[i - 1] for i in nums]
-        seps = _seps(block, delimiter)
+        seps = _seps(block)
         n_fields = np.fromiter(map(str.count, block, seps), np.int64, len(block)) + 1
         wrong = np.flatnonzero(n_fields != 4)
         stop = int(wrong[0]) if wrong.size else len(block)
@@ -257,7 +255,7 @@ def ingest_events(rows: Iterable[str], delimiter: str | None = None) -> Events:
         bad = np.flatnonzero(~(np.isfinite(time) & (time >= 0)) | (event == ""))
         first = int(bad[0]) if bad.size else stop
         if first < len(block):
-            raise _row_error(nums[first], block[first], delimiter)
+            raise _row_error(nums[first], block[first])
         pids += pid
         times.append(time)
         events.append(event)
@@ -271,14 +269,16 @@ def load_events(path) -> Events:
         return ingest_events(fh.read().split("\n"))
 
 
-def read_labels(rows: Iterable[str], delimiter: str | None = None) -> dict[str, tuple[float, bool]]:
-    """Parse 3-column label rows: patient_id, time (positive, days), event 0/1."""
+def read_labels(rows: Iterable[str]) -> dict[str, tuple[float, bool]]:
+    """Parse 3-column label rows: patient_id, time (positive, days), event 0/1.
+    A patient labelled twice is an error naming both rows."""
     out: dict[str, tuple[float, bool]] = {}
+    row_of: dict[str, int] = {}
     for rownum, raw in enumerate(rows, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        fields = _fields(line, delimiter)
+        fields = _fields(line)
         if len(fields) != 3:
             raise EventParseError(rownum, f"expected 3 fields, got {len(fields)}")
         pid, y_s, r_s = fields
@@ -292,6 +292,10 @@ def read_labels(rows: Iterable[str], delimiter: str | None = None) -> dict[str, 
         r = _try_float(r_s)
         if r is None or r not in (0.0, 1.0):
             raise EventParseError(rownum, f"event indicator must be 0 or 1, got {r_s!r}")
+        if pid in row_of:
+            raise EventParseError(
+                rownum, f"duplicate patient id {pid!r}, first labelled at row {row_of[pid]}")
+        row_of[pid] = rownum
         out[pid] = (y, bool(r))
     return out
 

@@ -51,8 +51,7 @@ class KmModel:
 
 
 def fit_encox(corpus: Corpus, lam: float, alpha: float) -> EncoxModel:
-    Z = np.asarray(normalize_columns(corpus).T.todense())
-    cox = fit_elastic_net_cox(Z, corpus.labels, lam, alpha)
+    cox = fit_elastic_net_cox(normalize_columns(corpus).T, corpus.labels, lam, alpha)
     return EncoxModel(cox, corpus.vocab, vocabulary_hash(corpus.vocab))
 
 
@@ -64,8 +63,7 @@ def fit_km(corpus: Corpus) -> KmModel:
 def predict_encox(model: EncoxModel, corpus: Corpus) -> Predictions:
     if vocabulary_hash(corpus.vocab) != model.vocab_hash:
         raise ValueError("vocabulary mismatch between model and corpus")
-    Z = np.asarray(normalize_columns(corpus).T.todense())
-    return cox_predictions(model.cox, Z, corpus.patient_ids)
+    return cox_predictions(model.cox, normalize_columns(corpus).T, corpus.patient_ids)
 
 
 def predict_km(model: KmModel, corpus: Corpus) -> Predictions:
@@ -131,7 +129,7 @@ def _write_saw(model: SawModel) -> dict:
             "projection_dim": tm.anchors.projection_dim,
         },
         "theta": _encode_matrix(tm.theta),
-        "A": None if tm.A is None else _encode_matrix(tm.A),
+        "A": _encode_matrix(tm.A),
         "residuals": [float(x) for x in tm.residuals],
         "trace": asdict(model.trace),
         **_write_cox(model.cox),
@@ -149,7 +147,7 @@ def _read_saw(payload: dict) -> SawModel:
     )
     tm = TopicModel(
         theta=_decode_matrix(payload["theta"]),
-        A=None if payload["A"] is None else _decode_matrix(payload["A"]),
+        A=_decode_matrix(payload["A"]),
         anchors=anchors,
         residuals=np.array(payload["residuals"], dtype=float),
     )

@@ -124,7 +124,6 @@ def update_theta(
     Xbar,
     labels: SurvivalLabels,
     anchors: AnchorSet,
-    step: float = 1.0,
     max_iters: int = 100,
     inner_tol: float = 1e-12,
 ) -> tuple[np.ndarray, bool]:
@@ -154,7 +153,7 @@ def update_theta(
 
     theta[free], _, _, steps = minimize_simplex_kl(
         stats.Qbar[free], stats.Qbar[aidx], theta[free], cox_term, tol=inner_tol,
-        max_iter=max_iters, step0=step)
+        max_iter=max_iters)
     return theta, steps == 0
 
 
@@ -254,8 +253,9 @@ def predict(model: SawModel, new_corpus: Corpus) -> Predictions:
     return cox_predictions(model.cox, Z, new_corpus.patient_ids)
 
 
-def cox_predictions(cox: CoxModel, Z: np.ndarray, patient_ids) -> Predictions:
-    """Risk scores Z @ beta and the median survival times they imply."""
+def cox_predictions(cox: CoxModel, Z, patient_ids) -> Predictions:
+    """Risk scores Z @ beta (Z dense or scipy sparse) and the median
+    survival times they imply."""
     risk = Z @ cox.beta
     median, saturated = predict_median(cox, risk)
     return Predictions(patient_ids, risk, median, saturated)

@@ -27,12 +27,6 @@ class GroundTruth:
     W_true: np.ndarray | None = None
     beta_true: np.ndarray | None = None
 
-    @property
-    def M_true(self) -> np.ndarray | None:
-        if self.W_true is None:
-            return None
-        return self.A_true @ self.W_true
-
 
 def generate_topic_model(d: int, k: int, anchor_mass: float, seed: int) -> GroundTruth:
     """Column-stochastic A with k planted anchors, one per topic.

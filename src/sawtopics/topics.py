@@ -35,11 +35,11 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class TopicModel:
     """Row-stochastic theta (word -> topic posterior, anchor rows pinned to
-    indicators), the column-stochastic word-topic matrix A (None until the
-    Bayes step runs), and the per-row KL residuals of the fit."""
+    indicators), the column-stochastic word-topic matrix A from the Bayes
+    step, and the per-row KL residuals of the fit."""
 
     theta: np.ndarray
-    A: np.ndarray | None
+    A: np.ndarray
     anchors: AnchorSet
     residuals: np.ndarray
 
@@ -182,6 +182,14 @@ def newton_simplex_kl(P: np.ndarray, B: np.ndarray):
             # difference of two objective values would round to zero; it is
             # +inf (or NaN) where q would leave a column of P at 0 or below
             x = np.where(pos[todo], t[todo, None] * dq[todo] / qs[todo], 0.0)
+            # a step to t_max sets the blocking coordinate to exactly 0, while
+            # its x can round to just above -1: where that step leaves q = 0
+            # on a column with q > 0 now, x = -1 makes the change +inf
+            at = np.flatnonzero(t[todo] == t_max[todo])
+            r = todo[at]
+            cand = th[r] + t[r, None] * d[r]
+            cand[np.arange(r.size), block[r]] = 0.0
+            x[at] = np.where(pos[r] & (np.maximum(cand, 0.0) @ B == 0), -1.0, x[at])
             with np.errstate(divide="ignore", invalid="ignore"):
                 change = -np.sum(np.where(p[todo] > 0, p[todo] * np.log1p(x), 0.0), axis=1)
             ok = (change < 0) | ((change <= 0) & (t[todo] == t_max[todo]))
@@ -207,13 +215,12 @@ def minimize_simplex_kl(
     coupling,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    step0: float = 1.0,
 ):
     """Minimize sum_i KL(P_i || theta_i @ B) + coupling(theta) over
     row-stochastic theta, starting at ``theta0``, by exponentiated gradient
-    with one step size and a halving line search on the total, so the
-    objective never increases. ``coupling`` maps theta to a (value,
-    gradient thunk) pair.
+    with one step size for all rows (1 at the start) and a halving line
+    search on the total, so the objective never increases. ``coupling``
+    maps theta to a (value, gradient thunk) pair.
 
     Stops when the relative objective drop falls below ``tol``, when the
     objective reaches zero, or when no step length yields a decrease
@@ -231,7 +238,7 @@ def minimize_simplex_kl(
         return kl_divergence(P, th @ B, plogp).sum() + value, grad
 
     f, grad_c = objective(theta)
-    step = float(step0)
+    step = 1.0
     steps = 0
     converged = False
     for _ in range(max_iter):
@@ -284,7 +291,7 @@ def recover_topics_unsupervised(stats: CooccurrenceStats, anchors: AnchorSet) ->
             f"has gap {gap[worst]:.3g}",
             worst_row=int(free[worst]), gap=float(gap[worst]),
         )
-    return TopicModel(theta, None, anchors, residuals)
+    return TopicModel(theta, recover_word_topic_matrix(theta, stats.p), anchors, residuals)
 
 
 def kl_residuals(theta: np.ndarray, stats: CooccurrenceStats, anchors: AnchorSet) -> np.ndarray:
@@ -322,8 +329,6 @@ def topic_report(model: TopicModel, words: tuple[str, ...], top_n: int = 10,
                  beta: np.ndarray | None = None) -> str:
     """Per topic: its anchor word, optional coefficient, and the top words
     by within-topic probability."""
-    if model.A is None:
-        raise ValueError("word-topic matrix not recovered yet")
     lines = []
     for g, a in enumerate(model.anchors.indices):
         head = f"topic {g}: anchor={words[a]}"

@@ -136,11 +136,9 @@ def test_anchor_report_lists_words_and_votes():
 
     aset = AnchorSet((2, 0), {0: 3, 2: 5}, runs=5, projection_dim=4)
     vocab = Vocabulary(("alpha", "bravo", "charlie", "delta"))
-    text = anchor_report(aset, vocab, doc_freq=np.array([7, 1, 9, 2]))
-    lines = text.splitlines()
-    assert lines[0].startswith("topic\t")
-    assert lines[1] == "0\t2\tcharlie\t5/5\t9"
-    assert lines[2] == "1\t0\talpha\t3/5\t7"
+    text = anchor_report(aset, vocab)
+    assert text.splitlines() == ["topic\tanchor_index\tword\tstability",
+                                 "0\t2\tcharlie\t5/5", "1\t0\talpha\t3/5"]
 
 
 def test_default_candidates_threshold():

@@ -13,13 +13,13 @@ from helpers import make_corpus
 class TestBuildCooccurrence:
     def test_single_doc_2_1(self):
         s = build_cooccurrence(make_corpus([[2], [1]]))
-        assert np.allclose(s.Q, [[1 / 3, 1 / 3], [1 / 3, 0.0]])
+        assert np.allclose(s.Qbar * s.p[:, None], [[1 / 3, 1 / 3], [1 / 3, 0.0]])
         assert np.allclose(s.p, [2 / 3, 1 / 3])
         assert np.allclose(s.Qbar, [[0.5, 0.5], [1.0, 0.0]])
 
     def test_single_doc_1_1(self):
         s = build_cooccurrence(make_corpus([[1], [1]]))
-        assert np.allclose(s.Q, [[0.0, 0.5], [0.5, 0.0]])
+        assert np.allclose(s.Qbar * s.p[:, None], [[0.0, 0.5], [0.5, 0.0]])
         assert np.allclose(s.p, [0.5, 0.5])
 
     def test_total_mass_one(self):
@@ -29,7 +29,8 @@ class TestBuildCooccurrence:
             counts[0] += 1
             counts[1] += 1
             s = build_cooccurrence(make_corpus(counts))
-            assert math.isclose(s.Q.sum(), 1.0, abs_tol=1e-10)
+            Q = s.Qbar * s.p[:, None]
+            assert math.isclose(Q.sum(), 1.0, abs_tol=1e-10)
             assert math.isclose(s.p.sum(), 1.0, abs_tol=1e-10)
 
     def test_symmetry_and_nonnegativity(self):
@@ -38,8 +39,9 @@ class TestBuildCooccurrence:
         counts[0] += 1
         counts[1] += 1
         s = build_cooccurrence(make_corpus(counts))
-        assert np.abs(s.Q - s.Q.T).max() <= 1e-12
-        assert s.Q.min() >= 0.0
+        Q = s.Qbar * s.p[:, None]
+        assert np.abs(Q - Q.T).max() <= 1e-12
+        assert Q.min() >= 0.0
 
     def test_qbar_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -88,7 +90,7 @@ class TestBuildCooccurrence:
         for n in (100, 1000, 10000):
             corpus, _ = generate_corpus(truth, n, m, a0, derive_seed(12, f"n{n}"))
             s = build_cooccurrence(corpus)
-            errs.append(np.abs(s.Q - pop).max())
+            errs.append(np.abs(s.Qbar * s.p[:, None] - pop).max())
         assert errs[0] > errs[1] > errs[2]
 
 

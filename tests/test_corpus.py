@@ -503,6 +503,12 @@ class TestLabelFile:
         with pytest.raises(EventParseError):
             read_labels(["p1,5.5,2"])
 
+    def test_repeated_patient_names_both_rows(self):
+        with pytest.raises(EventParseError, match="row 4: duplicate patient id 'p1', "
+                                                   "first labelled at row 2") as err:
+            read_labels(["patient_id,Y,R", "p1,5,1", "p2,3,0", "p1,9,0"])
+        assert err.value.row == 4
+
 
 class TestTypes:
     def test_labels_positive(self):

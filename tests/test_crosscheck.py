@@ -30,7 +30,7 @@ def instance(seed, n=60, k=3, censor=0.3):
 def test_unpenalized_cox_matches_phreg(seed):
     Z, y, r = instance(seed)
     ours = fit_elastic_net_cox(Z, SurvivalLabels(y, r), lam=0.0, alpha=1.0,
-                               tol=1e-14, gtol=1e-10, max_iter=200000)
+                               tol=0.0, max_iter=200000)
     res = sm.PHReg(y, Z, status=r.astype(int), ties="breslow").fit()
     assert np.abs(ours.beta - res.params).max() <= 1e-6
 

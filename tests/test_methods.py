@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sawtopics.corpus import normalize_columns
 from sawtopics.methods import (RETIRED_CONFIG_KEYS, _decode_matrix, _encode_matrix,
                                fit_method, load_model, predict_model, save_model)
 from sawtopics.saw import SawConfig
@@ -39,6 +40,13 @@ def test_loaded_model_predicts_identically(corpus, tmp_path, method):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="unknown method"):
         load_model(path)
+
+
+def test_encox_scores_the_sparse_design(corpus):
+    model = fit_method(corpus, "encox", SawConfig(lam=0.01, alpha=0.5))
+    dense = normalize_columns(corpus).T.toarray() @ model.cox.beta
+    assert np.count_nonzero(model.cox.beta) > 0
+    assert np.abs(predict_model(model, corpus).risk - dense).max() <= 1e-12
 
 
 def test_matrix_encoding_round_trip():

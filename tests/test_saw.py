@@ -89,7 +89,7 @@ class TestJointObjective:
         from sawtopics.cooccur import CooccurrenceStats
         from sawtopics.anchors import AnchorSet
         p = np.full(4, 0.25)
-        stats = CooccurrenceStats(Qbar * p[:, None], p, Qbar, np.empty(0, dtype=int))
+        stats = CooccurrenceStats(p, Qbar, np.empty(0, dtype=int))
         aset = AnchorSet((0, 1), {0: 1, 1: 1}, 1, 4)
         tm = recover_topics_unsupervised(stats, aset)
         labels = SurvivalLabels(np.array([1.0, 2.0, 3.0]), np.array([True] * 3))
@@ -136,7 +136,7 @@ class TestUpdateTheta:
         p = np.full(5, 0.2)
         from sawtopics.cooccur import CooccurrenceStats
         from sawtopics.anchors import AnchorSet
-        stats = CooccurrenceStats(Qbar * p[:, None], p, Qbar, np.empty(0, dtype=int))
+        stats = CooccurrenceStats(p, Qbar, np.empty(0, dtype=int))
         aset = AnchorSet((0, 1), {0: 1, 1: 1}, 1, 5)
         counts = rng.integers(1, 4, size=(5, 6))
         corpus = make_corpus(counts, times=[1., 2., 3., 4., 5., 6.],
@@ -211,11 +211,10 @@ class TestUpdateTheta:
         kernel = saw.minimize_simplex_kl
         calls = []
 
-        def checked(P, B, theta0, coupling, tol, max_iter, step0):
+        def checked(P, B, theta0, coupling, tol, max_iter):
             theta, f, converged, steps = kernel(P, B, theta0, coupling, tol=tol,
-                                                max_iter=max_iter, step0=step0)
-            ref = eg_simplex_kl(P, B, theta0, tol=tol, max_iter=max_iter, step0=step0,
-                                coupling=coupling)
+                                                max_iter=max_iter)
+            ref = eg_simplex_kl(P, B, theta0, tol=tol, max_iter=max_iter, coupling=coupling)
             assert np.array_equal(theta, ref[0])
             assert (f, converged, steps) == (ref[1][0], ref[2][0], ref[3][0])
             calls.append(steps)

@@ -126,8 +126,9 @@ class TestGenerateDataset:
             base_rate=0.2, censor_fraction=0.2, seed=18)
         assert corpus.n_words == 20 and corpus.n_docs == 60
         assert truth.W_true.shape == (3, 60)
-        assert truth.M_true.shape == (20, 60)
-        assert np.abs(truth.M_true.sum(axis=0) - 1.0).max() <= 1e-10
+        M = truth.A_true @ truth.W_true
+        assert M.shape == (20, 60)
+        assert np.abs(M.sum(axis=0) - 1.0).max() <= 1e-10
         assert len(corpus.labels) == 60
 
     def test_truth_round_trip(self, tmp_path):

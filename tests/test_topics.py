@@ -9,7 +9,7 @@ from sawtopics.topics import (GAP_TOL, ConvergenceError, doc_topic_features, kl_
                               newton_simplex_kl, recover_topics_unsupervised,
                               recover_word_topic_matrix)
 
-from helpers import bayes_topic_posterior, minimize_row_kl, simplex_grid_2
+from helpers import bayes_topic_posterior, eg_simplex_kl, minimize_row_kl, simplex_grid_2
 
 
 def anchors_of(indices, d):
@@ -21,8 +21,7 @@ def stats_from_qbar(Qbar, p=None):
     Qbar = np.asarray(Qbar, dtype=float)
     d = Qbar.shape[0]
     p = np.full(d, 1.0 / d) if p is None else np.asarray(p, dtype=float)
-    Q = Qbar * p[:, None]
-    return CooccurrenceStats(Q, p, Qbar, np.flatnonzero(p <= 0))
+    return CooccurrenceStats(p, Qbar, np.flatnonzero(p <= 0))
 
 
 def solve_row(p, B):
@@ -118,6 +117,24 @@ class TestRowSolver:
             assert np.abs(theta - best).sum() <= 0.02
             assert f <= min(vals) + 1e-9
 
+    def test_zero_anchor_entries_keep_covered_columns_positive(self):
+        # anchor rows with exact zeros: a step that zeroes the only support
+        # coordinate covering a column where P > 0 makes the KL infinite, so
+        # no certified row may end there, nor above a long EG run
+        rng = np.random.default_rng(0)
+        for _ in range(150):
+            k, d = int(rng.integers(2, 6)), int(rng.integers(4, 16))
+            B = rng.dirichlet(np.full(d, 0.1), size=k)
+            B[B < 0.05] = 0.0
+            B /= B.sum(axis=1, keepdims=True)
+            P = rng.dirichlet(np.ones(d), size=10)
+            theta, f, gap, _ = newton_simplex_kl(P, B)
+            assert np.all(gap <= GAP_TOL)
+            lost = (theta @ B == 0) & (P > 0) & (B.sum(axis=0) > 0)
+            assert not lost.any()
+            _, f_eg, _, _ = eg_simplex_kl(P, B, max_iter=3000)
+            assert np.all(f <= f_eg + 1e-9)
+
 
 class TestRecoverUnsupervised:
     def test_constraints_hold_exactly(self):
@@ -132,7 +149,7 @@ class TestRecoverUnsupervised:
             expect = np.zeros(3)
             expect[g] = 1.0
             assert np.array_equal(tm.theta[a], expect)
-        assert tm.A is None
+        assert np.array_equal(tm.A, recover_word_topic_matrix(tm.theta, stats.p))
 
     def test_every_row_trace_monotone_on_real_stats(self, monkeypatch):
         # the per-iteration non-increase must hold for every row of an
