@@ -127,7 +127,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         for k, v in read_config(Path(args.config)).items():
             if k not in schema:
                 raise ValueError(f"unknown config key {k!r} for {command}")
-            resolved[k] = schema[k][1](v) if v != "" else None
+            default, parse = schema[k]
+            if v == "" and default is not None:  # empty means unset only where unset is the default
+                raise ValueError(f"config key {k!r} for {command} needs a value")
+            resolved[k] = parse(v) if v != "" else None
     for k in schema:
         v = getattr(args, k, None)
         if v is not None:
@@ -159,19 +162,28 @@ def _write_predictions(path: Path, preds) -> None:
 
 
 def _read_predictions(path: Path):
+    """A predictions file's columns; errors name the file and the row,
+    counted from 1 at the header."""
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != _PREDICTIONS_HEADER:
         raise ValueError(f"not a predictions file: {path}")
     pids, risk, median, saturated = [], [], [], []
-    for row in rows[1:]:
+    for i, row in enumerate(rows[1:], start=2):
         if not "".join(row).strip():
             continue
+        if len(row) != len(_PREDICTIONS_HEADER):
+            raise ValueError(f"{path} row {i}: {len(row)} fields, expected 4")
         pid, r, m, s = row
+        try:
+            risk.append(float(r))
+            median.append(float(m))
+        except ValueError:
+            raise ValueError(f"{path} row {i}: risk {r!r} or median {m!r} not a number") from None
+        if s not in ("0", "1"):
+            raise ValueError(f"{path} row {i}: saturated is {s!r}, expected 0 or 1")
         pids.append(pid)
-        risk.append(float(r))
-        median.append(float(m))
-        saturated.append(bool(int(s)))
+        saturated.append(s == "1")
     return pids, np.array(risk), np.array(median), np.array(saturated, dtype=bool)
 
 

@@ -4,13 +4,13 @@ The objective is block convex: the KL representation cost of the topic side
 plus the elastic-net regularized Cox partial likelihood on the per-document
 topic proportions. Anchors are found once up front; the alternation then
 switches between an elastic-net Cox fit (warm-started, so it can only lower
-the objective) and a monotone pass of the simplex KL kernel over all free
-theta rows, which the Cox term couples together.
+the objective) and ``update_theta``, a monotone exponentiated-gradient pass
+over all free theta rows, which the Cox term couples together. Topic
+recovery and its Newton simplex solver live in ``topics``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +21,8 @@ from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns,
 from .seeding import derive_seed
 from .survival import (CoxModel, SurvivalLabels, breslow_baseline, elastic_net_penalty,
                        fit_elastic_net_cox, predict_median)
-from .topics import (TopicModel, doc_topic_features, kl_residuals, minimize_simplex_kl,
-                     recover_topics_unsupervised, recover_word_topic_matrix)
-
-log = logging.getLogger(__name__)
+from .topics import (LOG_FLOOR, TopicModel, doc_topic_features, kl_divergence, kl_residuals,
+                     recover_topics_unsupervised, recover_word_topic_matrix, sum_plogp)
 
 OBJECTIVE_SLACK = 1e-9  # relative tolerance for "non-increasing" checks
 
@@ -126,35 +124,62 @@ def update_theta(
     anchors: AnchorSet,
     max_iters: int = 100,
     inner_tol: float = 1e-12,
-) -> tuple[np.ndarray, bool]:
-    """One budgeted pass of the theta subproblem at fixed beta.
+) -> np.ndarray:
+    """One budgeted pass of the theta subproblem at fixed beta: minimize
+    sum_w KL(Qbar_w || theta_w @ B) plus the Cox partial likelihood of the
+    document features over the free (non-anchor) rows of theta, for a
+    sparse ``Xbar``.
 
-    The simplex KL kernel runs on all free rows jointly, with the Cox
-    partial likelihood of the document features as its coupling term, so
-    the full subproblem objective never increases. Returns the updated
-    theta and a stall flag set when no step length made progress.
+    Exponentiated gradient with one step size for all rows (1 at the start,
+    1.5 times larger after a step that needed no halving) and a halving line
+    search on the total, so the subproblem objective never increases. Stops
+    after ``max_iters`` steps, when the relative objective drop falls below
+    ``inner_tol``, when the objective reaches zero, or when no step length
+    yields a decrease (numerical optimum). Returns the updated theta.
     """
     theta = np.array(theta, dtype=float)
     beta = np.asarray(beta, dtype=float)
     aidx = np.asarray(anchors.indices, dtype=int)
     free = np.setdiff1d(np.arange(stats.Qbar.shape[0]), aidx)
     if not free.size:  # every word is an anchor; nothing to optimize
-        return theta, True
+        return theta
     rs = labels.risk_sets
-    Xb = Xbar.tocsr() if hasattr(Xbar, "tocsr") else np.asarray(Xbar, dtype=float)
+    Xb = Xbar.tocsr()
     Xf = Xb[free]
     XfT = Xf.T  # once per half-step; every line-search probe reuses it
-    eta_const = np.asarray(Xb[aidx].T @ (theta[aidx] @ beta)).ravel()
+    eta_const = Xb[aidx].T @ (theta[aidx] @ beta)
+    P, B = stats.Qbar[free], stats.Qbar[aidx]
+    plogp = sum_plogp(P)
 
-    def cox_term(th):
-        eta = np.asarray(XfT @ (th @ beta)).ravel() + eta_const
-        value, grad = rs.partial_likelihood(eta)
-        return value, lambda: np.outer(np.asarray(Xf @ grad()).ravel(), beta)
+    def objective(th):
+        value, grad = rs.partial_likelihood(XfT @ (th @ beta) + eta_const)
+        return kl_divergence(P, th @ B, plogp).sum() + value, grad
 
-    theta[free], _, _, steps = minimize_simplex_kl(
-        stats.Qbar[free], stats.Qbar[aidx], theta[free], cox_term, tol=inner_tol,
-        max_iter=max_iters)
-    return theta, steps == 0
+    th = theta[free]
+    f, grad = objective(th)
+    step = 1.0
+    for _ in range(max_iters):
+        G = -((P / np.maximum(th @ B, LOG_FLOOR)) @ B.T) + np.outer(Xf @ grad(), beta)
+        shifted = G - G.min(axis=1, keepdims=True)
+        s = step
+        for halving in range(60):
+            W = th * np.exp(-s * shifted)
+            tot = W.sum(axis=1, keepdims=True)
+            if np.all(np.isfinite(tot) & (tot > 0)):
+                cand = W / tot
+                fc, grad_cand = objective(cand)
+                if np.isfinite(fc) and fc <= f:
+                    break
+            s *= 0.5
+        else:
+            break  # no step length decreases: numerical optimum
+        drop = f - fc
+        th, f, grad = cand, fc, grad_cand
+        step = s if halving else min(s * 1.5, 1e12)
+        if drop <= inner_tol * max(abs(f), 1e-10) or f <= 1e-15:
+            break
+    theta[free] = th
+    return theta
 
 
 def _prepare(corpus: Corpus, config: SawConfig):
@@ -207,7 +232,7 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
         beta = cox.beta
         obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
                                    config.lam, config.alpha))
-        theta, stalled = update_theta(theta, beta, stats, Xbar, labels, anchors)
+        theta = update_theta(theta, beta, stats, Xbar, labels, anchors)
         obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
                                    config.lam, config.alpha))
         outer_done += 1
@@ -219,8 +244,6 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
             )
         if dec <= config.outer_tol * max(abs(prev), 1e-12):
             converged = True
-            if stalled:
-                log.debug("theta step stalled at outer iteration %d", outer_done)
             break
     baseline = breslow_baseline(beta, doc_topic_features(theta, Xbar), labels)
     return _finish(corpus, config, stats, anchors, theta, beta, baseline,

@@ -2,21 +2,19 @@
 combination of the anchor rows by KL minimization on the simplex, solved
 for all rows at once by an active-set Newton method that certifies each row
 by its Frank-Wolfe gap, then convert the word-to-topic posteriors into the
-word-topic matrix by a Bayes step. Exponentiated gradient serves the theta
-half-step of the joint fit, whose Cox term couples the rows.
+word-topic matrix by a Bayes step. ``newton_simplex_kl`` is the module's
+one simplex solver; the theta half-step of the joint fit, whose Cox term
+couples the rows, is ``saw.update_theta``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anchors import AnchorSet
 from .cooccur import CooccurrenceStats
-
-log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-12  # floor inside logs so disjoint supports stay finite
 GAP_TOL = 1e-10  # Frank-Wolfe gap that certifies a recovered row
@@ -44,7 +42,7 @@ class TopicModel:
     residuals: np.ndarray
 
 
-def _plogp(P: np.ndarray) -> np.ndarray:
+def sum_plogp(P: np.ndarray) -> np.ndarray:
     """Row-wise sum of P log P, with 0 log 0 = 0."""
     return np.sum(P * np.log(np.where(P > 0, P, 1.0)), axis=-1)
 
@@ -58,7 +56,7 @@ def kl_divergence(P, Q, plogp=None):
     if P.shape != Q.shape:
         raise ValueError(f"length mismatch: {P.shape} vs {Q.shape}")
     if plogp is None:
-        plogp = _plogp(P)
+        plogp = sum_plogp(P)
     return plogp - np.sum(P * np.log(np.maximum(Q, LOG_FLOOR)), axis=-1)
 
 
@@ -208,65 +206,6 @@ def newton_simplex_kl(P: np.ndarray, B: np.ndarray):
     return theta, kl_divergence(P, theta @ B), gap, steps
 
 
-def minimize_simplex_kl(
-    P: np.ndarray,
-    B: np.ndarray,
-    theta0: np.ndarray,
-    coupling,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-):
-    """Minimize sum_i KL(P_i || theta_i @ B) + coupling(theta) over
-    row-stochastic theta, starting at ``theta0``, by exponentiated gradient
-    with one step size for all rows (1 at the start) and a halving line
-    search on the total, so the objective never increases. ``coupling``
-    maps theta to a (value, gradient thunk) pair.
-
-    Stops when the relative objective drop falls below ``tol``, when the
-    objective reaches zero, or when no step length yields a decrease
-    (numerical optimum). Returns theta, the objective, the converged flag
-    and the number of accepted steps; ``max_iter`` steps without a stop
-    leave the flag False.
-    """
-    P = np.asarray(P, dtype=float)
-    B = np.asarray(B, dtype=float)
-    theta = np.array(theta0, dtype=float)
-    plogp = _plogp(P)
-
-    def objective(th):
-        value, grad = coupling(th)
-        return kl_divergence(P, th @ B, plogp).sum() + value, grad
-
-    f, grad_c = objective(theta)
-    step = 1.0
-    steps = 0
-    converged = False
-    for _ in range(max_iter):
-        G = -((P / np.maximum(theta @ B, LOG_FLOOR)) @ B.T) + grad_c()
-        shifted = G - G.min(axis=1, keepdims=True)
-        s = step
-        for halving in range(60):
-            W = theta * np.exp(-s * shifted)
-            tot = W.sum(axis=1, keepdims=True)
-            if np.all(np.isfinite(tot) & (tot > 0)):
-                cand = W / tot
-                fc, grad_cand = objective(cand)
-                if np.isfinite(fc) and fc <= f:
-                    break
-            s *= 0.5
-        else:
-            converged = True  # no step length decreases: numerical optimum
-            break
-        drop = f - fc
-        theta, f, grad_c = cand, fc, grad_cand
-        step = s if halving else min(s * 1.5, 1e12)
-        steps += 1
-        if drop <= tol * max(abs(f), 1e-10) or f <= 1e-15:
-            converged = True
-            break
-    return theta, f, converged, steps
-
-
 def recover_topics_unsupervised(stats: CooccurrenceStats, anchors: AnchorSet) -> TopicModel:
     """Solve all non-anchor rows in one batch, each certified by its
     Frank-Wolfe gap; anchor rows are pinned to indicator vectors. Raises
@@ -329,6 +268,8 @@ def topic_report(model: TopicModel, words: tuple[str, ...], top_n: int = 10,
                  beta: np.ndarray | None = None) -> str:
     """Per topic: its anchor word, optional coefficient, and the top words
     by within-topic probability."""
+    if top_n < 0:
+        raise ValueError(f"top_n must be >= 0, got {top_n}")
     lines = []
     for g, a in enumerate(model.anchors.indices):
         head = f"topic {g}: anchor={words[a]}"

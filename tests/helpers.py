@@ -30,7 +30,7 @@ from sawtopics.corpus import (CORPUS_FORMAT, Corpus, EventParseError, IngestConf
                               Vocabulary, _frequency_variance, _gc_paused, write_json)
 from sawtopics.seeding import derive_seed
 from sawtopics.survival import RiskSets
-from sawtopics.topics import LOG_FLOOR, _plogp, kl_divergence
+from sawtopics.topics import LOG_FLOOR, kl_divergence, sum_plogp
 
 
 def make_corpus(counts, times=None, observed=None, words=None):
@@ -195,7 +195,7 @@ def eg_simplex_kl(
     B = np.asarray(B, dtype=float)
     m, k = P.shape[0], B.shape[0]
     theta = np.full((m, k), 1.0 / k) if theta0 is None else np.array(theta0, dtype=float)
-    plogp = _plogp(P)
+    plogp = sum_plogp(P)
     coupled = coupling is not None
     # step sizes, line searches and stops act per unit: each row is its own
     # unit when separable, and all rows form one unit when coupled

@@ -171,6 +171,20 @@ class TestTrainPredictEvaluate:
         assert "duplicate patient id in predictions: s000, s001," in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("row, why", [("s001,0.5,30.0", "3 fields, expected 4"),
+                                          ("s001,abc,30.0,0", "not a number"),
+                                          ("s001,0.5,abc,0", "not a number"),
+                                          ("s001,0.5,30.0,2", "expected 0 or 1")])
+    def test_malformed_prediction_row_named(self, synth_corpus, tmp_path, capsys, row, why):
+        preds = tmp_path / "p.csv"
+        preds.write_text("patient_id,risk_score,predicted_median_days,saturated\n"
+                         f"s000,0.1,20.0,0\n{row}\n")
+        rc = run("evaluate", "--predictions", str(preds), "--corpus", str(synth_corpus),
+                 "--out", str(tmp_path / "metrics.csv"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{preds} row 3:" in err and why in err
+
     def test_v1_corpus_scores_like_its_v2_resave(self, synth_corpus, tmp_path):
         v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
         helpers.save_corpus_v1(load_corpus(synth_corpus), v1)
@@ -200,6 +214,17 @@ class TestReport:
         text = report.read_text()
         assert text.count("topic ") == 3
         assert "anchor=" in text and "beta=" in text
+
+    def test_report_top_n(self, synth_corpus, tmp_path, capsys):
+        # a negative count is refused; 0 prints the topic lines only
+        model, report = tmp_path / "m.json", tmp_path / "report.txt"
+        run("train", "--corpus", str(synth_corpus), "--method", "usaw",
+            "--k", "3", "--seed", "2", "--out", str(model))
+        assert run("report", "--model", str(model), "--out", str(report), "--top-n", "-1") == 1
+        assert "top_n must be >= 0" in capsys.readouterr().err
+        assert run("report", "--model", str(model), "--out", str(report), "--top-n", "0") == 0
+        topics = report.read_text().split("\n\n")[0].splitlines()
+        assert len(topics) == 3 and all(line.startswith("topic ") for line in topics)
 
     def test_report_rejects_km(self, synth_corpus, tmp_path, capsys):
         model = tmp_path / "km.json"
@@ -371,6 +396,22 @@ def test_config_round_trip(command, tmp_path):
     path = tmp_path / "run.config"
     write_config(path, resolved)
     assert _resolve(command, parser.parse_args([command, "--config", str(path)])) == resolved
+
+
+@pytest.mark.parametrize("command, key", [("train", "k"), ("train", "max_outer_iters"),
+                                          ("cv", "ks")])
+def test_empty_config_value_needs_none_default(command, key, synth_corpus, tmp_path, capsys):
+    # an empty value unsets a key whose default is None, and is refused elsewhere
+    path = tmp_path / "run.config"
+    path.write_text(f"{key}=\n")
+    out = ["--out-dir" if command == "cv" else "--out", str(tmp_path / "out")]
+    assert run(command, "--config", str(path), "--corpus", str(synth_corpus), *out) == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err and command in err and "needs a value" in err
+    path.write_text("projection_dim=\n")
+    parser, _ = _subparsers()
+    assert _resolve("train", parser.parse_args(["train", "--config", str(path)]))[
+        "projection_dim"] is None
 
 
 @pytest.mark.parametrize("argv", [["ingest", "--cutoff", "abc"],

@@ -1,6 +1,7 @@
 """The library surface carries no dead options: every parameter with a
 default, of every function in ``src/sawtopics``, is passed by some call in
-the source, the tests or the benchmark harness."""
+the source, the tests or the benchmark harness. And no module of the
+package reaches into another's private (``_``-prefixed) names."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,27 @@ def test_every_defaulted_parameter_is_passed_somewhere():
             if not (by_position or param in names or "**" in names):
                 unused.append(f"{path.stem}.{func}.{param}")
     assert unused == []
+
+
+def private_imports(tree: ast.Module):
+    """``_``-prefixed names that a package module imports from a sibling
+    (``from .x import _y``) or reads off one (``from . import x``, then
+    ``x._y``)."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    yield f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_no_private_name_crosses_modules():
+    found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in private_imports(parse(path))]
+    assert found == []
