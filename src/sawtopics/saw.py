@@ -4,16 +4,18 @@ The objective is block convex: the KL representation cost of the topic side
 plus the elastic-net regularized Cox partial likelihood on the per-document
 topic proportions. Anchors are found once up front; the alternation then
 switches between an elastic-net Cox fit (warm-started, so it can only lower
-the objective) and ``update_theta``, a monotone exponentiated-gradient pass
-over all free theta rows, which the Cox term couples together. Topic
-recovery and its Newton simplex solver live in ``topics``.
+the objective) and ``update_theta``, projected Newton-CG over all free theta
+rows, which the Cox term couples, stopped by a Frank-Wolfe gap certificate.
+Topic recovery and its Newton simplex solver live in ``topics``.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .anchors import AnchorSet, default_candidates, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence
@@ -21,10 +23,16 @@ from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns,
 from .seeding import derive_seed
 from .survival import (CoxModel, SurvivalLabels, breslow_baseline, elastic_net_penalty,
                        fit_elastic_net_cox, predict_median)
-from .topics import (LOG_FLOOR, TopicModel, doc_topic_features, kl_divergence, kl_residuals,
-                     recover_topics_unsupervised, recover_word_topic_matrix, sum_plogp)
+from .topics import (LOG_FLOOR, ConvergenceError, TopicModel, doc_topic_features, face_system,
+                     kl_divergence, kl_residuals, newton_budget, recover_topics_unsupervised,
+                     recover_word_topic_matrix, sum_plogp)
 
 OBJECTIVE_SLACK = 1e-9  # relative tolerance for "non-increasing" checks
+THETA_GAP_TOL = 1e-6  # coupled Frank-Wolfe gap, relative to the objective, that certifies theta
+CG_MAX_ITERS = 50  # conjugate-gradient steps per Newton step
+ARMIJO = 1e-4  # share of the linear decrease that a step must achieve
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,15 @@ def joint_objective(
     return kl + labels.risk_sets.nll(eta) + elastic_net_penalty(beta, lam, alpha)
 
 
+def _project_to_simplex(V: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of V onto the simplex; -inf entries end at 0."""
+    U = -np.sort(-V, axis=1)
+    css = np.cumsum(np.where(np.isfinite(U), U, 0.0), axis=1) - 1.0
+    r = np.sum(U * np.arange(1, V.shape[1] + 1) > css, axis=1)
+    tau = css[np.arange(len(V)), r - 1] / r
+    return np.maximum(V - tau[:, None], 0.0)
+
+
 def update_theta(
     theta: np.ndarray,
     beta: np.ndarray,
@@ -122,62 +139,97 @@ def update_theta(
     Xbar,
     labels: SurvivalLabels,
     anchors: AnchorSet,
-    max_iters: int = 100,
-    inner_tol: float = 1e-12,
 ) -> np.ndarray:
-    """One budgeted pass of the theta subproblem at fixed beta: minimize
-    sum_w KL(Qbar_w || theta_w @ B) plus the Cox partial likelihood of the
-    document features over the free (non-anchor) rows of theta, for a
-    sparse ``Xbar``.
-
-    Exponentiated gradient with one step size for all rows (1 at the start,
-    1.5 times larger after a step that needed no halving) and a halving line
-    search on the total, so the subproblem objective never increases. Stops
-    after ``max_iters`` steps, when the relative objective drop falls below
-    ``inner_tol``, when the objective reaches zero, or when no step length
-    yields a decrease (numerical optimum). Returns the updated theta.
-    """
+    """Minimize sum_w KL(Qbar_w || theta_w @ B) plus the Cox partial likelihood
+    of the document features (which couples them) over the free rows of theta,
+    for a CSC ``Xbar``, until the coupled Frank-Wolfe gap, summed over the free
+    rows, is at most THETA_GAP_TOL * max(|f|, 1). Projected Newton-CG: CG on
+    each row's face (support and Frank-Wolfe vertex), preconditioned by the
+    separable face systems, then an Armijo halving search along the projection
+    onto the faces. Raises ConvergenceError if ``newton_budget(k)`` steps, or a
+    step that lowers nothing, leave the gap above. Returns the updated theta."""
     theta = np.array(theta, dtype=float)
     beta = np.asarray(beta, dtype=float)
+    d, k = theta.shape
     aidx = np.asarray(anchors.indices, dtype=int)
-    free = np.setdiff1d(np.arange(stats.Qbar.shape[0]), aidx)
+    free = np.setdiff1d(np.arange(d), aidx)
     if not free.size:  # every word is an anchor; nothing to optimize
         return theta
-    rs = labels.risk_sets
-    Xb = Xbar.tocsr()
-    Xf = Xb[free]
-    XfT = Xf.T  # once per half-step; every line-search probe reuses it
-    eta_const = Xb[aidx].T @ (theta[aidx] @ beta)
+    XT = Xbar.T  # no copy of the design: Xbar, this view, and its squares on its index arrays
+    Xsq = sparse.csc_matrix((Xbar.data ** 2, Xbar.indices, Xbar.indptr), shape=Xbar.shape)
     P, B = stats.Qbar[free], stats.Qbar[aidx]
     plogp = sum_plogp(P)
+    u = theta @ beta  # per word; the anchor entries stay
 
     def objective(th):
-        value, grad = rs.partial_likelihood(XfT @ (th @ beta) + eta_const)
-        return kl_divergence(P, th @ B, plogp).sum() + value, grad
+        u[free] = th @ beta
+        eta = XT @ u
+        value, grad = labels.risk_sets.partial_likelihood(eta)
+        return kl_divergence(P, th @ B, plogp).sum() + value, grad, eta
 
     th = theta[free]
-    f, grad = objective(th)
-    step = 1.0
-    for _ in range(max_iters):
-        G = -((P / np.maximum(th @ B, LOG_FLOOR)) @ B.T) + np.outer(Xf @ grad(), beta)
-        shifted = G - G.min(axis=1, keepdims=True)
-        s = step
-        for halving in range(60):
-            W = th * np.exp(-s * shifted)
-            tot = W.sum(axis=1, keepdims=True)
-            if np.all(np.isfinite(tot) & (tot > 0)):
-                cand = W / tot
-                fc, grad_cand = objective(cand)
-                if np.isfinite(fc) and fc <= f:
-                    break
-            s *= 0.5
-        else:
-            break  # no step length decreases: numerical optimum
-        drop = f - fc
-        th, f, grad = cand, fc, grad_cand
-        step = s if halving else min(s * 1.5, 1e12)
-        if drop <= inner_tol * max(abs(f), 1e-10) or f <= 1e-15:
+    f, grad, eta = objective(th)
+    budget = newton_budget(k)
+    products = halvings = 0
+    for step in range(budget + 1):
+        g_eta = grad()
+        q = th @ B
+        pos = q >= LOG_FLOOR  # below kl_divergence's floor the KL is flat in q
+        qs = np.where(pos, q, 1.0)
+        # the KL gradient plus one, exact where it vanishes, and the Cox term
+        G = np.where(pos, (q - P) / qs, 1.0) @ B.T + np.outer((Xbar @ g_eta)[free], beta)
+        g_min = G.min(axis=1, keepdims=True)  # at each row's Frank-Wolfe vertex
+        row_gap = np.sum(th * G, axis=1) - g_min[:, 0]
+        gap, tol = float(row_gap.sum()), THETA_GAP_TOL * max(abs(f), 1.0)
+        if gap <= tol:
             break
+        worst = free[np.argmax(row_gap)]
+        if step == budget:
+            raise ConvergenceError(f"theta half-step: coupled Frank-Wolfe gap {gap:.3g} > "
+                                   f"{tol:.3g} after {budget} Newton steps; worst row {worst}",
+                                   int(worst), gap)
+        work = (th > 0) | (G == g_min)
+        c = (Xsq @ (g_eta + labels.observed))[free]  # diagonal of a bound on the Cox curvature
+        H, M = face_system(np.where(pos, P / qs ** 2, 0.0), B, work, row_gap,
+                           c[:, None, None] * np.outer(beta, beta))
+        Minv = np.linalg.inv(M)[:, :k, :k]
+        hess_eta = labels.risk_sets.hessian_product(eta)
+        # preconditioned CG from 0 on the faces, stopped by a forcing term
+        x, p, rz_old = np.zeros_like(th), np.zeros_like(th), np.inf
+        r = np.where(work, -G, 0.0)
+        forcing = min(0.01, gap / max(abs(f), 1.0))  # on the squared preconditioned residual
+        for j in range(CG_MAX_ITERS):
+            # back to a zero sum on the face: a near-singular face system
+            # can return a direction that leaves the simplex
+            z = np.where(work, (Minv @ r[..., None])[..., 0], 0.0)
+            z = np.where(work, z - z.sum(axis=1, keepdims=True) / work.sum(axis=1)[:, None], 0.0)
+            rz = float(np.sum(r * z))
+            if j and rz <= forcing * rz0:
+                break
+            rz0 = rz0 if j else rz
+            p = z + (rz / rz_old) * p
+            cox = (Xbar @ hess_eta(XT @ np.bincount(free, p @ beta, minlength=d)))[free]
+            Hp = np.where(work, (H @ p[..., None])[..., 0] + np.outer(cox, beta), 0.0)
+            products += 1
+            curv = float(np.sum(p * Hp))
+            if not curv > 0:
+                break
+            x += (rz / curv) * p
+            r -= (rz / curv) * Hp
+            rz_old = rz
+        for i in range(60):
+            cand = _project_to_simplex(np.where(work, th + 0.5 ** i * x, -np.inf))
+            fc, grad, eta = objective(cand)
+            if fc <= f + ARMIJO * float(np.sum(G * (cand - th))):
+                break
+            halvings += 1
+        else:
+            raise ConvergenceError(f"theta half-step: coupled Frank-Wolfe gap {gap:.3g} > "
+                                   f"{tol:.3g}, no step lowers the objective; worst row {worst}",
+                                   int(worst), gap)
+        th, f = cand, fc
+    log.debug("theta half-step: %d Newton steps, %d Hessian products, %d halvings, "
+              "coupled gap %.3g <= tolerance %.3g", step, products, halvings, gap, tol)
     theta[free] = th
     return theta
 

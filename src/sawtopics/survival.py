@@ -182,6 +182,42 @@ class RiskSets:
                 return self._unsort(np.exp(es + log_cum[self.last]) - events)
         return value, gradient
 
+    def hessian_product(self, eta: np.ndarray):
+        """x -> H x (original order) for the Hessian H of ``partial_likelihood``
+        in eta: per distinct event time, its event count times diag(pi) -
+        pi pi^T, pi the risk set's shares of exp(eta). O(n) per product from
+        suffix sums, in the log domain when ``partial_likelihood`` is."""
+        es = np.asarray(eta, dtype=float)[self.order]
+        e = np.exp(es - es.max())
+        s0 = np.cumsum(e[::-1])[::-1]
+        start, count = self.risk_start, self.event_counts
+
+        def over_events(values, accumulate=np.cumsum, empty=0.0):
+            out = np.full(self.n, empty)  # accumulated over the event times
+            out[start] = values           # whose risk set holds each position
+            return accumulate(out)[self.last]
+
+        if s0[start].min() > _SAFE_RISK_SUM:
+            diag = e * over_events(count / s0[start])
+
+            def product(x):
+                xs = np.asarray(x, dtype=float)[self.order]
+                s1 = np.cumsum((e * xs)[::-1])[::-1][start]
+                return self._unsort(diag * xs - e * over_events(count * s1 / s0[start] ** 2))
+        else:
+            lse = self.log_risk_sums(eta)[1][start]
+            log_sums = np.log(count) - lse
+            diag = np.exp(es + over_events(log_sums, np.logaddexp.accumulate, -np.inf))
+
+            def product(x):
+                xs = np.asarray(x, dtype=float)[self.order]
+                xs = xs - xs.min()  # H annihilates constants; now log(xs) is real
+                with np.errstate(divide="ignore"):
+                    log_s1 = np.logaddexp.accumulate((es + np.log(xs))[::-1])[::-1][start]
+                log_b = over_events(log_sums + log_s1 - lse, np.logaddexp.accumulate, -np.inf)
+                return self._unsort(diag * xs - np.exp(es + log_b))
+        return product
+
     def _unsort(self, sorted_values: np.ndarray) -> np.ndarray:
         out = np.empty_like(sorted_values)
         out[self.order] = sorted_values

@@ -4,7 +4,7 @@ for all rows at once by an active-set Newton method that certifies each row
 by its Frank-Wolfe gap, then convert the word-to-topic posteriors into the
 word-topic matrix by a Bayes step. ``newton_simplex_kl`` is the module's
 one simplex solver; the theta half-step of the joint fit, whose Cox term
-couples the rows, is ``saw.update_theta``.
+couples the rows, is ``saw.update_theta``. Both build ``face_system``s.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .cooccur import CooccurrenceStats
 
 LOG_FLOOR = 1e-12  # floor inside logs so disjoint supports stay finite
 GAP_TOL = 1e-10  # Frank-Wolfe gap that certifies a recovered row
+RIDGE_FLOOR = 1e-10  # least ridge on a face system, so singular faces solve
 
 
 class ConvergenceError(RuntimeError):
@@ -64,6 +65,23 @@ def newton_budget(k: int) -> int:
     """Newton iterations a row may take. From the uniform start a step
     drops at most one coordinate, so the budget grows with k."""
     return 100 + 10 * k
+
+
+def face_system(W: np.ndarray, B: np.ndarray, work: np.ndarray, ridge: np.ndarray, extra):
+    """Per row, the KL Hessian H = B diag(W_i) B^T (W_i = P_i / q_i^2, from
+    the products of B's row pairs) and the bordered KKT matrix of a Newton
+    step on the face ``work`` that keeps the row's sum: the face block of
+    H + ``extra``, ``ridge`` (floored at RIDGE_FLOOR, so that singular faces
+    solve) on its diagonal, the identity off the face and a border of ones."""
+    a, k = work.shape
+    upper = np.triu_indices(k)
+    H = np.empty((a, k, k))
+    H[:, upper[0], upper[1]] = H[:, upper[1], upper[0]] = W @ (B[upper[0]] * B[upper[1]]).T
+    M = np.zeros((a, k + 1, k + 1))
+    M[:, :k, :k] = np.where(work[:, :, None] & work[:, None, :], H + extra, 0.0)
+    M[:, np.arange(k), np.arange(k)] += np.where(work, np.maximum(ridge, RIDGE_FLOOR)[:, None], 1.0)
+    M[:, :k, k] = M[:, k, :k] = work
+    return H, M
 
 
 def _solve_rows(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -113,9 +131,6 @@ def newton_simplex_kl(P: np.ndarray, B: np.ndarray):
     gap = np.zeros(m)
     steps = np.zeros(m, dtype=int)
     fw = np.zeros(m, dtype=bool)  # the row's last Newton step failed
-    upper = np.triu_indices(k)
-    pairs = B[upper[0]] * B[upper[1]]  # Hessian entries = (P/q^2) @ pairs.T
-    diag = np.arange(k)
     act = np.arange(m)
     for it in range(budget + 1):
         th, p = theta[act], P[act]
@@ -141,14 +156,8 @@ def newton_simplex_kl(P: np.ndarray, B: np.ndarray):
         work = supp.copy()
         work[rows, fv] = True
 
-        H = np.empty((a, k, k))
-        H[:, upper[0], upper[1]] = H[:, upper[1], upper[0]] = (
-            np.where(pos, p / qs ** 2, 0.0) @ pairs.T)
-        M = np.zeros((a, k + 1, k + 1))
-        M[:, :k, :k] = np.where(work[:, :, None] & work[:, None, :], H, 0.0)
-        M[:, diag, diag] += np.where(work, gap[act, None], 1.0)  # ridge on singular faces
-        M[:, :k, k] = work
-        M[:, k, :k] = work
+        # the row's gap is its ridge
+        H, M = face_system(np.where(pos, p / qs ** 2, 0.0), B, work, gap[act], 0.0)
         rhs = np.concatenate([np.where(work, -g, 0.0), np.zeros((a, 1))], axis=1)
         d = np.where(work, _solve_rows(M, rhs)[:, :k], 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,7 +9,9 @@ for the coupled theta half-step), a one-patient-at-a-time median survival
 time as a reference for the vectorised one, the Cox partial likelihood and
 its gradient as functions of beta (on the library's risk sets; the
 finite-difference and convexity tests check them) and in eta, summed in
-the log domain, as a reference for the one-pass risk-set term, a row-at-a-time
+the log domain, as a reference for the one-pass risk-set term, the dense
+Breslow Hessian in eta as a reference for its product, the coupled
+Frank-Wolfe gap of the theta subproblem from a dense design, a row-at-a-time
 event parser and corpus
 builder as a reference for the columnar ones, the version-1 corpus writer
 (triplet lists) that wrote the files version 2 replaced, the analytic
@@ -299,6 +301,36 @@ def log_domain_eta_gradient(rs: RiskSets, eta: np.ndarray) -> np.ndarray:
     g = np.empty(es.size)
     g[rs.order] = np.exp(es + log_cum[rs.last]) - rs.events.astype(float)
     return g
+
+
+def breslow_hessian(labels: SurvivalLabels, eta: np.ndarray) -> np.ndarray:
+    """The dense n x n Hessian of the partial likelihood in eta, summed
+    over the distinct event times from the risk sets spelled out (everyone
+    with Y >= t), with each risk set's shares of exp(eta) taken in the log
+    domain: O(n^2) memory, for small n only."""
+    y, r = labels.times, labels.observed
+    eta = np.asarray(eta, dtype=float)
+    H = np.zeros((y.size, y.size))
+    for t in np.unique(y[r]):
+        at_risk = y >= t
+        logits = np.where(at_risk, eta, -np.inf)
+        pi = np.exp(logits - np.logaddexp.reduce(logits))
+        H += np.sum(r & (y == t)) * (np.diag(pi) - np.outer(pi, pi))
+    return H
+
+
+def coupled_gap(theta, beta, Qbar, X, labels: SurvivalLabels, anchors) -> float:
+    """The Frank-Wolfe gap of the theta subproblem (KL over the free rows
+    plus the Cox partial likelihood of X^T theta beta), summed over the
+    free rows, from a dense word x document design X and the log-domain
+    eta gradient."""
+    aidx = np.asarray(anchors.indices, dtype=int)
+    free = np.setdiff1d(np.arange(theta.shape[0]), aidx)
+    th, P, B = theta[free], Qbar[free], Qbar[aidx]
+    X = np.asarray(X, dtype=float)
+    g_eta = log_domain_eta_gradient(RiskSets(labels), X.T @ (theta @ beta))
+    G = -(P / np.maximum(th @ B, LOG_FLOOR)) @ B.T + np.outer(X[free] @ g_eta, beta)
+    return float(np.sum(np.sum(th * G, axis=1) - G.min(axis=1)))
 
 
 # Row-at-a-time ingest: the reference for corpus.ingest_events/build_corpus.

@@ -3,17 +3,17 @@ import pytest
 
 from sawtopics import saw
 from sawtopics.cooccur import build_cooccurrence
-from sawtopics.corpus import SurvivalLabels, normalize_columns, split
+from sawtopics.corpus import SurvivalLabels, normalize_columns, split, subset
 from sawtopics.seeding import derive_seed
 from sawtopics.evaluation import c_index
-from sawtopics.saw import (OBJECTIVE_SLACK, SawConfig, fit_saw, fit_usaw,
+from sawtopics.saw import (OBJECTIVE_SLACK, THETA_GAP_TOL, SawConfig, fit_saw, fit_usaw,
                            joint_objective, predict, update_theta)
 from sawtopics.survival import RiskSets, breslow_baseline
 from sawtopics.synthgen import generate_dataset
-from sawtopics.topics import (doc_topic_features, kl_divergence,
+from sawtopics.topics import (LOG_FLOOR, ConvergenceError, doc_topic_features, kl_divergence,
                               recover_topics_unsupervised)
 
-from helpers import eg_simplex_kl, make_corpus
+from helpers import coupled_gap, eg_simplex_kl, log_domain_nll, make_corpus
 
 
 def small_dataset(seed=0, n=120, d=20, k=3, m=60, censor=0.2):
@@ -99,6 +99,25 @@ class TestJointObjective:
         assert abs(got - (np.log(3) + np.log(2))) <= 1e-6
 
 
+class TestProjectToSimplex:
+    def test_matches_bisection_on_the_threshold(self):
+        # the projection is max(v - tau, 0) for the tau that makes it sum
+        # to 1; -inf entries (off the face) end at exactly 0
+        rng = np.random.default_rng(3)
+        V = rng.normal(size=(50, 6)) * rng.choice([0.1, 1.0, 10.0], size=(50, 1))
+        V[rng.uniform(size=V.shape) < 0.3] = -np.inf
+        V[:, 0] = rng.normal(size=50)
+        got = saw._project_to_simplex(V)
+        for v, row in zip(V, got):
+            lo, hi = v.max() - 1.0, v.max()
+            for _ in range(200):
+                tau = 0.5 * (lo + hi)
+                lo, hi = (tau, hi) if np.maximum(v - tau, 0.0).sum() > 1.0 else (lo, tau)
+            assert np.abs(row - np.maximum(v - tau, 0.0)).max() <= 1e-12
+            assert np.all(row[np.isneginf(v)] == 0.0)
+        assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 class TestUpdateTheta:
     def test_fixed_point_at_beta_zero(self):
         corpus, _ = small_dataset(seed=4)
@@ -107,8 +126,7 @@ class TestUpdateTheta:
         aset = stable_anchors(stats, 3, T=3, seed=4)
         tm = recover_topics_unsupervised(stats, aset)
         Xbar = normalize_columns(corpus)
-        out = update_theta(tm.theta, np.zeros(3), stats, Xbar, corpus.labels, aset,
-                           max_iters=50)
+        out = update_theta(tm.theta, np.zeros(3), stats, Xbar, corpus.labels, aset)
         assert np.abs(out - tm.theta).max() <= 1e-6
 
     def test_anchor_rows_stay_pinned(self):
@@ -157,8 +175,7 @@ class TestUpdateTheta:
         theta0[1] = [0, 1]
         theta0[free] = 0.5
         before = subobj(theta0)
-        out = update_theta(theta0, beta, stats, Xbar, labels, aset, max_iters=3000,
-                           inner_tol=1e-14)
+        out = update_theta(theta0, beta, stats, Xbar, labels, aset)
         after = subobj(out)
         assert after < before
 
@@ -194,10 +211,13 @@ class TestUpdateTheta:
 
 
     @pytest.mark.parametrize("shape", ["walkthrough", "fit_large"])
-    def test_coupled_kernel_matches_eg_reference(self, shape, monkeypatch):
-        # the theta half-step returns theta bit-identical to the batched
-        # EG kernel it came from, over 4 outer iterations of the README
-        # corpus (k = 5) and of a fit_large-sized corpus (d = 400, k = 10)
+    def test_every_half_step_certified(self, shape, monkeypatch):
+        # over 4 outer iterations of the README corpus (k = 5) and of a
+        # fit_large-sized corpus (d = 400, k = 10), every theta half-step
+        # ends at a coupled Frank-Wolfe gap (computed from a dense design)
+        # within THETA_GAP_TOL of its objective, on the simplex, and the
+        # first two no worse than the batched EG kernel's 100 steps (the
+        # half-step's former budget) from the same start
         if shape == "walkthrough":
             params = dict(d=60, k=5, n=1000, beta_true=np.array([3.0, -3.0, 0.0, 3.0, -3.0]))
         else:
@@ -208,31 +228,169 @@ class TestUpdateTheta:
         if shape == "fit_large":
             corpus, _ = split(corpus, 0.75, seed=8)
         kernel = saw.update_theta
-        calls = []
+        gaps = []
+        design = {}  # the fit's design, dense and by rows, built once
 
         def checked(theta, beta, stats, Xbar, labels, anchors):
             out = kernel(theta, beta, stats, Xbar, labels, anchors)
             aidx = np.asarray(anchors.indices, dtype=int)
             free = np.setdiff1d(np.arange(theta.shape[0]), aidx)
-            Xb = Xbar.tocsr()
-            Xf = Xb[free]
-            eta_const = Xb[aidx].T @ (theta[aidx] @ beta)
+            P, B = stats.Qbar[free], stats.Qbar[aidx]
+            if not design:
+                design.update(X=Xbar.toarray(), Xf=Xbar.tocsr()[free], rs=RiskSets(labels))
+            X, Xf, rs = design["X"], design["Xf"], design["rs"]
+
+            def subproblem(th):
+                full = theta.copy()
+                full[free] = th
+                return (kl_divergence(P, th @ B).sum()
+                        + log_domain_nll(rs, X.T @ (full @ beta)))
+
+            eta_anchors = Xbar.T @ np.where(np.isin(np.arange(theta.shape[0]), aidx),
+                                            theta @ beta, 0.0)
 
             def coupling(th):
-                value, grad = labels.risk_sets.partial_likelihood(Xf.T @ (th @ beta) + eta_const)
+                value, grad = rs.partial_likelihood(Xf.T @ (th @ beta) + eta_anchors)
                 return value, lambda: np.outer(Xf @ grad(), beta)
 
-            ref = eg_simplex_kl(stats.Qbar[free], stats.Qbar[aidx], theta[free], tol=1e-12,
-                                max_iter=100, coupling=coupling)
-            assert np.array_equal(out[free], ref[0])
+            f = subproblem(out[free])
+            gap = coupled_gap(out, beta, stats.Qbar, X, labels, anchors)
+            assert gap <= THETA_GAP_TOL * max(abs(f), 1.0)
+            if len(gaps) < 2:  # the reference takes 0.6 s a call at fit_large size
+                eg = eg_simplex_kl(P, B, theta[free], tol=1e-12, max_iter=100,
+                                   coupling=coupling)[0]
+                assert f <= subproblem(eg) + OBJECTIVE_SLACK * abs(f)
+            assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12 and out.min() >= 0.0
             assert np.array_equal(out[aidx], theta[aidx])
-            calls.append(ref[3][0])
+            gaps.append(gap)
             return out
 
         monkeypatch.setattr(saw, "update_theta", checked)
         fit_saw(corpus, SawConfig(k=params["k"], lam=0.1, alpha=0.5, seed=7, max_outer_iters=4,
                                   anchor_runs=2))
-        assert len(calls) == 4 and min(calls) > 0
+        assert len(gaps) == 4
+
+    def test_logs_one_debug_record(self, caplog):
+        corpus, _ = small_dataset(seed=5)
+        stats = build_cooccurrence(corpus)
+        from sawtopics.anchors import stable_anchors
+        aset = stable_anchors(stats, 3, T=3, seed=5)
+        theta0 = recover_topics_unsupervised(stats, aset).theta
+        with caplog.at_level("DEBUG", logger="sawtopics.saw"):
+            update_theta(theta0, np.array([1.0, -1.0, 0.5]), stats, normalize_columns(corpus),
+                         corpus.labels, aset)
+        records = [r for r in caplog.records if r.name == "sawtopics.saw"]
+        assert len(records) == 1 and records[0].levelname == "DEBUG"
+        steps, products, halvings, gap, tol = records[0].args
+        assert steps >= 1 and products >= steps and halvings >= 0 and gap <= tol
+
+    def test_columns_below_the_log_floor_certify(self):
+        # near one-hot anchor rows (Dirichlet(0.02) over 20 words) leave
+        # q = theta_w @ B below LOG_FLOOR on columns where P > 0; there the
+        # floored KL is flat in q, and a gradient that still counted P / q
+        # there stalled the half-step at its budget with gap 0.19
+        rng = np.random.default_rng(0)
+
+        def rows(m):
+            R = rng.dirichlet(np.full(20, 0.02), size=m)
+            R[np.arange(m), R.argmax(axis=1)] += 1e-3
+            return R / R.sum(axis=1, keepdims=True)
+
+        B = rows(4)
+        P = 0.8 * rng.dirichlet(np.full(4, 0.5), size=12) @ B + 0.2 * rows(12)
+        Qbar = np.vstack([B, P / P.sum(axis=1, keepdims=True)])
+        from sawtopics.cooccur import CooccurrenceStats
+        from sawtopics.anchors import AnchorSet
+        stats = CooccurrenceStats(np.full(16, 1.0 / 16), Qbar, np.empty(0, dtype=int))
+        aset = AnchorSet((0, 1, 2, 3), {0: 1, 1: 1, 2: 1, 3: 1}, 1, 16)
+        counts = rng.poisson(0.5, size=(16, 40))
+        counts[0] += 1
+        times = rng.integers(1, 10, size=40).astype(float)
+        observed = rng.random(40) < 0.6
+        observed[0] = True
+        corpus = make_corpus(counts, times=times, observed=observed)
+        Xbar = normalize_columns(corpus)
+        theta0 = recover_topics_unsupervised(stats, aset).theta
+        assert (theta0[4:] @ B)[P > 0].min() < LOG_FLOOR
+        beta = rng.normal(size=4) * 3
+        out = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
+        before, after = (joint_objective(t, beta, stats, Xbar, corpus.labels, aset, 1.0, 0.5)
+                         for t in (theta0, out))
+        assert after <= before
+
+    @pytest.mark.parametrize("stop", ["budget", "no descent"])
+    def test_uncertified_half_step_raises(self, stop, monkeypatch):
+        # no step budget, or an Armijo condition that no step of a convex
+        # objective can meet, leaves the gap above tolerance: the half-step
+        # fails with the gap instead of returning an uncertified theta
+        corpus, _ = small_dataset(seed=5)
+        stats = build_cooccurrence(corpus)
+        from sawtopics.anchors import stable_anchors
+        aset = stable_anchors(stats, 3, T=3, seed=5)
+        theta0 = recover_topics_unsupervised(stats, aset).theta
+        if stop == "budget":
+            monkeypatch.setattr(saw, "newton_budget", lambda k: 0)
+        else:
+            monkeypatch.setattr(saw, "ARMIJO", 2.0)
+        with pytest.raises(ConvergenceError, match="gap") as info:
+            update_theta(theta0, np.array([1.0, -1.0, 0.5]), stats, normalize_columns(corpus),
+                         corpus.labels, aset)
+        assert info.value.gap > 0 and info.value.worst_row not in aset.indices
+
+    def test_singular_faces_stay_on_the_simplex(self):
+        # anchors 0 and 1 have the same Qbar row and the same coefficient,
+        # so every face that holds both is singular along e0 - e1; without
+        # the preconditioner's projection back to a zero row sum, rows here
+        # leave the simplex by up to 0.6
+        rng = np.random.default_rng(85)
+        B = rng.dirichlet(np.full(8, 0.3), size=2)
+        B = np.vstack([B[0], B[0], B[1]])
+        W = rng.dirichlet(np.full(3, 0.5), size=5)
+        Qbar = np.vstack([B, W @ B * 0.9 + 0.1 * rng.dirichlet(np.ones(8), size=5)])
+        Qbar /= Qbar.sum(axis=1, keepdims=True)
+        from sawtopics.cooccur import CooccurrenceStats
+        from sawtopics.anchors import AnchorSet
+        stats = CooccurrenceStats(np.full(8, 1.0 / 8), Qbar, np.empty(0, dtype=int))
+        aset = AnchorSet((0, 1, 2), {0: 1, 1: 1, 2: 1}, 1, 8)
+        counts = rng.integers(0, 4, size=(8, 30))
+        counts[0] += 1
+        times = rng.integers(1, 10, size=30).astype(float)
+        observed = rng.random(30) < 0.6
+        observed[0] = True
+        corpus = make_corpus(counts, times=times, observed=observed)
+        Xbar = normalize_columns(corpus)
+        theta0 = recover_topics_unsupervised(stats, aset).theta
+        beta = np.array([10.0, 10.0, -10.0])
+        out = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12 and out.min() >= 0.0
+        joint_objective(out, beta, stats, Xbar, corpus.labels, aset, 1.0, 0.5)
+
+    def test_over_specified_fold_stays_on_the_simplex(self, monkeypatch):
+        # the README cv grid's cell (8, 0.01, 0.5), fold 0, cv seed 7: k = 8
+        # over-specifies the 5 planted topics, so near-duplicate anchors
+        # make faces near-singular
+        corpus, _ = generate_dataset(d=60, k=5, n=1000, doc_length=300,
+                                     dirichlet_concentration=0.1, anchor_mass=0.3,
+                                     beta_true=np.array([3.0, -3.0, 0.0, 3.0, -3.0]),
+                                     base_rate=0.1, censor_fraction=0.2,
+                                     seed=derive_seed(7, "synth"))
+        cv_seed = derive_seed(7, "cv")
+        perm = np.random.default_rng(derive_seed(cv_seed, "cv-folds")).permutation(corpus.n_docs)
+        train = np.setdiff1d(np.arange(corpus.n_docs), np.array_split(perm, 3)[0])
+        kernel = saw.update_theta
+        calls = []
+
+        def checked(theta, *args):
+            out = kernel(theta, *args)
+            assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12 and out.min() >= 0.0
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(saw, "update_theta", checked)
+        model = fit_saw(subset(corpus, train),  # cell 16 of the grid, fold 0
+                        SawConfig(k=8, lam=0.01, alpha=0.5,
+                                  seed=derive_seed(cv_seed, "cv-cell16-fold0")))
+        assert calls and model.trace.converged
 
 
 class TestFitSaw:

@@ -11,7 +11,8 @@ from sawtopics.survival import (BaselineHazard, CoxModel, RiskSets, SurvivalCurv
                                 breslow_baseline, elastic_net_penalty,
                                 fit_elastic_net_cox, kaplan_meier, predict_median)
 
-from helpers import cox_gradient, cox_nll, fd_gradient, log_domain_eta_gradient, log_domain_nll
+from helpers import (breslow_hessian, cox_gradient, cox_nll, fd_gradient, log_domain_eta_gradient,
+                     log_domain_nll)
 from helpers import predict_median as reference_median
 
 
@@ -368,6 +369,62 @@ class TestRiskSets:
             lab.risk_sets
         curve, median, saturated = kaplan_meier(lab)
         assert curve.times.size == 0 and (median, saturated) == (2.0, True)
+
+
+def censored_instance(seed, n=80):
+    """Times on a grid of 8 days and four patients in five censored, so
+    the tie groups mix events with censored patients."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(1, 9, n).astype(float)
+    r = rng.uniform(size=n) > 0.8
+    r[np.argmin(y)] = True
+    return SurvivalLabels(y, r)
+
+
+class TestHessianProduct:
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 5.0])
+    def test_matches_dense_breslow_reference(self, seed, scale):
+        lab = censored_instance(seed)
+        rng = np.random.default_rng(seed + 400)
+        for _ in range(3):
+            eta, x = scale * rng.standard_normal(len(lab)), rng.standard_normal(len(lab))
+            want = breslow_hessian(lab, eta) @ x
+            got = lab.risk_sets.hessian_product(eta)(x)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_matches_finite_difference_of_gradient(self, seed):
+        lab = censored_instance(seed)
+        rs = lab.risk_sets
+        rng = np.random.default_rng(seed + 500)
+        eta, x = rng.standard_normal(len(lab)), rng.standard_normal(len(lab))
+        h = 1e-5
+        want = (rs.partial_likelihood(eta + h * x)[1]()
+                - rs.partial_likelihood(eta - h * x)[1]()) / (2 * h)
+        got = rs.hessian_product(eta)(x)
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+    def test_wide_eta_spread_stays_finite_in_log_domain(self, monkeypatch):
+        # eta falls by 800 over time: late risk sets sum to exp(-800) of the
+        # maximum, so partial_likelihood, and the product, take the log domain
+        lab = censored_instance(7)
+        calls = []
+        log_risk_sums = RiskSets.log_risk_sums
+        monkeypatch.setattr(RiskSets, "log_risk_sums",
+                            lambda rs, eta: calls.append(1) or log_risk_sums(rs, eta))
+        rng = np.random.default_rng(600)
+        eta = 800.0 * (1.0 - lab.times / lab.times.max()) + rng.standard_normal(len(lab))
+        x = rng.standard_normal(len(lab))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lab.risk_sets.partial_likelihood(eta)
+            assert calls
+            calls.clear()
+            got = lab.risk_sets.hessian_product(eta)(x)
+        assert calls and np.isfinite(got).all()
+        want = breslow_hessian(lab, eta) @ x
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 class TestPredictMedian:
