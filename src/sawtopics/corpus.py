@@ -531,20 +531,23 @@ def _triplet_counts(payload: dict, d: int, n: int) -> sparse.csc_matrix:
     return sparse.coo_matrix((trips[:, 2], (trips[:, 0], trips[:, 1])), shape=(d, n)).tocsc()
 
 
-def _int_array(payload: dict, key: str) -> np.ndarray:
+def _flat_array(values, name: str, kinds: str, what: str) -> np.ndarray:
+    """``values`` as a 1-d array whose numpy dtype kind is in ``kinds``."""
     try:
-        a = np.asarray(payload[key])
+        a = np.asarray(values)
     except ValueError:  # ragged nesting
         a = None
-    if a is None or a.ndim != 1 or (a.size and a.dtype.kind != "i"):
-        raise ValueError(f"{key} must be a list of integers")
-    return a.astype(np.int64, copy=False)
+    if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
+        raise ValueError(f"{name} must be a list of {what}")
+    return a
 
 
 def _csc_counts(payload: dict, d: int, n: int) -> sparse.csc_matrix:
     """Version 2: the canonical CSC arrays, checked in O(nnz) before scipy
     sees them."""
-    indptr, indices, data = (_int_array(payload, k) for k in ("indptr", "indices", "data"))
+    indptr, indices, data = (
+        _flat_array(payload[k], k, "i", "integers").astype(np.int64, copy=False)
+        for k in ("indptr", "indices", "data"))
     if indptr.size != n + 1:
         raise ValueError(f"indptr has {indptr.size} entries, expected {n + 1}")
     if indices.size != data.size:
@@ -573,14 +576,21 @@ def _corpus_from(payload: dict) -> Corpus:
         kind, name = (dict, "object") if key == "bin_edges" else (list, "array")
         if not isinstance(payload.get(key), kind):
             raise ValueError(f"{key} is missing or not a JSON {name}")
+    for key in ("words", "patient_ids"):
+        if not all(isinstance(x, str) for x in payload[key]):
+            raise ValueError(f"{key} must be a list of strings")
+    times = _flat_array(payload["times"], "times", "iuf", "numbers")
+    observed = _flat_array(payload["observed"], "observed", "bi", "0/1 flags")
+    if not np.all((observed == 0) | (observed == 1)):
+        raise ValueError("observed must be a list of 0/1 flags")
     words, pids = tuple(payload["words"]), tuple(payload["patient_ids"])
     repeated = [p for p, c in Counter(pids).items() if c > 1]
     if repeated:
         raise ValueError("duplicate patient id(s): " + ", ".join(map(str, repeated[:10])))
     counts = read_counts(payload, len(words), len(pids))
-    edges = {k: tuple(float(x) for x in v) for k, v in payload["bin_edges"].items()}
-    labels = SurvivalLabels(np.array(payload["times"], dtype=float),
-                            np.array(payload["observed"], dtype=bool))
+    edges = {k: tuple(_flat_array(v, f"bin_edges[{k!r}]", "iuf", "numbers").astype(float).tolist())
+             for k, v in payload["bin_edges"].items()}
+    labels = SurvivalLabels(times.astype(float), observed.astype(bool))
     return Corpus(counts, Vocabulary(words, edges), labels, pids)
 
 

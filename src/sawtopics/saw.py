@@ -49,12 +49,11 @@ class SawConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        for key in ("lam", "outer_tol"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be > 0")
         if self.max_outer_iters < 0 or self.anchor_runs < 1:
             raise ValueError("max_outer_iters must be >= 0 and anchor_runs >= 1")
 
@@ -120,7 +119,7 @@ def joint_objective(
     _check_feasible(theta, anchors)
     eta = doc_topic_features(theta, Xbar) @ beta
     kl = float(kl_residuals(theta, stats, anchors).sum())
-    return kl + labels.risk_sets.nll(eta) + elastic_net_penalty(beta, lam, alpha)
+    return kl + labels.risk_sets.partial_likelihood(eta)[0] + elastic_net_penalty(beta, lam, alpha)
 
 
 def _project_to_simplex(V: np.ndarray) -> np.ndarray:
@@ -163,12 +162,11 @@ def update_theta(
 
     def objective(th):
         u[free] = th @ beta
-        eta = XT @ u
-        value, grad = labels.risk_sets.partial_likelihood(eta)
-        return kl_divergence(P, th @ B, plogp).sum() + value, grad, eta
+        value, grad, hess = labels.risk_sets.partial_likelihood(XT @ u)
+        return kl_divergence(P, th @ B, plogp).sum() + value, grad, hess
 
     th = theta[free]
-    f, grad, eta = objective(th)
+    f, grad, hess_eta = objective(th)
     budget = newton_budget(k)
     products = halvings = 0
     for step in range(budget + 1):
@@ -193,7 +191,6 @@ def update_theta(
         H, M = face_system(np.where(pos, P / qs ** 2, 0.0), B, work, row_gap,
                            c[:, None, None] * np.outer(beta, beta))
         Minv = np.linalg.inv(M)[:, :k, :k]
-        hess_eta = labels.risk_sets.hessian_product(eta)
         # preconditioned CG from 0 on the faces, stopped by a forcing term
         x, p, rz_old = np.zeros_like(th), np.zeros_like(th), np.inf
         r = np.where(work, -G, 0.0)
@@ -219,7 +216,7 @@ def update_theta(
             rz_old = rz
         for i in range(60):
             cand = _project_to_simplex(np.where(work, th + 0.5 ** i * x, -np.inf))
-            fc, grad, eta = objective(cand)
+            fc, grad, hess_eta = objective(cand)
             if fc <= f + ARMIJO * float(np.sum(G * (cand - th))):
                 break
             halvings += 1

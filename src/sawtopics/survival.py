@@ -4,7 +4,9 @@ elastic-net regularization.
 One risk-set rule serves every estimator (Breslow): the risk set at time t
 is every patient with Y >= t, ties included, so a patient censored at t is
 still at risk at t. Each label set builds its time order and tie groups
-once, as ``SurvivalLabels.risk_sets``. The Cox fitter is proximal gradient
+once, as ``SurvivalLabels.risk_sets``, and ``RiskSets.partial_likelihood``
+takes the Cox value, gradient and Hessian product from one suffix-sum pass
+over them. The Cox fitter is proximal gradient
 with a halving line search and soft-thresholding, so the penalized
 objective never increases across accepted steps.
 """
@@ -12,12 +14,12 @@ objective never increases across accepted steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-# Smallest max-shifted risk-set sum the plain gradient arithmetic accepts:
-# above it, terms lost to underflow (< 1e-308) each weigh below 1e-158.
+# Smallest max-shifted risk-set sum the plain-domain pass accepts: above it,
+# terms lost to underflow (< 1e-308) each weigh below 1e-158, and S**2 is normal.
 _SAFE_RISK_SUM = 1e-150
 
 
@@ -126,6 +128,7 @@ class RiskSets:
         order = np.argsort(y, kind="stable")
         self.n = y.size
         self.order = order
+        self.rank = np.argsort(order)  # each patient's sorted position
         self.y = y[order]
         self.events = labels.observed[order]
         self.first = np.searchsorted(self.y, self.y, side="left")
@@ -135,60 +138,23 @@ class RiskSets:
         self.event_times = self.y[self.risk_start]
         self.n_events = int(self.event_counts.sum())
 
-    def log_risk_sums(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """eta in sorted order and, per sorted position, the log of the
-        risk set's total exp(eta).
-
-        Suffix logsumexps are computed max-shifted with a stable running
-        accumulation; a plain shifted cumsum can underflow to zero for
-        events far below the maximum, which would poison a line search
-        with a spurious -inf objective.
-        """
-        es = np.asarray(eta, dtype=float)[self.order]
-        c = es.max()
-        acc = np.logaddexp.accumulate((es - c)[::-1])[::-1]
-        return es, acc[self.first] + c
-
     def partial_likelihood(self, eta: np.ndarray):
         """Negative Cox partial log likelihood at linear predictor eta
-        (original patient order) and a thunk for its gradient in eta.
+        (original patient order), a thunk for its gradient in eta and a
+        thunk x -> H x for its Hessian H in eta, all from one pass: the
+        max-shifted exponentials e in time order and their suffix sums S.
 
-        Both come from one pass: max-shifted exponentials in time order and
-        their suffix sums. Patient i's gradient term is the sum, over the
-        events whose risk set holds i, of exp(eta_i) over that risk set's
-        total, less 1 for an event. When some event's risk-set sum falls
-        to ``_SAFE_RISK_SUM`` or below (eta spread by hundreds), both are
-        summed in the log domain from ``log_risk_sums`` instead.
+        Patient i's weight w_i is the sum, over the event times whose risk
+        set holds i, of the event count over S. The gradient is e w less 1
+        for an event. H is, per event time, its count times diag(pi) -
+        pi pi^T, pi the risk set's shares of e: its diagonal is e w, and a
+        product takes O(n). When some event's S falls to ``_SAFE_RISK_SUM``
+        or below (eta spread by hundreds), every sum is taken in the log
+        domain instead.
         """
         es = np.asarray(eta, dtype=float)[self.order]
         c = es.max()
         e = np.exp(es - c)
-        s0 = np.cumsum(e[::-1])[::-1]
-        events = self.events.astype(float)
-        if s0[self.risk_start].min() > _SAFE_RISK_SUM:
-            value = (float(np.log(s0[self.risk_start]) @ self.event_counts)
-                     + c * self.n_events - float(es @ events))
-
-            def gradient():
-                s = np.maximum(s0, np.finfo(float).tiny)  # non-event positions may underflow
-                cum = np.cumsum(np.where(self.events, 1.0 / s[self.first], 0.0))
-                return self._unsort(e * cum[self.last] - events)
-        else:
-            _, lse = self.log_risk_sums(eta)
-            value = float(np.sum(lse[self.events]) - np.sum(es[self.events]))
-
-            def gradient():
-                log_cum = np.logaddexp.accumulate(np.where(self.events, -lse, -np.inf))
-                return self._unsort(np.exp(es + log_cum[self.last]) - events)
-        return value, gradient
-
-    def hessian_product(self, eta: np.ndarray):
-        """x -> H x (original order) for the Hessian H of ``partial_likelihood``
-        in eta: per distinct event time, its event count times diag(pi) -
-        pi pi^T, pi the risk set's shares of exp(eta). O(n) per product from
-        suffix sums, in the log domain when ``partial_likelihood`` is."""
-        es = np.asarray(eta, dtype=float)[self.order]
-        e = np.exp(es - es.max())
         s0 = np.cumsum(e[::-1])[::-1]
         start, count = self.risk_start, self.event_counts
 
@@ -198,34 +164,27 @@ class RiskSets:
             return accumulate(out)[self.last]
 
         if s0[start].min() > _SAFE_RISK_SUM:
-            diag = e * over_events(count / s0[start])
+            log_s = np.log(s0[start])
+            ew = cache(lambda: e * over_events(count / s0[start]))  # e w, on first use
 
-            def product(x):
-                xs = np.asarray(x, dtype=float)[self.order]
+            def product(xs):
                 s1 = np.cumsum((e * xs)[::-1])[::-1][start]
-                return self._unsort(diag * xs - e * over_events(count * s1 / s0[start] ** 2))
+                return ew() * xs - e * over_events(count * s1 / s0[start] ** 2)
         else:
-            lse = self.log_risk_sums(eta)[1][start]
-            log_sums = np.log(count) - lse
-            diag = np.exp(es + over_events(log_sums, np.logaddexp.accumulate, -np.inf))
+            lae = np.logaddexp.accumulate
+            log_s = lae((es - c)[::-1])[::-1][start]
+            log_w = np.log(count) - log_s
+            ew = cache(lambda: np.exp(es - c + over_events(log_w, lae, -np.inf)))
 
-            def product(x):
-                xs = np.asarray(x, dtype=float)[self.order]
+            def product(xs):
                 xs = xs - xs.min()  # H annihilates constants; now log(xs) is real
                 with np.errstate(divide="ignore"):
-                    log_s1 = np.logaddexp.accumulate((es + np.log(xs))[::-1])[::-1][start]
-                log_b = over_events(log_sums + log_s1 - lse, np.logaddexp.accumulate, -np.inf)
-                return self._unsort(diag * xs - np.exp(es + log_b))
-        return product
-
-    def _unsort(self, sorted_values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(sorted_values)
-        out[self.order] = sorted_values
-        return out
-
-    def nll(self, eta: np.ndarray) -> float:
-        """Negative Cox partial log likelihood at eta (original order)."""
-        return self.partial_likelihood(eta)[0]
+                    log_s1 = lae((es - c + np.log(xs))[::-1])[::-1][start]
+                return ew() * xs - np.exp(es - c + over_events(log_w + log_s1 - log_s, lae, -np.inf))
+        events = self.events.astype(float)
+        value = float(log_s @ count) + c * self.n_events - float(es @ events)
+        return (value, lambda: (ew() - events)[self.rank],
+                lambda x: product(np.asarray(x, dtype=float)[self.order])[self.rank])
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -269,7 +228,7 @@ def fit_elastic_net_cox(
     l1 = lam * alpha
 
     def smooth(b):  # value and gradient thunk, from one risk-set pass
-        value, grad = rs.partial_likelihood(Z @ b)
+        value, grad, _ = rs.partial_likelihood(Z @ b)
         return value + 0.5 * ridge * float(b @ b), lambda: Z.T @ grad() + ridge * b
 
     f, smooth_grad = smooth(beta)
@@ -308,10 +267,12 @@ def fit_elastic_net_cox(
 
 def breslow_baseline(beta: np.ndarray, Z, labels: SurvivalLabels) -> BaselineHazard:
     """Cumulative baseline hazard: at each distinct event time, the number
-    of events there divided by the risk set's total exp(beta.z)."""
+    of events there over the risk set's total exp(beta.z), a max-shifted
+    sum in the log domain."""
     rs = labels.risk_sets
-    _, log_s0 = rs.log_risk_sums(Z @ np.asarray(beta, dtype=float))
-    inc = np.exp(np.log(rs.event_counts) - log_s0[rs.risk_start])
+    es = (Z @ np.asarray(beta, dtype=float))[rs.order]
+    log_s0 = np.logaddexp.accumulate((es - es.max())[::-1])[::-1][rs.risk_start] + es.max()
+    inc = np.exp(np.log(rs.event_counts) - log_s0)
     return BaselineHazard(rs.event_times, np.cumsum(inc))
 
 

@@ -8,15 +8,14 @@ solved it before the Newton kernel (references for the Newton kernel and
 for the coupled theta half-step), a one-patient-at-a-time median survival
 time as a reference for the vectorised one, the Cox partial likelihood and
 its gradient as functions of beta (on the library's risk sets; the
-finite-difference and convexity tests check them) and in eta, summed in
-the log domain, as a reference for the one-pass risk-set term, the dense
-Breslow Hessian in eta as a reference for its product, the coupled
-Frank-Wolfe gap of the theta subproblem from a dense design, a row-at-a-time
-event parser and corpus
-builder as a reference for the columnar ones, the version-1 corpus writer
-(triplet lists) that wrote the files version 2 replaced, the analytic
-word-topic posterior of a planted topic matrix, and a seeded generator per
-test tag.
+finite-difference and convexity tests check them) and in eta, from suffix
+sums of their own in the log domain, as a reference for the one-pass
+risk-set term, the dense Breslow Hessian in eta as a reference for its
+product, the coupled Frank-Wolfe gap of the theta subproblem from a dense
+design, a row-at-a-time event parser and corpus builder as a reference for
+the columnar ones, the version-1 corpus writer (triplet lists) that wrote
+the files version 2 replaced, the analytic word-topic posterior of a planted
+topic matrix, and a seeded generator per test tag.
 """
 
 import logging
@@ -277,7 +276,7 @@ def predict_median(model, z):
 def cox_nll(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> float:
     """Sum over observed events of (-beta.z_i + log sum_{Y_j >= Y_i} exp(beta.z_j))."""
     Z = np.asarray(Z, dtype=float)
-    return RiskSets(labels).nll(Z @ np.asarray(beta, dtype=float))
+    return RiskSets(labels).partial_likelihood(Z @ np.asarray(beta, dtype=float))[0]
 
 
 def cox_gradient(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> np.ndarray:
@@ -286,34 +285,48 @@ def cox_gradient(beta: np.ndarray, Z: np.ndarray, labels: SurvivalLabels) -> np.
     return Z.T @ rs.partial_likelihood(Z @ np.asarray(beta, dtype=float))[1]()
 
 
-def log_domain_nll(rs: RiskSets, eta: np.ndarray) -> float:
-    """Negative Cox partial log likelihood at eta from the risk sets'
-    log-domain suffix sums."""
-    es, lse = rs.log_risk_sums(eta)
-    return float(np.sum(lse[rs.events]) - np.sum(es[rs.events]))
+def log_risk_totals(labels: SurvivalLabels, eta: np.ndarray) -> np.ndarray:
+    """Per patient i, the log of the total exp(eta) over everyone with
+    Y >= Y_i: a running logaddexp in decreasing time, read at the last
+    patient of i's tie group."""
+    order = np.argsort(-labels.times, kind="stable")
+    neg_y = -labels.times[order]
+    acc = np.logaddexp.accumulate(np.asarray(eta, dtype=float)[order])
+    out = np.empty(neg_y.size)
+    out[order] = acc[np.searchsorted(neg_y, neg_y, side="right") - 1]
+    return out
 
 
-def log_domain_eta_gradient(rs: RiskSets, eta: np.ndarray) -> np.ndarray:
-    """Gradient of the partial likelihood in eta, summed in the log domain
-    from the risk sets' log-domain suffix sums."""
-    es, lse = rs.log_risk_sums(eta)
-    log_cum = np.logaddexp.accumulate(np.where(rs.events, -lse, -np.inf))
-    g = np.empty(es.size)
-    g[rs.order] = np.exp(es + log_cum[rs.last]) - rs.events.astype(float)
-    return g
+def log_domain_nll(labels: SurvivalLabels, eta: np.ndarray) -> float:
+    """Negative Cox partial log likelihood at eta, summed in the log domain."""
+    r = labels.observed
+    return float(np.sum(log_risk_totals(labels, eta)[r]) - np.sum(np.asarray(eta)[r]))
+
+
+def log_domain_eta_gradient(labels: SurvivalLabels, eta: np.ndarray) -> np.ndarray:
+    """Gradient of the partial likelihood in eta: for patient i, exp(eta_i)
+    over each risk-set total of an event at or before Y_i, summed in the
+    log domain, less 1 for an event."""
+    y, r = labels.times, labels.observed
+    by_time = np.argsort(y[r], kind="stable")
+    log_cum = np.logaddexp.accumulate(-log_risk_totals(labels, eta)[r][by_time])
+    seen = np.searchsorted(y[r][by_time], y, side="right")  # events at or before each Y
+    log_w = np.where(seen > 0, log_cum[np.maximum(seen - 1, 0)], -np.inf)
+    return np.exp(np.asarray(eta, dtype=float) + log_w) - r
 
 
 def breslow_hessian(labels: SurvivalLabels, eta: np.ndarray) -> np.ndarray:
     """The dense n x n Hessian of the partial likelihood in eta, summed
     over the distinct event times from the risk sets spelled out (everyone
     with Y >= t), with each risk set's shares of exp(eta) taken in the log
-    domain: O(n^2) memory, for small n only."""
+    domain, shifted by the set's maximum so that a dominant share keeps its
+    last bits: O(n^2) memory, for small n only."""
     y, r = labels.times, labels.observed
     eta = np.asarray(eta, dtype=float)
     H = np.zeros((y.size, y.size))
     for t in np.unique(y[r]):
         at_risk = y >= t
-        logits = np.where(at_risk, eta, -np.inf)
+        logits = np.where(at_risk, eta - eta[at_risk].max(), -np.inf)
         pi = np.exp(logits - np.logaddexp.reduce(logits))
         H += np.sum(r & (y == t)) * (np.diag(pi) - np.outer(pi, pi))
     return H
@@ -328,7 +341,7 @@ def coupled_gap(theta, beta, Qbar, X, labels: SurvivalLabels, anchors) -> float:
     free = np.setdiff1d(np.arange(theta.shape[0]), aidx)
     th, P, B = theta[free], Qbar[free], Qbar[aidx]
     X = np.asarray(X, dtype=float)
-    g_eta = log_domain_eta_gradient(RiskSets(labels), X.T @ (theta @ beta))
+    g_eta = log_domain_eta_gradient(labels, X.T @ (theta @ beta))
     G = -(P / np.maximum(th @ B, LOG_FLOOR)) @ B.T + np.outer(X[free] @ g_eta, beta)
     return float(np.sum(np.sum(th * G, axis=1) - G.min(axis=1)))
 

@@ -427,6 +427,22 @@ def test_bad_flag_value_exits_2(argv, capsys):
 @pytest.mark.parametrize("command, config_class", [("train", SawConfig),
                                                    ("ingest", IngestConfig)])
 def test_option_defaults_match_config_class(command, config_class):
+    # every config field is an option with the field's default; the other
+    # options name files or the method
     schema = _SCHEMAS[command][1]
     for f in fields(config_class):
         assert schema[f.name][0] == f.default, f.name
+    assert set(schema) - {f.name for f in fields(config_class)} <= {
+        "corpus", "method", "out", "events", "labels"}
+
+
+@pytest.mark.parametrize("method", ["saw", "encox"])
+@pytest.mark.parametrize("option", ["--lam", "--outer-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_refuses_non_finite_settings(method, option, value, synth_corpus, tmp_path,
+                                           capsys):
+    assert run("train", "--corpus", str(synth_corpus), "--method", method, option, value,
+               "--out", str(tmp_path / "m.json")) == 1
+    key = option[2:].replace("-", "_")
+    assert f"{key} must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

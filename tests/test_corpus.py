@@ -443,6 +443,8 @@ MALFORMED = {
     "missing key": (dict(indices=None), "indices is missing"),
     "words not a list": (dict(words="abc"), "words is missing or not a JSON array"),
     "bin_edges not an object": (dict(bin_edges=[]), "bin_edges is missing or not a JSON object"),
+    "bin edge not a list": (dict(bin_edges={"a": 1.5}), r"bin_edges\['a'\] must be a list"),
+    "bin edges strings": (dict(bin_edges={"a": ["1.5"]}), r"bin_edges\['a'\] must be a list"),
     "indptr too short": (dict(indptr=[0, 2, 4]), "indptr has 3 entries"),
     "indptr too long": (dict(indptr=[0, 2, 2, 4, 4]), "indptr has 5 entries"),
     "indptr not from 0": (dict(indptr=[1, 2, 2, 4]), "indptr must rise"),
@@ -464,6 +466,16 @@ MALFORMED = {
     "repeated patient id": (dict(patient_ids=["p1", "p2", "p1"]), "duplicate patient id.*p1"),
 }
 
+# every entry of a field replaced by a value of the wrong type
+BAD_TYPES = {
+    "observed 2": ("observed", 2, "observed must be a list of 0/1 flags"),
+    "observed 0.5": ("observed", 0.5, "observed must be a list of 0/1 flags"),
+    "observed string": ("observed", "x", "observed must be a list of 0/1 flags"),
+    "times strings": ("times", "1.0", "times must be a list of numbers"),
+    "words integers": ("words", 7, "words must be a list of strings"),
+    "patient_ids integers": ("patient_ids", 7, "patient_ids must be a list of strings"),
+}
+
 
 class TestMalformedFiles:
     """A bad corpus file fails with a ValueError naming the file, never a
@@ -483,6 +495,21 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: ")) as info:
             load_corpus(path)
         assert re.search(message, str(info.value))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("case", BAD_TYPES)
+    def test_field_value_types_checked(self, tmp_path, case, version):
+        key, bad, message = BAD_TYPES[case]
+        path = tmp_path / "c.json"
+        if version == 1:
+            helpers.save_corpus_v1(make_corpus(np.ones((2, 3), dtype=int)), path)
+            payload = json.loads(path.read_text())
+        else:
+            payload = corpus_payload()
+        payload[key] = [bad] * len(payload[key])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: {message}")):
+            load_corpus(path)
 
     def test_repeated_patient_id_in_a_v1_file(self, tmp_path):
         path = tmp_path / "c.json"

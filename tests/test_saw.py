@@ -39,6 +39,12 @@ class TestSawConfig:
         with pytest.raises(ValueError):
             SawConfig(outer_tol=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["lam", "outer_tol"])
+    def test_non_finite_settings_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            SawConfig(**{key: value})
+
 
 class TestJointObjective:
     def _parts(self, seed=1):
@@ -58,7 +64,7 @@ class TestJointObjective:
             kl_divergence(stats.Qbar[w], tm.theta[w] @ stats.Qbar[list(aset.indices)])
             for w in range(stats.n_words) if w not in aset.indices)
         rs = RiskSets(labels)
-        log_risk = rs.nll(np.zeros(corpus.n_docs))
+        log_risk = rs.partial_likelihood(np.zeros(corpus.n_docs))[0]
         got = joint_objective(tm.theta, np.zeros(3), stats, Xbar, labels, aset, 1.0, 0.5)
         assert np.isclose(got, kl_total + log_risk, rtol=1e-10)
 
@@ -168,7 +174,7 @@ class TestUpdateTheta:
         def subobj(theta):
             kl = sum(kl_divergence(Qbar[w], theta[w] @ B) for w in free)
             eta = doc_topic_features(theta, Xbar) @ beta
-            return kl + rs.nll(eta)
+            return kl + rs.partial_likelihood(eta)[0]
 
         theta0 = np.zeros((5, 2))
         theta0[0] = [1, 0]
@@ -244,13 +250,13 @@ class TestUpdateTheta:
                 full = theta.copy()
                 full[free] = th
                 return (kl_divergence(P, th @ B).sum()
-                        + log_domain_nll(rs, X.T @ (full @ beta)))
+                        + log_domain_nll(labels, X.T @ (full @ beta)))
 
             eta_anchors = Xbar.T @ np.where(np.isin(np.arange(theta.shape[0]), aidx),
                                             theta @ beta, 0.0)
 
             def coupling(th):
-                value, grad = rs.partial_likelihood(Xf.T @ (th @ beta) + eta_anchors)
+                value, grad, _ = rs.partial_likelihood(Xf.T @ (th @ beta) + eta_anchors)
                 return value, lambda: np.outer(Xf @ grad(), beta)
 
             f = subproblem(out[free])

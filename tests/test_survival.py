@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import sparse
 
+from sawtopics import survival
 from sawtopics.corpus import SurvivalLabels
 from sawtopics.survival import (BaselineHazard, CoxModel, RiskSets, SurvivalCurve,
                                 breslow_baseline, elastic_net_penalty,
@@ -303,6 +304,24 @@ class TestRiskSetEnumeration:
         assert np.abs(got - want).max() <= 1e-10
 
 
+# the _SAFE_RISK_SUM that sends every risk-set pass into each domain
+DOMAINS = {"plain": 0.0, "log": np.inf}
+
+
+def one_pass(monkeypatch, rs, eta, x, domain=None):
+    """Value, eta gradient and Hessian product with x from one risk-set pass,
+    in the given domain, or in the one the pass picks when None."""
+    with monkeypatch.context() as m:
+        if domain is not None:
+            m.setattr(survival, "_SAFE_RISK_SUM", DOMAINS[domain])
+        value, gradient, hessian = rs.partial_likelihood(eta)
+        return value, gradient(), hessian(x)
+
+
+def identical(a, b) -> bool:
+    return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
 class TestRiskSets:
     def test_eta_gradient_past_underflow(self):
         lab = SurvivalLabels(np.arange(1.0, 7.0), np.ones(6, dtype=bool))
@@ -315,37 +334,36 @@ class TestRiskSets:
 
     @pytest.mark.parametrize("seed", [5, 6])
     @pytest.mark.parametrize("scale", [0.1, 1.0, 20.0])
-    def test_one_pass_matches_log_domain_reference(self, seed, scale):
+    def test_one_pass_matches_log_domain_reference(self, seed, scale, monkeypatch):
         Z, lab = tied_instance(seed, n=200)
-        rs = lab.risk_sets
         rng = np.random.default_rng(seed + 300)
         for _ in range(5):
-            eta = scale * Z @ rng.standard_normal(Z.shape[1])
-            value, gradient = rs.partial_likelihood(eta)
-            want = log_domain_nll(rs, eta)
-            assert abs(value - want) <= 1e-12 * abs(want)
-            want_g = log_domain_eta_gradient(rs, eta)
-            assert np.abs(gradient() - want_g).max() <= 1e-12 * np.abs(want_g).max()
-            assert value == rs.nll(eta)
+            eta, x = scale * Z @ rng.standard_normal(Z.shape[1]), rng.standard_normal(len(lab))
+            want = log_domain_nll(lab, eta)
+            want_g = log_domain_eta_gradient(lab, eta)
+            H = breslow_hessian(lab, eta)
+            # at scale 20, H x cancels to 1e-3 of |H| |x|, which bounds its rounding
+            want_h, size_h = H @ x, (np.abs(H) @ np.abs(x)).max()
+            for domain in DOMAINS:
+                value, g, h = one_pass(monkeypatch, lab.risk_sets, eta, x, domain)
+                assert abs(value - want) <= 1e-12 * abs(want)
+                assert np.abs(g - want_g).max() <= 1e-12 * np.abs(want_g).max()
+                assert np.abs(h - want_h).max() <= 1e-10 * size_h
 
     def test_wide_eta_spread_takes_log_domain_path(self, monkeypatch):
         lab = SurvivalLabels(np.arange(1.0, 7.0), np.ones(6, dtype=bool))
-        calls = []
-        log_risk_sums = RiskSets.log_risk_sums
-        monkeypatch.setattr(RiskSets, "log_risk_sums",
-                            lambda rs, eta: calls.append(1) or log_risk_sums(rs, eta))
-        eta = np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        rs = lab.risk_sets
+        eta, x = np.array([800.0, 0.0, 0.0, 0.0, 0.0, 0.0]), np.arange(6.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, gradient = lab.risk_sets.partial_likelihood(eta)
-            g = gradient()
-        assert calls
+            value, g, h = got = one_pass(monkeypatch, rs, eta, x)
+        assert identical(got, one_pass(monkeypatch, rs, eta, x, "log"))
         exact = np.concatenate(([0.0], np.cumsum([1 / 5, 1 / 4, 1 / 3, 1 / 2, 1.0]) - 1.0))
         assert np.abs(g - exact).max() <= 1e-12
         assert abs(value - sum(np.log(m) for m in range(1, 6))) <= 1e-12
-        calls.clear()
-        lab.risk_sets.partial_likelihood(eta / 10.0)  # a spread of 80 stays on the plain path
-        assert not calls
+        got = one_pass(monkeypatch, rs, eta / 10.0, x)  # a spread of 80 stays on the plain path
+        assert identical(got, one_pass(monkeypatch, rs, eta / 10.0, x, "plain"))
+        assert not identical(got, one_pass(monkeypatch, rs, eta / 10.0, x, "log"))
 
     def test_fields(self):
         lab = SurvivalLabels(np.array([3.0, 1.0, 2.0, 1.0, 3.0, 4.0]),
@@ -384,14 +402,18 @@ def censored_instance(seed, n=80):
 class TestHessianProduct:
     @pytest.mark.parametrize("seed", [5, 6])
     @pytest.mark.parametrize("scale", [0.1, 1.0, 5.0])
-    def test_matches_dense_breslow_reference(self, seed, scale):
+    def test_matches_dense_breslow_reference(self, seed, scale, monkeypatch):
         lab = censored_instance(seed)
         rng = np.random.default_rng(seed + 400)
         for _ in range(3):
             eta, x = scale * rng.standard_normal(len(lab)), rng.standard_normal(len(lab))
             want = breslow_hessian(lab, eta) @ x
-            got = lab.risk_sets.hessian_product(eta)(x)
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            want_g = log_domain_eta_gradient(lab, eta)
+            for domain in DOMAINS:
+                value, g, h = one_pass(monkeypatch, lab.risk_sets, eta, x, domain)
+                assert abs(value - log_domain_nll(lab, eta)) <= 1e-12 * abs(value)
+                assert np.abs(g - want_g).max() <= 1e-12 * np.abs(want_g).max()
+                assert np.abs(h - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_matches_finite_difference_of_gradient(self, seed):
@@ -402,29 +424,23 @@ class TestHessianProduct:
         h = 1e-5
         want = (rs.partial_likelihood(eta + h * x)[1]()
                 - rs.partial_likelihood(eta - h * x)[1]()) / (2 * h)
-        got = rs.hessian_product(eta)(x)
+        got = rs.partial_likelihood(eta)[2](x)
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
     def test_wide_eta_spread_stays_finite_in_log_domain(self, monkeypatch):
         # eta falls by 800 over time: late risk sets sum to exp(-800) of the
-        # maximum, so partial_likelihood, and the product, take the log domain
+        # maximum, so the pass takes the log domain
         lab = censored_instance(7)
-        calls = []
-        log_risk_sums = RiskSets.log_risk_sums
-        monkeypatch.setattr(RiskSets, "log_risk_sums",
-                            lambda rs, eta: calls.append(1) or log_risk_sums(rs, eta))
         rng = np.random.default_rng(600)
         eta = 800.0 * (1.0 - lab.times / lab.times.max()) + rng.standard_normal(len(lab))
         x = rng.standard_normal(len(lab))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lab.risk_sets.partial_likelihood(eta)
-            assert calls
-            calls.clear()
-            got = lab.risk_sets.hessian_product(eta)(x)
-        assert calls and np.isfinite(got).all()
+            got = one_pass(monkeypatch, lab.risk_sets, eta, x)
+        assert identical(got, one_pass(monkeypatch, lab.risk_sets, eta, x, "log"))
+        assert np.isfinite(got[2]).all()
         want = breslow_hessian(lab, eta) @ x
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.abs(got[2] - want).max() <= 1e-10 * np.abs(want).max()
 
 
 class TestPredictMedian:
