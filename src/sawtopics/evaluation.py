@@ -4,11 +4,23 @@ RMSE and MAE compare predicted medians to the true duration over uncensored
 patients only; comparing a median to a censoring lower bound is ill-defined,
 so censored patients are excluded and ``n_evaluated`` reports how many
 remain. The c-index is Harrell's concordance over comparable pairs.
+
+``cross_validate`` runs its (cell, fold) fits in parallel, one worker
+process per CPU the process may use (``os.sched_getaffinity``). The workers
+are forked, so cv needs the POSIX ``fork`` start method; they inherit the
+corpus, the fitter and the fold assignment, monkeypatched functions
+included, and start with no import cost. Forking is unsafe while another
+thread of the caller holds a lock; the CLI runs no other thread, and the
+pool forks every worker before it starts its own. Each fit has its own
+seed, so the output bytes do not depend on the CPU count. An in-process
+tracer sees only the parent's spans: the selection and the refit, not the
+fold fits.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,16 +148,25 @@ def cross_validate(
     """Seeded K-fold selection of (k, lam, alpha) minimizing held-out RMSE
     of the predicted median, then a refit on the full training corpus.
 
-    Cells that fail on any fold (e.g. k larger than the usable vocabulary)
-    are excluded from selection and the run continues. Ties on mean RMSE go
-    to the lexicographically smallest cell.
+    A repeated cell is refused, and every cell's config is built, and so
+    checked, before any fit starts. Cells that fail on any fold (e.g. k
+    larger than the usable vocabulary) are excluded from selection, with one
+    warning per cell naming its lowest failing fold, and the run continues.
+    Ties on mean RMSE go to the lexicographically smallest cell. A winner
+    on the smallest or largest k or lam of the grid is logged as a warning.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     cells = [(int(k), float(lam), float(alpha)) for k, lam, alpha in grid]
     if not cells:
         raise ValueError("empty hyperparameter grid")
+    repeated = next((c for i, c in enumerate(cells) if c in cells[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"grid cell (k, lam, alpha) = {repeated} appears more than once")
     base = base_config if base_config is not None else SawConfig()
+    configs = [replace(base, k=k, lam=lam, alpha=alpha,
+                       seed=derive_seed(seed, f"cv-cell{ci}-fold{f}"))
+               for ci, (k, lam, alpha) in enumerate(cells) for f in range(folds)]
     fit = fitter if fitter is not None else fit_saw
     n = train.n_docs
     perm = np.random.default_rng(derive_seed(seed, "cv-folds")).permutation(n)
@@ -156,22 +177,23 @@ def cross_validate(
         if not train.labels.observed[fold_of == f].any():
             raise ValueError(f"fold {f} has no observed events; use fewer folds")
 
+    import multiprocessing  # imported here: only cv needs them (~5 ms to load)
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1, len(configs))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(train, fit, fold_of)) as pool:
+        outcomes = list(pool.map(_fold_rmse, configs, list(range(folds)) * len(cells)))
     scores = np.full((len(cells), folds), np.nan)
-    for ci, (k, lam, alpha) in enumerate(cells):
-        for f in range(folds):
-            tr = np.flatnonzero(fold_of != f)
-            va = np.flatnonzero(fold_of == f)
-            cfg = replace(base, k=k, lam=lam, alpha=alpha,
-                          seed=derive_seed(seed, f"cv-cell{ci}-fold{f}"))
-            try:
-                model = fit(subset(train, tr), cfg)
-                preds = predict(model, subset(train, va))
-                r, _ = rmse_mae(preds.median, train.labels.subset(va))
-            except Exception as exc:
-                log.warning("cv cell %s failed on fold %d: %s", cells[ci], f, exc)
-                scores[ci, :] = np.nan
-                break
-            scores[ci, f] = r
+    for ci, cell in enumerate(cells):
+        row = outcomes[ci * folds:(ci + 1) * folds]
+        failed = next((f for f, r in enumerate(row) if isinstance(r, str)), None)
+        if failed is None:
+            scores[ci] = row
+        else:
+            log.warning("cv cell %s failed on fold %d: %s", cell, failed, row[failed])
 
     valid = ~np.isnan(scores).any(axis=1)
     if not valid.any():
@@ -182,8 +204,38 @@ def cross_validate(
         key=lambda i: (means[i], cells[i]),
     )
     best = cells[ranked[0]]
+    edges = []
+    for axis, name in enumerate(("k", "lam")):
+        values = sorted({c[axis] for c in cells})
+        if len(values) >= 2 and best[axis] in (values[0], values[-1]):
+            side = "smallest" if best[axis] == values[0] else "largest"
+            edges.append(f"{name} = {best[axis]} is the {side} value tried")
+    if edges:
+        log.warning("cv best cell %s lies on the edge of the grid (%s); "
+                    "consider widening it", best, "; ".join(edges))
     final_cfg = replace(base, k=best[0], lam=best[1], alpha=best[2],
                         seed=derive_seed(seed, "cv-refit"))
     final = fit(train, final_cfg)
     result = CvResult(tuple(cells), scores, best, fold_of)
     return result, final
+
+
+_worker_state: tuple = ()  # (train, fitter, fold assignment), set in each cv worker
+
+
+def _start_worker(train: Corpus, fit, fold_of: np.ndarray) -> None:
+    global _worker_state
+    _worker_state = (train, fit, fold_of)
+
+
+def _fold_rmse(cfg: SawConfig, f: int) -> float | str:
+    """Fit on every fold but ``f`` and score on ``f``: the held-out RMSE, or
+    the failure message."""
+    train, fit, fold_of = _worker_state
+    va = np.flatnonzero(fold_of == f)
+    try:
+        model = fit(subset(train, np.flatnonzero(fold_of != f)), cfg)
+        preds = predict(model, subset(train, va))
+        return rmse_mae(preds.median, train.labels.subset(va))[0]
+    except Exception as exc:
+        return str(exc)

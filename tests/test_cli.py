@@ -250,6 +250,18 @@ class TestCv:
         assert table[-1].startswith("best,")
         assert (out / "cv.config").exists()
 
+    @pytest.mark.parametrize("ks,lams,why", [
+        ("2,2", "1", "grid cell (k, lam, alpha) = (2, 1.0, 0.5) appears more than once"),
+        ("2", "1,0", "lam must be finite and > 0, got 0.0"),
+    ])
+    def test_bad_grid_refused_before_fitting(self, synth_corpus, tmp_path, capsys, ks, lams, why):
+        out = tmp_path / "cv"
+        rc = run("cv", "--corpus", str(synth_corpus), "--ks", ks, "--lams", lams,
+                 "--alphas", "0.5", "--folds", "3", "--seed", "6", "--out-dir", str(out))
+        assert rc == 1
+        assert why in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngestCli:
     def test_ingest_from_files(self, tmp_path):

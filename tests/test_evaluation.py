@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import strategies as hst
 from sawtopics.corpus import SurvivalLabels
 from sawtopics.evaluation import (c_index, compute_metrics, cross_validate,
                                   format_metrics, rmse_mae)
-from sawtopics.saw import SawConfig
+from sawtopics.saw import SawConfig, fit_saw
+from sawtopics.seeding import derive_seed
 from sawtopics.synthgen import generate_dataset
 
 from helpers import brute_force_c_index
@@ -200,15 +203,14 @@ class TestCrossValidate:
             cross_validate(corpus, [(999, 0.1, 0.5)], folds=3, seed=7,
                            base_config=self._config())
 
-    def test_no_leakage(self):
+    def test_no_leakage(self, tmp_path):
         # every patient is evaluated exactly once, never inside the fold that
-        # trained its model
+        # trained its model; the fold fits run in worker processes, so the spy
+        # writes each fit's training ids to a file named by the fit's seed
         corpus = self._corpus()
-        captured = []
 
         def spying_fitter(sub, cfg):
-            captured.append(set(sub.patient_ids))
-            from sawtopics.saw import fit_saw
+            (tmp_path / f"fit-{cfg.seed}.txt").write_text("\n".join(sub.patient_ids))
             return fit_saw(sub, cfg)
 
         result, _ = cross_validate(corpus, [(3, 0.1, 0.5)], folds=3, seed=8,
@@ -217,9 +219,89 @@ class TestCrossValidate:
         for f in range(3):
             held_out = {corpus.patient_ids[i]
                         for i in np.flatnonzero(result.fold_assignment == f)}
-            train_ids = captured[f]
+            seed = derive_seed(8, f"cv-cell0-fold{f}")
+            train_ids = set((tmp_path / f"fit-{seed}.txt").read_text().split("\n"))
             assert train_ids | held_out == all_ids
             assert train_ids & held_out == set()
+        refit = (tmp_path / f"fit-{derive_seed(8, 'cv-refit')}.txt").read_text()
+        assert set(refit.split("\n")) == all_ids
+        assert len(list(tmp_path.glob("fit-*.txt"))) == 4
+
+    def test_same_results_on_any_cpu_count(self, monkeypatch, tmp_path):
+        corpus = self._corpus()
+        grid = [(2, 0.1, 0.5), (3, 0.1, 0.5)]
+
+        def run(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            pids = tmp_path / f"pids-{cpus}"
+            pids.mkdir()
+
+            def fitter(sub, cfg):
+                (pids / str(os.getpid())).touch()
+                return fit_saw(sub, cfg)
+
+            result, model = cross_validate(corpus, grid, folds=3, seed=5,
+                                           base_config=self._config(), fitter=fitter)
+            return result, model, {int(q.name) for q in pids.iterdir()} - {os.getpid()}
+
+        r1, m1, workers1 = run(1)
+        r4, m4, workers4 = run(4)
+        assert len(workers1) == 1 and 1 <= len(workers4) <= 4
+        assert r1.fold_scores.tobytes() == r4.fold_scores.tobytes()
+        assert r1.best == r4.best
+        assert m1.topic_model.theta.tobytes() == m4.topic_model.theta.tobytes()
+        assert m1.cox.beta.tobytes() == m4.cox.beta.tobytes()
+
+    def test_no_worker_outlives_the_call(self):
+        corpus = self._corpus()
+        cross_validate(corpus, [(3, 0.1, 0.5)], folds=3, seed=4, base_config=self._config())
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="every grid cell"):
+            cross_validate(corpus, [(999, 0.1, 0.5)], folds=3, seed=7,
+                           base_config=self._config())
+        assert multiprocessing.active_children() == []
+
+    def test_grid_checked_before_any_fit(self):
+        def never(sub, cfg):
+            pytest.fail("no fit may start before the whole grid is checked")
+
+        with pytest.raises(ValueError, match="lam must be finite and > 0, got 0.0"):
+            cross_validate(self._corpus(), [(3, 1.0, 0.5), (3, 0.0, 0.5)], folds=3,
+                           seed=4, base_config=self._config(), fitter=never)
+
+    def test_duplicate_cell_refused(self):
+        def never(sub, cfg):
+            pytest.fail("no fit may start on a grid with a repeated cell")
+
+        with pytest.raises(ValueError, match=r"\(2, 1\.0, 0\.5\) appears more than once"):
+            cross_validate(self._corpus(), [(2, 1, 0.5), (3, 1.0, 0.5), (2, 1.0, 0.5)],
+                           folds=3, seed=4, base_config=self._config(), fitter=never)
+
+    def test_edge_of_grid_winner_warned(self, caplog):
+        # lam has two values, so either winner is on its edge; k has one value
+        with caplog.at_level("WARNING", logger="sawtopics.evaluation"):
+            result, _ = cross_validate(self._corpus(), [(3, 0.1, 0.5), (3, 1.0, 0.5)],
+                                       folds=3, seed=4, base_config=self._config())
+        [record] = [r for r in caplog.records if r.levelname == "WARNING"]
+        message = record.getMessage()
+        assert "edge of the grid" in message and f"lam = {result.best[1]}" in message
+        assert "k = " not in message
+
+    def test_inner_winner_not_warned(self, caplog):
+        # the lam = 0.01 and 1.0 cells fail, so the winner sits inside the lam
+        # axis; alpha's values are never edges and k has one value
+        def middle_lam_only(sub, cfg):
+            if cfg.lam != 0.1:
+                raise ValueError("refused")
+            return fit_saw(sub, cfg)
+
+        grid = [(3, lam, alpha) for lam in (0.01, 0.1, 1.0) for alpha in (0.0, 1.0)]
+        with caplog.at_level("WARNING", logger="sawtopics.evaluation"):
+            result, _ = cross_validate(self._corpus(), grid, folds=3, seed=4,
+                                       base_config=self._config(), fitter=middle_lam_only)
+        assert result.best[1] == 0.1
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(messages) == 4 and all("failed on fold 0: refused" in m for m in messages)
 
     def test_fold_without_events(self):
         corpus = self._corpus(n=12)
