@@ -250,6 +250,8 @@ def _cmd_predict(resolved: dict) -> None:
 
 def _cmd_evaluate(resolved: dict) -> None:
     _require(resolved, "predictions", "corpus", "out")
+    if any(c in resolved["method"] for c in ',"\r\n'):  # metrics.csv writes it unquoted
+        raise ValueError(f"--method {resolved['method']!r} may not hold a comma, quote, CR or LF")
     pids, risk, median, saturated = _read_predictions(Path(resolved["predictions"]))
     repeated = [p for p, c in Counter(pids).items() if c > 1]
     if repeated:

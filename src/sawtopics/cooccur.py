@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus
 
@@ -36,6 +35,8 @@ class CooccurrenceStats:
 
 
 def build_cooccurrence(corpus: Corpus) -> CooccurrenceStats:
+    from scipy import sparse
+
     m = corpus.doc_lengths.astype(float)
     bad = np.flatnonzero(m < 2)
     if bad.size:

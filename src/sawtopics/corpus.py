@@ -18,10 +18,10 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import sparse
 
 from .survival import SurvivalLabels
 
@@ -89,44 +89,88 @@ def vocabulary_hash(vocab: Vocabulary) -> str:
     return hashlib.sha256("\n".join(vocab.words).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Corpus:
-    """Sparse word-count matrix (d words x n patients) with labels."""
+    """Word counts (d words x n patients) with labels, held as canonical CSC
+    arrays: ``indptr`` over patients, ``indices`` holding each patient's word
+    ids in increasing order, ``data`` their nonnegative counts. The scipy
+    matrix ``counts`` is built, and scipy imported, on its first read."""
 
-    counts: sparse.csc_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     vocab: Vocabulary
     labels: SurvivalLabels
     patient_ids: tuple[str, ...]
 
-    def __post_init__(self):
-        counts = sparse.csc_matrix(self.counts)
-        counts.sum_duplicates()
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "patient_ids", tuple(self.patient_ids))
-        d, n = counts.shape
-        if counts.nnz and counts.data.min() < 0:
+    def __init__(self, counts, vocab: Vocabulary, labels: SurvivalLabels, patient_ids):
+        """``counts`` is a matrix in any form ``scipy.sparse.csc_matrix``
+        takes, or the arrays ``(data, indices, indptr)``, checked in O(nnz)."""
+        patient_ids = tuple(patient_ids)
+        d, n = len(vocab), len(patient_ids)
+        if isinstance(counts, tuple):
+            data, indices, indptr = _checked_csc(*counts, d, n)
+        else:  # scipy's arrays are canonical once summed
+            from scipy import sparse
+
+            matrix = sparse.csc_matrix(counts)
+            matrix.sum_duplicates()
+            if matrix.shape != (d, n):
+                raise ValueError(f"count matrix of shape {matrix.shape} for {d} words "
+                                 f"and {n} patients")
+            self.__dict__["counts"] = matrix
+            data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
+        if data.size and data.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if len(self.vocab) != d:
-            raise ValueError(f"vocabulary size {len(self.vocab)} != matrix rows {d}")
-        if len(self.labels) != n:
-            raise ValueError(f"labels length {len(self.labels)} != matrix columns {n}")
-        if len(self.patient_ids) != n:
-            raise ValueError("patient_ids length must match matrix columns")
+        if len(labels) != n:
+            raise ValueError(f"labels length {len(labels)} != matrix columns {n}")
+        for name, value in (("indptr", indptr), ("indices", indices), ("data", data),
+                            ("vocab", vocab), ("labels", labels), ("patient_ids", patient_ids)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def counts(self):
+        """The counts as a ``scipy.sparse.csc_matrix``."""
+        from scipy import sparse
+
+        return sparse.csc_matrix((self.data, self.indices, self.indptr),
+                                 shape=(self.n_words, self.n_docs))
 
     @property
     def n_words(self) -> int:
-        return self.counts.shape[0]
+        return len(self.vocab)
 
     @property
     def n_docs(self) -> int:
-        return self.counts.shape[1]
+        return len(self.patient_ids)
 
     @property
     def doc_lengths(self) -> np.ndarray:
-        return np.asarray(self.counts.sum(axis=0)).ravel()
+        return np.diff(np.concatenate(([0], np.cumsum(self.data)))[self.indptr])
 
     def with_labels(self, labels: SurvivalLabels) -> "Corpus":
         return Corpus(self.counts, self.vocab, labels, self.patient_ids)
+
+
+def _checked_csc(data, indices, indptr, d: int, n: int):
+    """The CSC arrays of a d x n matrix as arrays, if they are canonical:
+    ``indptr`` rises from 0 to nnz in n + 1 entries and the word indices lie
+    in [0, d), increasing strictly within each patient."""
+    data, indices, indptr = np.asarray(data), np.asarray(indices), np.asarray(indptr)
+    if indptr.size != n + 1:
+        raise ValueError(f"indptr has {indptr.size} entries, expected {n + 1}")
+    if indices.size != data.size:
+        raise ValueError(f"indices has {indices.size} entries but data has {data.size}")
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        raise ValueError(f"indptr must rise from 0 to {indices.size}")
+    if indices.size and (indices.min() < 0 or indices.max() >= d):
+        raise ValueError(f"word index outside [0, {d})")
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new column begins
+    if not rising.all():
+        raise ValueError("word indices must increase strictly within each patient")
+    return data, indices, indptr
 
 
 @dataclass(frozen=True)
@@ -358,6 +402,8 @@ def build_corpus(
     filtering: tokens not in it are ignored, supporting train-only
     vocabularies and scoring new patients against a fitted model.
     """
+    from scipy import sparse
+
     cfg = cfg or IngestConfig()
     kept = np.ones(len(events), bool) if cfg.cutoff is None else events.time < cfg.cutoff
     if not kept.any():
@@ -421,8 +467,10 @@ def build_corpus(
     r = np.array([bool(labels[p][1]) for p in final_pids])
     return Corpus(counts, vocab, SurvivalLabels(y, r), final_pids)
 
-def _frequency_variance(counts: sparse.csc_matrix) -> np.ndarray:
+def _frequency_variance(counts) -> np.ndarray:
     """Variance across documents of per-document normalized frequency."""
+    from scipy import sparse
+
     m = np.asarray(counts.sum(axis=0)).ravel().astype(float)
     m = np.maximum(m, 1.0)
     n = counts.shape[1]
@@ -433,17 +481,36 @@ def _frequency_variance(counts: sparse.csc_matrix) -> np.ndarray:
 
 
 def document_frequencies(corpus: Corpus) -> np.ndarray:
-    return np.asarray((corpus.counts != 0).sum(axis=1)).ravel()
+    return np.bincount(corpus.indices[corpus.data != 0], minlength=corpus.n_words)
 
 
-def normalize_columns(corpus: Corpus) -> sparse.csc_matrix:
-    """Column-stochastic count matrix: counts[w, i] / m_i."""
+def _inverse_lengths(corpus: Corpus) -> np.ndarray:
+    """1 / m_i per patient; a patient with no tokens is an error naming it."""
     m = corpus.doc_lengths
     bad = np.flatnonzero(m < 1)
     if bad.size:
         names = ", ".join(corpus.patient_ids[i] for i in bad[:10])
         raise ValueError(f"zero-length document(s): {names}")
-    return (corpus.counts.astype(float) @ sparse.diags(1.0 / m.astype(float))).tocsc()
+    return 1.0 / m.astype(float)
+
+
+def normalize_columns(corpus: Corpus):
+    """Column-stochastic count matrix Xbar, a ``scipy.sparse.csc_matrix``:
+    counts[w, i] / m_i."""
+    from scipy import sparse
+
+    return (corpus.counts.astype(float) @ sparse.diags(_inverse_lengths(corpus))).tocsc()
+
+
+def mean_word_score(corpus: Corpus, u) -> np.ndarray:
+    """Each patient's mean of the per-word score ``u`` over its tokens, Xbar^T u
+    for Xbar = ``normalize_columns(corpus)``, from the CSC arrays in O(nnz)."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (corpus.n_words,):
+        raise ValueError(f"per-word score of shape {u.shape} for {corpus.n_words} words")
+    patient = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.indptr))
+    xbar = corpus.data * _inverse_lengths(corpus)[patient]  # the entries of Xbar
+    return np.bincount(patient, weights=xbar * u[corpus.indices], minlength=corpus.n_docs)
 
 
 def subset(corpus: Corpus, indices) -> Corpus:
@@ -497,7 +564,6 @@ def save_corpus(corpus: Corpus, path) -> None:
     """Write a version-2 corpus file: the canonical CSC arrays of the counts
     (``indptr`` over patients, ``indices`` holding word ids, ``data``
     holding counts) next to the vocabulary and labels."""
-    counts = corpus.counts
     write_json({
         "format": CORPUS_FORMAT,
         "version": CORPUS_VERSION,
@@ -506,9 +572,9 @@ def save_corpus(corpus: Corpus, path) -> None:
         "patient_ids": list(corpus.patient_ids),
         "times": corpus.labels.times.tolist(),
         "observed": corpus.labels.observed.astype(int).tolist(),
-        "indptr": counts.indptr.tolist(),
-        "indices": counts.indices.tolist(),
-        "data": counts.data.astype(np.int64).tolist(),
+        "indptr": corpus.indptr.tolist(),
+        "indices": corpus.indices.tolist(),
+        "data": corpus.data.astype(np.int64).tolist(),
     }, path)
 
 
@@ -524,11 +590,18 @@ def read_json(path, format: str, versions: tuple[int, ...], kind: str) -> dict:
     return payload
 
 
-def _triplet_counts(payload: dict, d: int, n: int) -> sparse.csc_matrix:
+def _triplet_counts(payload: dict, d: int, n: int) -> tuple:
     """Version 1: one [word, patient, count] list per nonzero count (freed
-    here, while the collector is paused)."""
+    here, while the collector is paused), summed into the CSC arrays."""
     trips = np.array(payload.pop("triplets"), dtype=np.int64).reshape(-1, 3)
-    return sparse.coo_matrix((trips[:, 2], (trips[:, 0], trips[:, 1])), shape=(d, n)).tocsc()
+    if trips.size and (trips[:, :2].min() < 0 or trips[:, 0].max() >= d
+                       or trips[:, 1].max() >= n):
+        raise ValueError(f"triplet index outside the {d} x {n} matrix")
+    word, patient, count = trips[np.lexsort((trips[:, 0], trips[:, 1]))].T
+    first = np.flatnonzero(np.diff(patient * d + word, prepend=-1))  # of each repeated cell
+    data = np.add.reduceat(count, first) if first.size else count
+    return data, word[first], np.concatenate(([0], np.cumsum(np.bincount(patient[first],
+                                                                         minlength=n))))
 
 
 def _flat_array(values, name: str, kinds: str, what: str) -> np.ndarray:
@@ -542,26 +615,14 @@ def _flat_array(values, name: str, kinds: str, what: str) -> np.ndarray:
     return a
 
 
-def _csc_counts(payload: dict, d: int, n: int) -> sparse.csc_matrix:
-    """Version 2: the canonical CSC arrays, checked in O(nnz) before scipy
-    sees them."""
-    indptr, indices, data = (
-        _flat_array(payload[k], k, "i", "integers").astype(np.int64, copy=False)
-        for k in ("indptr", "indices", "data"))
-    if indptr.size != n + 1:
-        raise ValueError(f"indptr has {indptr.size} entries, expected {n + 1}")
-    if indices.size != data.size:
-        raise ValueError(f"indices has {indices.size} entries but data has {data.size}")
-    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
-        raise ValueError(f"indptr must rise from 0 to {indices.size}")
-    if indices.size and (indices.min() < 0 or indices.max() >= d):
-        raise ValueError(f"word index outside [0, {d})")
-    rising = np.diff(indices) > 0
-    starts = indptr[1:-1]
-    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new column begins
-    if not rising.all():
-        raise ValueError("word indices must increase strictly within each patient")
-    return sparse.csc_matrix((data, indices, indptr), shape=(d, n))
+def _csc_counts(payload: dict, d: int, n: int) -> tuple:
+    """Version 2: the canonical CSC arrays, as integers: the counts int64, the
+    word indices and offsets int32 where they fit, as scipy keeps them, so
+    that the matrix ``Corpus.counts`` shares them."""
+    data, indices, indptr = (_flat_array(payload[k], k, "i", "integers")
+                             for k in ("data", "indices", "indptr"))
+    index = np.int32 if max(d, n, indices.size) < 2 ** 31 else np.int64
+    return data.astype(np.int64, copy=False), indices.astype(index), indptr.astype(index)
 
 
 # per readable version: the keys holding its counts, and their reader

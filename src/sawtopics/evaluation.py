@@ -157,16 +157,17 @@ def cross_validate(
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    cells = [(int(k), float(lam), float(alpha)) for k, lam, alpha in grid]
+    base = base_config if base_config is not None else SawConfig()
+    cell_configs = [replace(base, k=k, lam=float(lam), alpha=float(alpha))
+                    for k, lam, alpha in grid]
+    cells = [(c.k, c.lam, c.alpha) for c in cell_configs]
     if not cells:
         raise ValueError("empty hyperparameter grid")
     repeated = next((c for i, c in enumerate(cells) if c in cells[:i]), None)
     if repeated is not None:
         raise ValueError(f"grid cell (k, lam, alpha) = {repeated} appears more than once")
-    base = base_config if base_config is not None else SawConfig()
-    configs = [replace(base, k=k, lam=lam, alpha=alpha,
-                       seed=derive_seed(seed, f"cv-cell{ci}-fold{f}"))
-               for ci, (k, lam, alpha) in enumerate(cells) for f in range(folds)]
+    configs = [replace(c, seed=derive_seed(seed, f"cv-cell{ci}-fold{f}"))
+               for ci, c in enumerate(cell_configs) for f in range(folds)]
     fit = fitter if fitter is not None else fit_saw
     n = train.n_docs
     perm = np.random.default_rng(derive_seed(seed, "cv-folds")).permutation(n)
@@ -179,6 +180,8 @@ def cross_validate(
 
     import multiprocessing  # imported here: only cv needs them (~5 ms to load)
     from concurrent.futures import ProcessPoolExecutor
+
+    train.counts  # built, and scipy loaded, once here: each worker would otherwise pay for both
 
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1, len(configs))

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .anchors import AnchorSet
-from .corpus import (Corpus, Vocabulary, normalize_columns, read_json, vocabulary_hash,
-                     write_json)
+from .corpus import (Corpus, Vocabulary, mean_word_score, normalize_columns, read_json,
+                     vocabulary_hash, write_json)
 from .saw import (FitTrace, Predictions, SawConfig, SawModel, cox_predictions, fit_saw,
                   fit_usaw, predict)
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, fit_elastic_net_cox,
@@ -63,7 +63,8 @@ def fit_km(corpus: Corpus) -> KmModel:
 def predict_encox(model: EncoxModel, corpus: Corpus) -> Predictions:
     if vocabulary_hash(corpus.vocab) != model.vocab_hash:
         raise ValueError("vocabulary mismatch between model and corpus")
-    return cox_predictions(model.cox, normalize_columns(corpus).T, corpus.patient_ids)
+    return cox_predictions(model.cox, mean_word_score(corpus, model.cox.beta),
+                           corpus.patient_ids)
 
 
 def predict_km(model: KmModel, corpus: Corpus) -> Predictions:

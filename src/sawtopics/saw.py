@@ -15,11 +15,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .anchors import AnchorSet, default_candidates, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence
-from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns, vocabulary_hash
+from .corpus import (Corpus, Vocabulary, document_frequencies, mean_word_score, normalize_columns,
+                     vocabulary_hash)
 from .seeding import derive_seed
 from .survival import (CoxModel, SurvivalLabels, breslow_baseline, elastic_net_penalty,
                        fit_elastic_net_cox, predict_median)
@@ -47,6 +47,9 @@ class SawConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not float(self.k).is_integer():
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         for key in ("lam", "outer_tol"):
@@ -154,6 +157,8 @@ def update_theta(
     free = np.setdiff1d(np.arange(d), aidx)
     if not free.size:  # every word is an anchor; nothing to optimize
         return theta
+    from scipy import sparse
+
     XT = Xbar.T  # no copy of the design: Xbar, this view, and its squares on its index arrays
     Xsq = sparse.csc_matrix((Xbar.data ** 2, Xbar.indices, Xbar.indptr), shape=Xbar.shape)
     P, B = stats.Qbar[free], stats.Qbar[aidx]
@@ -318,16 +323,15 @@ def fit_usaw(corpus: Corpus, config: SawConfig) -> SawModel:
 
 def predict(model: SawModel, new_corpus: Corpus) -> Predictions:
     """Risk scores and median survival predictions for a new corpus built
-    on the same vocabulary as the training data."""
+    on the same vocabulary as the training data: the risk is each patient's
+    mean over its tokens of the per-word score theta @ beta."""
     if vocabulary_hash(new_corpus.vocab) != model.vocab_hash:
         raise ValueError("vocabulary mismatch between model and corpus")
-    Z = doc_topic_features(model.topic_model.theta, normalize_columns(new_corpus))
-    return cox_predictions(model.cox, Z, new_corpus.patient_ids)
+    u = model.topic_model.theta @ model.cox.beta
+    return cox_predictions(model.cox, mean_word_score(new_corpus, u), new_corpus.patient_ids)
 
 
-def cox_predictions(cox: CoxModel, Z, patient_ids) -> Predictions:
-    """Risk scores Z @ beta (Z dense or scipy sparse) and the median
-    survival times they imply."""
-    risk = Z @ cox.beta
+def cox_predictions(cox: CoxModel, risk: np.ndarray, patient_ids) -> Predictions:
+    """The risk scores and the median survival times they imply."""
     median, saturated = predict_median(cox, risk)
     return Predictions(patient_ids, risk, median, saturated)

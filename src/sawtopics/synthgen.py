@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus, Vocabulary, read_json, write_json
 from .seeding import derive_seed
@@ -80,7 +79,7 @@ def generate_corpus(
     pwidth = len(str(max(n - 1, 1)))
     pids = tuple(f"s{i:0{pwidth}d}" for i in range(n))
     labels = SurvivalLabels(np.ones(n), np.ones(n, dtype=bool))
-    corpus = Corpus(sparse.csc_matrix(counts), vocab, labels, pids)
+    corpus = Corpus(counts, vocab, labels, pids)
     return corpus, W
 
 

@@ -185,6 +185,18 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert f"{preds} row 3:" in err and why in err
 
+    @pytest.mark.parametrize("label", ["saw,v2", 'saw"v2', "saw\rv2", "saw\nv2"])
+    def test_evaluate_refuses_a_label_that_breaks_the_csv(self, synth_corpus, tmp_path, capsys,
+                                                          label):
+        preds = tmp_path / "p.csv"
+        preds.write_text("patient_id,risk_score,predicted_median_days,saturated\n"
+                         "s000,0.1,20.0,0\n")
+        rc = run("evaluate", "--predictions", str(preds), "--corpus", str(synth_corpus),
+                 "--method", label, "--out", str(tmp_path / "metrics.csv"))
+        assert rc == 1
+        assert "--method" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [preds]
+
     def test_v1_corpus_scores_like_its_v2_resave(self, synth_corpus, tmp_path):
         v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
         helpers.save_corpus_v1(load_corpus(synth_corpus), v1)
@@ -331,6 +343,38 @@ def test_cli_import_skips_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_scoring_commands_skip_scipy_sparse(synth_corpus, tmp_path):
+    # predict, evaluate and report build no matrix, so they must not pay for
+    # loading scipy.sparse; train does load it
+    models = {}
+    for method in ("saw", "encox", "km"):
+        models[method] = str(tmp_path / f"{method}.json")
+        assert run("train", "--corpus", str(synth_corpus), "--method", method, "--k", "3",
+                   "--seed", "3", "--out", models[method]) == 0
+    corpus, preds = str(synth_corpus), str(tmp_path / "saw.csv")
+    commands = [
+        *(["predict", "--model", models[m], "--corpus", corpus,
+           "--out", str(tmp_path / f"{m}.csv")] for m in ("saw", "encox", "km")),
+        ["evaluate", "--predictions", preds, "--corpus", corpus,
+         "--out", str(tmp_path / "metrics.csv")],
+        ["report", "--model", models["saw"], "--out", str(tmp_path / "report.txt")],
+        ["train", "--corpus", corpus, "--method", "encox", "--out", str(tmp_path / "m.json")],
+    ]
+    code = ("import json, sys\n"
+            "from sawtopics.cli import main\n"
+            "seen = ['scipy.sparse' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append([main(argv), 'scipy.sparse' in sys.modules])\n"
+            "print(json.dumps(seen))\n")
+    src = str(Path(sawtopics.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == [False] + [[0, False]] * 5 + [[0, True]]
 
 
 # option strings, dests and choices of every subcommand, as the CLI has

@@ -496,6 +496,52 @@ class TestMalformedFiles:
             load_corpus(path)
         assert re.search(message, str(info.value))
 
+    @pytest.mark.parametrize("case", ["negative count", "data shorter than indices",
+                                      "indptr too short", "patient_ids length"])
+    def test_refused_before_any_matrix_is_built(self, tmp_path, monkeypatch, case):
+        def never(*args, **kwargs):
+            pytest.fail("a malformed file reached scipy")
+
+        for name in ("csc_matrix", "coo_matrix"):
+            monkeypatch.setattr(sparse, name, never)
+        changes, message = MALFORMED[case]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(corpus_payload(**changes)))
+        with pytest.raises(ValueError, match=message):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_counts_built_on_first_read(self, tmp_path, version):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(corpus_payload()))
+        if version == 1:
+            helpers.save_corpus_v1(load_corpus(path), path)
+        c = load_corpus(path)
+        assert "counts" not in vars(c)
+        assert (c.n_words, c.n_docs, c.doc_lengths.tolist()) == (3, 3, [4, 0, 3])
+        assert "counts" not in vars(c)
+        assert c.counts.toarray().tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
+        assert c.counts is c.counts
+
+    @pytest.mark.parametrize("triplets, error", [
+        ([[2, 0, 1], [0, 2, 1], [0, 0, 1], [0, 0, 2]], None),  # out of order, one cell twice
+        ([[3, 0, 1]], "triplet index outside the 3 x 3 matrix"),
+        ([[0, -1, 1]], "triplet index outside the 3 x 3 matrix")])
+    def test_v1_triplets_summed_like_scipy(self, tmp_path, triplets, error):
+        payload = corpus_payload(version=1, indptr=None, indices=None, data=None,
+                                 triplets=triplets)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        if error:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                load_corpus(path)
+            return
+        t = np.array(triplets)
+        want = sparse.coo_matrix((t[:, 2], (t[:, 0], t[:, 1])), shape=(3, 3)).tocsc()
+        got = load_corpus(path).counts
+        assert [a.tolist() for a in (got.indptr, got.indices, got.data)] == \
+            [a.tolist() for a in (want.indptr, want.indices, want.data)]
+
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("case", BAD_TYPES)
     def test_field_value_types_checked(self, tmp_path, case, version):

@@ -277,6 +277,18 @@ class TestCrossValidate:
             cross_validate(self._corpus(), [(2, 1, 0.5), (3, 1.0, 0.5), (2, 1.0, 0.5)],
                            folds=3, seed=4, base_config=self._config(), fitter=never)
 
+    @pytest.mark.parametrize("grid, value", [([(2.7, 1, 0.5)], "2.7"),
+                                             ([(2, 1, 0.5), (2.9, 1, 0.5)], "2.9")])
+    def test_non_integer_k_refused_by_name(self, grid, value):
+        # not truncated: (2.7, 1, 0.5) does not fit as k = 2, and 2.9 is no
+        # repeat of the cell k = 2
+        def never(sub, cfg):
+            pytest.fail("no fit may start on a grid with a non-integer k")
+
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {value}$"):
+            cross_validate(self._corpus(), grid, folds=3, seed=4,
+                           base_config=self._config(), fitter=never)
+
     def test_edge_of_grid_winner_warned(self, caplog):
         # lam has two values, so either winner is on its edge; k has one value
         with caplog.at_level("WARNING", logger="sawtopics.evaluation"):

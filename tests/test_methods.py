@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from sawtopics.corpus import normalize_columns
+from sawtopics.corpus import Corpus, load_corpus, normalize_columns, save_corpus, subset
 from sawtopics.methods import (RETIRED_CONFIG_KEYS, _decode_matrix, _encode_matrix,
                                fit_method, load_model, predict_model, save_model)
 from sawtopics.saw import SawConfig
+from sawtopics.survival import predict_median
 from sawtopics.synthgen import generate_dataset
+from sawtopics.topics import doc_topic_features
+
+import helpers
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,49 @@ def test_loaded_model_predicts_identically(corpus, tmp_path, method):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="unknown method"):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def cox_models(corpus):
+    cfg = SawConfig(k=3, lam=0.1, alpha=0.5, seed=31, max_outer_iters=5)
+    return {m: fit_method(corpus, m, cfg) for m in ("saw", "usaw", "encox")}
+
+
+def design_risk(model, c):
+    """The risk as the Cox layer sees it in training: the design Z = Xbar^T theta
+    (saw, usaw) or Xbar^T (encox) times beta, through scipy."""
+    Xbar = normalize_columns(c)
+    if model.method == "encox":
+        return Xbar.T @ model.cox.beta
+    return doc_topic_features(model.topic_model.theta, Xbar) @ model.cox.beta
+
+
+@pytest.mark.parametrize("source", ["v2 file", "v1 file", "subset"])
+@pytest.mark.parametrize("method", ["saw", "usaw", "encox"])
+def test_per_word_score_is_the_design_risk(corpus, cox_models, tmp_path, method, source):
+    model, path = cox_models[method], tmp_path / "c.json"
+    if source == "subset":  # its matrix built by scipy
+        c = subset(corpus, np.arange(1, corpus.n_docs, 3))
+    else:
+        (save_corpus if source == "v2 file" else helpers.save_corpus_v1)(corpus, path)
+        c = load_corpus(path)
+    preds = predict_model(model, c)
+    if source != "subset":
+        assert "counts" not in vars(c)  # scored from the arrays; no matrix built
+    risk = design_risk(model, c)
+    np.testing.assert_allclose(preds.risk, risk, rtol=1e-11, atol=0)
+    median, saturated = predict_median(model.cox, risk)
+    assert np.array_equal(preds.median, median)
+    assert np.array_equal(preds.saturated, saturated)
+
+
+@pytest.mark.parametrize("method", ["saw", "encox"])
+def test_zero_length_patient_named(corpus, cox_models, method):
+    counts = corpus.counts.toarray()
+    counts[:, 4] = 0
+    empty = Corpus(counts, corpus.vocab, corpus.labels, corpus.patient_ids)
+    with pytest.raises(ValueError, match=f"^zero-length document\\(s\\): {corpus.patient_ids[4]}$"):
+        predict_model(cox_models[method], empty)
 
 
 def test_encox_scores_the_sparse_design(corpus):

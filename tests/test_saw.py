@@ -39,6 +39,15 @@ class TestSawConfig:
         with pytest.raises(ValueError):
             SawConfig(outer_tol=0.0)
 
+    @pytest.mark.parametrize("k", [2.5, float("nan"), float("inf")])
+    def test_non_integer_k_refused(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+            SawConfig(k=k)
+
+    @pytest.mark.parametrize("k", [3, 3.0, np.int64(3)])
+    def test_integral_k_stored_as_int(self, k):
+        assert type(SawConfig(k=k).k) is int and SawConfig(k=k).k == 3
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("key", ["lam", "outer_tol"])
     def test_non_finite_settings_refused(self, key, value):
