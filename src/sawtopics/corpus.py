@@ -5,6 +5,11 @@ event_value) plus per-patient survival labels. Continuous event values are
 discretized into equal-frequency bins and each (event, bin-or-value) pair
 becomes one vocabulary word; the corpus is the resulting word-by-patient
 count matrix with aligned survival labels.
+
+The rows are parsed in blocks, in the forked pool of ``sawtopics.parallel``.
+Each string column is kept coded: its sorted distinct values and an integer
+code per row. The corpus is built from those codes, so strings are parsed,
+stripped and joined into words once per distinct value, not once per row.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping
+from functools import cached_property, partial
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .parallel import forked_map
 from .survival import SurvivalLabels
 
 log = logging.getLogger(__name__)
@@ -39,23 +45,60 @@ class EventParseError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True, eq=False)
-class Events:
-    """Event rows as four aligned 1-d columns: ``patient_id``, ``event`` and
-    ``event_value`` hold str objects, ``time`` holds floats (days)."""
+class CodedColumn(NamedTuple):
+    """A string column as its sorted distinct values (an object array of str)
+    and each row's position among them (int64 codes)."""
 
-    patient_id: np.ndarray
-    time: np.ndarray
-    event: np.ndarray
-    event_value: np.ndarray
+    distinct: np.ndarray
+    codes: np.ndarray
 
-    def __post_init__(self):
-        for name in ("patient_id", "event", "event_value"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=object))
-        object.__setattr__(self, "time", np.asarray(self.time, dtype=float))
-        n = len(self.time)
-        if any(c.shape != (n,) for c in (self.patient_id, self.time, self.event, self.event_value)):
+    @property
+    def strings(self) -> np.ndarray:
+        return self.distinct[self.codes]
+
+
+def _coded(column) -> CodedColumn:
+    """A checked ``CodedColumn``: ``column`` itself, or its strings coded."""
+    if not isinstance(column, CodedColumn):
+        values = np.asarray(column, dtype=object)
+        if values.ndim != 1:
             raise ValueError("event columns must be 1-d and aligned")
+        distinct, codes = _codes(values.tolist())
+        return CodedColumn(np.array(distinct, dtype=object), codes)
+    distinct, codes = np.asarray(column.distinct, dtype=object), np.asarray(column.codes)
+    if distinct.ndim != 1 or any(a >= b for a, b in zip(distinct.tolist(), distinct[1:].tolist())):
+        raise ValueError("coded column values must be sorted and distinct")
+    if codes.dtype.kind not in "iu" or (codes.size and not 0 <= codes.min() <= codes.max()
+                                        < distinct.size):
+        raise ValueError(f"coded column codes must be integers in [0, {distinct.size})")
+    return CodedColumn(distinct, codes.astype(np.int64, copy=False))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Events:
+    """Event rows as four aligned 1-d columns. ``time`` holds floats (days);
+    ``patients``, ``names`` and ``values`` hold the string columns
+    ``patient_id``, ``event`` and ``event_value`` as ``CodedColumn``s, and
+    those three names read each back as an object array of str."""
+
+    patients: CodedColumn
+    time: np.ndarray
+    names: CodedColumn
+    values: CodedColumn
+
+    def __init__(self, patient_id, time, event, event_value):
+        """Each string column is a ``CodedColumn``, or its strings, coded here."""
+        time = np.asarray(time, dtype=float)
+        patients, names, values = (_coded(c) for c in (patient_id, event, event_value))
+        if time.ndim != 1 or any(c.codes.shape != time.shape for c in (patients, names, values)):
+            raise ValueError("event columns must be 1-d and aligned")
+        for name, value in (("patients", patients), ("time", time), ("names", names),
+                            ("values", values)):
+            object.__setattr__(self, name, value)
+
+    patient_id = property(lambda self: self.patients.strings)
+    event = property(lambda self: self.names.strings)
+    event_value = property(lambda self: self.values.strings)
 
     def __len__(self) -> int:
         return int(self.time.size)
@@ -187,6 +230,11 @@ class IngestConfig:
     cutoff: float | None = None
     min_variance: float | None = None
 
+    def __post_init__(self):
+        if not float(self.bins).is_integer() or self.bins < 1:
+            raise ValueError(f"bins must be an integer >= 1, got {self.bins!r}")
+        object.__setattr__(self, "bins", int(self.bins))
+
 
 def _try_float(s: str) -> float | None:
     try:
@@ -196,31 +244,39 @@ def _try_float(s: str) -> float | None:
 
 
 def _floats(strings) -> tuple[np.ndarray, np.ndarray]:
-    """float() of each string, and the mask of those float() accepts (the
-    others read NaN)."""
+    """float() of each stripped string, and the mask of those float() accepts
+    (the others read NaN). A string float() accepts unstripped reads the same
+    stripped, since float() strips only whitespace that str.strip() strips."""
     try:
         return np.fromiter(map(float, strings), float, len(strings)), np.ones(len(strings), bool)
     except ValueError:
-        parsed = [_try_float(s) for s in strings]
+        parsed = [_try_float(s.strip()) for s in strings]
         ok = np.array([v is not None for v in parsed], dtype=bool)
         return np.array([np.nan if v is None else v for v in parsed], dtype=float), ok
 
 
-def _numbers(strings) -> np.ndarray | None:
-    """The strings as floats if every one is a finite number, else None.
-    Parsing stops at the first string that is not a number."""
-    try:
-        x = np.fromiter(map(float, strings), float, len(strings))
-    except ValueError:
-        return None
-    return x if np.isfinite(x).all() else None
-
-
-def _codes(values) -> tuple[list[str], np.ndarray]:
+def _codes(values: list) -> tuple[list, np.ndarray]:
     """The sorted distinct values, and each value's position among them."""
     distinct = sorted(set(values))
     position = {v: i for i, v in enumerate(distinct)}
     return distinct, np.fromiter(map(position.__getitem__, values), np.int64, len(values))
+
+
+def _stripped_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped values, and each value's position among
+    them; only the distinct values are stripped."""
+    raw, codes = _codes(values)
+    distinct, position = _codes([v.strip() for v in raw])
+    return distinct, position[codes]
+
+
+def _merged(parts: list[tuple[list[str], np.ndarray]]) -> CodedColumn:
+    """One coded column from the (sorted distinct values, codes) of consecutive blocks."""
+    distinct = sorted(set().union(*(values for values, _ in parts)))
+    position = {v: i for i, v in enumerate(distinct)}
+    codes = [np.array([position[v] for v in values], dtype=np.int64)[c] for values, c in parts]
+    return CodedColumn(np.array(distinct, dtype=object),
+                       np.concatenate(codes) if codes else np.empty(0, np.int64))
 
 
 def _seps(lines: list[str]) -> list[str]:
@@ -264,11 +320,29 @@ def _split_rows(lines: list[str], seps: list[str]) -> list[list[str]]:
     return columns
 
 
-def _stripped(strings: list[str]) -> np.ndarray:
-    return np.fromiter(map(str.strip, strings), object, len(strings))
+_BLOCK_ROWS = 1 << 16  # rows parsed per task, which bounds the memory of the split fields
 
 
-_BLOCK_ROWS = 1 << 16  # rows split at a time, which bounds the memory of the split fields
+def _parse_block(rows: list[str], start: int, stop: int):
+    """The event rows ``rows[start:stop]``, blank ones skipped, parsed: their
+    times, and the (sorted distinct stripped values, codes) of each string
+    column. If one is malformed, the 1-based number of the first such row."""
+    lines = [raw.rstrip("\r\n") for raw in rows[start:stop]]
+    block = [line for line in lines if line.strip()]
+    seps = _seps(block)
+    n_fields = np.fromiter(map(str.count, block, seps), np.int64, len(block)) + 1
+    wrong = np.flatnonzero(n_fields != 4)
+    end = int(wrong[0]) if wrong.size else len(block)
+    pid, time, event, value = _split_rows(block[:end], seps[:end])
+    time, _ = _floats(time)
+    names, event = _stripped_codes(event)
+    bad = ~(np.isfinite(time) & (time >= 0))
+    if names[:1] == [""]:  # sorted first
+        bad |= event == 0
+    first = int(np.argmax(bad)) if bad.any() else end
+    if first < len(block):
+        return start + 1 + [i for i, line in enumerate(lines) if line.strip()][first]
+    return time, _stripped_codes(pid), (names, event), _stripped_codes(value)
 
 
 def ingest_events(rows: Iterable[str]) -> Events:
@@ -280,32 +354,21 @@ def ingest_events(rows: Iterable[str]) -> Events:
     a field count other than 4, an unparseable, non-finite or negative time,
     or an empty event name is an error carrying its row number. Empty input
     yields empty columns.
+
+    Blocks of ``_BLOCK_ROWS`` rows are parsed in the forked pool of
+    ``sawtopics.parallel.forked_map``; input of one block is parsed in this
+    process.
     """
-    lines = [raw.rstrip("\r\n") for raw in rows]
-    rownums = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
-    if rownums.size and rownums[0] == 1 and _is_header(lines[0]):
-        rownums = rownums[1:]
-    pids, times, events, values = [], [], [], []
-    for start in range(0, rownums.size, _BLOCK_ROWS):
-        nums = rownums[start:start + _BLOCK_ROWS].tolist()
-        block = [lines[i - 1] for i in nums]
-        seps = _seps(block)
-        n_fields = np.fromiter(map(str.count, block, seps), np.int64, len(block)) + 1
-        wrong = np.flatnonzero(n_fields != 4)
-        stop = int(wrong[0]) if wrong.size else len(block)
-        pid, time, event, value = _split_rows(block[:stop], seps[:stop])
-        time, _ = _floats(list(map(str.strip, time)))
-        event = _stripped(event)
-        bad = np.flatnonzero(~(np.isfinite(time) & (time >= 0)) | (event == ""))
-        first = int(bad[0]) if bad.size else stop
-        if first < len(block):
-            raise _row_error(nums[first], block[first])
-        pids += pid
-        times.append(time)
-        events.append(event)
-        values += value
-    return Events(_stripped(pids), np.concatenate(times) if times else (),
-                  np.concatenate(events) if events else (), _stripped(values))
+    rows = list(rows)
+    starts = range(1 if rows and _is_header(rows[0]) else 0, len(rows), _BLOCK_ROWS)
+    parts = forked_map(partial(_parse_block, rows),
+                       [(s, min(s + _BLOCK_ROWS, len(rows))) for s in starts])
+    failed = [p for p in parts if isinstance(p, int)]
+    if failed:
+        raise _row_error(failed[0], rows[failed[0] - 1])
+    time = np.concatenate([p[0] for p in parts]) if parts else ()
+    return Events(_merged([p[1] for p in parts]), time, _merged([p[2] for p in parts]),
+                  _merged([p[3] for p in parts]))
 
 
 def load_events(path) -> Events:
@@ -349,39 +412,47 @@ def load_labels(path) -> dict[str, tuple[float, bool]]:
         return read_labels(fh)
 
 
-def _by_event(event: np.ndarray, value: np.ndarray) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """(name, row positions, values) per distinct event name, names sorted
-    and each event's rows in input order."""
-    names, code = _codes(event)
-    order = np.argsort(code, kind="stable")
-    cuts = np.cumsum(np.bincount(code, minlength=len(names)))[:-1]
-    return list(zip(names, np.split(order, cuts), np.split(value[order], cuts)))
+def _word_codes(events: Events, kept: np.ndarray, cfg: IngestConfig,
+                vocabulary: Vocabulary | None) -> tuple[list[str], np.ndarray, Mapping]:
+    """The distinct words of the kept event rows, each kept row's position
+    among them (-1: the row makes no word), and the bin edges.
 
-
-def _code_words(groups, bin_edges: Mapping[str, tuple[float, ...]],
-                n: int) -> tuple[list[str], np.ndarray]:
-    """The distinct words of n event rows, and each row's position among
-    them (-1: the row makes no word).
-
-    A binned event's numeric value becomes "event:binJ" (a value equal to a
-    cut point goes to the lower bin) and its non-numeric value no word; any
-    other event's value becomes "event=value".
+    An event whose values are all finite numbers is binned: "event:binJ",
+    with edges at equal-frequency quantiles, or those of ``vocabulary``; a
+    value equal to a cut point goes to the lower bin, and a value float()
+    refuses makes no word. Any other event's value becomes "event=value".
+    Each distinct value string is parsed once, and each word built once.
     """
-    words: list[str] = []
-    word_of = np.full(n, -1, dtype=np.int64)
-    for name, rows, values in groups:
-        if name in bin_edges:
-            x, ok = _floats(values)
-            edges = np.asarray(bin_edges[name], dtype=float)
-            bins, code = np.unique(np.searchsorted(edges, x[ok], side="left"), return_inverse=True)
-            new = [f"{name}:bin{j + 1}" for j in bins.tolist()]
-            rows = rows[ok]
-        else:
-            distinct, code = _codes(values)
-            new = [f"{name}={v}" for v in distinct]
-        word_of[rows] = code + len(words)
-        words += new
-    return words, word_of
+    names, values = events.names.distinct.tolist(), events.values.distinct.tolist()
+    name, value = events.names.codes[kept], events.values.codes[kept]
+    x, parsed = _floats(values)
+    rows = np.bincount(name, minlength=len(names))
+    order = np.argsort(name)  # each event's rows, at order[start[e]:start[e + 1]]
+    start = np.concatenate(([0], np.cumsum(rows)))
+    if vocabulary is None:
+        not_numeric = np.bincount(name[~np.isfinite(x[value])], minlength=len(names))
+        q = np.arange(1, cfg.bins) / cfg.bins
+        bin_edges = {names[e]: tuple(np.quantile(x[value[order[start[e]:start[e + 1]]]],
+                                                 q).tolist())
+                     for e in np.flatnonzero((rows > 0) & (not_numeric == 0)).tolist()}
+    else:
+        bin_edges = vocabulary.bin_edges
+    binned = np.array([nm in bin_edges for nm in names], dtype=bool) & (rows > 0)
+    # a word's key is name * width + (its bin, or its value's code)
+    width = max([len(values)] + [len(bin_edges[names[e]]) + 1 for e in np.flatnonzero(binned)])
+    sub = value.copy()
+    for e in np.flatnonzero(binned).tolist():
+        at = order[start[e]:start[e + 1]]
+        v = value[at]
+        edges = np.asarray(bin_edges[names[e]], dtype=float)
+        sub[at] = np.where(parsed[v], np.searchsorted(edges, x[v], side="left"), -1)
+    hit = sub >= 0
+    keys, inverse = np.unique(name[hit] * width + sub[hit], return_inverse=True)
+    words = [f"{names[e]}:bin{j + 1}" if binned[e] else f"{names[e]}={values[j]}"
+             for e, j in (divmod(k, width) for k in keys.tolist())]
+    word_of = np.full(name.size, -1, dtype=np.int64)
+    word_of[hit] = inverse
+    return words, word_of, bin_edges
 
 
 def build_corpus(
@@ -401,57 +472,53 @@ def build_corpus(
     Passing a prebuilt ``vocabulary`` skips vocabulary construction and
     filtering: tokens not in it are ignored, supporting train-only
     vocabularies and scoring new patients against a fitted model.
-    """
-    from scipy import sparse
 
+    The work is on the columns' integer codes; strings are handled once per
+    distinct value, and scipy is loaded only for ``min_variance``.
+    """
     cfg = cfg or IngestConfig()
     kept = np.ones(len(events), bool) if cfg.cutoff is None else events.time < cfg.cutoff
     if not kept.any():
         raise ValueError("no events remain after cutoff filtering")
 
-    pids, col = _codes(events.patient_id[kept])
+    used, col = np.unique(events.patients.codes[kept], return_inverse=True)
+    pids = events.patients.distinct[used].tolist()
     missing = [p for p in pids if p not in labels]
     if missing:
         raise ValueError("patients with events but no label: " + ", ".join(missing))
     n = len(pids)
 
-    groups = _by_event(events.event[kept], events.event_value[kept])
+    words, word_of, bin_edges = _word_codes(events, kept, cfg, vocabulary)
     if vocabulary is None:
-        bin_edges: dict[str, tuple[float, ...]] = {}
-        for name, _, values in groups:
-            x = _numbers(values)
-            if x is not None:
-                b = int(cfg.bins)
-                if b < 1:
-                    raise ValueError(f"bin count for event {name!r} must be >= 1")
-                bin_edges[name] = tuple(np.quantile(x, np.arange(1, b) / b).tolist())
-    else:
-        bin_edges = vocabulary.bin_edges
-    words, word_of = _code_words(groups, bin_edges, len(col))
-    if vocabulary is None:
-        index = {w: i for i, w in enumerate(sorted(words))}
+        index = {w: i for i, w in enumerate(sorted(set(words)))}  # two keys can spell one word
     else:
         index = vocabulary.index
+    d = len(index)
     # a row without a word (word_of == -1) picks the appended -1
     row = np.array([index.get(w, -1) for w in words] + [-1], dtype=np.int64)[word_of]
     hit = row >= 0
-    counts = sparse.coo_matrix((np.ones(int(hit.sum()), dtype=np.int64), (row[hit], col[hit])),
-                               shape=(len(index), n)).tocsc()
+    # the canonical CSC arrays of the counts, one entry per (patient, word) cell
+    cell, data = np.unique(col[hit] * d + row[hit], return_counts=True)
+    patient, indices = np.divmod(cell, d)
 
     if vocabulary is None:
-        doc_freq = np.asarray((counts != 0).sum(axis=1)).ravel()
-        keep_w = doc_freq >= cfg.min_doc_freq
+        keep_w = np.bincount(indices, minlength=d) >= cfg.min_doc_freq
         if cfg.min_variance is not None:
+            from scipy import sparse
+
+            indptr = np.searchsorted(patient, np.arange(n + 1))
+            counts = sparse.csc_matrix((data, indices, indptr), shape=(d, n))
             keep_w &= _frequency_variance(counts) >= cfg.min_variance
         if not keep_w.any():
             raise ValueError("no words survive filtering; relax min_doc_freq or filters")
-        counts = counts[np.flatnonzero(keep_w)]
+        kept_cell = keep_w[indices]
+        patient, indices, data = (patient[kept_cell], (np.cumsum(keep_w) - 1)[indices[kept_cell]],
+                                  data[kept_cell])
         vocab = Vocabulary(tuple(w for w, k in zip(index, keep_w) if k), bin_edges)
     else:
         vocab = vocabulary
 
-    m = np.asarray(counts.sum(axis=0)).ravel()
-    keep_p = m >= 2
+    keep_p = np.bincount(patient, weights=data, minlength=n) >= 2
     if not keep_p.all():
         dropped = [p for p, k in zip(pids, keep_p) if not k]
         log.warning(
@@ -460,12 +527,15 @@ def build_corpus(
         )
     if not keep_p.any():
         raise ValueError("no patients remain with at least 2 retained tokens")
-    cols = np.flatnonzero(keep_p)
-    counts = counts[:, cols]
-    final_pids = tuple(pids[i] for i in cols)
+    kept_cell = keep_p[patient]
+    patient, indices, data = ((np.cumsum(keep_p) - 1)[patient[kept_cell]], indices[kept_cell],
+                              data[kept_cell])
+    final_pids = tuple(pids[i] for i in np.flatnonzero(keep_p).tolist())
     y = np.array([float(labels[p][0]) for p in final_pids])
     r = np.array([bool(labels[p][1]) for p in final_pids])
-    return Corpus(counts, vocab, SurvivalLabels(y, r), final_pids)
+    indptr = np.searchsorted(patient, np.arange(len(final_pids) + 1))
+    return Corpus((data, indices, indptr), vocab, SurvivalLabels(y, r), final_pids)
+
 
 def _frequency_variance(counts) -> np.ndarray:
     """Variance across documents of per-document normalized frequency."""
@@ -593,7 +663,14 @@ def read_json(path, format: str, versions: tuple[int, ...], kind: str) -> dict:
 def _triplet_counts(payload: dict, d: int, n: int) -> tuple:
     """Version 1: one [word, patient, count] list per nonzero count (freed
     here, while the collector is paused), summed into the CSC arrays."""
-    trips = np.array(payload.pop("triplets"), dtype=np.int64).reshape(-1, 3)
+    try:
+        trips = np.asarray(payload.pop("triplets"))
+    except ValueError:  # ragged nesting
+        trips = None
+    if trips is None or (trips.size and (trips.ndim != 2 or trips.shape[1] != 3
+                                         or trips.dtype.kind != "i")):
+        raise ValueError("triplets must be a list of [word, patient, count] integer triplets")
+    trips = trips.astype(np.int64, copy=False).reshape(-1, 3)
     if trips.size and (trips[:, :2].min() < 0 or trips[:, 0].max() >= d
                        or trips[:, 1].max() >= n):
         raise ValueError(f"triplet index outside the {d} x {n} matrix")

@@ -5,27 +5,25 @@ patients only; comparing a median to a censoring lower bound is ill-defined,
 so censored patients are excluded and ``n_evaluated`` reports how many
 remain. The c-index is Harrell's concordance over comparable pairs.
 
-``cross_validate`` runs its (cell, fold) fits in parallel, one worker
-process per CPU the process may use (``os.sched_getaffinity``). The workers
-are forked, so cv needs the POSIX ``fork`` start method; they inherit the
-corpus, the fitter and the fold assignment, monkeypatched functions
-included, and start with no import cost. Forking is unsafe while another
-thread of the caller holds a lock; the CLI runs no other thread, and the
-pool forks every worker before it starts its own. Each fit has its own
-seed, so the output bytes do not depend on the CPU count. An in-process
-tracer sees only the parent's spans: the selection and the refit, not the
-fold fits.
+``cross_validate`` runs its (cell, fold) fits in parallel, in the forked
+pool of ``sawtopics.parallel``: one worker per CPU the process may use. The
+workers inherit the corpus, the fitter and the fold assignment,
+monkeypatched functions included, and start with no import cost. Each fit
+has its own seed, so the output bytes do not depend on the CPU count. An
+in-process tracer sees only the parent's spans: the selection and the
+refit, not the fold fits.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .corpus import Corpus, subset
+from .parallel import forked_map
 from .saw import SawConfig, SawModel, fit_saw, predict
 from .seeding import derive_seed
 from .survival import SurvivalLabels
@@ -178,17 +176,9 @@ def cross_validate(
         if not train.labels.observed[fold_of == f].any():
             raise ValueError(f"fold {f} has no observed events; use fewer folds")
 
-    import multiprocessing  # imported here: only cv needs them (~5 ms to load)
-    from concurrent.futures import ProcessPoolExecutor
-
     train.counts  # built, and scipy loaded, once here: each worker would otherwise pay for both
-
-    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1, len(configs))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker,
-                             initargs=(train, fit, fold_of)) as pool:
-        outcomes = list(pool.map(_fold_rmse, configs, list(range(folds)) * len(cells)))
+    outcomes = forked_map(partial(_fold_rmse, train, fit, fold_of),
+                          zip(configs, list(range(folds)) * len(cells)))
     scores = np.full((len(cells), folds), np.nan)
     for ci, cell in enumerate(cells):
         row = outcomes[ci * folds:(ci + 1) * folds]
@@ -223,18 +213,9 @@ def cross_validate(
     return result, final
 
 
-_worker_state: tuple = ()  # (train, fitter, fold assignment), set in each cv worker
-
-
-def _start_worker(train: Corpus, fit, fold_of: np.ndarray) -> None:
-    global _worker_state
-    _worker_state = (train, fit, fold_of)
-
-
-def _fold_rmse(cfg: SawConfig, f: int) -> float | str:
+def _fold_rmse(train: Corpus, fit, fold_of: np.ndarray, cfg: SawConfig, f: int) -> float | str:
     """Fit on every fold but ``f`` and score on ``f``: the held-out RMSE, or
     the failure message."""
-    train, fit, fold_of = _worker_state
     va = np.flatnonzero(fold_of == f)
     try:
         model = fit(subset(train, np.flatnonzero(fold_of != f)), cfg)

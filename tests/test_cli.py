@@ -296,6 +296,13 @@ class TestIngestCli:
         assert all(w.startswith("hr:bin") for w in corpus.vocab.words)
 
 
+    def test_bin_count_refused_before_the_events_are_read(self, tmp_path, capsys):
+        rc = run("ingest", "--events", str(tmp_path / "absent.csv"), "--labels",
+                 str(tmp_path / "absent_labels.csv"), "--out", str(tmp_path / "c.json"),
+                 "--bins", "0")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: bins must be an integer >= 1, got 0\n"
+
     @pytest.mark.parametrize("bom_on", ["events", "labels"])
     def test_utf8_bom_ignored(self, tmp_path, bom_on):
         # headerless files, so the byte order mark would start a patient id

@@ -1,5 +1,8 @@
 import json
+import multiprocessing
+import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import sparse
 
-from sawtopics.corpus import (Corpus, EventParseError, Events, IngestConfig,
+from sawtopics import corpus as corpus_module
+from sawtopics.corpus import (CodedColumn, Corpus, EventParseError, Events, IngestConfig,
                               SurvivalLabels, Vocabulary, build_corpus,
                               ingest_events, load_corpus, normalize_columns,
                               read_labels, save_corpus, split, subset)
@@ -164,6 +168,25 @@ class TestBuildCorpus:
         assert (c.doc_lengths >= 2).all()
         assert np.array_equal(c.doc_lengths, np.asarray(c.counts.sum(axis=0)).ravel())
 
+    @pytest.mark.parametrize("bins", [0, -1, 2.5])
+    def test_bin_count_refused_with_the_config(self, bins):
+        # before any event is read, whether or not an event is numeric
+        message = f"bins must be an integer >= 1, got {bins!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IngestConfig(bins=bins)
+
+    def test_words_spelled_alike_are_one_word(self):
+        # event "a" with value "b=c" and event "a=b" with value "c" both spell "a=b=c"
+        events = [ev(p, t, e, v) for p in ("p1", "p2") for t, e, v in ((0, "a", "b=c"),
+                                                                       (1, "a=b", "c"))]
+        labels = {"p1": (1.0, True), "p2": (2.0, False)}
+        cfg = IngestConfig(min_doc_freq=1)
+        c = build_corpus(columns(events), labels, cfg)
+        assert c.vocab.words == ("a=b=c",)
+        assert c.counts.toarray().tolist() == [[2, 2]]
+        records = helpers.ingest_events([",".join(map(str, e)) for e in events])
+        assert corpus_fields(c) == corpus_fields(helpers.build_corpus(records, labels, cfg))
+
 
 PIDS = ("p1", "p2", "p3", "p4")
 EVENT_NAMES = ("hr", "lab", "sex", "x y")
@@ -262,9 +285,117 @@ class TestEvents:
         with pytest.raises(ValueError, match="aligned"):
             Events(["p1", "p2"], [0.0], ["hr", "hr"], ["1", "2"])
 
+    def test_string_columns_are_coded_once(self):
+        e = Events(["p2", "p1", "p2"], [0.0, 1.0, 2.0], ["hr", "hr", "sex"], ["88", "90", "f"])
+        assert e.patients.distinct.tolist() == ["p1", "p2"]
+        assert e.patients.codes.tolist() == [1, 0, 1]
+        assert e.patient_id.tolist() == ["p2", "p1", "p2"]
+        assert e.event_value.tolist() == ["88", "90", "f"]
+
+    @pytest.mark.parametrize("column, message", [
+        (CodedColumn(np.array(["p2", "p1"], dtype=object), np.array([0, 1])), "sorted"),
+        (CodedColumn(np.array(["p1", "p1"], dtype=object), np.array([0, 1])), "distinct"),
+        (CodedColumn(np.array(["p1", "p2"], dtype=object), np.array([0, 2])), r"in \[0, 2\)"),
+        (CodedColumn(np.array(["p1", "p2"], dtype=object), np.array([0.0, 1.0])), "integers")])
+    def test_coded_columns_checked(self, column, message):
+        with pytest.raises(ValueError, match=message):
+            Events(column, [0.0, 1.0], ["hr", "hr"], ["1", "2"])
+
     def test_header_only_on_first_line(self):
         with pytest.raises(EventParseError, match="row 2: unparseable time 'time'"):
             ingest_events(["", "patient_id,time,event,event_value", "p1,1,hr,88"])
+
+
+def event_lines():
+    """A header, then 30 comma and tab rows of 6 patients, with padding and
+    blank rows."""
+    rng = np.random.default_rng(3)
+    lines = ["patient_id,time,event,event_value"]
+    for i in range(6):
+        for j in range(5):
+            sep = "\t" if (i + j) % 3 == 0 else ","
+            value = f"{rng.normal(80, 10):.1f}" if j % 2 else "abc"[j % 3]
+            lines.append(sep.join([f" p{i}", f"{j}.5 ", ("hr", "sex")[j % 2], value]))
+        lines.append("  ")
+    return lines
+
+
+def coded_fields(events):
+    return [(c.distinct.tolist(), c.codes.tolist())
+            for c in (events.patients, events.names, events.values)] + [events.time.tolist()]
+
+
+class TestBlocksAndWorkers:
+    """Rows parsed in blocks of a few rows, in one forked worker or several,
+    give the columns and the corpus of one block parsed in this process."""
+
+    LABELS = {f"p{i}": (float(i + 1), i % 2 == 0) for i in range(6)}
+    CFG = IngestConfig(bins=3, min_doc_freq=1)
+
+    def spied(self, monkeypatch, tmp_path, cpus, block_rows):
+        """Parse in blocks of ``block_rows`` rows on ``cpus`` CPUs: the
+        columns, and the pids of the processes that parsed a block."""
+        pids = tmp_path / f"pids-{cpus}"
+        pids.mkdir()
+        parse_block = corpus_module._parse_block
+
+        def spy(rows, start, stop):
+            (pids / str(os.getpid())).touch()
+            return parse_block(rows, start, stop)
+
+        monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(corpus_module, "_parse_block", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        events = ingest_events(event_lines())
+        return events, {int(q.name) for q in pids.iterdir()}
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_same_columns_and_corpus(self, monkeypatch, tmp_path, cpus):
+        want = ingest_events(event_lines())
+        got, workers = self.spied(monkeypatch, tmp_path, cpus, 4)
+        assert os.getpid() not in workers and 1 <= len(workers) <= cpus
+        assert coded_fields(got) == coded_fields(want)
+        assert corpus_fields(build_corpus(got, self.LABELS, self.CFG)) == \
+            corpus_fields(build_corpus(want, self.LABELS, self.CFG))
+
+    def test_one_block_parsed_in_this_process(self, monkeypatch, tmp_path):
+        _, workers = self.spied(monkeypatch, tmp_path, 4, len(event_lines()))
+        assert workers == {os.getpid()}
+
+    def test_earliest_malformed_row_raised(self, monkeypatch):
+        # rows 7 and 17, in the second and fourth blocks of rows 2-5, 6-9, ...,
+        # are malformed; both blocks are parsed
+        lines = event_lines()
+        lines[6], lines[16] = "p1,1,hr", "p3,-1,hr,2"
+        monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        want = outcome(helpers.ingest_events, lines)
+        assert want == (EventParseError, "row 7: expected 4 fields, got 3")
+        assert outcome(ingest_events, lines) == want
+        del lines[6]
+        assert outcome(ingest_events, lines) == outcome(helpers.ingest_events, lines) == \
+            (EventParseError, "row 16: time must be finite and >= 0, got '-1'")
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 4)
+        ingest_events(event_lines())
+        assert multiprocessing.active_children() == []
+        with pytest.raises(EventParseError):
+            ingest_events(event_lines() + ["p1,x,hr,1"])
+        assert multiprocessing.active_children() == []
+
+    @given(event_texts(), hst.integers(1, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_row_reference(self, text, block_rows):
+        with mock.patch.object(corpus_module, "_BLOCK_ROWS", block_rows):
+            got = outcome(ingest_events, text.split("\n"))
+        want = outcome(helpers.ingest_events, text.split("\n"))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert rows_of(got) == [(r.patient_id, r.time, r.event, r.event_value) for r in want]
+        assert corpus_fields(outcome(build_corpus, got, self.LABELS, self.CFG)) == \
+            corpus_fields(outcome(helpers.build_corpus, want, self.LABELS, self.CFG))
 
 
 class TestNormalizeColumns:
@@ -541,6 +672,19 @@ class TestMalformedFiles:
         got = load_corpus(path).counts
         assert [a.tolist() for a in (got.indptr, got.indices, got.data)] == \
             [a.tolist() for a in (want.indptr, want.indices, want.data)]
+
+    @pytest.mark.parametrize("triplets", [[[0, 0, 2.7]], [[0, 0]], [[0, 0, 1], [0, 1]],
+                                          [["0", 0, 1]]])
+    def test_v1_triplets_must_be_integer_triplets(self, tmp_path, triplets):
+        # a count of 2.7 is refused, not truncated to 2
+        payload = corpus_payload(version=1, indptr=None, indices=None, data=None,
+                                 triplets=triplets)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad corpus file {path}: triplets must be a list of [word, patient, count] "
+                "integer triplets")):
+            load_corpus(path)
 
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("case", BAD_TYPES)
