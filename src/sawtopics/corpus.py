@@ -14,6 +14,7 @@ stripped and joined into words once per distinct value, not once per row.
 
 from __future__ import annotations
 
+import base64
 import gc
 import hashlib
 import itertools
@@ -34,7 +35,10 @@ from .survival import SurvivalLabels
 log = logging.getLogger(__name__)
 
 CORPUS_FORMAT = "sawtopics-corpus"
-CORPUS_VERSION = 2
+CORPUS_VERSION = 3
+_CSC_KEYS = ("data", "indices", "indptr")
+# the unsigned types a version-3 file packs each of its count arrays in
+_PACKED_DTYPES = ("<u1", "<u2", "<u4", "<u8")
 
 
 class EventParseError(ValueError):
@@ -136,8 +140,9 @@ def vocabulary_hash(vocab: Vocabulary) -> str:
 class Corpus:
     """Word counts (d words x n patients) with labels, held as canonical CSC
     arrays: ``indptr`` over patients, ``indices`` holding each patient's word
-    ids in increasing order, ``data`` their nonnegative counts. The scipy
-    matrix ``counts`` is built, and scipy imported, on its first read."""
+    ids in increasing order, ``data`` their nonnegative integer counts
+    (int64). The scipy matrix ``counts`` is built, and scipy imported, on its
+    first read."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -147,24 +152,22 @@ class Corpus:
     patient_ids: tuple[str, ...]
 
     def __init__(self, counts, vocab: Vocabulary, labels: SurvivalLabels, patient_ids):
-        """``counts`` is a matrix in any form ``scipy.sparse.csc_matrix``
-        takes, or the arrays ``(data, indices, indptr)``, checked in O(nnz)."""
+        """``counts`` is the arrays ``(data, indices, indptr)``, a scipy
+        sparse matrix or a dense 2-d array; checked in O(nnz) (O(dn) when
+        dense), and a count that is not a whole number is refused."""
         patient_ids = tuple(patient_ids)
         d, n = len(vocab), len(patient_ids)
         if isinstance(counts, tuple):
-            data, indices, indptr = _checked_csc(*counts, d, n)
-        else:  # scipy's arrays are canonical once summed
-            from scipy import sparse
-
-            matrix = sparse.csc_matrix(counts)
+            arrays = counts
+        elif hasattr(counts, "tocsc"):  # scipy's arrays are canonical once summed
+            matrix = counts.tocsc(copy=True)
             matrix.sum_duplicates()
-            if matrix.shape != (d, n):
-                raise ValueError(f"count matrix of shape {matrix.shape} for {d} words "
-                                 f"and {n} patients")
-            self.__dict__["counts"] = matrix
-            data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
-        if data.size and data.min() < 0:
-            raise ValueError("counts must be nonnegative")
+            arrays = _shaped(matrix, d, n).data, matrix.indices, matrix.indptr
+        else:
+            dense = _shaped(np.asarray(counts), d, n).T
+            patient, word = np.nonzero(dense)
+            arrays = dense[patient, word], word, np.searchsorted(patient, np.arange(n + 1))
+        data, indices, indptr = _checked_csc(*arrays, d, n)
         if len(labels) != n:
             raise ValueError(f"labels length {len(labels)} != matrix columns {n}")
         for name, value in (("indptr", indptr), ("indices", indices), ("data", data),
@@ -192,14 +195,32 @@ class Corpus:
         return np.diff(np.concatenate(([0], np.cumsum(self.data)))[self.indptr])
 
     def with_labels(self, labels: SurvivalLabels) -> "Corpus":
-        return Corpus(self.counts, self.vocab, labels, self.patient_ids)
+        return Corpus((self.data, self.indices, self.indptr), self.vocab, labels,
+                      self.patient_ids)
+
+
+def _shaped(matrix, d: int, n: int):
+    """``matrix``, if it is d x n."""
+    if matrix.shape != (d, n):
+        raise ValueError(f"count matrix of shape {matrix.shape} for {d} words and {n} patients")
+    return matrix
 
 
 def _checked_csc(data, indices, indptr, d: int, n: int):
-    """The CSC arrays of a d x n matrix as arrays, if they are canonical:
-    ``indptr`` rises from 0 to nnz in n + 1 entries and the word indices lie
-    in [0, d), increasing strictly within each patient."""
+    """The CSC arrays of a d x n matrix, if they are canonical: ``indptr``
+    rises from 0 to nnz in n + 1 entries, the word indices lie in [0, d),
+    increasing strictly within each patient, and the counts are nonnegative
+    whole numbers. They come back as the counts int64 and the word indices
+    and offsets int32 where they fit, as scipy keeps them; each is narrowed
+    only once checked, so no value wraps."""
     data, indices, indptr = np.asarray(data), np.asarray(indices), np.asarray(indptr)
+    if data.size and data.dtype.kind not in "biu":
+        whole = np.isfinite(data) & (np.floor(data) == data)
+        if not whole.all():
+            raise ValueError(f"counts must be integers, got {data[~whole][0].item()!r}")
+    if any(a.size and a.dtype.kind not in "iu" for a in (indices, indptr)):
+        raise ValueError("word indices and offsets must be integers")
+    data, indices, indptr = (a.astype(np.int64, copy=False) for a in (data, indices, indptr))
     if indptr.size != n + 1:
         raise ValueError(f"indptr has {indptr.size} entries, expected {n + 1}")
     if indices.size != data.size:
@@ -213,7 +234,10 @@ def _checked_csc(data, indices, indptr, d: int, n: int):
     rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new column begins
     if not rising.all():
         raise ValueError("word indices must increase strictly within each patient")
-    return data, indices, indptr
+    if data.size and data.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    index = np.int32 if max(d, n, indices.size) < 2 ** 31 else np.int64
+    return data, indices.astype(index, copy=False), indptr.astype(index, copy=False)
 
 
 @dataclass(frozen=True)
@@ -474,7 +498,7 @@ def build_corpus(
     vocabularies and scoring new patients against a fitted model.
 
     The work is on the columns' integer codes; strings are handled once per
-    distinct value, and scipy is loaded only for ``min_variance``.
+    distinct value.
     """
     cfg = cfg or IngestConfig()
     kept = np.ones(len(events), bool) if cfg.cutoff is None else events.time < cfg.cutoff
@@ -504,11 +528,7 @@ def build_corpus(
     if vocabulary is None:
         keep_w = np.bincount(indices, minlength=d) >= cfg.min_doc_freq
         if cfg.min_variance is not None:
-            from scipy import sparse
-
-            indptr = np.searchsorted(patient, np.arange(n + 1))
-            counts = sparse.csc_matrix((data, indices, indptr), shape=(d, n))
-            keep_w &= _frequency_variance(counts) >= cfg.min_variance
+            keep_w &= _frequency_variance(data, indices, patient, d, n) >= cfg.min_variance
         if not keep_w.any():
             raise ValueError("no words survive filtering; relax min_doc_freq or filters")
         kept_cell = keep_w[indices]
@@ -537,16 +557,13 @@ def build_corpus(
     return Corpus((data, indices, indptr), vocab, SurvivalLabels(y, r), final_pids)
 
 
-def _frequency_variance(counts) -> np.ndarray:
-    """Variance across documents of per-document normalized frequency."""
-    from scipy import sparse
-
-    m = np.asarray(counts.sum(axis=0)).ravel().astype(float)
-    m = np.maximum(m, 1.0)
-    n = counts.shape[1]
-    F = counts.astype(float) @ sparse.diags(1.0 / m)
-    s1 = np.asarray(F.sum(axis=1)).ravel()
-    s2 = np.asarray(F.multiply(F).sum(axis=1)).ravel()
+def _frequency_variance(data, word, patient, d: int, n: int) -> np.ndarray:
+    """Variance across the n documents of each word's per-document normalized
+    frequency, from the nonzero cells' counts, words and patients."""
+    m = np.maximum(np.bincount(patient, weights=data, minlength=n), 1.0)
+    f = data * (1.0 / m)[patient]
+    s1 = np.bincount(word, weights=f, minlength=d)
+    s2 = np.bincount(word, weights=f * f, minlength=d)
     return s2 / n - (s1 / n) ** 2
 
 
@@ -584,10 +601,14 @@ def mean_word_score(corpus: Corpus, u) -> np.ndarray:
 
 
 def subset(corpus: Corpus, indices) -> Corpus:
-    """Corpus restricted to the given patient columns (vocabulary shared)."""
-    idx = np.asarray(indices, dtype=int)
+    """Corpus restricted to the given patient columns (vocabulary shared),
+    gathered from the CSC arrays."""
+    idx = np.arange(corpus.n_docs)[np.asarray(indices, dtype=int)]
+    starts, lengths = corpus.indptr[idx], np.diff(corpus.indptr)[idx]
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
     return Corpus(
-        corpus.counts[:, idx],
+        (corpus.data[take], corpus.indices[take], indptr),
         corpus.vocab,
         corpus.labels.subset(idx),
         tuple(corpus.patient_ids[i] for i in idx),
@@ -630,10 +651,19 @@ def write_json(payload, path) -> None:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _packed(values: np.ndarray) -> dict:
+    """Nonnegative integers as the base64 of their little-endian bytes in the
+    narrowest unsigned type that holds the largest of them."""
+    top = int(values.max()) if values.size else 0
+    dtype = next(t for t in _PACKED_DTYPES if top <= np.iinfo(t).max)
+    return {"dtype": dtype, "base64": base64.b64encode(values.astype(dtype).tobytes()).decode()}
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write a version-2 corpus file: the canonical CSC arrays of the counts
+    """Write a version-3 corpus file: the canonical CSC arrays of the counts
     (``indptr`` over patients, ``indices`` holding word ids, ``data``
-    holding counts) next to the vocabulary and labels."""
+    holding counts), each packed by ``_packed``, next to the vocabulary and
+    labels."""
     write_json({
         "format": CORPUS_FORMAT,
         "version": CORPUS_VERSION,
@@ -642,9 +672,7 @@ def save_corpus(corpus: Corpus, path) -> None:
         "patient_ids": list(corpus.patient_ids),
         "times": corpus.labels.times.tolist(),
         "observed": corpus.labels.observed.astype(int).tolist(),
-        "indptr": corpus.indptr.tolist(),
-        "indices": corpus.indices.tolist(),
-        "data": corpus.data.astype(np.int64).tolist(),
+        **{k: _packed(getattr(corpus, k)) for k in _CSC_KEYS},
     }, path)
 
 
@@ -693,26 +721,45 @@ def _flat_array(values, name: str, kinds: str, what: str) -> np.ndarray:
 
 
 def _csc_counts(payload: dict, d: int, n: int) -> tuple:
-    """Version 2: the canonical CSC arrays, as integers: the counts int64, the
-    word indices and offsets int32 where they fit, as scipy keeps them, so
-    that the matrix ``Corpus.counts`` shares them."""
-    data, indices, indptr = (_flat_array(payload[k], k, "i", "integers")
-                             for k in ("data", "indices", "indptr"))
-    index = np.int32 if max(d, n, indices.size) < 2 ** 31 else np.int64
-    return data.astype(np.int64, copy=False), indices.astype(index), indptr.astype(index)
+    """Version 2: the canonical CSC arrays, as JSON lists of integers."""
+    return tuple(_flat_array(payload[k], k, "i", "integers") for k in _CSC_KEYS)
 
 
-# per readable version: the keys holding its counts, and their reader
-_COUNT_LAYOUTS = {1: (("triplets",), _triplet_counts),
-                  2: (("indptr", "indices", "data"), _csc_counts)}
-_CORPUS_KEYS = ("words", "bin_edges", "patient_ids", "times", "observed")
+def _unpacked(value: dict, name: str) -> np.ndarray:
+    """The array a ``_packed`` object holds, decoded strictly."""
+    if set(value) != {"dtype", "base64"} or not isinstance(value["base64"], str):
+        raise ValueError(f"{name} must be an object of a dtype and a base64 string")
+    if value["dtype"] not in _PACKED_DTYPES:
+        raise ValueError(f"{name} has dtype {value['dtype']!r}, not one of {_PACKED_DTYPES}")
+    try:
+        raw = base64.b64decode(value["base64"], validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"{name} is not valid base64") from None
+    itemsize = np.dtype(value["dtype"]).itemsize
+    if len(raw) % itemsize:
+        raise ValueError(f"{name} holds {len(raw)} bytes, not a whole number of "
+                         f"{itemsize}-byte items")
+    return np.frombuffer(raw, value["dtype"])
+
+
+def _packed_counts(payload: dict, d: int, n: int) -> tuple:
+    """Version 3: the canonical CSC arrays, each packed by ``_packed``."""
+    return tuple(_unpacked(payload[k], k) for k in _CSC_KEYS)
+
+
+# per readable version: the keys holding its counts, their JSON type, and their reader
+_COUNT_LAYOUTS = {1: (("triplets",), list, _triplet_counts),
+                  2: (_CSC_KEYS, list, _csc_counts),
+                  3: (_CSC_KEYS, dict, _packed_counts)}
+_CORPUS_KEYS = {"words": list, "bin_edges": dict, "patient_ids": list, "times": list,
+                "observed": list}
 
 
 def _corpus_from(payload: dict) -> Corpus:
-    count_keys, read_counts = _COUNT_LAYOUTS[payload["version"]]
-    for key in _CORPUS_KEYS + count_keys:
-        kind, name = (dict, "object") if key == "bin_edges" else (list, "array")
+    count_keys, count_kind, read_counts = _COUNT_LAYOUTS[payload["version"]]
+    for key, kind in {**_CORPUS_KEYS, **dict.fromkeys(count_keys, count_kind)}.items():
         if not isinstance(payload.get(key), kind):
+            name = "object" if kind is dict else "array"
             raise ValueError(f"{key} is missing or not a JSON {name}")
     for key in ("words", "patient_ids"):
         if not all(isinstance(x, str) for x in payload[key]):

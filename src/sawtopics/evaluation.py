@@ -176,7 +176,7 @@ def cross_validate(
         if not train.labels.observed[fold_of == f].any():
             raise ValueError(f"fold {f} has no observed events; use fewer folds")
 
-    train.counts  # built, and scipy loaded, once here: each worker would otherwise pay for both
+    import scipy.sparse  # noqa: F401  (loaded once here: each worker would otherwise load it)
     outcomes = forked_map(partial(_fold_rmse, train, fit, fold_of),
                           zip(configs, list(range(folds)) * len(cells)))
     scores = np.full((len(cells), folds), np.nan)

@@ -13,8 +13,10 @@ sums of their own in the log domain, as a reference for the one-pass
 risk-set term, the dense Breslow Hessian in eta as a reference for its
 product, the coupled Frank-Wolfe gap of the theta subproblem from a dense
 design, a row-at-a-time event parser and corpus builder as a reference for
-the columnar ones, the version-1 corpus writer (triplet lists) that wrote
-the files version 2 replaced, the analytic word-topic posterior of a planted
+the columnar ones, the variance-of-frequency word filter from sparse
+matrix products as a reference for the bincount one, the version-1 (triplet
+lists) and version-2 (CSC arrays as JSON lists) corpus writers that wrote
+the files version 3 replaced, the analytic word-topic posterior of a planted
 topic matrix, and a seeded generator per test tag.
 """
 
@@ -28,7 +30,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from sawtopics.corpus import (CORPUS_FORMAT, Corpus, EventParseError, IngestConfig, SurvivalLabels,
-                              Vocabulary, _frequency_variance, _gc_paused, write_json)
+                              Vocabulary, _gc_paused, write_json)
 from sawtopics.seeding import derive_seed
 from sawtopics.survival import RiskSets
 from sawtopics.topics import LOG_FLOOR, kl_divergence, sum_plogp
@@ -472,7 +474,7 @@ def build_corpus(
         doc_freq = np.asarray((counts != 0).sum(axis=1)).ravel()
         keep_w = doc_freq >= cfg.min_doc_freq
         if cfg.min_variance is not None:
-            keep_w &= _frequency_variance(counts) >= cfg.min_variance
+            keep_w &= frequency_variance(counts) >= cfg.min_variance
         if not keep_w.any():
             raise ValueError("no words survive filtering; relax min_doc_freq or filters")
         counts = counts[np.flatnonzero(keep_w)]
@@ -505,6 +507,18 @@ def build_corpus(
     return Corpus(counts, vocab, SurvivalLabels(y, r), final_pids)
 
 
+def frequency_variance(counts: sparse.csc_matrix) -> np.ndarray:
+    """Variance across documents of each word's per-document normalized
+    frequency, from sparse matrix products."""
+    m = np.asarray(counts.sum(axis=0)).ravel().astype(float)
+    m = np.maximum(m, 1.0)
+    n = counts.shape[1]
+    F = counts.astype(float) @ sparse.diags(1.0 / m)
+    s1 = np.asarray(F.sum(axis=1)).ravel()
+    s2 = np.asarray(F.multiply(F).sum(axis=1)).ravel()
+    return s2 / n - (s1 / n) ** 2
+
+
 def _counts_matrix(tokens: list[tuple[int, int]], d: int, n: int) -> sparse.csc_matrix:
     if tokens:
         rows = np.array([t[0] for t in tokens], dtype=np.int64)
@@ -532,6 +546,23 @@ def save_corpus_v1(corpus: Corpus, path) -> None:
             "observed": corpus.labels.observed.astype(int).tolist(),
             "triplets": triplets.tolist(),
         }, path)
+
+
+def save_corpus_v2(corpus: Corpus, path) -> None:
+    """The version-2 corpus writer: the canonical CSC arrays of the counts
+    as JSON lists of integers."""
+    write_json({
+        "format": CORPUS_FORMAT,
+        "version": 2,
+        "words": list(corpus.vocab.words),
+        "bin_edges": {k: list(v) for k, v in corpus.vocab.bin_edges.items()},
+        "patient_ids": list(corpus.patient_ids),
+        "times": corpus.labels.times.tolist(),
+        "observed": corpus.labels.observed.astype(int).tolist(),
+        "indptr": corpus.indptr.tolist(),
+        "indices": corpus.indices.tolist(),
+        "data": corpus.data.astype(np.int64).tolist(),
+    }, path)
 
 
 def bayes_topic_posterior(A: np.ndarray, topic_weights: np.ndarray | None = None) -> np.ndarray:

@@ -198,21 +198,22 @@ class TestTrainPredictEvaluate:
         assert list(tmp_path.iterdir()) == [preds]
 
     def test_v1_corpus_scores_like_its_v2_resave(self, synth_corpus, tmp_path):
-        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        v1, v2, v3 = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "v3.json"
         helpers.save_corpus_v1(load_corpus(synth_corpus), v1)
         assert run("train", "--corpus", str(v1), "--method", "usaw", "--k", "3",
                    "--seed", "2", "--out", str(tmp_path / "m.json")) == 0
-        save_corpus(load_corpus(v1), v2)
+        helpers.save_corpus_v2(load_corpus(v1), v2)
+        save_corpus(load_corpus(v2), v3)
         out = {}
-        for name, corpus in (("v1", v1), ("v2", v2)):
+        for name, corpus in (("v1", v1), ("v2", v2), ("v3", v3)):
             preds, metrics = tmp_path / f"{name}.csv", tmp_path / f"{name}_metrics.csv"
             assert run("predict", "--model", str(tmp_path / "m.json"), "--corpus", str(corpus),
                        "--out", str(preds)) == 0
             assert run("evaluate", "--predictions", str(preds), "--corpus", str(corpus),
                        "--out", str(metrics)) == 0
             out[name] = preds.read_bytes(), metrics.read_bytes()
-        assert out["v1"] == out["v2"]
-        assert v2.read_bytes() == synth_corpus.read_bytes()
+        assert out["v1"] == out["v2"] == out["v3"]
+        assert v3.read_bytes() == synth_corpus.read_bytes()
 
 
 class TestReport:
@@ -382,6 +383,40 @@ def test_scoring_commands_skip_scipy_sparse(synth_corpus, tmp_path):
                          capture_output=True, text=True, check=True)
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen == [False] + [[0, False]] * 5 + [[0, True]]
+
+
+def test_ingest_and_scoring_never_import_scipy(tmp_path):
+    # ingest, predict and evaluate work from the corpus arrays; importing
+    # scipy would cost each such process more than its corpus load
+    rng = np.random.default_rng(4)
+    events, labels = tmp_path / "events.csv", tmp_path / "labels.csv"
+    events.write_text("".join(f"p{i},{t},{name},{rng.uniform(0, 9):.2f}\n" for i in range(40)
+                              for t in range(3) for name in ("hr", "lab", "bp")))
+    labels.write_text("".join(f"p{i},{rng.uniform(1, 90):.1f},{i % 3 != 0:d}\n"
+                              for i in range(40)))
+    ingest = ["ingest", "--events", str(events), "--labels", str(labels), "--bins", "3",
+              "--min-variance", "0"]
+    corpus, model = tmp_path / "corpus.json", tmp_path / "model.json"
+    assert run(*ingest, "--out", str(corpus)) == 0
+    assert run("train", "--corpus", str(corpus), "--method", "encox", "--lam", "0.1",
+               "--out", str(model)) == 0
+    again, preds = tmp_path / "again.json", tmp_path / "preds.csv"
+    commands = [ingest + ["--out", str(again)],
+                ["predict", "--model", str(model), "--corpus", str(again), "--out", str(preds)],
+                ["evaluate", "--predictions", str(preds), "--corpus", str(again),
+                 "--out", str(tmp_path / "metrics.csv")]]
+    code = ("import json, sys\n"
+            "from sawtopics.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n")
+    src = str(Path(sawtopics.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+    assert json.loads(again.read_text())["version"] == 3
+    assert again.read_bytes() == corpus.read_bytes()
 
 
 # option strings, dests and choices of every subcommand, as the CLI has

@@ -1,3 +1,4 @@
+import base64
 import json
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ from scipy import sparse
 
 from sawtopics import corpus as corpus_module
 from sawtopics.corpus import (CodedColumn, Corpus, EventParseError, Events, IngestConfig,
-                              SurvivalLabels, Vocabulary, build_corpus,
+                              SurvivalLabels, Vocabulary, _frequency_variance, build_corpus,
                               ingest_events, load_corpus, normalize_columns,
                               read_labels, save_corpus, split, subset)
 
@@ -535,28 +536,58 @@ def stored_fields(c):
 
 
 class TestVersions:
-    """Version 2 (CSC arrays) against the version-1 triplet files it replaced."""
+    """Version 3 (packed CSC arrays) against the version-1 triplet files and
+    version-2 JSON-list files it replaced."""
 
     @given(small_corpora())
     @settings(max_examples=100, deadline=None)
     def test_v1_and_v2_files_load_the_same(self, tmp_path_factory, corpus):
         tmp = tmp_path_factory.mktemp("versions")
-        v1, v2, again = tmp / "v1.json", tmp / "v2.json", tmp / "again.json"
+        v1, v2, v3 = tmp / "v1.json", tmp / "v2.json", tmp / "v3.json"
         helpers.save_corpus_v1(corpus, v1)
-        save_corpus(corpus, v2)
-        from_v1, from_v2 = load_corpus(v1), load_corpus(v2)
-        assert stored_fields(from_v1) == stored_fields(from_v2) == stored_fields(corpus)
-        save_corpus(from_v1, again)  # a v1 file saved again is written as v2
-        assert json.loads(again.read_text())["version"] == 2
-        assert again.read_bytes() == v2.read_bytes()
-        save_corpus(load_corpus(again), v2)
-        assert v2.read_bytes() == again.read_bytes()
+        helpers.save_corpus_v2(corpus, v2)
+        save_corpus(corpus, v3)
+        assert json.loads(v3.read_text())["version"] == 3
+        loaded = [load_corpus(v) for v in (v1, v2, v3)]
+        assert all(stored_fields(c) == stored_fields(corpus) for c in loaded)
+        for c in loaded:  # an older file saved again is written as v3
+            again = tmp / "again.json"
+            save_corpus(c, again)
+            assert again.read_bytes() == v3.read_bytes()
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"format": "sawtopics-corpus", "version": 3}))
-        with pytest.raises(ValueError, match="unsupported corpus version 3"):
+        path.write_text(json.dumps({"format": "sawtopics-corpus", "version": 4}))
+        with pytest.raises(ValueError, match="unsupported corpus version 4"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("largest, dtype", [
+        (1, "<u1"), (255, "<u1"), (256, "<u2"), (2 ** 16 - 1, "<u2"), (2 ** 16, "<u4"),
+        (2 ** 32 - 1, "<u4"), (2 ** 32, "<u8")])
+    def test_packed_in_the_narrowest_unsigned_type(self, tmp_path, largest, dtype):
+        path = tmp_path / "c.json"
+        save_corpus(make_corpus([[largest, 1], [1, largest]]), path)
+        data = json.loads(path.read_text())["data"]
+        assert data["dtype"] == dtype
+        raw = base64.b64decode(data["base64"])
+        assert raw == np.array([largest, 1, 1, largest], dtype=dtype).tobytes()
+        assert load_corpus(path).data.tolist() == [largest, 1, 1, largest]
+
+    @pytest.mark.parametrize("write", [helpers.save_corpus_v1, helpers.save_corpus_v2,
+                                       save_corpus])
+    def test_loaded_arrays_are_owned_and_writable(self, tmp_path, write):
+        path = tmp_path / "c.json"
+        write(make_corpus([[1, 0, 2], [0, 0, 1], [3, 0, 0]]), path)
+        c = load_corpus(path)
+        for a, dtype in ((c.data, np.int64), (c.indices, np.int32), (c.indptr, np.int32)):
+            assert a.dtype == dtype and a.base is None and a.flags.writeable
+
+
+def packed(values, dtype="<u8"):
+    """``values`` packed as a version-3 file packs a count array; a negative
+    value is written as its two's complement."""
+    raw = np.array(values, dtype=np.int64).astype(dtype).tobytes()
+    return {"dtype": dtype, "base64": base64.b64encode(raw).decode()}
 
 
 def corpus_payload(**changes):
@@ -590,6 +621,7 @@ MALFORMED = {
     "indices not integers": (dict(indices=[0, 2.0, 0, 1]), "list of integers"),
     "indices nested": (dict(indices=[0, [2], 0, 1]), "list of integers"),
     "negative count": (dict(data=[1, -3, 2, 1]), "nonnegative"),
+    "index wraps as int32": (dict(indices=[0, 2 ** 32 + 2, 0, 1]), "outside"),
     "times length": (dict(times=[1.0, 2.0]), "aligned"),
     "observed length": (dict(observed=[1, 0, 1, 1]), "aligned"),
     "patient_ids length": (dict(patient_ids=["p1", "p2"]), "indptr has 4 entries"),
@@ -605,6 +637,34 @@ BAD_TYPES = {
     "times strings": ("times", "1.0", "times must be a list of numbers"),
     "words integers": ("words", 7, "words must be a list of strings"),
     "patient_ids integers": ("patient_ids", 7, "patient_ids must be a list of strings"),
+}
+
+
+def v3_payload(**changes):
+    """``corpus_payload(**changes)`` as a version-3 payload."""
+    payload = dict(corpus_payload(**changes), version=3)
+    return {k: packed(v) if k in ("indptr", "indices", "data") and isinstance(v, list) else v
+            for k, v in payload.items()}
+
+
+# cases of JSON-list type errors, which a packed array cannot hold
+LIST_ONLY = ("indices not integers", "indices nested")
+
+# a version-3 count array that is not a packed array of unsigned integers
+BAD_PACKED = {
+    "unknown dtype": (dict(indices={"dtype": "<i4", "base64": "AAAAAA=="}), "indices has dtype"),
+    "float dtype": (dict(data={"dtype": "<f8", "base64": "AAAAAAAAAAA="}), "data has dtype"),
+    "big-endian": (dict(indptr={"dtype": ">u1", "base64": "AAIC"}), "indptr has dtype"),
+    "not base64": (dict(indices={"dtype": "<u1", "base64": "AAI!AAE="}), "not valid base64"),
+    "not ASCII": (dict(indices={"dtype": "<u1", "base64": "AAI\u00e9"}), "not valid base64"),
+    "unpadded": (dict(indices={"dtype": "<u1", "base64": "AAIAAQ"}), "not valid base64"),
+    "partial item": (dict(indices={"dtype": "<u4", "base64": "AAECAwQF"}),
+                     "indices holds 6 bytes, not a whole number of 4-byte items"),
+    "JSON list": (dict(indices=[0, 2, 0, 1]), "indices is missing or not a JSON object"),
+    "no base64": (dict(data={"dtype": "<u1"}), "data must be an object of a dtype and a base64"),
+    "extra key": (dict(data=dict(packed([1, 3, 2, 1]), shape=[4])), "data must be an object"),
+    "base64 a number": (dict(data={"dtype": "<u1", "base64": 7}), "data must be an object"),
+    "u8 wraps as int32": (dict(indices=packed([0, 2 ** 32 + 2, 0, 1])), "outside"),
 }
 
 
@@ -627,6 +687,29 @@ class TestMalformedFiles:
             load_corpus(path)
         assert re.search(message, str(info.value))
 
+    @pytest.mark.parametrize("case", [c for c in MALFORMED if c not in LIST_ONLY])
+    def test_v3_rejected_with_file_name(self, tmp_path, case):
+        changes, message = MALFORMED[case]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(v3_payload(**changes)))
+        with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: ")) as info:
+            load_corpus(path)
+        assert re.search(message, str(info.value))
+
+    @pytest.mark.parametrize("case", BAD_PACKED)
+    def test_bad_packed_array_rejected_with_file_name(self, tmp_path, case):
+        changes, message = BAD_PACKED[case]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**v3_payload(), **changes}))
+        with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: ")) as info:
+            load_corpus(path)
+        assert re.search(message, str(info.value))
+
+    def test_the_base_v3_payload_loads(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(v3_payload()))
+        assert load_corpus(path).counts.toarray().tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
+
     @pytest.mark.parametrize("case", ["negative count", "data shorter than indices",
                                       "indptr too short", "patient_ids length"])
     def test_refused_before_any_matrix_is_built(self, tmp_path, monkeypatch, case):
@@ -641,12 +724,14 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=message):
             load_corpus(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_counts_built_on_first_read(self, tmp_path, version):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(corpus_payload()))
         if version == 1:
             helpers.save_corpus_v1(load_corpus(path), path)
+        if version == 3:
+            save_corpus(load_corpus(path), path)
         c = load_corpus(path)
         assert "counts" not in vars(c)
         assert (c.n_words, c.n_docs, c.doc_lengths.tolist()) == (3, 3, [4, 0, 3])
@@ -686,7 +771,7 @@ class TestMalformedFiles:
                 "integer triplets")):
             load_corpus(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("case", BAD_TYPES)
     def test_field_value_types_checked(self, tmp_path, case, version):
         key, bad, message = BAD_TYPES[case]
@@ -695,7 +780,7 @@ class TestMalformedFiles:
             helpers.save_corpus_v1(make_corpus(np.ones((2, 3), dtype=int)), path)
             payload = json.loads(path.read_text())
         else:
-            payload = corpus_payload()
+            payload = corpus_payload() if version == 2 else v3_payload()
         payload[key] = [bad] * len(payload[key])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: {message}")):
@@ -747,3 +832,69 @@ class TestTypes:
         s = subset(c, [2, 0])
         assert s.patient_ids == ("p002", "p000")
         assert s.labels.times.tolist() == [3.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [2.7, np.nan, np.inf, -0.5])
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csc_matrix])
+    def test_non_integral_counts_refused(self, bad, form):
+        # a count of 2.7 was kept as 2 in the saved file
+        counts = np.array([[bad, 1.0], [1.0, 3.0]])
+        with pytest.raises(ValueError, match=f"^counts must be integers, got {bad}$"):
+            Corpus(form(counts), Vocabulary(("a", "b")),
+                   SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)), ("p1", "p2"))
+
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csc_matrix, sparse.coo_matrix])
+    def test_whole_counts_stored_as_int64(self, form):
+        c = Corpus(form(np.array([[2.0, 0.0], [1.0, 3.0]])), Vocabulary(("a", "b")),
+                   SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)), ("p1", "p2"))
+        assert c.data.dtype == np.int64
+        assert (c.data.tolist(), c.indices.tolist(), c.indptr.tolist()) == \
+            ([2, 1, 3], [0, 1, 1], [0, 2, 3])
+
+
+@hst.composite
+def corpora_with_an_empty_patient(draw):
+    """A small corpus with at least one patient without counts, and a list
+    of patient positions (repeats, any order and none at all included)."""
+    corpus = draw(small_corpora())
+    counts = np.hstack([corpus.counts.toarray(), np.zeros((corpus.n_words, 1), dtype=np.int64)])
+    counts = counts[:, draw(hst.permutations(range(counts.shape[1])))]
+    n = counts.shape[1]
+    c = make_corpus(counts, times=np.arange(1.0, n + 1),
+                    observed=np.arange(n) % 2 == 0, words=corpus.vocab.words)
+    return c, draw(hst.lists(hst.integers(-n, n - 1), max_size=8))
+
+
+class TestSubsetFromArrays:
+    @given(corpora_with_an_empty_patient())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scipy_column_selection(self, case):
+        corpus, idx = case
+        got = subset(corpus, idx)
+        want = corpus.counts[:, np.array(idx, dtype=int)]
+        assert "counts" not in vars(got)  # gathered from the arrays; no matrix built
+        assert [a.tolist() for a in (got.indptr, got.indices, got.data)] == \
+            [a.tolist() for a in (want.indptr, want.indices, want.data)]
+        assert got.patient_ids == tuple(corpus.patient_ids[i] for i in idx)
+        assert got.labels.times.tolist() == corpus.labels.times[idx].tolist()
+        assert got.labels.observed.tolist() == corpus.labels.observed[idx].tolist()
+        relabelled = corpus.with_labels(SurvivalLabels(corpus.labels.times + 1,
+                                                       corpus.labels.observed))
+        assert "counts" not in vars(relabelled)
+        assert stored_fields(relabelled)[:3] == stored_fields(corpus)[:3]
+
+    def test_positions_out_of_range_refused(self):
+        with pytest.raises(IndexError):
+            subset(make_corpus([[1, 2], [3, 4]]), [2])
+
+
+class TestFrequencyVariance:
+    @given(small_corpora())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_sparse_product_formula(self, corpus):
+        if corpus.n_docs == 0:
+            return
+        patient = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.indptr))
+        got = _frequency_variance(corpus.data, corpus.indices, patient, corpus.n_words,
+                                  corpus.n_docs)
+        np.testing.assert_allclose(got, helpers.frequency_variance(corpus.counts),
+                                   rtol=0, atol=1e-12)
