@@ -43,7 +43,8 @@ def build_cooccurrence(corpus: Corpus) -> CooccurrenceStats:
         names = ", ".join(corpus.patient_ids[i] for i in bad[:10])
         raise ValueError(f"documents with fewer than 2 tokens: {names}")
     n = corpus.n_docs
-    X = corpus.counts.astype(np.float64)
+    X = sparse.csc_matrix((corpus.data.astype(np.float64), corpus.indices, corpus.indptr),
+                          shape=(corpus.n_words, n))
     w = 1.0 / (m * (m - 1.0))
     S = (X @ sparse.diags(w) @ X.T).toarray()
     diag_corr = X @ w  # sum_i H_i / (m_i (m_i - 1))

@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -125,6 +125,10 @@ class Vocabulary:
         index = {w: i for i, w in enumerate(self.words)}
         if len(index) != len(self.words):
             raise ValueError("vocabulary words must be unique")
+        for event, edges in self.bin_edges.items():
+            edges = np.asarray(edges, dtype=float)
+            if not (np.isfinite(edges).all() and np.all(np.diff(edges) >= 0)):
+                raise ValueError(f"bin edges of {event!r} must be finite and non-decreasing")
         object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
@@ -141,8 +145,7 @@ class Corpus:
     """Word counts (d words x n patients) with labels, held as canonical CSC
     arrays: ``indptr`` over patients, ``indices`` holding each patient's word
     ids in increasing order, ``data`` their nonnegative integer counts
-    (int64). The scipy matrix ``counts`` is built, and scipy imported, on its
-    first read."""
+    (int64)."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -152,35 +155,23 @@ class Corpus:
     patient_ids: tuple[str, ...]
 
     def __init__(self, counts, vocab: Vocabulary, labels: SurvivalLabels, patient_ids):
-        """``counts`` is the arrays ``(data, indices, indptr)``, a scipy
-        sparse matrix or a dense 2-d array; checked in O(nnz) (O(dn) when
-        dense), and a count that is not a whole number is refused."""
+        """``counts`` is the tuple of CSC arrays ``(data, indices, indptr)``,
+        checked in O(nnz); a count that is not a whole number is refused, and
+        so is a patient id given twice."""
+        if not (isinstance(counts, tuple) and len(counts) == 3):
+            raise TypeError("counts must be the tuple (data, indices, indptr) of CSC arrays, "
+                            f"not {type(counts).__name__}")
         patient_ids = tuple(patient_ids)
+        repeated = [p for p, c in Counter(patient_ids).items() if c > 1]
+        if repeated:
+            raise ValueError("duplicate patient id(s): " + ", ".join(map(str, repeated[:10])))
         d, n = len(vocab), len(patient_ids)
-        if isinstance(counts, tuple):
-            arrays = counts
-        elif hasattr(counts, "tocsc"):  # scipy's arrays are canonical once summed
-            matrix = counts.tocsc(copy=True)
-            matrix.sum_duplicates()
-            arrays = _shaped(matrix, d, n).data, matrix.indices, matrix.indptr
-        else:
-            dense = _shaped(np.asarray(counts), d, n).T
-            patient, word = np.nonzero(dense)
-            arrays = dense[patient, word], word, np.searchsorted(patient, np.arange(n + 1))
-        data, indices, indptr = _checked_csc(*arrays, d, n)
+        data, indices, indptr = _checked_csc(*counts, d, n)
         if len(labels) != n:
             raise ValueError(f"labels length {len(labels)} != matrix columns {n}")
         for name, value in (("indptr", indptr), ("indices", indices), ("data", data),
                             ("vocab", vocab), ("labels", labels), ("patient_ids", patient_ids)):
             object.__setattr__(self, name, value)
-
-    @cached_property
-    def counts(self):
-        """The counts as a ``scipy.sparse.csc_matrix``."""
-        from scipy import sparse
-
-        return sparse.csc_matrix((self.data, self.indices, self.indptr),
-                                 shape=(self.n_words, self.n_docs))
 
     @property
     def n_words(self) -> int:
@@ -197,13 +188,6 @@ class Corpus:
     def with_labels(self, labels: SurvivalLabels) -> "Corpus":
         return Corpus((self.data, self.indices, self.indptr), self.vocab, labels,
                       self.patient_ids)
-
-
-def _shaped(matrix, d: int, n: int):
-    """``matrix``, if it is d x n."""
-    if matrix.shape != (d, n):
-        raise ValueError(f"count matrix of shape {matrix.shape} for {d} words and {n} patients")
-    return matrix
 
 
 def _checked_csc(data, indices, indptr, d: int, n: int):
@@ -581,12 +565,19 @@ def _inverse_lengths(corpus: Corpus) -> np.ndarray:
     return 1.0 / m.astype(float)
 
 
+def _normalized_entries(corpus: Corpus) -> np.ndarray:
+    """The entries of Xbar, in the order of the CSC arrays: each count over
+    its patient's document length."""
+    return corpus.data * np.repeat(_inverse_lengths(corpus), np.diff(corpus.indptr))
+
+
 def normalize_columns(corpus: Corpus):
-    """Column-stochastic count matrix Xbar, a ``scipy.sparse.csc_matrix``:
-    counts[w, i] / m_i."""
+    """Column-stochastic count matrix Xbar, a canonical
+    ``scipy.sparse.csc_matrix``: counts[w, i] / m_i."""
     from scipy import sparse
 
-    return (corpus.counts.astype(float) @ sparse.diags(_inverse_lengths(corpus))).tocsc()
+    return sparse.csc_matrix((_normalized_entries(corpus), corpus.indices, corpus.indptr),
+                             shape=(corpus.n_words, corpus.n_docs))
 
 
 def mean_word_score(corpus: Corpus, u) -> np.ndarray:
@@ -596,8 +587,8 @@ def mean_word_score(corpus: Corpus, u) -> np.ndarray:
     if u.shape != (corpus.n_words,):
         raise ValueError(f"per-word score of shape {u.shape} for {corpus.n_words} words")
     patient = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.indptr))
-    xbar = corpus.data * _inverse_lengths(corpus)[patient]  # the entries of Xbar
-    return np.bincount(patient, weights=xbar * u[corpus.indices], minlength=corpus.n_docs)
+    return np.bincount(patient, weights=_normalized_entries(corpus) * u[corpus.indices],
+                       minlength=corpus.n_docs)
 
 
 def subset(corpus: Corpus, indices) -> Corpus:
@@ -678,13 +669,14 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def read_json(path, format: str, versions: tuple[int, ...], kind: str) -> dict:
     """Read a file written by ``write_json``, checking its format tag and
-    that its version is one of ``versions``."""
+    that its version is a JSON integer among ``versions``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != format:
         raise ValueError(f"not a {kind} file: {path}")
-    if payload.get("version") not in versions:
-        raise ValueError(f"unsupported {kind} version {payload.get('version')}")
+    version = payload.get("version")
+    if type(version) is not int or version not in versions:  # a bool or a float is refused
+        raise ValueError(f"unsupported {kind} version {version}")
     return payload
 
 
@@ -769,9 +761,6 @@ def _corpus_from(payload: dict) -> Corpus:
     if not np.all((observed == 0) | (observed == 1)):
         raise ValueError("observed must be a list of 0/1 flags")
     words, pids = tuple(payload["words"]), tuple(payload["patient_ids"])
-    repeated = [p for p, c in Counter(pids).items() if c > 1]
-    if repeated:
-        raise ValueError("duplicate patient id(s): " + ", ".join(map(str, repeated[:10])))
     counts = read_counts(payload, len(words), len(pids))
     edges = {k: tuple(_flat_array(v, f"bin_edges[{k!r}]", "iuf", "numbers").astype(float).tolist())
              for k, v in payload["bin_edges"].items()}

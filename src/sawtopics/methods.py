@@ -228,7 +228,13 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read a model file; a malformed one raises ValueError naming the file."""
     payload = read_json(path, MODEL_FORMAT, (MODEL_VERSION,), "model")
-    if payload["method"] not in METHODS:
-        raise ValueError(f"unknown method {payload['method']!r} in model file")
-    return METHODS[payload["method"]].read(payload)
+    try:
+        if payload["method"] not in METHODS:
+            raise ValueError(f"unknown method {payload['method']!r}")
+        return METHODS[payload["method"]].read(payload)
+    except KeyError as exc:
+        raise ValueError(f"bad model file {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad model file {path}: {exc}") from exc

@@ -157,10 +157,8 @@ def update_theta(
     free = np.setdiff1d(np.arange(d), aidx)
     if not free.size:  # every word is an anchor; nothing to optimize
         return theta
-    from scipy import sparse
-
-    XT = Xbar.T  # no copy of the design: Xbar, this view, and its squares on its index arrays
-    Xsq = sparse.csc_matrix((Xbar.data ** 2, Xbar.indices, Xbar.indptr), shape=Xbar.shape)
+    XT = Xbar.T  # no copy of the design: Xbar and this view share its arrays
+    Xsq = Xbar.power(2)
     P, B = stats.Qbar[free], stats.Qbar[aidx]
     plogp = sum_plogp(P)
     u = theta @ beta  # per word; the anchor entries stay

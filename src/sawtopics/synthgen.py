@@ -73,13 +73,15 @@ def generate_corpus(
     W = rng.dirichlet(np.full(k, dirichlet_concentration), size=n).T  # k x n
     M = truth.A_true @ W
     M /= M.sum(axis=0)
-    counts = rng.multinomial(doc_length, M.T).T  # d x n
+    counts = rng.multinomial(doc_length, M.T)  # n x d
+    patient, word = np.nonzero(counts)  # by patient, then word: the CSC order
     width = len(str(d - 1))
     vocab = Vocabulary(tuple(f"w{i:0{width}d}" for i in range(d)))
     pwidth = len(str(max(n - 1, 1)))
     pids = tuple(f"s{i:0{pwidth}d}" for i in range(n))
     labels = SurvivalLabels(np.ones(n), np.ones(n, dtype=bool))
-    corpus = Corpus(counts, vocab, labels, pids)
+    corpus = Corpus((counts[patient, word], word, np.searchsorted(patient, np.arange(n + 1))),
+                    vocab, labels, pids)
     return corpus, W
 
 

@@ -17,7 +17,9 @@ the columnar ones, the variance-of-frequency word filter from sparse
 matrix products as a reference for the bincount one, the version-1 (triplet
 lists) and version-2 (CSC arrays as JSON lists) corpus writers that wrote
 the files version 3 replaced, the analytic word-topic posterior of a planted
-topic matrix, and a seeded generator per test tag.
+topic matrix, and a seeded generator per test tag. ``csc_arrays`` and
+``dense`` convert between a count matrix and the CSC arrays a ``Corpus``
+is built from.
 """
 
 import logging
@@ -36,6 +38,20 @@ from sawtopics.survival import RiskSets
 from sawtopics.topics import LOG_FLOOR, kl_divergence, sum_plogp
 
 
+def csc_arrays(counts):
+    """The canonical CSC arrays ``(data, indices, indptr)`` of a dense or
+    scipy d x n count matrix, the form ``Corpus`` takes."""
+    matrix = sparse.csc_matrix(counts, copy=True)
+    matrix.sum_duplicates()
+    return matrix.data, matrix.indices, matrix.indptr
+
+
+def dense(corpus: Corpus) -> np.ndarray:
+    """The d x n counts of ``corpus`` as a dense array."""
+    return sparse.csc_matrix((corpus.data, corpus.indices, corpus.indptr),
+                             shape=(corpus.n_words, corpus.n_docs)).toarray()
+
+
 def make_corpus(counts, times=None, observed=None, words=None):
     counts = np.asarray(counts)
     d, n = counts.shape
@@ -44,7 +60,7 @@ def make_corpus(counts, times=None, observed=None, words=None):
     times = np.ones(n) if times is None else np.asarray(times, dtype=float)
     observed = np.ones(n, dtype=bool) if observed is None else np.asarray(observed, dtype=bool)
     pids = tuple(f"p{i:03d}" for i in range(n))
-    return Corpus(sparse.csc_matrix(counts), Vocabulary(tuple(words)),
+    return Corpus(csc_arrays(counts), Vocabulary(tuple(words)),
                   SurvivalLabels(times, observed), pids)
 
 
@@ -504,7 +520,7 @@ def build_corpus(
     final_pids = tuple(pids[i] for i in cols)
     y = np.array([float(labels[p][0]) for p in final_pids])
     r = np.array([bool(labels[p][1]) for p in final_pids])
-    return Corpus(counts, vocab, SurvivalLabels(y, r), final_pids)
+    return Corpus(csc_arrays(counts), vocab, SurvivalLabels(y, r), final_pids)
 
 
 def frequency_variance(counts: sparse.csc_matrix) -> np.ndarray:
@@ -532,9 +548,9 @@ def _counts_matrix(tokens: list[tuple[int, int]], d: int, n: int) -> sparse.csc_
 def save_corpus_v1(corpus: Corpus, path) -> None:
     """The version-1 corpus writer: one [word, patient, count] list per
     nonzero count, sorted by word, then patient."""
-    coo = corpus.counts.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    triplets = np.column_stack((coo.row, coo.col, coo.data.astype(np.int64)))[order]
+    patient = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.indptr))
+    order = np.lexsort((patient, corpus.indices))
+    triplets = np.column_stack((corpus.indices, patient, corpus.data))[order]
     with _gc_paused():
         write_json({
             "format": CORPUS_FORMAT,

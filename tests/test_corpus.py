@@ -72,7 +72,7 @@ class TestBuildCorpus:
         events = [ev("p1", 0.0, "hr", "88"), ev("p1", 1.0, "hr", "88")]
         c = build_corpus(columns(events), {"p1": (3.0, True)},
                          IngestConfig(bins=1, min_doc_freq=1))
-        assert c.counts.toarray().tolist() == [[2]]
+        assert helpers.dense(c).tolist() == [[2]]
         assert c.doc_lengths.tolist() == [2]
         assert c.vocab.words == ("hr:bin1",)
 
@@ -99,7 +99,7 @@ class TestBuildCorpus:
         assert c.vocab.bin_edges["lab"] == (3.5,)
         w = c.vocab.index["lab:bin1"]
         p1 = c.patient_ids.index("p1")  # the patient whose value was 2
-        assert c.counts[w, p1] == 1
+        assert helpers.dense(c)[w, p1] == 1
 
     def test_tie_at_edge_goes_to_lower_bin(self):
         events = [ev(f"p{i}", 0, "lab", str(v)) for i, v in enumerate([1, 2, 3, 4])]
@@ -113,7 +113,7 @@ class TestBuildCorpus:
                           IngestConfig(bins=2, min_doc_freq=1), vocabulary=c.vocab)
         w = c.vocab.index["lab:bin1"]
         p0 = c2.patient_ids.index("p0")
-        assert c2.counts[w, p0] == 2  # value 1 and value 2.5 both in the low bin
+        assert helpers.dense(c2)[w, p0] == 2  # value 1 and value 2.5 both in the low bin
 
     def test_missing_label_lists_patients(self):
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "90"),
@@ -154,7 +154,7 @@ class TestBuildCorpus:
         a = build_corpus(columns(events), labels)
         b = build_corpus(columns(events), labels)
         assert a.vocab.words == b.vocab.words
-        assert (a.counts != b.counts).nnz == 0
+        assert np.array_equal(helpers.dense(a), helpers.dense(b))
         assert np.array_equal(a.labels.times, b.labels.times)
 
     def test_every_retained_doc_has_length_at_least_2(self):
@@ -167,7 +167,7 @@ class TestBuildCorpus:
                 events.append(ev(pid, 0.0, f"e{rng.integers(0, 4)}", "v"))
         c = build_corpus(columns(events), labels, IngestConfig(min_doc_freq=1))
         assert (c.doc_lengths >= 2).all()
-        assert np.array_equal(c.doc_lengths, np.asarray(c.counts.sum(axis=0)).ravel())
+        assert np.array_equal(c.doc_lengths, helpers.dense(c).sum(axis=0))
 
     @pytest.mark.parametrize("bins", [0, -1, 2.5])
     def test_bin_count_refused_with_the_config(self, bins):
@@ -184,7 +184,7 @@ class TestBuildCorpus:
         cfg = IngestConfig(min_doc_freq=1)
         c = build_corpus(columns(events), labels, cfg)
         assert c.vocab.words == ("a=b=c",)
-        assert c.counts.toarray().tolist() == [[2, 2]]
+        assert helpers.dense(c).tolist() == [[2, 2]]
         records = helpers.ingest_events([",".join(map(str, e)) for e in events])
         assert corpus_fields(c) == corpus_fields(helpers.build_corpus(records, labels, cfg))
 
@@ -242,9 +242,9 @@ def outcome(fn, *args, **kwargs):
 def corpus_fields(c):
     if isinstance(c, tuple):
         return c
-    return (c.vocab.words, dict(c.vocab.bin_edges), c.counts.dtype, c.counts.shape,
-            c.counts.toarray().tolist(), c.labels.times.tolist(), c.labels.observed.tolist(),
-            c.patient_ids)
+    counts = helpers.dense(c)
+    return (c.vocab.words, dict(c.vocab.bin_edges), counts.dtype, counts.shape,
+            counts.tolist(), c.labels.times.tolist(), c.labels.observed.tolist(), c.patient_ids)
 
 
 class TestMatchesRowReference:
@@ -475,7 +475,7 @@ class TestSerialization:
         save_corpus(c, path)
         c2 = load_corpus(path)
         assert c2.vocab.words == c.vocab.words
-        assert (c2.counts != c.counts).nnz == 0
+        assert np.array_equal(helpers.dense(c2), helpers.dense(c))
         assert np.array_equal(c2.labels.times, c.labels.times)
         assert np.array_equal(c2.labels.observed, c.labels.observed)
         assert c2.patient_ids == c.patient_ids
@@ -518,19 +518,18 @@ def small_corpora(draw):
     suffixes = hst.sampled_from(("", "=a,b", ":bin1", "\u00e9\"q"))
     words = tuple(f"w{i}" + draw(suffixes) for i in range(d))
     edges = draw(hst.dictionaries(hst.sampled_from(("hr", "lab", "x y")),
-                                  hst.lists(hst.floats(-1e3, 1e3), max_size=3).map(tuple),
-                                  max_size=2))
+                                  hst.lists(hst.floats(-1e3, 1e3), max_size=3).map(sorted)
+                                  .map(tuple), max_size=2))
     times = draw(hst.lists(hst.floats(1e-3, 1e4), min_size=n, max_size=n))
     observed = draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
     pids = tuple(f"p{i}" + draw(hst.sampled_from(("", ",x", "\t\u00fc"))) for i in range(n))
     labels = SurvivalLabels(np.array(times, dtype=float), np.array(observed, dtype=bool))
-    return Corpus(sparse.csc_matrix(counts), Vocabulary(words, edges), labels, pids)
+    return Corpus(helpers.csc_arrays(counts), Vocabulary(words, edges), labels, pids)
 
 
 def stored_fields(c):
     """Everything a corpus file stores, with the count arrays' dtypes."""
-    m = c.counts
-    return (m.shape, [(a.dtype, a.tolist()) for a in (m.indptr, m.indices, m.data)],
+    return ((c.n_words, c.n_docs), [(a.dtype, a.tolist()) for a in (c.indptr, c.indices, c.data)],
             c.vocab.words, dict(c.vocab.bin_edges), c.labels.times.tolist(),
             c.labels.observed.tolist(), c.patient_ids)
 
@@ -559,6 +558,16 @@ class TestVersions:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"format": "sawtopics-corpus", "version": 4}))
         with pytest.raises(ValueError, match="unsupported corpus version 4"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("version", [True, 3.0])
+    def test_version_must_be_a_json_integer(self, tmp_path, version):
+        # true read as version 1, and 3.0 as version 3
+        path = tmp_path / "c.json"
+        save_corpus(make_corpus([[1, 2], [3, 4]]), path)
+        payload = dict(json.loads(path.read_text()), version=version)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^unsupported corpus version {version}$"):
             load_corpus(path)
 
     @pytest.mark.parametrize("largest, dtype", [
@@ -607,6 +616,11 @@ MALFORMED = {
     "bin_edges not an object": (dict(bin_edges=[]), "bin_edges is missing or not a JSON object"),
     "bin edge not a list": (dict(bin_edges={"a": 1.5}), r"bin_edges\['a'\] must be a list"),
     "bin edges strings": (dict(bin_edges={"a": ["1.5"]}), r"bin_edges\['a'\] must be a list"),
+    # such edges bin values wrongly when a model's vocabulary is applied to new patients
+    "bin edges decrease": (dict(bin_edges={"hr": [9.0, 1.0]}),
+                           "bin edges of 'hr' must be finite and non-decreasing"),
+    "bin edge NaN": (dict(bin_edges={"hr": [float("nan"), 5.0]}),
+                     "bin edges of 'hr' must be finite and non-decreasing"),
     "indptr too short": (dict(indptr=[0, 2, 4]), "indptr has 3 entries"),
     "indptr too long": (dict(indptr=[0, 2, 2, 4, 4]), "indptr has 5 entries"),
     "indptr not from 0": (dict(indptr=[1, 2, 2, 4]), "indptr must rise"),
@@ -676,7 +690,7 @@ class TestMalformedFiles:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(corpus_payload()))
         c = load_corpus(path)
-        assert c.counts.toarray().tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
+        assert helpers.dense(c).tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_rejected_with_file_name(self, tmp_path, case):
@@ -705,10 +719,16 @@ class TestMalformedFiles:
             load_corpus(path)
         assert re.search(message, str(info.value))
 
+    def test_tied_bin_edges_load(self, tmp_path):
+        # tied quantiles give equal edges
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(corpus_payload(bin_edges={"hr": [1.0, 1.0, 5.0]})))
+        assert load_corpus(path).vocab.bin_edges == {"hr": (1.0, 1.0, 5.0)}
+
     def test_the_base_v3_payload_loads(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(v3_payload()))
-        assert load_corpus(path).counts.toarray().tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
+        assert helpers.dense(load_corpus(path)).tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
 
     @pytest.mark.parametrize("case", ["negative count", "data shorter than indices",
                                       "indptr too short", "patient_ids length"])
@@ -733,11 +753,8 @@ class TestMalformedFiles:
         if version == 3:
             save_corpus(load_corpus(path), path)
         c = load_corpus(path)
-        assert "counts" not in vars(c)
         assert (c.n_words, c.n_docs, c.doc_lengths.tolist()) == (3, 3, [4, 0, 3])
-        assert "counts" not in vars(c)
-        assert c.counts.toarray().tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
-        assert c.counts is c.counts
+        assert helpers.dense(c).tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
 
     @pytest.mark.parametrize("triplets, error", [
         ([[2, 0, 1], [0, 2, 1], [0, 0, 1], [0, 0, 2]], None),  # out of order, one cell twice
@@ -754,7 +771,7 @@ class TestMalformedFiles:
             return
         t = np.array(triplets)
         want = sparse.coo_matrix((t[:, 2], (t[:, 0], t[:, 1])), shape=(3, 3)).tocsc()
-        got = load_corpus(path).counts
+        got = load_corpus(path)
         assert [a.tolist() for a in (got.indptr, got.indices, got.data)] == \
             [a.tolist() for a in (want.indptr, want.indices, want.data)]
 
@@ -823,7 +840,7 @@ class TestTypes:
 
     def test_corpus_alignment(self):
         with pytest.raises(ValueError):
-            Corpus(sparse.csc_matrix(np.ones((2, 3))), Vocabulary(("a", "b")),
+            Corpus(helpers.csc_arrays(np.ones((2, 3))), Vocabulary(("a", "b")),
                    SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)),
                    ("p1", "p2", "p3"))
 
@@ -839,12 +856,24 @@ class TestTypes:
         # a count of 2.7 was kept as 2 in the saved file
         counts = np.array([[bad, 1.0], [1.0, 3.0]])
         with pytest.raises(ValueError, match=f"^counts must be integers, got {bad}$"):
-            Corpus(form(counts), Vocabulary(("a", "b")),
+            Corpus(helpers.csc_arrays(form(counts)), Vocabulary(("a", "b")),
                    SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)), ("p1", "p2"))
+
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csc_matrix])
+    def test_only_csc_arrays_build_a_corpus(self, form):
+        with pytest.raises(TypeError, match=r"^counts must be the tuple \(data, indices, indptr\)"):
+            Corpus(form(np.array([[2, 0], [1, 3]])), Vocabulary(("a", "b")),
+                   SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)), ("p1", "p2"))
+
+    def test_repeated_patient_id_refused(self):
+        with pytest.raises(ValueError, match=r"^duplicate patient id\(s\): p1$"):
+            Corpus(helpers.csc_arrays(np.ones((2, 3))), Vocabulary(("a", "b")),
+                   SurvivalLabels(np.ones(3), np.ones(3, dtype=bool)), ("p1", "p2", "p1"))
 
     @pytest.mark.parametrize("form", [np.asarray, sparse.csc_matrix, sparse.coo_matrix])
     def test_whole_counts_stored_as_int64(self, form):
-        c = Corpus(form(np.array([[2.0, 0.0], [1.0, 3.0]])), Vocabulary(("a", "b")),
+        c = Corpus(helpers.csc_arrays(form(np.array([[2.0, 0.0], [1.0, 3.0]]))),
+                   Vocabulary(("a", "b")),
                    SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)), ("p1", "p2"))
         assert c.data.dtype == np.int64
         assert (c.data.tolist(), c.indices.tolist(), c.indptr.tolist()) == \
@@ -854,14 +883,17 @@ class TestTypes:
 @hst.composite
 def corpora_with_an_empty_patient(draw):
     """A small corpus with at least one patient without counts, and a list
-    of patient positions (repeats, any order and none at all included)."""
+    of distinct patient positions (any order, negative ones and none at all
+    included; -1 and n - 1 are one patient)."""
     corpus = draw(small_corpora())
-    counts = np.hstack([corpus.counts.toarray(), np.zeros((corpus.n_words, 1), dtype=np.int64)])
+    counts = np.hstack([helpers.dense(corpus), np.zeros((corpus.n_words, 1), dtype=np.int64)])
     counts = counts[:, draw(hst.permutations(range(counts.shape[1])))]
     n = counts.shape[1]
     c = make_corpus(counts, times=np.arange(1.0, n + 1),
                     observed=np.arange(n) % 2 == 0, words=corpus.vocab.words)
-    return c, draw(hst.lists(hst.integers(-n, n - 1), max_size=8))
+    picks = draw(hst.lists(hst.tuples(hst.integers(0, n - 1), hst.booleans()), max_size=8,
+                           unique_by=lambda pick: pick[0]))
+    return c, [p - n if negative else p for p, negative in picks]
 
 
 class TestSubsetFromArrays:
@@ -870,8 +902,9 @@ class TestSubsetFromArrays:
     def test_matches_scipy_column_selection(self, case):
         corpus, idx = case
         got = subset(corpus, idx)
-        want = corpus.counts[:, np.array(idx, dtype=int)]
-        assert "counts" not in vars(got)  # gathered from the arrays; no matrix built
+        matrix = sparse.csc_matrix((corpus.data, corpus.indices, corpus.indptr),
+                                   shape=(corpus.n_words, corpus.n_docs))
+        want = matrix[:, np.array(idx, dtype=int)]
         assert [a.tolist() for a in (got.indptr, got.indices, got.data)] == \
             [a.tolist() for a in (want.indptr, want.indices, want.data)]
         assert got.patient_ids == tuple(corpus.patient_ids[i] for i in idx)
@@ -879,8 +912,15 @@ class TestSubsetFromArrays:
         assert got.labels.observed.tolist() == corpus.labels.observed[idx].tolist()
         relabelled = corpus.with_labels(SurvivalLabels(corpus.labels.times + 1,
                                                        corpus.labels.observed))
-        assert "counts" not in vars(relabelled)
         assert stored_fields(relabelled)[:3] == stored_fields(corpus)[:3]
+
+    def test_repeated_patient_refused(self):
+        # save_corpus wrote such a subset, and load_corpus refused the file
+        c = make_corpus([[1, 2, 3, 4], [1, 1, 1, 1]])
+        with pytest.raises(ValueError, match=r"^duplicate patient id\(s\): p000$"):
+            subset(c, [0, 0, 3])
+        with pytest.raises(ValueError, match=r"^duplicate patient id\(s\): p003$"):
+            subset(c, [3, -1])
 
     def test_positions_out_of_range_refused(self):
         with pytest.raises(IndexError):
@@ -896,5 +936,6 @@ class TestFrequencyVariance:
         patient = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.indptr))
         got = _frequency_variance(corpus.data, corpus.indices, patient, corpus.n_words,
                                   corpus.n_docs)
-        np.testing.assert_allclose(got, helpers.frequency_variance(corpus.counts),
+        counts = sparse.csc_matrix(helpers.dense(corpus))
+        np.testing.assert_allclose(got, helpers.frequency_variance(counts),
                                    rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,32 @@ def test_loaded_model_predicts_identically(corpus, tmp_path, method):
         load_model(path)
 
 
+@pytest.mark.parametrize("method, key", [("saw", "anchors"), ("usaw", "theta"),
+                                         ("encox", "lam"), ("km", "median")])
+def test_missing_key_names_the_file(corpus, cox_models, tmp_path, method, key):
+    # a bare KeyError reached the command line as "error: 'median'"
+    model = cox_models[method] if method in cox_models else fit_method(corpus, method, SawConfig())
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: "
+                                         f"missing key '{key}'$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_model_version_must_be_a_json_integer(corpus, tmp_path, version):
+    # true and 1.0 were read as version 1
+    path = tmp_path / "m.json"
+    save_model(fit_method(corpus, "km", SawConfig()), path)
+    payload = dict(json.loads(path.read_text()), version=version)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^unsupported model version {version}$"):
+        load_model(path)
+
+
 @pytest.fixture(scope="module")
 def cox_models(corpus):
     cfg = SawConfig(k=3, lam=0.1, alpha=0.5, seed=31, max_outer_iters=5)
@@ -65,14 +92,12 @@ def design_risk(model, c):
 @pytest.mark.parametrize("method", ["saw", "usaw", "encox"])
 def test_per_word_score_is_the_design_risk(corpus, cox_models, tmp_path, method, source):
     model, path = cox_models[method], tmp_path / "c.json"
-    if source == "subset":  # its matrix built by scipy
+    if source == "subset":
         c = subset(corpus, np.arange(1, corpus.n_docs, 3))
     else:
         (save_corpus if source == "v2 file" else helpers.save_corpus_v1)(corpus, path)
         c = load_corpus(path)
     preds = predict_model(model, c)
-    if source != "subset":
-        assert "counts" not in vars(c)  # scored from the arrays; no matrix built
     risk = design_risk(model, c)
     np.testing.assert_allclose(preds.risk, risk, rtol=1e-11, atol=0)
     median, saturated = predict_median(model.cox, risk)
@@ -82,9 +107,9 @@ def test_per_word_score_is_the_design_risk(corpus, cox_models, tmp_path, method,
 
 @pytest.mark.parametrize("method", ["saw", "encox"])
 def test_zero_length_patient_named(corpus, cox_models, method):
-    counts = corpus.counts.toarray()
+    counts = helpers.dense(corpus)
     counts[:, 4] = 0
-    empty = Corpus(counts, corpus.vocab, corpus.labels, corpus.patient_ids)
+    empty = Corpus(helpers.csc_arrays(counts), corpus.vocab, corpus.labels, corpus.patient_ids)
     with pytest.raises(ValueError, match=f"^zero-length document\\(s\\): {corpus.patient_ids[4]}$"):
         predict_model(cox_models[method], empty)
 
@@ -149,5 +174,5 @@ def test_retired_config_keys_ignored_on_load(corpus, tmp_path):
     assert np.array_equal(before.saturated, after.saturated)
     payload["config"]["inner_step"] = 1.0
     path.write_text(json.dumps(payload))
-    with pytest.raises(TypeError, match="inner_step"):
+    with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: .*inner_step"):
         load_model(path)

@@ -3,7 +3,7 @@ import pytest
 
 from sawtopics import saw
 from sawtopics.cooccur import build_cooccurrence
-from sawtopics.corpus import SurvivalLabels, normalize_columns, split, subset
+from sawtopics.corpus import Corpus, SurvivalLabels, normalize_columns, split, subset
 from sawtopics.seeding import derive_seed
 from sawtopics.evaluation import c_index
 from sawtopics.saw import (OBJECTIVE_SLACK, THETA_GAP_TOL, SawConfig, fit_saw, fit_usaw,
@@ -13,7 +13,7 @@ from sawtopics.synthgen import generate_dataset
 from sawtopics.topics import (LOG_FLOOR, ConvergenceError, doc_topic_features, kl_divergence,
                               recover_topics_unsupervised)
 
-from helpers import coupled_gap, eg_simplex_kl, log_domain_nll, make_corpus
+from helpers import coupled_gap, csc_arrays, dense, eg_simplex_kl, log_domain_nll, make_corpus
 
 
 def small_dataset(seed=0, n=120, d=20, k=3, m=60, censor=0.2):
@@ -550,8 +550,9 @@ class TestPredict:
         corpus, _ = small_dataset(seed=19)
         model = fit_saw(corpus, SawConfig(k=3, lam=0.1, seed=19))
         preds = predict(model, corpus)
-        from sawtopics.corpus import subset
-        dup = subset(corpus, [0, 0])
+        # patient 0's counts and label twice, under two ids
+        dup = Corpus(csc_arrays(dense(corpus)[:, [0, 0]]), corpus.vocab,
+                     corpus.labels.subset(np.array([0, 0])), ("first", "again"))
         again = predict(model, dup)
         assert again.risk[0] == again.risk[1] == preds.risk[0]
 

@@ -1,10 +1,17 @@
 """The library surface carries no dead options: every parameter with a
 default, of every function in ``src/sawtopics``, is passed by some call in
-the source, the tests or the benchmark harness. And no module of the
-package reaches into another's private (``_``-prefixed) names."""
+the source, the tests or the benchmark harness. No module of the package
+reaches into another's private (``_``-prefixed) names. And scipy is
+imported only by the functions that need it, and a ``Corpus`` is its CSC
+arrays alone."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from sawtopics.corpus import Corpus, Vocabulary
+from sawtopics.survival import SurvivalLabels
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sawtopics"
@@ -84,3 +91,38 @@ def test_no_private_name_crosses_modules():
     found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in private_imports(parse(path))]
     assert found == []
+
+
+# the functions that may import scipy: the two that build a sparse matrix for
+# its products, cv, which loads scipy.sparse once before it forks, and the
+# censoring root find
+SCIPY_SITES = {"corpus.normalize_columns", "cooccur.build_cooccurrence",
+               "evaluation.cross_validate", "synthgen.generate_survival"}
+
+
+def scipy_import_sites(node: ast.AST, owner: str):
+    """The dotted name of the function, class or module around each import
+    of scipy under ``node``, whose own name is ``owner``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            modules = [child.module]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            yield owner
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from scipy_import_sites(child, f"{owner}.{child.name}" if named else owner)
+
+
+def test_scipy_imported_only_at_its_sites():
+    found = {site for path in sorted(PACKAGE.glob("*.py"))
+             for site in scipy_import_sites(parse(path), path.stem)}
+    assert found - SCIPY_SITES == set()
+
+
+def test_corpus_holds_no_count_matrix():
+    c = Corpus((np.array([1, 2]), np.array([0, 1]), np.array([0, 1, 2])), Vocabulary(("a", "b")),
+               SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)), ("p1", "p2"))
+    assert not hasattr(Corpus, "counts") and not hasattr(c, "counts")

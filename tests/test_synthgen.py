@@ -9,6 +9,8 @@ from sawtopics.synthgen import (generate_corpus, generate_dataset,
                                 generate_survival, generate_topic_model,
                                 load_ground_truth, save_ground_truth)
 
+import helpers
+
 
 class TestGenerateTopicModel:
     def test_identity_when_all_words_are_anchors(self):
@@ -57,7 +59,7 @@ class TestGenerateCorpus:
         truth = generate_topic_model(15, 3, 0.4, seed=7)
         corpus, _ = generate_corpus(truth, n=10000, doc_length=300,
                                     dirichlet_concentration=0.3, seed=8)
-        emp = np.asarray(corpus.counts.sum(axis=1)).ravel() / (10000 * 300)
+        emp = helpers.dense(corpus).sum(axis=1) / (10000 * 300)
         expect = truth.A_true @ np.full(3, 1 / 3)  # E[W] is uniform
         assert np.abs(emp - expect).max() <= 0.01
 
@@ -70,7 +72,7 @@ class TestGenerateCorpus:
         truth = generate_topic_model(8, 2, 0.4, seed=10)
         c1, W1 = generate_corpus(truth, 20, 15, 0.5, seed=11)
         c2, W2 = generate_corpus(truth, 20, 15, 0.5, seed=11)
-        assert (c1.counts != c2.counts).nnz == 0
+        assert np.array_equal(helpers.dense(c1), helpers.dense(c2))
         assert np.array_equal(W1, W2)
 
 
