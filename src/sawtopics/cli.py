@@ -300,8 +300,6 @@ def _cmd_report(resolved: dict) -> None:
     model = methods.load_model(resolved["model"])
     if not isinstance(model, SawModel):
         raise ValueError("report requires a saw or usaw model")
-    if model.vocab is None:
-        raise ValueError("model file lacks vocabulary words")
     text = topic_report(model.topic_model, model.vocab.words,
                         top_n=resolved["top_n"], beta=model.cox.beta)
     text += "\n" + anchor_report(model.topic_model.anchors, model.vocab)

@@ -301,20 +301,6 @@ def _is_header(line: str) -> bool:
     return len(fields) == 4 and _try_float(fields[1]) is None and _try_float(fields[3]) is None
 
 
-def _row_error(rownum: int, line: str) -> EventParseError:
-    """The error of the first check that a malformed event row fails."""
-    fields = _fields(line)
-    if len(fields) != 4:
-        return EventParseError(rownum, f"expected 4 fields, got {len(fields)}")
-    time_s = fields[1]
-    time = _try_float(time_s)
-    if time is None:
-        return EventParseError(rownum, f"unparseable time {time_s!r}")
-    if not math.isfinite(time) or time < 0:
-        return EventParseError(rownum, f"time must be finite and >= 0, got {time_s!r}")
-    return EventParseError(rownum, "empty event name")
-
-
 def _split_rows(lines: list[str], seps: list[str]) -> list[list[str]]:
     """The unstripped fields of rows of exactly 4 fields each, as 4 columns;
     each run of rows with one separator is split in one call."""
@@ -334,22 +320,30 @@ _BLOCK_ROWS = 1 << 16  # rows parsed per task, which bounds the memory of the sp
 def _parse_block(rows: list[str], start: int, stop: int):
     """The event rows ``rows[start:stop]``, blank ones skipped, parsed: their
     times, and the (sorted distinct stripped values, codes) of each string
-    column. If one is malformed, the 1-based number of the first such row."""
+    column. If one is malformed, the 1-based number of the first such row
+    and what is wrong with it."""
     lines = [raw.rstrip("\r\n") for raw in rows[start:stop]]
     block = [line for line in lines if line.strip()]
     seps = _seps(block)
     n_fields = np.fromiter(map(str.count, block, seps), np.int64, len(block)) + 1
     wrong = np.flatnonzero(n_fields != 4)
     end = int(wrong[0]) if wrong.size else len(block)
-    pid, time, event, value = _split_rows(block[:end], seps[:end])
-    time, _ = _floats(time)
+    pid, time_s, event, value = _split_rows(block[:end], seps[:end])
+    time, parsed = _floats(time_s)
     names, event = _stripped_codes(event)
     bad = ~(np.isfinite(time) & (time >= 0))
     if names[:1] == [""]:  # sorted first
         bad |= event == 0
     first = int(np.argmax(bad)) if bad.any() else end
     if first < len(block):
-        return start + 1 + [i for i, line in enumerate(lines) if line.strip()][first]
+        row = start + 1 + [i for i, line in enumerate(lines) if line.strip()][first]
+        if first == end:
+            return row, f"expected 4 fields, got {n_fields[end]}"
+        if not parsed[first]:
+            return row, f"unparseable time {time_s[first].strip()!r}"
+        if not (math.isfinite(time[first]) and time[first] >= 0):
+            return row, f"time must be finite and >= 0, got {time_s[first].strip()!r}"
+        return row, "empty event name"
     return time, _stripped_codes(pid), (names, event), _stripped_codes(value)
 
 
@@ -371,9 +365,9 @@ def ingest_events(rows: Iterable[str]) -> Events:
     starts = range(1 if rows and _is_header(rows[0]) else 0, len(rows), _BLOCK_ROWS)
     parts = forked_map(partial(_parse_block, rows),
                        [(s, min(s + _BLOCK_ROWS, len(rows))) for s in starts])
-    failed = [p for p in parts if isinstance(p, int)]
+    failed = [p for p in parts if isinstance(p[0], int)]
     if failed:
-        raise _row_error(failed[0], rows[failed[0] - 1])
+        raise EventParseError(*failed[0])
     time = np.concatenate([p[0] for p in parts]) if parts else ()
     return Events(_merged([p[1] for p in parts]), time, _merged([p[2] for p in parts]),
                   _merged([p[3] for p in parts]))
@@ -680,6 +674,17 @@ def read_json(path, format: str, versions: tuple[int, ...], kind: str) -> dict:
     return payload
 
 
+def flat_array(values, name: str, kinds: str, what: str) -> np.ndarray:
+    """``values`` as a 1-d array whose numpy dtype kind is in ``kinds``."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
+        raise ValueError(f"{name} must be a list of {what}")
+    return a
+
+
 def _triplet_counts(payload: dict, d: int, n: int) -> tuple:
     """Version 1: one [word, patient, count] list per nonzero count (freed
     here, while the collector is paused), summed into the CSC arrays."""
@@ -701,20 +706,9 @@ def _triplet_counts(payload: dict, d: int, n: int) -> tuple:
                                                                          minlength=n))))
 
 
-def _flat_array(values, name: str, kinds: str, what: str) -> np.ndarray:
-    """``values`` as a 1-d array whose numpy dtype kind is in ``kinds``."""
-    try:
-        a = np.asarray(values)
-    except ValueError:  # ragged nesting
-        a = None
-    if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
-        raise ValueError(f"{name} must be a list of {what}")
-    return a
-
-
 def _csc_counts(payload: dict, d: int, n: int) -> tuple:
     """Version 2: the canonical CSC arrays, as JSON lists of integers."""
-    return tuple(_flat_array(payload[k], k, "i", "integers") for k in _CSC_KEYS)
+    return tuple(flat_array(payload[k], k, "i", "integers") for k in _CSC_KEYS)
 
 
 def _unpacked(value: dict, name: str) -> np.ndarray:
@@ -756,13 +750,13 @@ def _corpus_from(payload: dict) -> Corpus:
     for key in ("words", "patient_ids"):
         if not all(isinstance(x, str) for x in payload[key]):
             raise ValueError(f"{key} must be a list of strings")
-    times = _flat_array(payload["times"], "times", "iuf", "numbers")
-    observed = _flat_array(payload["observed"], "observed", "bi", "0/1 flags")
+    times = flat_array(payload["times"], "times", "iuf", "numbers")
+    observed = flat_array(payload["observed"], "observed", "bi", "0/1 flags")
     if not np.all((observed == 0) | (observed == 1)):
         raise ValueError("observed must be a list of 0/1 flags")
     words, pids = tuple(payload["words"]), tuple(payload["patient_ids"])
     counts = read_counts(payload, len(words), len(pids))
-    edges = {k: tuple(_flat_array(v, f"bin_edges[{k!r}]", "iuf", "numbers").astype(float).tolist())
+    edges = {k: tuple(flat_array(v, f"bin_edges[{k!r}]", "iuf", "numbers").astype(float).tolist())
              for k, v in payload["bin_edges"].items()}
     labels = SurvivalLabels(times.astype(float), observed.astype(bool))
     return Corpus(counts, Vocabulary(words, edges), labels, pids)

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .anchors import AnchorSet
-from .corpus import (Corpus, Vocabulary, mean_word_score, normalize_columns, read_json,
-                     vocabulary_hash, write_json)
+from .corpus import (Corpus, Vocabulary, flat_array, mean_word_score, normalize_columns,
+                     read_json, vocabulary_hash, write_json)
 from .saw import (FitTrace, Predictions, SawConfig, SawModel, cox_predictions, fit_saw,
                   fit_usaw, predict)
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, fit_elastic_net_cox,
@@ -36,9 +36,14 @@ class EncoxModel:
     """Elastic-net Cox on the column-normalized word counts themselves."""
 
     cox: CoxModel
-    vocab: Vocabulary | None
-    vocab_hash: str
+    vocab: Vocabulary
     method: str = "encox"
+
+    def __post_init__(self):
+        if self.cox.beta.shape != (len(self.vocab),):
+            raise ValueError(f"want one beta per word: {self.cox.beta.shape} for {len(self.vocab)}")
+
+    vocab_hash = property(lambda self: vocabulary_hash(self.vocab))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +57,7 @@ class KmModel:
 
 def fit_encox(corpus: Corpus, lam: float, alpha: float) -> EncoxModel:
     cox = fit_elastic_net_cox(normalize_columns(corpus).T, corpus.labels, lam, alpha)
-    return EncoxModel(cox, corpus.vocab, vocabulary_hash(corpus.vocab))
+    return EncoxModel(cox, corpus.vocab)
 
 
 def fit_km(corpus: Corpus) -> KmModel:
@@ -77,60 +82,55 @@ def predict_km(model: KmModel, corpus: Corpus) -> Predictions:
     )
 
 
-def _encode_matrix(M: np.ndarray):
-    M = np.asarray(M, dtype=float)
-    nnz = int(np.count_nonzero(M))
-    if nnz * 2 < M.size:  # sparse encoding once more than half the entries are zero
-        rows, cols = np.nonzero(M)
-        return {
-            "shape": [int(M.shape[0]), int(M.shape[1])],
-            "triplets": [[int(r), int(c), float(M[r, c])] for r, c in zip(rows, cols)],
-        }
-    return {"dense": [[float(x) for x in row] for row in M]}
+def _numbers(values, name: str) -> np.ndarray:
+    return flat_array(values, name, "iuf", "numbers").astype(float)
 
 
-def _decode_matrix(obj) -> np.ndarray:
+def _decode_matrix(payload: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
+    """theta or A: its dense rows, or the [row, column, value] triplets
+    inside ``shape`` (words, k) that files written before the dense form
+    hold. ``SawModel`` checks the shape of the result."""
+    obj = payload[key]
     if "dense" in obj:
-        return np.array(obj["dense"], dtype=float)
-    M = np.zeros(obj["shape"])
-    for r, c, v in obj["triplets"]:
-        M[r, c] = v
+        M = np.array([_numbers(row, f"{key} rows") for row in obj["dense"]])
+    else:
+        if obj["shape"] != list(shape):
+            raise ValueError(f"{key} has shape {obj['shape']}, not (words, k) = {list(shape)}")
+        M = np.zeros(shape)
+        for r, c, v in obj["triplets"]:
+            if not (type(r) is int and type(c) is int and 0 <= r < shape[0] and 0 <= c < shape[1]):
+                raise ValueError(f"{key} triplet index [{r!r}, {c!r}] outside {list(shape)}")
+            M[r, c] = v
     return M
 
 
 def _write_cox(cox: CoxModel) -> dict:
-    base = cox.baseline
     return {"beta": [float(x) for x in cox.beta],
-            "baseline": None if base is None else {
-                "times": [float(t) for t in base.times],
-                "cum_hazard": [float(h) for h in base.cum_hazard]}}
+            "baseline": {"times": [float(t) for t in cox.baseline.times],
+                         "cum_hazard": [float(h) for h in cox.baseline.cum_hazard]}}
 
 
 def _read_cox(payload: dict, lam: float, alpha: float) -> CoxModel:
     base = payload["baseline"]
-    if base is not None:
-        base = BaselineHazard(np.array(base["times"], dtype=float),
-                              np.array(base["cum_hazard"], dtype=float))
-    return CoxModel(np.array(payload["beta"], dtype=float), base, lam, alpha)
-
-
-def _read_words(payload: dict) -> Vocabulary | None:
-    return None if payload["words"] is None else Vocabulary(tuple(payload["words"]))
+    return CoxModel(_numbers(payload["beta"], "beta"),
+                    BaselineHazard(_numbers(base["times"], "baseline times"),
+                                   _numbers(base["cum_hazard"], "baseline cum_hazard")),
+                    lam, alpha)
 
 
 def _write_saw(model: SawModel) -> dict:
     tm = model.topic_model
     return {
         "config": asdict(model.config),
-        "words": None if model.vocab is None else list(model.vocab.words),
+        "words": list(model.vocab.words),
         "anchors": {
             "indices": list(tm.anchors.indices),
             "stability": {str(w): c for w, c in tm.anchors.stability.items()},
             "runs": tm.anchors.runs,
             "projection_dim": tm.anchors.projection_dim,
         },
-        "theta": _encode_matrix(tm.theta),
-        "A": _encode_matrix(tm.A),
+        "theta": {"dense": tm.theta.tolist()},
+        "A": {"dense": tm.A.tolist()},
         "residuals": [float(x) for x in tm.residuals],
         "trace": asdict(model.trace),
         **_write_cox(model.cox),
@@ -146,26 +146,28 @@ def _read_saw(payload: dict) -> SawModel:
         runs=payload["anchors"]["runs"],
         projection_dim=payload["anchors"]["projection_dim"],
     )
+    vocab = Vocabulary(tuple(payload["words"]))
+    shape = (len(vocab), cfg.k)
     tm = TopicModel(
-        theta=_decode_matrix(payload["theta"]),
-        A=_decode_matrix(payload["A"]),
+        theta=_decode_matrix(payload, "theta", shape),
+        A=_decode_matrix(payload, "A", shape),
         anchors=anchors,
-        residuals=np.array(payload["residuals"], dtype=float),
+        residuals=_numbers(payload["residuals"], "residuals"),
     )
     trace = FitTrace(tuple(payload["trace"]["objective_values"]),
                      payload["trace"]["converged"], payload["trace"]["iterations"])
-    return SawModel(tm, _read_cox(payload, cfg.lam, cfg.alpha), cfg, trace,
-                    _read_words(payload), payload["vocab_hash"], method=payload["method"])
+    return SawModel(tm, _read_cox(payload, cfg.lam, cfg.alpha), cfg, trace, vocab,
+                    method=payload["method"])
 
 
 def _write_encox(model: EncoxModel) -> dict:
-    return {"words": None if model.vocab is None else list(model.vocab.words),
+    return {"words": list(model.vocab.words),
             "lam": model.cox.lam, "alpha": model.cox.alpha, **_write_cox(model.cox)}
 
 
 def _read_encox(payload: dict) -> EncoxModel:
     cox = _read_cox(payload, payload["lam"], payload["alpha"])
-    return EncoxModel(cox, _read_words(payload), payload["vocab_hash"])
+    return EncoxModel(cox, Vocabulary(tuple(payload["words"])))
 
 
 def _write_km(model: KmModel) -> dict:
@@ -175,9 +177,13 @@ def _write_km(model: KmModel) -> dict:
 
 
 def _read_km(payload: dict) -> KmModel:
-    curve = SurvivalCurve(np.array(payload["times"], dtype=float),
-                          np.array(payload["survival"], dtype=float))
-    return KmModel(curve, payload["median"], payload["saturated"], payload["vocab_hash"])
+    curve = SurvivalCurve(_numbers(payload["times"], "times"),
+                          _numbers(payload["survival"], "survival"))
+    median, saturated = payload["median"], payload["saturated"]
+    if type(median) not in (int, float) or not np.isfinite(median) or type(saturated) is not bool:
+        raise ValueError(f"want a finite median and a true/false saturated, got {median!r}, "
+                         f"{saturated!r}")
+    return KmModel(curve, float(median), saturated, payload["vocab_hash"])
 
 
 @dataclass(frozen=True)
@@ -233,8 +239,11 @@ def load_model(path):
     try:
         if payload["method"] not in METHODS:
             raise ValueError(f"unknown method {payload['method']!r}")
-        return METHODS[payload["method"]].read(payload)
+        model = METHODS[payload["method"]].read(payload)
+        if not isinstance(payload["vocab_hash"], str) or model.vocab_hash != payload["vocab_hash"]:
+            raise ValueError("vocab_hash is not the hash of the model's vocabulary")
+        return model
     except KeyError as exc:
         raise ValueError(f"bad model file {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:  # wrong JSON types
         raise ValueError(f"bad model file {path}: {exc}") from exc

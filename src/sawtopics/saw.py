@@ -77,13 +77,17 @@ class SawModel:
     cox: CoxModel
     config: SawConfig
     trace: FitTrace
-    vocab: Vocabulary | None
-    vocab_hash: str
+    vocab: Vocabulary
     method: str = "saw"
 
     def __post_init__(self):
-        if self.topic_model.theta.shape[1] != self.cox.beta.size:
-            raise ValueError("topic model and Cox coefficients disagree on k")
+        tm, shape = self.topic_model, (len(self.vocab), self.config.k)
+        if tm.theta.shape != shape or tm.A.shape != shape or self.cox.beta.shape != shape[1:]:
+            raise ValueError(f"theta {tm.theta.shape}, A {tm.A.shape} and beta "
+                             f"{self.cox.beta.shape} disagree with (words, k) = {shape}")
+        _check_feasible(tm.theta, tm.anchors)
+
+    vocab_hash = property(lambda self: vocabulary_hash(self.vocab))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +99,13 @@ class Predictions:
 
 
 def _check_feasible(theta: np.ndarray, anchors: AnchorSet) -> None:
-    sums = theta.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(theta < -1e-9):
+    d, k = theta.shape
+    if not (np.all(np.abs(theta.sum(axis=1) - 1.0) <= 1e-6) and np.all(theta >= -1e-9)):
         raise ValueError("theta rows must lie on the simplex")
+    if len(anchors.indices) != k or not all(0 <= a < d for a in anchors.indices):
+        raise ValueError(f"anchors must be {k} word indices in [0, {d})")
     for g, a in enumerate(anchors.indices):
-        expect = np.zeros(theta.shape[1])
+        expect = np.zeros(k)
         expect[g] = 1.0
         if not np.array_equal(theta[a], expect):
             raise ValueError(f"anchor row {a} is not the indicator of topic {g}")
@@ -256,8 +262,7 @@ def _finish(corpus, config, stats, anchors, theta, beta, baseline, obj, converge
     tm = TopicModel(theta, A, anchors, residuals)
     cox = CoxModel(beta, baseline, config.lam, config.alpha)
     trace = FitTrace(tuple(float(v) for v in obj), converged, iterations)
-    return SawModel(tm, cox, config, trace, corpus.vocab,
-                    vocabulary_hash(corpus.vocab), method=method)
+    return SawModel(tm, cox, config, trace, corpus.vocab, method=method)
 
 
 def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
@@ -279,9 +284,7 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
     for _ in range(config.max_outer_iters):
         prev = obj[-1]
         Z = doc_topic_features(theta, Xbar)
-        cox = fit_elastic_net_cox(Z, labels, config.lam, config.alpha, beta0=beta,
-                                  fit_baseline=False)
-        beta = cox.beta
+        beta = fit_elastic_net_cox(Z, labels, config.lam, config.alpha, beta0=beta).beta
         obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
                                    config.lam, config.alpha))
         theta = update_theta(theta, beta, stats, Xbar, labels, anchors)

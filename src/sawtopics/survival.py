@@ -8,7 +8,8 @@ once, as ``SurvivalLabels.risk_sets``, and ``RiskSets.partial_likelihood``
 takes the Cox value, gradient and Hessian product from one suffix-sum pass
 over them. The Cox fitter is proximal gradient
 with a halving line search and soft-thresholding, so the penalized
-objective never increases across accepted steps.
+objective never increases across accepted steps; every fit carries its
+Breslow baseline hazard, from which ``predict_median`` reads the medians.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ class BaselineHazard:
         object.__setattr__(self, "cum_hazard", h)
         if t.shape != h.shape or t.ndim != 1:
             raise ValueError("times and cum_hazard must be aligned 1-d arrays")
-        if t.size and np.any(np.diff(t) <= 0):
+        if np.isnan(t).any() or np.any(np.diff(t) <= 0):
             raise ValueError("baseline times must be strictly increasing")
-        if h.size and (h[0] < 0 or np.any(np.diff(h) < 0)):
+        if np.isnan(h).any() or (h.size and (h[0] < 0 or np.any(np.diff(h) < 0))):
             raise ValueError("cumulative hazard must be nonnegative and non-decreasing")
 
 
@@ -100,7 +101,7 @@ class SurvivalCurve:
 @dataclass(frozen=True, eq=False)
 class CoxModel:
     beta: np.ndarray
-    baseline: BaselineHazard | None
+    baseline: BaselineHazard
     lam: float
     alpha: float
 
@@ -206,7 +207,6 @@ def fit_elastic_net_cox(
     *,
     beta0: np.ndarray | None = None,
     max_iter: int = 10000,
-    fit_baseline: bool = True,
 ) -> CoxModel:
     """Minimize the negative Cox partial log likelihood of Z @ b plus
     lam * (alpha*||b||_1 + (1-alpha)/2*||b||_2^2). Z is a dense array or a
@@ -216,6 +216,7 @@ def fit_elastic_net_cox(
     part is handled by soft-thresholding. A step is accepted only when the
     quadratic majorization holds and the penalized objective does not
     increase. Stops when the relative objective drop is at most ``tol``.
+    Returns the coefficients with their Breslow baseline hazard.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -261,8 +262,7 @@ def fit_elastic_net_cox(
         step = s if halved else min(s * 1.5, 1e8)
         if drop <= tol * max(abs(F), 1e-12):
             break
-    baseline = breslow_baseline(beta, Z, labels) if fit_baseline else None
-    return CoxModel(beta, baseline, float(lam), float(alpha))
+    return CoxModel(beta, breslow_baseline(beta, Z, labels), float(lam), float(alpha))
 
 
 def breslow_baseline(beta: np.ndarray, Z, labels: SurvivalLabels) -> BaselineHazard:
@@ -278,29 +278,20 @@ def breslow_baseline(beta: np.ndarray, Z, labels: SurvivalLabels) -> BaselineHaz
 
 def predict_median(model: CoxModel, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per linear predictor eta, the smallest baseline time where predicted
-    survival exp(-H * exp(eta)) drops to <= 0.5.
-
-    Where the survival curve never reaches 0.5, returns the largest
-    baseline time with the saturated flag set. The first crossing is found
-    by one bisection over the baseline for all patients at once, so memory
-    stays O(n).
+    survival exp(-H * exp(eta)) drops to <= 0.5: the first step where the
+    model's cumulative hazard H reaches log(2) * exp(-eta), found for all
+    patients by one ``searchsorted``. Where the curve never reaches 0.5
+    (a NaN eta included), returns the largest baseline time with the
+    saturated flag set. The target is floored at the smallest positive
+    double, so where exp(eta) is infinite a zero-hazard step is no crossing.
     """
     base = model.baseline
     if base is None or base.times.size == 0:
         raise ValueError("model has no baseline hazard")
-    H, T = base.cum_hazard, base.times.size
-    eta = np.asarray(eta, dtype=float)
-    lo = np.zeros(eta.shape, dtype=np.intp)  # bisect for the first hit; T means none
-    hi = np.full(eta.shape, T, dtype=np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):  # exp(eta) = inf, inf * 0
-        scale = np.exp(eta)
-        for _ in range(T.bit_length()):
-            mid = np.minimum((lo + hi) // 2, T - 1)
-            hit = np.exp(-H[mid] * scale) <= 0.5
-            open_ = lo < hi
-            hi = np.where(open_ & hit, mid, hi)
-            lo = np.where(open_ & ~hit, mid + 1, lo)
-    return base.times[np.minimum(lo, T - 1)], lo == T
+    with np.errstate(over="ignore"):  # exp(-eta) = inf: the curve stays above 0.5
+        target = np.maximum(np.log(2.0) * np.exp(-np.asarray(eta, dtype=float)), 5e-324)
+    first = np.searchsorted(base.cum_hazard, target, side="left")
+    return base.times[np.minimum(first, base.times.size - 1)], first == base.times.size
 
 
 def kaplan_meier(labels: SurvivalLabels) -> tuple[SurvivalCurve, float, bool]:

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from sawtopics.cli import _write_predictions
 from sawtopics.corpus import Corpus, load_corpus, normalize_columns, save_corpus, subset
-from sawtopics.methods import (RETIRED_CONFIG_KEYS, _decode_matrix, _encode_matrix,
-                               fit_method, load_model, predict_model, save_model)
+from sawtopics.methods import (RETIRED_CONFIG_KEYS, _decode_matrix, fit_method, load_model,
+                               predict_model, save_model)
 from sawtopics.saw import SawConfig
 from sawtopics.survival import predict_median
 from sawtopics.synthgen import generate_dataset
@@ -122,18 +123,140 @@ def test_encox_scores_the_sparse_design(corpus):
 
 
 def test_matrix_encoding_round_trip():
+    # theta and A are written dense; files written before hold triplets
     rng = np.random.default_rng(0)
     dense = rng.uniform(size=(6, 4))
-    enc = _encode_matrix(dense)
-    assert "dense" in enc
-    assert np.array_equal(_decode_matrix(enc), dense)
+    assert np.array_equal(_decode_matrix({"A": {"dense": dense.tolist()}}, "A", (6, 4)), dense)
 
     sparse = np.zeros((10, 5))
     sparse[0, 1] = 2.5
     sparse[7, 3] = -1.25
-    enc = _encode_matrix(sparse)
-    assert "triplets" in enc and len(enc["triplets"]) == 2
-    assert np.array_equal(_decode_matrix(enc), sparse)
+    trips = {"shape": [10, 5], "triplets": [[0, 1, 2.5], [7, 3, -1.25]]}
+    assert np.array_equal(_decode_matrix({"A": trips}, "A", (10, 5)), sparse)
+    for bad in ([-1, 1, 2.5], [10, 1, 2.5], [0, 5, 2.5], [0.0, 1, 2.5]):
+        with pytest.raises(ValueError, match="outside"):
+            _decode_matrix({"A": dict(trips, triplets=[bad])}, "A", (10, 5))
+    with pytest.raises(ValueError, match="shape"):
+        _decode_matrix({"A": dict(trips, shape=[10, 6])}, "A", (10, 5))
+
+
+def as_triplets(M):
+    """A matrix in the sparse form that model files written before the dense
+    form hold."""
+    M = np.array(M)
+    return {"shape": list(M.shape),
+            "triplets": [[int(r), int(c), float(M[r, c])] for r, c in zip(*np.nonzero(M))]}
+
+
+def predictions_bytes(model, corpus, tmp_path) -> bytes:
+    out = tmp_path / "preds.csv"
+    _write_predictions(out, predict_model(model, corpus))
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["saw", "usaw"])
+def test_triplet_matrices_predict_as_their_dense_resave(corpus, cox_models, tmp_path, method):
+    path, dense = tmp_path / "old.json", tmp_path / "dense.json"
+    save_model(cox_models[method], dense)
+    payload = json.loads(dense.read_text())
+    payload.update(theta=as_triplets(payload["theta"]["dense"]),
+                   A=as_triplets(payload["A"]["dense"]))
+    assert len(payload["theta"]["triplets"]) < np.size(cox_models[method].topic_model.theta)
+    path.write_text(json.dumps(payload))
+    old = load_model(path)
+    save_model(old, tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_bytes() == dense.read_bytes()
+    assert (predictions_bytes(old, corpus, tmp_path)
+            == predictions_bytes(load_model(dense), corpus, tmp_path))
+
+
+def fuzzed(payload):
+    """(where, payload) for each key of a model file, and each matrix and
+    baseline sub-key, dropped, set to null, to a string and to a nested
+    list, and for each index that a file holds, set out of range."""
+    def variants(obj, where):
+        for key in list(obj):
+            for name, value in (("dropped", None), ("null", None), ("string", "x"),
+                                ("nested list", [[[0.5]]])):
+                out = dict(obj)
+                if name == "dropped":
+                    del out[key]
+                else:
+                    out[key] = value
+                yield f"{where}{key} {name}", out
+    yield from variants(payload, "")
+    for key in ("theta", "A", "baseline"):
+        if key in payload:
+            for where, sub in variants(payload[key], f"{key}."):
+                yield where, {**payload, key: sub}
+    if "anchors" in payload:
+        for bad in (len(payload["words"]), -1):
+            anchors = dict(payload["anchors"], indices=[bad] + payload["anchors"]["indices"][1:])
+            yield f"anchor {bad}", {**payload, "anchors": anchors}
+    for key in ("theta", "A"):
+        if "triplets" in payload.get(key, {}):
+            rows, cols = payload[key]["shape"]
+            for j, bad in ((0, rows), (0, -1), (1, cols), (1, -1)):
+                trips = [list(t) for t in payload[key]["triplets"]]
+                trips[0][j] = bad
+                matrix = dict(payload[key], triplets=trips)
+                yield f"{key} triplet index {bad}", {**payload, key: matrix}
+
+
+@pytest.mark.parametrize("method", ["saw", "usaw", "encox", "km"])
+def test_model_file_fuzz_refused_or_unchanged(corpus, cox_models, tmp_path, method):
+    # a value that load_model reads wrongly must not reach predict: the
+    # loaded model predicts the unchanged bytes, or load_model names the file
+    model = cox_models[method] if method in cox_models else fit_method(corpus, method, SawConfig())
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    want = predictions_bytes(model, corpus, tmp_path)
+    payload = json.loads(path.read_text())
+    forms = [payload]
+    if method in ("saw", "usaw"):
+        forms.append({**payload, "theta": as_triplets(payload["theta"]["dense"]),
+                      "A": as_triplets(payload["A"]["dense"])})
+    refused = 0
+    for form in forms:
+        for where, bad in fuzzed(form):
+            path.write_text(json.dumps(bad))
+            try:
+                loaded = load_model(path)
+            except ValueError as exc:
+                # read_json's version error, pinned elsewhere, holds no path
+                assert str(path) in str(exc) or where.startswith("version"), (where, exc)
+                refused += 1
+                continue
+            assert predictions_bytes(loaded, corpus, tmp_path) == want, where
+    assert refused > 0
+
+
+def off_simplex(payload):
+    row = next(w for w in range(len(payload["words"])) if w not in payload["anchors"]["indices"])
+    payload["theta"]["dense"][row] = [2 * x for x in payload["theta"]["dense"][row]]
+
+
+@pytest.mark.parametrize("method, change, message", [
+    ("saw", lambda p: p["theta"].update(dense=p["theta"]["dense"][:3]), "disagree with"),
+    ("usaw", off_simplex, "simplex"),
+    ("saw", lambda p: p["anchors"].update(indices=p["anchors"]["indices"][1:]), "anchors must be"),
+    ("usaw", lambda p: p.update(words=p["words"][:-1]), "disagree with"),
+    ("encox", lambda p: p.update(beta=p["beta"][:-1]), "one beta per word"),
+    ("encox", lambda p: p["baseline"]["times"].__setitem__(1, float("nan")), "strictly increasing"),
+    ("saw", lambda p: p["baseline"]["cum_hazard"].__setitem__(1, float("nan")), "non-decreasing"),
+    ("km", lambda p: p.update(median=float("inf")), "finite median"),
+    ("km", lambda p: p.update(saturated=1), "true/false saturated"),
+])
+def test_unscorable_model_refused_at_load(corpus, cox_models, tmp_path, method, change, message):
+    # each of these loaded, and predict failed later or wrote a wrong file
+    model = cox_models[method] if method in cox_models else fit_method(corpus, method, SawConfig())
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: .*{message}"):
+        load_model(path)
 
 
 def test_unknown_method_rejected(corpus):

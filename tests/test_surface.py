@@ -2,10 +2,11 @@
 default, of every function in ``src/sawtopics``, is passed by some call in
 the source, the tests or the benchmark harness. No module of the package
 reaches into another's private (``_``-prefixed) names. And scipy is
-imported only by the functions that need it, and a ``Corpus`` is its CSC
-arrays alone."""
+imported only by the functions that need it, a ``Corpus`` is its CSC
+arrays alone, and the README's library examples run."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -126,3 +127,14 @@ def test_corpus_holds_no_count_matrix():
     c = Corpus((np.array([1, 2]), np.array([0, 1]), np.array([0, 1, 2])), Vocabulary(("a", "b")),
                SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)), ("p1", "p2"))
     assert not hasattr(Corpus, "counts") and not hasattr(c, "counts")
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.DOTALL)
+    assert len(blocks) == 3
+    monkeypatch.chdir(tmp_path)  # an example writes a model file
+    namespace: dict = {}
+    for block in blocks:  # in order: later examples use the earlier ones' names
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert (tmp_path / "encox.json").is_file()

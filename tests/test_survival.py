@@ -184,8 +184,7 @@ class TestFitElasticNetCox:
 
         values = []
         for iters in range(1, 30):
-            m = fit_elastic_net_cox(Z, lab, lam=0.3, alpha=0.7, tol=1e-16,
-                                    max_iter=iters, fit_baseline=False)
+            m = fit_elastic_net_cox(Z, lab, lam=0.3, alpha=0.7, tol=1e-16, max_iter=iters)
             values.append(objective(m.beta))
         assert np.all(np.diff(values) <= 1e-12)
 
@@ -208,6 +207,17 @@ class TestFitElasticNetCox:
         assert np.count_nonzero(fit_dense.beta) > 0
         assert np.abs(fit_sparse.beta - fit_dense.beta).max() <= 1e-12
         assert np.array_equal(fit_sparse.baseline.times, fit_dense.baseline.times)
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_every_fit_carries_its_breslow_baseline(self, form):
+        rng = np.random.default_rng(16)
+        Z = sparse.random(80, 6, density=0.4, format="csc", random_state=rng)
+        Z = Z if form == "sparse" else Z.toarray()
+        lab = random_instance(rng, n=80)[1]
+        fit = fit_elastic_net_cox(Z, lab, lam=0.05, alpha=0.5)
+        want = breslow_baseline(fit.beta, Z, lab)
+        assert np.array_equal(fit.baseline.times, want.times)
+        assert np.array_equal(fit.baseline.cum_hazard, want.cum_hazard)
 
     def test_invalid_params(self):
         rng = np.random.default_rng(10)
@@ -477,7 +487,7 @@ class TestPredictMedian:
             base = BaselineHazard(np.cumsum(rng.uniform(0.5, 3.0, T + 1)), H)
             model = CoxModel(np.array([1.0]), base, 1.0, 0.5)
             eta = np.concatenate([rng.normal(0.0, 3.0, 50),
-                                  [0.0, 700.0, -700.0, 1000.0, -1000.0]])
+                                  [0.0, 700.0, -700.0, 1000.0, -1000.0, np.inf, -np.inf, np.nan]])
             median, saturated = predict_median(model, eta)
             with np.errstate(invalid="ignore"):  # 0 * inf at a zero hazard
                 ref = [reference_median(model, np.array([e])) for e in eta]
