@@ -670,7 +670,7 @@ def read_json(path, format: str, versions: tuple[int, ...], kind: str) -> dict:
         raise ValueError(f"not a {kind} file: {path}")
     version = payload.get("version")
     if type(version) is not int or version not in versions:  # a bool or a float is refused
-        raise ValueError(f"unsupported {kind} version {version}")
+        raise ValueError(f"unsupported {kind} version {version}: {path}")
     return payload
 
 

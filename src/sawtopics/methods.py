@@ -86,6 +86,13 @@ def _numbers(values, name: str) -> np.ndarray:
     return flat_array(values, name, "iuf", "numbers").astype(float)
 
 
+def _whole(value, name: str, low: int) -> int:
+    """A JSON integer of at least ``low``; a bool or a float is refused."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _decode_matrix(payload: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     """theta or A: its dense rows, or the [row, column, value] triplets
     inside ``shape`` (words, k) that files written before the dense form
@@ -140,11 +147,14 @@ def _write_saw(model: SawModel) -> dict:
 def _read_saw(payload: dict) -> SawModel:
     cfg = SawConfig(**{k: v for k, v in payload["config"].items()
                        if k not in RETIRED_CONFIG_KEYS})
+    found, stability = payload["anchors"], payload["anchors"]["stability"]
+    if not (isinstance(stability, dict) and all(w.isdecimal() for w in stability)):
+        raise ValueError(f"anchors.stability must map word indices to counts, got {stability!r}")
     anchors = AnchorSet(
-        indices=tuple(payload["anchors"]["indices"]),
-        stability={int(w): int(c) for w, c in payload["anchors"]["stability"].items()},
-        runs=payload["anchors"]["runs"],
-        projection_dim=payload["anchors"]["projection_dim"],
+        indices=tuple(found["indices"]),
+        stability={int(w): _whole(c, "anchors.stability counts", 1) for w, c in stability.items()},
+        runs=_whole(found["runs"], "anchors.runs", 1),
+        projection_dim=_whole(found["projection_dim"], "anchors.projection_dim", 1),
     )
     vocab = Vocabulary(tuple(payload["words"]))
     shape = (len(vocab), cfg.k)
@@ -154,8 +164,13 @@ def _read_saw(payload: dict) -> SawModel:
         anchors=anchors,
         residuals=_numbers(payload["residuals"], "residuals"),
     )
-    trace = FitTrace(tuple(payload["trace"]["objective_values"]),
-                     payload["trace"]["converged"], payload["trace"]["iterations"])
+    trace = payload["trace"]
+    values = _numbers(trace["objective_values"], "trace objective_values")
+    if not (np.all(np.isfinite(values)) and type(trace["converged"]) is bool):
+        raise ValueError(f"want finite trace objective_values and a true/false converged, got "
+                         f"{trace['objective_values']!r}, {trace['converged']!r}")
+    trace = FitTrace(tuple(values.tolist()), trace["converged"],
+                     _whole(trace["iterations"], "trace iterations", 0))
     return SawModel(tm, _read_cox(payload, cfg.lam, cfg.alpha), cfg, trace, vocab,
                     method=payload["method"])
 
@@ -166,7 +181,11 @@ def _write_encox(model: EncoxModel) -> dict:
 
 
 def _read_encox(payload: dict) -> EncoxModel:
-    cox = _read_cox(payload, payload["lam"], payload["alpha"])
+    lam, alpha = payload["lam"], payload["alpha"]
+    if not (type(lam) in (int, float) and 0 <= lam < np.inf
+            and type(alpha) in (int, float) and 0 <= alpha <= 1):
+        raise ValueError(f"want a finite lam >= 0 and an alpha in [0, 1], got {lam!r}, {alpha!r}")
+    cox = _read_cox(payload, lam, alpha)
     return EncoxModel(cox, Vocabulary(tuple(payload["words"])))
 
 

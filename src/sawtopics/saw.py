@@ -2,17 +2,20 @@
 
 The objective is block convex: the KL representation cost of the topic side
 plus the elastic-net regularized Cox partial likelihood on the per-document
-topic proportions. Anchors are found once up front; the alternation then
-switches between an elastic-net Cox fit (warm-started, so it can only lower
-the objective) and ``update_theta``, projected Newton-CG over all free theta
-rows, which the Cox term couples, stopped by a Frank-Wolfe gap certificate.
+topic proportions. Anchors and the unsupervised topics are found once up
+front, and an elastic-net Cox fit on their features follows (the two-stage
+fit ends there). Each outer iteration then runs ``update_theta``, projected
+Newton-CG over all free theta rows, which the Cox term couples, stopped by a
+Frank-Wolfe gap certificate, and ends on a Cox fit warm-started on the new
+features (so it can only lower the objective).
 Topic recovery and its Newton simplex solver live in ``topics``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -21,8 +24,8 @@ from .cooccur import CooccurrenceStats, build_cooccurrence
 from .corpus import (Corpus, Vocabulary, document_frequencies, mean_word_score, normalize_columns,
                      vocabulary_hash)
 from .seeding import derive_seed
-from .survival import (CoxModel, SurvivalLabels, breslow_baseline, elastic_net_penalty,
-                       fit_elastic_net_cox, predict_median)
+from .survival import (CoxModel, SurvivalLabels, elastic_net_penalty, fit_elastic_net_cox,
+                       predict_median)
 from .topics import (LOG_FLOOR, ConvergenceError, TopicModel, doc_topic_features, face_system,
                      kl_divergence, kl_residuals, newton_budget, recover_topics_unsupervised,
                      recover_word_topic_matrix, sum_plogp)
@@ -47,24 +50,28 @@ class SawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not float(self.k).is_integer():
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        for key, low in (("k", 1), ("max_outer_iters", 0), ("anchor_runs", 1),
+                         ("projection_dim", 1)):
+            value = getattr(self, key)
+            if value is None and key == "projection_dim":
+                continue
+            if not (isinstance(value, Real) and float(value).is_integer()):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value!r}")
+            object.__setattr__(self, key, int(value))
         for key in ("lam", "outer_tol"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if self.max_outer_iters < 0 or self.anchor_runs < 1:
-            raise ValueError("max_outer_iters must be >= 0 and anchor_runs >= 1")
 
 
 @dataclass(frozen=True)
 class FitTrace:
     """Joint objective after each half-step (beta or theta), starting from
-    the initialization value."""
+    the unsupervised topics at beta = 0; ``iterations`` counts the outer
+    iterations, each a theta half-step and then a Cox fit."""
 
     objective_values: tuple[float, ...]
     converged: bool
@@ -109,26 +116,6 @@ def _check_feasible(theta: np.ndarray, anchors: AnchorSet) -> None:
         expect[g] = 1.0
         if not np.array_equal(theta[a], expect):
             raise ValueError(f"anchor row {a} is not the indicator of topic {g}")
-
-
-def joint_objective(
-    theta: np.ndarray,
-    beta: np.ndarray,
-    stats: CooccurrenceStats,
-    Xbar,
-    labels: SurvivalLabels,
-    anchors: AnchorSet,
-    lam: float,
-    alpha: float,
-) -> float:
-    """KL representation cost over non-anchor words + Cox partial
-    likelihood on topic features + elastic-net penalty."""
-    theta = np.asarray(theta, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    _check_feasible(theta, anchors)
-    eta = doc_topic_features(theta, Xbar) @ beta
-    kl = float(kl_residuals(theta, stats, anchors).sum())
-    return kl + labels.risk_sets.partial_likelihood(eta)[0] + elastic_net_penalty(beta, lam, alpha)
 
 
 def _project_to_simplex(V: np.ndarray) -> np.ndarray:
@@ -240,10 +227,18 @@ def update_theta(
     return theta
 
 
-def _prepare(corpus: Corpus, config: SawConfig):
+def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
+    """Full pipeline: co-occurrence stats, stabilized anchors and the
+    unsupervised topics, one elastic-net Cox fit on their features (all that
+    ``max_outer_iters == 0`` runs), then outer iterations of a monotone theta
+    pass followed by a Cox fit warm-started on the new theta's features,
+    until the joint objective stops improving. The returned Cox model is the
+    last fit, on the returned theta's features.
+    """
     if corpus.n_docs < 2:
         raise ValueError("need at least 2 documents")
-    if corpus.labels.n_events < 1:
+    labels = corpus.labels
+    if labels.n_events < 1:
         raise ValueError("need at least 1 observed event to fit a survival model")
     stats = build_cooccurrence(corpus)
     cand = default_candidates(document_frequencies(corpus), corpus.n_docs)
@@ -251,75 +246,45 @@ def _prepare(corpus: Corpus, config: SawConfig):
         stats, config.k, T=config.anchor_runs, r=config.projection_dim,
         seed=derive_seed(config.seed, "anchors"), candidates=cand,
     )
-    tm = recover_topics_unsupervised(stats, anchors)
-    return stats, anchors, tm, normalize_columns(corpus)
+    theta = recover_topics_unsupervised(stats, anchors).theta
+    Xbar = normalize_columns(corpus)
+    # the current theta's KL terms and features, computed once per theta
+    residuals, Z = kl_residuals(theta, stats, anchors), doc_topic_features(theta, Xbar)
 
+    def objective(beta):  # the joint objective at the current theta
+        return (float(residuals.sum()) + labels.risk_sets.partial_likelihood(Z @ beta)[0]
+                + elastic_net_penalty(beta, config.lam, config.alpha))
 
-def _finish(corpus, config, stats, anchors, theta, beta, baseline, obj, converged,
-            iterations, method) -> SawModel:
-    residuals = kl_residuals(theta, stats, anchors)
-    A = recover_word_topic_matrix(theta, stats.p)
-    tm = TopicModel(theta, A, anchors, residuals)
-    cox = CoxModel(beta, baseline, config.lam, config.alpha)
-    trace = FitTrace(tuple(float(v) for v in obj), converged, iterations)
-    return SawModel(tm, cox, config, trace, corpus.vocab, method=method)
-
-
-def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
-    """Full pipeline: co-occurrence stats, stabilized anchors, unsupervised
-    initialization, then alternate a warm-started elastic-net Cox fit with a
-    monotone theta pass until the joint objective stops improving.
-
-    With ``max_outer_iters == 0`` the unsupervised initialization itself is
-    returned, with beta zero and the baseline hazard fitted for it.
-    """
-    stats, anchors, tm, Xbar = _prepare(corpus, config)
-    labels = corpus.labels
-    theta = tm.theta
     beta = np.zeros(config.k)
-    obj = [joint_objective(theta, beta, stats, Xbar, labels, anchors,
-                           config.lam, config.alpha)]
-    converged = False
-    outer_done = 0
-    for _ in range(config.max_outer_iters):
+    obj = [objective(beta)]
+    cox = fit_elastic_net_cox(Z, labels, config.lam, config.alpha, beta0=beta)
+    obj.append(objective(cox.beta))
+    converged, iterations = False, 0
+    while iterations < config.max_outer_iters and not converged:
         prev = obj[-1]
-        Z = doc_topic_features(theta, Xbar)
-        beta = fit_elastic_net_cox(Z, labels, config.lam, config.alpha, beta0=beta).beta
-        obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
-                                   config.lam, config.alpha))
-        theta = update_theta(theta, beta, stats, Xbar, labels, anchors)
-        obj.append(joint_objective(theta, beta, stats, Xbar, labels, anchors,
-                                   config.lam, config.alpha))
-        outer_done += 1
+        theta = update_theta(theta, cox.beta, stats, Xbar, labels, anchors)
+        residuals, Z = kl_residuals(theta, stats, anchors), doc_topic_features(theta, Xbar)
+        obj.append(objective(cox.beta))
+        cox = fit_elastic_net_cox(Z, labels, config.lam, config.alpha, beta0=cox.beta)
+        obj.append(objective(cox.beta))
+        iterations += 1
         dec = prev - obj[-1]
         if dec < -OBJECTIVE_SLACK * max(abs(prev), 1.0):
             raise RuntimeError(
-                f"joint objective increased across outer iteration {outer_done}: "
+                f"joint objective increased across outer iteration {iterations}: "
                 f"{prev} -> {obj[-1]}"
             )
-        if dec <= config.outer_tol * max(abs(prev), 1e-12):
-            converged = True
-            break
-    baseline = breslow_baseline(beta, doc_topic_features(theta, Xbar), labels)
-    return _finish(corpus, config, stats, anchors, theta, beta, baseline,
-                   obj, converged, outer_done, "saw")
+        converged = bool(dec <= config.outer_tol * max(abs(prev), 1e-12))
+    tm = TopicModel(theta, recover_word_topic_matrix(theta, stats.p), anchors, residuals)
+    trace = FitTrace(tuple(float(v) for v in obj), converged, iterations)
+    return SawModel(tm, cox, config, trace, corpus.vocab)
 
 
 def fit_usaw(corpus: Corpus, config: SawConfig) -> SawModel:
     """Two-stage baseline: unsupervised topics, then a single elastic-net
-    Cox fit on the resulting features. No alternation."""
-    stats, anchors, tm, Xbar = _prepare(corpus, config)
-    labels = corpus.labels
-    theta = tm.theta
-    beta0 = np.zeros(config.k)
-    obj = [joint_objective(theta, beta0, stats, Xbar, labels, anchors,
-                           config.lam, config.alpha)]
-    Z = doc_topic_features(theta, Xbar)
-    cox = fit_elastic_net_cox(Z, labels, config.lam, config.alpha)
-    obj.append(joint_objective(theta, cox.beta, stats, Xbar, labels, anchors,
-                               config.lam, config.alpha))
-    return _finish(corpus, config, stats, anchors, theta, cox.beta, cox.baseline,
-                   obj, True, 1, "usaw")
+    Cox fit on their features; ``fit_saw`` with no outer iteration."""
+    model = fit_saw(corpus, replace(config, max_outer_iters=0))
+    return replace(model, config=config, method="usaw")
 
 
 def predict(model: SawModel, new_corpus: Corpus) -> Predictions:

@@ -12,12 +12,14 @@ finite-difference and convexity tests check them) and in eta, from suffix
 sums of their own in the log domain, as a reference for the one-pass
 risk-set term, the dense Breslow Hessian in eta as a reference for its
 product, the coupled Frank-Wolfe gap of the theta subproblem from a dense
-design, a row-at-a-time event parser and corpus builder as a reference for
-the columnar ones, the variance-of-frequency word filter from sparse
-matrix products as a reference for the bincount one, the version-1 (triplet
-lists) and version-2 (CSC arrays as JSON lists) corpus writers that wrote
-the files version 3 replaced, the analytic word-topic posterior of a planted
-topic matrix, and a seeded generator per test tag. ``csc_arrays`` and
+design, the joint objective recomputed from scratch as a reference for
+the values a saw fit traces, a row-at-a-time event parser and corpus
+builder as a reference for the columnar ones, the variance-of-frequency
+word filter from sparse matrix products as a reference for the bincount
+one, the version-1 (triplet lists) and version-2 (CSC arrays as JSON
+lists) corpus writers that wrote the files version 3 replaced, the analytic
+word-topic posterior of a planted topic matrix, and a seeded generator per
+test tag. ``csc_arrays`` and
 ``dense`` convert between a count matrix and the CSC arrays a ``Corpus``
 is built from.
 """
@@ -33,9 +35,10 @@ from scipy.optimize import linprog
 
 from sawtopics.corpus import (CORPUS_FORMAT, Corpus, EventParseError, IngestConfig, SurvivalLabels,
                               Vocabulary, _gc_paused, write_json)
+from sawtopics.saw import _check_feasible
 from sawtopics.seeding import derive_seed
-from sawtopics.survival import RiskSets
-from sawtopics.topics import LOG_FLOOR, kl_divergence, sum_plogp
+from sawtopics.survival import RiskSets, elastic_net_penalty
+from sawtopics.topics import LOG_FLOOR, doc_topic_features, kl_divergence, kl_residuals, sum_plogp
 
 
 def csc_arrays(counts):
@@ -362,6 +365,19 @@ def coupled_gap(theta, beta, Qbar, X, labels: SurvivalLabels, anchors) -> float:
     g_eta = log_domain_eta_gradient(labels, X.T @ (theta @ beta))
     G = -(P / np.maximum(th @ B, LOG_FLOOR)) @ B.T + np.outer(X[free] @ g_eta, beta)
     return float(np.sum(np.sum(th * G, axis=1) - G.min(axis=1)))
+
+
+def joint_objective(theta, beta, stats, Xbar, labels: SurvivalLabels, anchors, lam: float,
+                    alpha: float) -> float:
+    """KL representation cost over non-anchor words + Cox partial likelihood
+    on topic features + elastic-net penalty, at a feasible theta: the value
+    ``fit_saw`` records after each half-step, computed here from scratch."""
+    theta = np.asarray(theta, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    _check_feasible(theta, anchors)
+    eta = doc_topic_features(theta, Xbar) @ beta
+    kl = float(kl_residuals(theta, stats, anchors).sum())
+    return kl + labels.risk_sets.partial_likelihood(eta)[0] + elastic_net_penalty(beta, lam, alpha)
 
 
 # Row-at-a-time ingest: the reference for corpus.ingest_events/build_corpus.

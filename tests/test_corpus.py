@@ -567,7 +567,8 @@ class TestVersions:
         save_corpus(make_corpus([[1, 2], [3, 4]]), path)
         payload = dict(json.loads(path.read_text()), version=version)
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"^unsupported corpus version {version}$"):
+        message = f"^unsupported corpus version {version}: {re.escape(str(path))}$"
+        with pytest.raises(ValueError, match=message):
             load_corpus(path)
 
     @pytest.mark.parametrize("largest, dtype", [

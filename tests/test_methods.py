@@ -70,7 +70,8 @@ def test_model_version_must_be_a_json_integer(corpus, tmp_path, version):
     save_model(fit_method(corpus, "km", SawConfig()), path)
     payload = dict(json.loads(path.read_text()), version=version)
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=f"^unsupported model version {version}$"):
+    message = f"^unsupported model version {version}: {re.escape(str(path))}$"
+    with pytest.raises(ValueError, match=message):
         load_model(path)
 
 
@@ -171,9 +172,10 @@ def test_triplet_matrices_predict_as_their_dense_resave(corpus, cox_models, tmp_
 
 
 def fuzzed(payload):
-    """(where, payload) for each key of a model file, and each matrix and
-    baseline sub-key, dropped, set to null, to a string and to a nested
-    list, and for each index that a file holds, set out of range."""
+    """(where, payload) for each key of a model file, and each matrix,
+    baseline, trace and anchors sub-key, dropped, set to null, to a string
+    and to a nested list, and for each index that a file holds, set out of
+    range."""
     def variants(obj, where):
         for key in list(obj):
             for name, value in (("dropped", None), ("null", None), ("string", "x"),
@@ -185,7 +187,7 @@ def fuzzed(payload):
                     out[key] = value
                 yield f"{where}{key} {name}", out
     yield from variants(payload, "")
-    for key in ("theta", "A", "baseline"):
+    for key in ("theta", "A", "baseline", "trace", "anchors"):
         if key in payload:
             for where, sub in variants(payload[key], f"{key}."):
                 yield where, {**payload, key: sub}
@@ -206,7 +208,9 @@ def fuzzed(payload):
 @pytest.mark.parametrize("method", ["saw", "usaw", "encox", "km"])
 def test_model_file_fuzz_refused_or_unchanged(corpus, cox_models, tmp_path, method):
     # a value that load_model reads wrongly must not reach predict: the
-    # loaded model predicts the unchanged bytes, or load_model names the file
+    # loaded model predicts the unchanged bytes, or load_model names the
+    # file; the fields that scoring never reads are refused, so that a
+    # loaded model does not save them back wrong
     model = cox_models[method] if method in cox_models else fit_method(corpus, method, SawConfig())
     path = tmp_path / "m.json"
     save_model(model, path)
@@ -223,10 +227,10 @@ def test_model_file_fuzz_refused_or_unchanged(corpus, cox_models, tmp_path, meth
             try:
                 loaded = load_model(path)
             except ValueError as exc:
-                # read_json's version error, pinned elsewhere, holds no path
-                assert str(path) in str(exc) or where.startswith("version"), (where, exc)
+                assert str(path) in str(exc), (where, exc)
                 refused += 1
                 continue
+            assert not where.startswith(("trace.", "anchors.", "lam ", "alpha ")), where
             assert predictions_bytes(loaded, corpus, tmp_path) == want, where
     assert refused > 0
 
@@ -254,6 +258,40 @@ def test_unscorable_model_refused_at_load(corpus, cox_models, tmp_path, method, 
     save_model(model, path)
     payload = json.loads(path.read_text())
     change(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: .*{message}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("method, where, value, message", [
+    ("encox", ("lam",), "abc", "finite lam"),
+    ("encox", ("lam",), float("inf"), "finite lam"),
+    ("encox", ("lam",), -0.1, "finite lam"),
+    ("encox", ("alpha",), 1.5, "alpha in"),
+    ("encox", ("alpha",), True, "alpha in"),
+    ("saw", ("trace", "objective_values"), [1.0, float("nan")], "finite trace"),
+    ("saw", ("trace", "objective_values"), [1.0, "x"], "objective_values must be"),
+    ("usaw", ("trace", "converged"), 1, "true/false converged"),
+    ("saw", ("trace", "iterations"), "many", "iterations must be"),
+    ("saw", ("trace", "iterations"), 2.0, "iterations must be"),
+    ("saw", ("trace", "iterations"), -1, "iterations must be"),
+    ("saw", ("anchors", "runs"), [1], "runs must be"),
+    ("usaw", ("anchors", "runs"), 0, "runs must be"),
+    ("saw", ("anchors", "projection_dim"), 2.7, "projection_dim must be"),
+    ("saw", ("anchors", "stability"), {"0": 2.7}, "stability counts must be"),
+    ("saw", ("anchors", "stability"), {"w0": 1}, "stability must map"),
+    ("saw", ("anchors", "stability"), [1, 2], "stability must map"),
+])
+def test_unread_fields_type_checked(corpus, cox_models, tmp_path, method, where, value, message):
+    # each of these loaded, and a re-save wrote it back (int(2.7) as 2)
+    path = tmp_path / "m.json"
+    save_model(cox_models[method], path)
+    payload = json.loads(path.read_text())
+    *parents, key = where
+    obj = payload
+    for parent in parents:
+        obj = obj[parent]
+    obj[key] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: .*{message}"):
         load_model(path)

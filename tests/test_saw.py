@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,15 @@ from sawtopics.cooccur import build_cooccurrence
 from sawtopics.corpus import Corpus, SurvivalLabels, normalize_columns, split, subset
 from sawtopics.seeding import derive_seed
 from sawtopics.evaluation import c_index
-from sawtopics.saw import (OBJECTIVE_SLACK, THETA_GAP_TOL, SawConfig, fit_saw, fit_usaw,
-                           joint_objective, predict, update_theta)
-from sawtopics.survival import RiskSets, breslow_baseline
+from sawtopics.saw import (OBJECTIVE_SLACK, THETA_GAP_TOL, SawConfig, fit_saw, fit_usaw, predict,
+                           update_theta)
+from sawtopics.survival import RiskSets, fit_elastic_net_cox
 from sawtopics.synthgen import generate_dataset
 from sawtopics.topics import (LOG_FLOOR, ConvergenceError, doc_topic_features, kl_divergence,
                               recover_topics_unsupervised)
 
-from helpers import coupled_gap, csc_arrays, dense, eg_simplex_kl, log_domain_nll, make_corpus
+from helpers import (coupled_gap, csc_arrays, dense, eg_simplex_kl, joint_objective,
+                     log_domain_nll, make_corpus)
 
 
 def small_dataset(seed=0, n=120, d=20, k=3, m=60, censor=0.2):
@@ -53,6 +56,28 @@ class TestSawConfig:
     def test_non_finite_settings_refused(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
             SawConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_outer_iters", 2.5, "an integer, got 2.5"),
+        ("anchor_runs", 2.5, "an integer, got 2.5"),
+        ("projection_dim", 2.5, "an integer, got 2.5"),
+        ("projection_dim", float("nan"), "an integer, got nan"),
+        ("anchor_runs", "3", "an integer, got '3'"),
+        ("max_outer_iters", -1, ">= 0, got -1"),
+        ("anchor_runs", 0, ">= 1, got 0"),
+        ("projection_dim", 0, ">= 1, got 0"),
+    ])
+    def test_counts_refused_by_name(self, key, value, message):
+        # 2.5 outer iterations or anchor runs failed deep in the fit with a
+        # bare TypeError, a projection_dim of 2.5 was truncated to 2, and 0
+        # was refused only when the anchor search ran
+        with pytest.raises(ValueError, match=f"^{key} must be {message}$"):
+            SawConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["max_outer_iters", "anchor_runs", "projection_dim"])
+    def test_integral_counts_stored_as_int(self, key):
+        value = getattr(SawConfig(**{key: np.float64(4.0)}), key)
+        assert type(value) is int and value == 4
 
 
 class TestJointObjective:
@@ -410,18 +435,71 @@ class TestUpdateTheta:
 
 class TestFitSaw:
     def test_zero_outer_iters_is_unsupervised_state(self):
+        # no outer iteration: the unsupervised topics and one Cox fit on
+        # their features, with its baseline
         corpus, _ = small_dataset(seed=7)
         cfg = SawConfig(k=3, lam=0.1, seed=7, max_outer_iters=0)
         model = fit_saw(corpus, cfg)
-        assert np.array_equal(model.cox.beta, np.zeros(3))
-        expect = breslow_baseline(np.zeros(3), doc_topic_features(
-            model.topic_model.theta, normalize_columns(corpus)), corpus.labels)
-        assert np.array_equal(model.cox.baseline.times, expect.times)
-        assert np.array_equal(model.cox.baseline.cum_hazard, expect.cum_hazard)
-        assert model.trace.iterations == 0
         stats = build_cooccurrence(corpus)
         tm = recover_topics_unsupervised(stats, model.topic_model.anchors)
-        assert np.abs(model.topic_model.theta - tm.theta).max() <= 1e-12
+        assert np.array_equal(model.topic_model.theta, tm.theta)
+        expect = fit_elastic_net_cox(doc_topic_features(tm.theta, normalize_columns(corpus)),
+                                     corpus.labels, 0.1, 0.5)
+        assert np.array_equal(model.cox.beta, expect.beta) and np.any(expect.beta != 0)
+        assert np.array_equal(model.cox.baseline.times, expect.baseline.times)
+        assert np.array_equal(model.cox.baseline.cum_hazard, expect.baseline.cum_hazard)
+        assert model.trace.iterations == 0 and not model.trace.converged
+        assert len(model.trace.objective_values) == 2
+
+    def test_last_cox_fit_is_on_the_returned_theta(self, monkeypatch):
+        # the saved beta and baseline belong to the saved theta: the fit
+        # ends on a Cox fit to the returned theta's features
+        corpus, _ = small_dataset(seed=21)
+        kernel = saw.fit_elastic_net_cox
+        fits = []
+
+        def spy(Z, *args, **kwargs):
+            cox = kernel(Z, *args, **kwargs)
+            fits.append((np.array(Z), cox))
+            return cox
+
+        monkeypatch.setattr(saw, "fit_elastic_net_cox", spy)
+        model = fit_saw(corpus, SawConfig(k=3, lam=0.1, seed=21, max_outer_iters=2))
+        assert model.trace.iterations == 2 and len(fits) == 3
+        Z, cox = fits[-1]
+        assert np.array_equal(Z, doc_topic_features(model.topic_model.theta,
+                                                    normalize_columns(corpus)))
+        assert cox is model.cox
+
+    def test_trace_values_are_the_joint_objective(self, monkeypatch):
+        # value j of the trace is the joint objective at theta_(j // 2) and
+        # beta_((j + 1) // 2): theta_0 the unsupervised topics, beta_0 = 0,
+        # and each later one the output of its half-step
+        corpus, _ = small_dataset(seed=22)
+        update, cox_fit = saw.update_theta, saw.fit_elastic_net_cox
+        thetas, betas = [], [np.zeros(3)]
+
+        def theta_spy(*args):
+            thetas.append(update(*args))
+            return thetas[-1]
+
+        def cox_spy(*args, **kwargs):
+            cox = cox_fit(*args, **kwargs)
+            betas.append(cox.beta)
+            return cox
+
+        monkeypatch.setattr(saw, "update_theta", theta_spy)
+        monkeypatch.setattr(saw, "fit_elastic_net_cox", cox_spy)
+        cfg = SawConfig(k=3, lam=0.1, seed=22)
+        model = fit_saw(corpus, cfg)
+        stats, Xbar = build_cooccurrence(corpus), normalize_columns(corpus)
+        anchors = model.topic_model.anchors
+        thetas.insert(0, recover_topics_unsupervised(stats, anchors).theta)
+        values = model.trace.objective_values
+        assert model.trace.iterations >= 2 and len(values) == 2 * len(thetas) == 2 * len(betas) - 2
+        assert list(values) == [joint_objective(thetas[j // 2], betas[(j + 1) // 2], stats, Xbar,
+                                                corpus.labels, anchors, cfg.lam, cfg.alpha)
+                                for j in range(len(values))]
 
     def test_every_word_an_anchor(self, monkeypatch):
         # k = d: every theta row is a pinned indicator, so the theta
@@ -523,9 +601,31 @@ class TestFitUsaw:
     def test_single_beta_fit_no_alternation(self):
         corpus, _ = small_dataset(seed=16)
         model = fit_usaw(corpus, SawConfig(k=3, lam=0.1, seed=16))
-        assert model.trace.iterations == 1
+        assert model.trace.iterations == 0
         assert len(model.trace.objective_values) == 2
         assert model.method == "usaw"
+
+    def test_is_saw_with_no_outer_iteration(self):
+        corpus, _ = small_dataset(seed=16)
+        cfg = SawConfig(k=3, lam=0.1, seed=16)
+        a, b = fit_usaw(corpus, cfg), fit_saw(corpus, replace(cfg, max_outer_iters=0))
+        for get in (lambda m: m.topic_model.theta, lambda m: m.topic_model.A,
+                    lambda m: m.topic_model.residuals, lambda m: m.cox.beta,
+                    lambda m: m.cox.baseline.times, lambda m: m.cox.baseline.cum_hazard):
+            assert np.array_equal(get(a), get(b))
+        assert a.trace == b.trace
+        assert (a.method, a.config, b.method) == ("usaw", cfg, "saw")
+
+    def test_saw_trace_begins_with_the_usaw_trace(self):
+        # two values (beta = 0 and the first Cox fit), then two per outer
+        # iteration (its theta half-step and its Cox fit)
+        corpus, _ = small_dataset(seed=14)
+        cfg = SawConfig(k=3, lam=0.5, seed=14)
+        usaw_trace, saw_trace = fit_usaw(corpus, cfg).trace, fit_saw(corpus, cfg).trace
+        assert saw_trace.objective_values[:2] == usaw_trace.objective_values
+        for trace in (usaw_trace, saw_trace):
+            assert len(trace.objective_values) == 2 + 2 * trace.iterations
+        assert saw_trace.iterations >= 1
 
 
 class TestPredict:

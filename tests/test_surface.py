@@ -1,7 +1,8 @@
 """The library surface carries no dead options: every parameter with a
 default, of every function in ``src/sawtopics``, is passed by some call in
 the source, the tests or the benchmark harness. No module of the package
-reaches into another's private (``_``-prefixed) names. And scipy is
+reaches into another's private (``_``-prefixed) names or imports a name it
+never uses. And scipy is
 imported only by the functions that need it, a ``Corpus`` is its CSC
 arrays alone, and the README's library examples run."""
 
@@ -91,6 +92,30 @@ def private_imports(tree: ast.Module):
 def test_no_private_name_crosses_modules():
     found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in private_imports(parse(path))]
+    assert found == []
+
+
+def unused_imports(path: Path):
+    """The names that a module imports and never reads, leaving out
+    ``__future__`` imports and imports on lines marked ``# noqa``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tree = parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa" in lines[node.lineno - 1]:
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                yield name
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export
+    found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py" for name in unused_imports(path)]
     assert found == []
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestGenerateDataset:
     def test_truth_file_checked(self, tmp_path, field, value, message):
         path = tmp_path / "truth.json"
         path.write_text(json.dumps({"format": "sawtopics-truth", "version": 1, field: value}))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}: {re.escape(str(path))}$"):
             load_ground_truth(path)
 
     def test_theta_star_oracle_shape(self):
