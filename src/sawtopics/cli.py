@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: ingest, synth, train, predict, evaluate, cv, report. Every
-command writes the fully resolved configuration (defaults included) next to
-its primary output as sorted key=value lines; rerunning with only
-``--config <that file>`` reproduces the outputs byte for byte. Flags
-override config-file values, which override defaults. All randomness flows
-from the single --seed value, fanned out per stage by seeding.derive_seed.
+Subcommands: ingest, synth, train, predict, evaluate, cv, report, one row of
+``_SCHEMAS`` each. Every command writes the fully resolved configuration
+(defaults included) next to its primary output as sorted key=value lines;
+rerunning with only ``--config <that file>`` reproduces the outputs byte for
+byte. Flags override config-file values, which override defaults. All
+randomness flows from the single --seed value, fanned out per stage by
+seeding.derive_seed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,58 +50,32 @@ def int_list(s: str):
     return tuple(int(x) for x in s.split(",") if x.strip() != "")
 
 
-# command -> (help, {key: (default, parser)}). Each key is one --key-with-dashes
-# flag; its parser converts both the flag's argument and config-file strings.
-_SCHEMAS = {
-    "ingest": ("build a corpus file from 4-column events + labels", {
-        "events": (None, str), "labels": (None, str), "out": (None, str),
-        "bins": (5, int), "min_doc_freq": (3, int),
-        "cutoff": (None, optional_float),
-        "min_variance": (None, optional_float),
-    }),
-    "synth": ("generate a synthetic corpus with planted ground truth", {
-        "d": (60, int), "k": (5, int), "n": (1000, int), "doc_length": (300, int),
-        "a0": (0.1, float), "anchor_mass": (0.3, float),
-        "beta": (None, float_list), "base_rate": (0.1, float),
-        "censor_fraction": (0.2, float), "seed": (0, int),
-        "out": (None, str), "truth_out": (None, str),
-    }),
-    "train": (f"fit a model ({' | '.join(METHODS)}) on a corpus file", {
-        "corpus": (None, str), "method": ("saw", str), "out": (None, str),
-        "k": (5, int), "lam": (0.1, float), "alpha": (0.5, float),
-        "seed": (0, int), "outer_tol": (1e-6, float), "max_outer_iters": (50, int),
-        "anchor_runs": (10, int), "projection_dim": (None, optional_int),
-    }),
-    "predict": ("score a corpus with a trained model", {
-        "model": (None, str), "corpus": (None, str), "out": (None, str),
-    }),
-    "evaluate": ("compute rmse/mae/c-index from a predictions file", {
-        "predictions": (None, str), "corpus": (None, str), "out": (None, str),
-        "method": ("model", str),
-    }),
-    "cv": ("grid search (k, lam, alpha) by K-fold RMSE, then refit", {
-        "corpus": (None, str), "out_dir": (None, str),
-        "ks": ((2, 5, 8), int_list),
-        "lams": ((0.01, 0.1, 1.0, 10.0), float_list),
-        "alphas": ((0.5, 1.0), float_list),
-        "folds": (3, int), "seed": (0, int), "method": ("saw", str),
-    }),
-    "report": ("write the topic/anchor report for a trained model", {
-        "model": (None, str), "out": (None, str), "top_n": (10, int),
-    }),
-}
+# the parser of each config class field's annotation, a string under `from __future__ import annotations`
+_FIELD_PARSERS = {"int": int, "float": float, "int | None": optional_int,
+                  "float | None": optional_float}
 
-_CHOICES = {("train", "method"): METHODS, ("cv", "method"): CV_METHODS}
+
+def _settings(config_class) -> dict:
+    """A config class's fields as options: the field's default, parsed by its type."""
+    return {f.name: (f.default, _FIELD_PARSERS[f.type]) for f in fields(config_class)}
+
+
+def _config(config_class, resolved: dict):
+    return config_class(**{f.name: resolved[f.name] for f in fields(config_class)})
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _beside(out: Path) -> Path:
+    return out.with_name(out.name + ".config")
 
 
 def _format_value(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, (tuple, list)):
-        return ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        return ",".join(map(_format_value, v))
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
 
 def write_config(path: Path, values: dict) -> None:
@@ -121,33 +97,24 @@ def read_config(path: Path) -> dict[str, str]:
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    schema = _SCHEMAS[command][1]
-    resolved = {k: default for k, (default, _) in schema.items()}
+    row = _SCHEMAS[command]
+    resolved = {k: default for k, (default, _) in row.options.items()}
     if getattr(args, "config", None):
         for k, v in read_config(Path(args.config)).items():
-            if k not in schema:
+            if k not in row.options:
                 raise ValueError(f"unknown config key {k!r} for {command}")
-            default, parse = schema[k]
+            default, parse = row.options[k]
             if v == "" and default is not None:  # empty means unset only where unset is the default
                 raise ValueError(f"config key {k!r} for {command} needs a value")
             resolved[k] = parse(v) if v != "" else None
-    for k in schema:
+            if k in row.choices and resolved[k] not in row.choices[k]:
+                raise ValueError(f"config key {k!r} for {command} must be one of "
+                                 f"{', '.join(row.choices[k])}, got {v!r}")
+    for k in row.options:
         v = getattr(args, k, None)
         if v is not None:
             resolved[k] = v
     return resolved
-
-
-def _require(resolved: dict, *keys: str) -> None:
-    missing = [k for k in keys if resolved.get(k) is None]
-    if missing:
-        raise ValueError("missing required option(s): " + ", ".join(f"--{k.replace('_', '-')}" for k in missing))
-
-
-def _saw_config(resolved: dict) -> SawConfig:
-    values = {f.name: resolved[f.name] for f in fields(SawConfig)}
-    values["seed"] = derive_seed(resolved["seed"], "train")
-    return SawConfig(**values)
 
 
 _PREDICTIONS_HEADER = ["patient_id", "risk_score", "predicted_median_days", "saturated"]
@@ -187,27 +154,20 @@ def _read_predictions(path: Path):
     return pids, np.array(risk), np.array(median), np.array(saturated, dtype=bool)
 
 
-def _cmd_ingest(resolved: dict) -> None:
-    _require(resolved, "events", "labels", "out")
-    cfg = IngestConfig(
-        bins=resolved["bins"], min_doc_freq=resolved["min_doc_freq"],
-        cutoff=resolved["cutoff"], min_variance=resolved["min_variance"],
-    )
+def _cmd_ingest(resolved: dict) -> tuple[Path, str]:
+    cfg = _config(IngestConfig, resolved)
     # no name holds the event columns, so they are freed before the corpus is saved
     corpus = build_corpus(load_events(resolved["events"]), load_labels(resolved["labels"]), cfg)
     out = Path(resolved["out"])
     save_corpus(corpus, out)
-    write_config(out.with_name(out.name + ".config"), resolved)
-    print(f"wrote corpus with {corpus.n_words} words x {corpus.n_docs} patients to {out}")
+    return _beside(out), f"wrote corpus with {corpus.n_words} words x {corpus.n_docs} patients to {out}\n"
 
 
-def _cmd_synth(resolved: dict) -> None:
-    _require(resolved, "out")
-    k = resolved["k"]
-    beta = resolved["beta"]
+def _cmd_synth(resolved: dict) -> tuple[Path, str]:
+    k, beta = resolved["k"], resolved["beta"]
     if beta is None:
         beta = tuple([3.0, -3.0] + [0.0] * (k - 2))[:k]
-    if len(beta) != k:
+    if k >= 1 and len(beta) != k:  # synthgen refuses k < 1 by name
         raise ValueError(f"--beta needs {k} comma-separated values")
     corpus, truth = synthgen.generate_dataset(
         d=resolved["d"], k=k, n=resolved["n"], doc_length=resolved["doc_length"],
@@ -219,37 +179,30 @@ def _cmd_synth(resolved: dict) -> None:
     out = Path(resolved["out"])
     save_corpus(corpus, out)
     resolved["beta"] = tuple(beta)
-    write_config(out.with_name(out.name + ".config"), resolved)
     if resolved["truth_out"]:
         synthgen.save_ground_truth(truth, Path(resolved["truth_out"]))
-    print(f"wrote synthetic corpus ({corpus.n_words} words x {corpus.n_docs} docs) to {out}")
+    return _beside(out), (f"wrote synthetic corpus ({corpus.n_words} words x {corpus.n_docs} docs)"
+                          f" to {out}\n")
 
 
-def _cmd_train(resolved: dict) -> None:
-    _require(resolved, "corpus", "out")
-    if resolved["method"] not in METHODS:
-        raise ValueError(f"unknown method {resolved['method']!r}; choose from {METHODS}")
+def _cmd_train(resolved: dict) -> tuple[Path, str]:
     corpus = load_corpus(resolved["corpus"])
-    model = methods.fit_method(corpus, resolved["method"], _saw_config(resolved))
+    cfg = _config(SawConfig, {**resolved, "seed": derive_seed(resolved["seed"], "train")})
+    model = methods.fit_method(corpus, resolved["method"], cfg)
     out = Path(resolved["out"])
     methods.save_model(model, out)
-    write_config(out.with_name(out.name + ".config"), resolved)
-    print(f"trained {resolved['method']} model on {corpus.n_docs} patients -> {out}")
+    return _beside(out), f"trained {resolved['method']} model on {corpus.n_docs} patients -> {out}\n"
 
 
-def _cmd_predict(resolved: dict) -> None:
-    _require(resolved, "model", "corpus", "out")
+def _cmd_predict(resolved: dict) -> tuple[Path, str]:
     model = methods.load_model(resolved["model"])
     corpus = load_corpus(resolved["corpus"])
-    preds = methods.predict_model(model, corpus)
     out = Path(resolved["out"])
-    _write_predictions(out, preds)
-    write_config(out.with_name(out.name + ".config"), resolved)
-    print(f"wrote predictions for {corpus.n_docs} patients to {out}")
+    _write_predictions(out, methods.predict_model(model, corpus))
+    return _beside(out), f"wrote predictions for {corpus.n_docs} patients to {out}\n"
 
 
-def _cmd_evaluate(resolved: dict) -> None:
-    _require(resolved, "predictions", "corpus", "out")
+def _cmd_evaluate(resolved: dict) -> tuple[Path, str]:
     if any(c in resolved["method"] for c in ',"\r\n'):  # metrics.csv writes it unquoted
         raise ValueError(f"--method {resolved['method']!r} may not hold a comma, quote, CR or LF")
     pids, risk, median, saturated = _read_predictions(Path(resolved["predictions"]))
@@ -261,23 +214,18 @@ def _cmd_evaluate(resolved: dict) -> None:
     missing = [p for p in pids if p not in by_id]
     if missing:
         raise ValueError("predictions for unknown patients: " + ", ".join(missing[:10]))
-    idx = np.array([by_id[p] for p in pids], dtype=int)
-    labels = corpus.labels.subset(idx)
+    labels = corpus.labels.subset(np.array([by_id[p] for p in pids], dtype=int))
     m = evaluation.compute_metrics(median, risk, saturated, labels)
     out = Path(resolved["out"])
     text = evaluation.METRICS_HEADER + "\n" + evaluation.format_metrics(resolved["method"], m) + "\n"
     out.write_text(text, encoding="utf-8")
-    write_config(out.with_name(out.name + ".config"), resolved)
-    print(text, end="")
+    return _beside(out), text
 
 
-def _cmd_cv(resolved: dict) -> None:
-    _require(resolved, "corpus", "out_dir")
+def _cmd_cv(resolved: dict) -> tuple[Path, str]:
     corpus = load_corpus(resolved["corpus"])
     grid = [(k, lam, a) for k in resolved["ks"] for lam in resolved["lams"]
             for a in resolved["alphas"]]
-    if resolved["method"] not in CV_METHODS:
-        raise ValueError("cv supports methods " + " and ".join(CV_METHODS))
     result, model = evaluation.cross_validate(
         corpus, grid, folds=resolved["folds"], seed=derive_seed(resolved["seed"], "cv"),
         fitter=methods.METHODS[resolved["method"]].fit,
@@ -291,12 +239,11 @@ def _cmd_cv(resolved: dict) -> None:
                              + [repr(float(s)) for s in scores]))
     rows.append(f"best,{result.best[0]},{repr(result.best[1])},{repr(result.best[2])}")
     (out_dir / "cv_result.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    write_config(out_dir / "cv.config", resolved)
-    print(f"best cell (k, lam, alpha) = {result.best}; refit model -> {out_dir / 'model.json'}")
+    return out_dir / "cv.config", (f"best cell (k, lam, alpha) = {result.best}; "
+                                   f"refit model -> {out_dir / 'model.json'}\n")
 
 
-def _cmd_report(resolved: dict) -> None:
-    _require(resolved, "model", "out")
+def _cmd_report(resolved: dict) -> tuple[Path, str]:
     model = methods.load_model(resolved["model"])
     if not isinstance(model, SawModel):
         raise ValueError("report requires a saw or usaw model")
@@ -305,14 +252,48 @@ def _cmd_report(resolved: dict) -> None:
     text += "\n" + anchor_report(model.topic_model.anchors, model.vocab)
     out = Path(resolved["out"])
     out.write_text(text, encoding="utf-8")
-    write_config(out.with_name(out.name + ".config"), resolved)
-    print(text, end="")
+    return _beside(out), text
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest, "synth": _cmd_synth, "train": _cmd_train,
-    "predict": _cmd_predict, "evaluate": _cmd_evaluate, "cv": _cmd_cv,
-    "report": _cmd_report,
+class Command(NamedTuple):
+    help: str
+    options: dict  # {key: (default, parser)}; the parser reads flags and config values
+    required: tuple  # keys that main refuses to leave unset
+    handler: Callable[[dict], tuple[Path, str]]  # resolved -> (.config path, stdout text)
+    choices: dict = {}  # {key: allowed values}, for flags and config files alike
+
+
+_SCHEMAS = {
+    "ingest": Command("build a corpus file from 4-column events + labels", {
+        "events": (None, str), "labels": (None, str), "out": (None, str),
+        **_settings(IngestConfig),
+    }, ("events", "labels", "out"), _cmd_ingest),
+    "synth": Command("generate a synthetic corpus with planted ground truth", {
+        "d": (60, int), "k": (5, int), "n": (1000, int), "doc_length": (300, int),
+        "a0": (0.1, float), "anchor_mass": (0.3, float),
+        "beta": (None, float_list), "base_rate": (0.1, float),
+        "censor_fraction": (0.2, float), "seed": (0, int),
+        "out": (None, str), "truth_out": (None, str),
+    }, ("out",), _cmd_synth),
+    "train": Command(f"fit a model ({' | '.join(METHODS)}) on a corpus file", {
+        "corpus": (None, str), "method": ("saw", str), "out": (None, str),
+        **_settings(SawConfig),
+    }, ("corpus", "out"), _cmd_train, {"method": METHODS}),
+    "predict": Command("score a corpus with a trained model", {
+        "model": (None, str), "corpus": (None, str), "out": (None, str),
+    }, ("model", "corpus", "out"), _cmd_predict),
+    "evaluate": Command("compute rmse/mae/c-index from a predictions file", {
+        "predictions": (None, str), "corpus": (None, str), "out": (None, str),
+        "method": ("model", str),
+    }, ("predictions", "corpus", "out"), _cmd_evaluate),
+    "cv": Command("grid search (k, lam, alpha) by K-fold RMSE, then refit", {
+        "corpus": (None, str), "out_dir": (None, str), "ks": ((2, 5, 8), int_list),
+        "lams": ((0.01, 0.1, 1.0, 10.0), float_list), "alphas": ((0.5, 1.0), float_list),
+        "folds": (3, int), "seed": (0, int), "method": ("saw", str),
+    }, ("corpus", "out_dir"), _cmd_cv, {"method": CV_METHODS}),
+    "report": Command("write the topic/anchor report for a trained model", {
+        "model": (None, str), "out": (None, str), "top_n": (10, int),
+    }, ("model", "out"), _cmd_report),
 }
 
 
@@ -323,21 +304,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, (help_, schema) in _SCHEMAS.items():
-        p = sub.add_parser(command, help=help_)
+    for command, row in _SCHEMAS.items():
+        p = sub.add_parser(command, help=row.help)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for key, (_, parse) in schema.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
-                           choices=_CHOICES.get((command, key)))
+        for key, (_, parse) in row.options.items():
+            p.add_argument(_flag(key), dest=key, type=parse, choices=row.choices.get(key))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    row = _SCHEMAS[args.command]
     try:
         resolved = _resolve(args.command, args)
-        _HANDLERS[args.command](resolved)
+        missing = [k for k in row.required if resolved[k] is None]
+        if missing:
+            raise ValueError("missing required option(s): " + ", ".join(map(_flag, missing)))
+        config, text = row.handler(resolved)
+        write_config(config, resolved)
+        print(text, end="")
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1

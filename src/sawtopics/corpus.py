@@ -397,7 +397,7 @@ def read_labels(rows: Iterable[str]) -> dict[str, tuple[float, bool]]:
                 continue  # header row
             raise EventParseError(rownum, f"unparseable time {y_s!r}")
         if not math.isfinite(y) or y <= 0:
-            raise EventParseError(rownum, f"label time must be positive, got {y_s!r}")
+            raise EventParseError(rownum, f"label time must be finite and > 0, got {y_s!r}")
         r = _try_float(r_s)
         if r is None or r not in (0.0, 1.0):
             raise EventParseError(rownum, f"event indicator must be 0 or 1, got {r_s!r}")

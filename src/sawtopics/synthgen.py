@@ -34,6 +34,8 @@ def generate_topic_model(d: int, k: int, anchor_mass: float, seed: int) -> Groun
     the remainder spreads over non-anchor words at random. Anchor rows are
     zero outside their own topic.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if d < k:
         raise ValueError(f"need d >= k, got d={d} k={k}")
     if not 0.0 < anchor_mass <= 1.0:
@@ -64,6 +66,8 @@ def generate_corpus(
     The returned corpus carries placeholder labels (all times 1.0,
     observed); attach real ones via generate_survival + Corpus.with_labels.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if doc_length < 2:
         raise ValueError("doc_length must be >= 2 (co-occurrence needs pairs)")
     if dirichlet_concentration <= 0:

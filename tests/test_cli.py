@@ -544,3 +544,80 @@ def test_train_refuses_non_finite_settings(method, option, value, synth_corpus, 
     key = option[2:].replace("-", "_")
     assert f"{key} must be finite and > 0" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+class TestRefusals:
+    """Each refusal exits 1, prints its one message and writes no output."""
+
+    def refused(self, capsys, tmp_path, *argv):
+        before = set(tmp_path.iterdir())
+        assert run(*argv) == 1
+        assert set(tmp_path.iterdir()) == before
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        return err[len("error: "):-1]
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["ingest"], "--events, --labels, --out"),
+        (["synth", "--k", "3"], "--out"),
+        (["train", "--method", "km", "--k", "2"], "--corpus, --out"),
+        (["predict", "--corpus", "c.json"], "--model, --out"),
+        (["evaluate", "--out", "m.csv"], "--predictions, --corpus"),
+        (["cv", "--corpus", "c.json"], "--out-dir"),
+        (["report", "--out", "r.txt"], "--model"),
+    ])
+    def test_missing_required_option(self, capsys, tmp_path, argv, missing):
+        assert self.refused(capsys, tmp_path, *argv) == f"missing required option(s): {missing}"
+
+    def test_config_line_without_equals(self, capsys, tmp_path):
+        config = tmp_path / "run.config"
+        config.write_text("method=km\nk 3\n")
+        assert self.refused(capsys, tmp_path, "train", "--config", str(config)) == (
+            "bad config line (want key=value): 'k 3'")
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_unknown_config_key(self, capsys, tmp_path, command):
+        config = tmp_path / "run.config"
+        config.write_text("threads=1\n")
+        assert self.refused(capsys, tmp_path, command, "--config", str(config)) == (
+            f"unknown config key 'threads' for {command}")
+
+    @pytest.mark.parametrize("command, out, choices", [
+        ("train", "--out", "saw, usaw, encox, km"), ("cv", "--out-dir", "saw, usaw")])
+    def test_config_method_outside_its_choices(self, synth_corpus, capsys, tmp_path, command,
+                                               out, choices):
+        # a config-file value meets the choices of its flag
+        config = tmp_path / "run.config"
+        config.write_text("method=xyz\n")
+        assert self.refused(capsys, tmp_path, command, "--config", str(config),
+                            "--corpus", str(synth_corpus), out, str(tmp_path / "out")) == (
+            f"config key 'method' for {command} must be one of {choices}, got 'xyz'")
+
+    def test_beta_of_the_wrong_length(self, capsys, tmp_path):
+        assert self.refused(capsys, tmp_path, "synth", "--k", "3", "--beta", "1,2",
+                            "--out", str(tmp_path / "c.json")) == (
+            "--beta needs 3 comma-separated values")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "0", "--beta", ""], "k must be >= 1, got 0"),
+        (["--k", "-1"], "k must be >= 1, got -1"),
+        (["--n", "0"], "n must be >= 1, got 0"),
+    ])
+    def test_synth_size_below_one(self, capsys, tmp_path, argv, message):
+        assert self.refused(capsys, tmp_path, "synth", *argv,
+                            "--out", str(tmp_path / "c.json")) == message
+
+    def test_not_a_predictions_file(self, synth_corpus, capsys, tmp_path):
+        preds = tmp_path / "p.csv"
+        preds.write_text("patient_id,risk\ns000,0.1\n")
+        assert self.refused(capsys, tmp_path, "evaluate", "--predictions", str(preds),
+                            "--corpus", str(synth_corpus), "--out", str(tmp_path / "m.csv")) == (
+            f"not a predictions file: {preds}")
+
+    def test_predictions_for_unknown_patients(self, synth_corpus, capsys, tmp_path):
+        preds = tmp_path / "p.csv"
+        preds.write_text("patient_id,risk_score,predicted_median_days,saturated\n"
+                         "s000,0.1,20.0,0\nzz1,0.2,30.0,0\nzz2,0.3,40.0,1\n")
+        assert self.refused(capsys, tmp_path, "evaluate", "--predictions", str(preds),
+                            "--corpus", str(synth_corpus), "--out", str(tmp_path / "m.csv")) == (
+            "predictions for unknown patients: zz1, zz2")

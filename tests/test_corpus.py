@@ -823,6 +823,24 @@ class TestLabelFile:
         with pytest.raises(EventParseError):
             read_labels(["p1,5.5,2"])
 
+    def test_blank_rows_skipped(self):
+        assert read_labels(["patient_id,Y,R", "", "p1,5,1", "  \r\n", "p2,3,0"]) == {
+            "p1": (5.0, True), "p2": (3.0, False)}
+
+    @pytest.mark.parametrize("row, message", [
+        ("p2,3", "expected 3 fields, got 2"),
+        ("p2,3,0,1", "expected 3 fields, got 4"),
+        ("p2,soon,0", "unparseable time 'soon'"),
+        ("p2,0,1", "label time must be finite and > 0, got '0'"),
+        ("p2,-2,1", "label time must be finite and > 0, got '-2'"),
+        ("p2,inf,1", "label time must be finite and > 0, got 'inf'"),
+        ("p2,nan,0", "label time must be finite and > 0, got 'nan'"),
+    ])
+    def test_bad_row_named(self, row, message):
+        with pytest.raises(EventParseError) as err:
+            read_labels(["patient_id,Y,R", "p1,5,1", "", row, "p3,4,1"])
+        assert str(err.value) == f"row 4: {message}" and err.value.row == 4
+
     def test_repeated_patient_names_both_rows(self):
         with pytest.raises(EventParseError, match="row 4: duplicate patient id 'p1', "
                                                    "first labelled at row 2") as err:

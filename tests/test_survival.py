@@ -8,12 +8,13 @@ from scipy import sparse
 
 from sawtopics import survival
 from sawtopics.corpus import SurvivalLabels
+from sawtopics.methods import fit_km, predict_km
 from sawtopics.survival import (BaselineHazard, CoxModel, RiskSets, SurvivalCurve,
                                 breslow_baseline, elastic_net_penalty,
                                 fit_elastic_net_cox, kaplan_meier, predict_median)
 
 from helpers import (breslow_hessian, cox_gradient, cox_nll, fd_gradient, log_domain_eta_gradient,
-                     log_domain_nll)
+                     log_domain_nll, make_corpus)
 from helpers import predict_median as reference_median
 
 
@@ -507,6 +508,18 @@ class TestKaplanMeier:
             SurvivalLabels(np.array([1.0, 2.0]), np.array([False, True])))
         assert np.allclose(curve.survival, [0.0])
         assert (med, sat) == (2.0, False)
+
+    def test_curve_above_half_is_saturated(self):
+        # one early event, then only censoring: survival never falls to 0.5,
+        # so the median is the last event time, flagged, for every patient
+        labels = SurvivalLabels(np.array([1.0, 2.0, 3.0, 4.0]),
+                                np.array([True, False, False, False]))
+        curve, med, sat = kaplan_meier(labels)
+        assert np.array_equal(curve.times, [1.0]) and np.allclose(curve.survival, [0.75])
+        assert (med, sat) == (1.0, True)
+        corpus = make_corpus(np.ones((2, 4), dtype=int), labels.times, labels.observed)
+        preds = predict_km(fit_km(corpus), corpus)
+        assert np.array_equal(preds.median, [1.0] * 4) and preds.saturated.all()
 
     def test_no_censoring_matches_empirical_survival(self):
         rng = np.random.default_rng(12)

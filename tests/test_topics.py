@@ -117,6 +117,26 @@ class TestRowSolver:
             assert np.abs(theta - best).sum() <= 0.02
             assert f <= min(vals) + 1e-9
 
+    def test_singular_batch_solved_row_by_row(self, monkeypatch):
+        # when the batched face solve raises LinAlgError, each row's system
+        # is solved alone, and every row still certifies at the batched theta
+        rng = np.random.default_rng(7)
+        B = rng.dirichlet(np.ones(12), size=4)
+        P = rng.dirichlet(np.ones(12), size=20)
+        theta, _, gap, _ = newton_simplex_kl(P, B)
+        solve, batched = np.linalg.solve, []
+
+        def batch_fails(M, rhs):
+            if M.ndim == 3:
+                batched.append(len(M))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", batch_fails)
+        theta_rows, _, gap_rows, _ = newton_simplex_kl(P, B)
+        assert batched and np.all(gap <= GAP_TOL) and np.all(gap_rows <= GAP_TOL)
+        assert np.abs(theta_rows - theta).max() <= 1e-12
+
     def test_zero_anchor_entries_keep_covered_columns_positive(self):
         # anchor rows with exact zeros: a step that zeroes the only support
         # coordinate covering a column where P > 0 makes the KL infinite, so
