@@ -6,10 +6,15 @@ discretized into equal-frequency bins and each (event, bin-or-value) pair
 becomes one vocabulary word; the corpus is the resulting word-by-patient
 count matrix with aligned survival labels.
 
-The rows are parsed in blocks, in the forked pool of ``sawtopics.parallel``.
-Each string column is kept coded: its sorted distinct values and an integer
-code per row. The corpus is built from those codes, so strings are parsed,
-stripped and joined into words once per distinct value, not once per row.
+The rows are drawn in blocks of ``_BLOCK_ROWS`` and parsed in the forked
+pool of ``sawtopics.parallel``, so no more than a few blocks of text are
+held at once: an event file is streamed, and each block goes to its worker
+as one string. Each string column is kept coded: its sorted distinct
+values and an integer code per row. The corpus is built from those codes,
+so strings are parsed, stripped and joined into words once per distinct
+value, not once per row, and without a copy of a column when no cutoff
+drops a row. Memory grows with the coded columns (32 bytes a row) and the
+corpus, not with the text.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -279,12 +283,16 @@ def _stripped_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
 
 
 def _merged(parts: list[tuple[list[str], np.ndarray]]) -> CodedColumn:
-    """One coded column from the (sorted distinct values, codes) of consecutive blocks."""
+    """One coded column from the (sorted distinct values, codes) of consecutive
+    blocks, its codes written block by block into one int64 array."""
     distinct = sorted(set().union(*(values for values, _ in parts)))
     position = {v: i for i, v in enumerate(distinct)}
-    codes = [np.array([position[v] for v in values], dtype=np.int64)[c] for values, c in parts]
-    return CodedColumn(np.array(distinct, dtype=object),
-                       np.concatenate(codes) if codes else np.empty(0, np.int64))
+    codes = np.empty(sum(c.size for _, c in parts), np.int64)
+    end = 0
+    for values, c in parts:
+        end += c.size
+        codes[end - c.size:end] = np.array([position[v] for v in values], dtype=np.int64)[c]
+    return CodedColumn(np.array(distinct, dtype=object), codes)
 
 
 def _seps(lines: list[str]) -> list[str]:
@@ -314,15 +322,37 @@ def _split_rows(lines: list[str], seps: list[str]) -> list[list[str]]:
     return columns
 
 
-_BLOCK_ROWS = 1 << 16  # rows parsed per task, which bounds the memory of the split fields
+_BLOCK_ROWS = 1 << 16  # rows per task: what the parent and each worker hold of the text
 
 
-def _parse_block(rows: list[str], start: int, stop: int):
-    """The event rows ``rows[start:stop]``, blank ones skipped, parsed: their
-    times, and the (sorted distinct stripped values, codes) of each string
-    column. If one is malformed, the 1-based number of the first such row
-    and what is wrong with it."""
-    lines = [raw.rstrip("\r\n") for raw in rows[start:stop]]
+def _is_utf8(line: str) -> bool:
+    """Whether ``line`` encodes as UTF-8. A file read with
+    ``errors="surrogateescape"`` holds each byte that is not UTF-8 as a lone
+    surrogate, which does not."""
+    if line.isascii():
+        return True
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _parse_block(rows, start: int):
+    """The event rows ``rows``, a list of rows or one str of rows joined by
+    line ends ("\\n"), whose first row is row ``start`` (0-based) of the
+    input, blank ones skipped and a header skipped only at row 0, parsed:
+    their times, and the (sorted distinct stripped values, codes) of each
+    string column, the codes narrowed to the smallest unsigned type that
+    holds them. If one is malformed or not valid UTF-8, the 1-based input
+    row number of the first such row and what is wrong with it."""
+    rows = rows.split("\n") if isinstance(rows, str) else rows
+    lines = [raw.rstrip("\r\n") for raw in rows]
+    valid = len(lines)  # the rows before the first that is not UTF-8
+    if not all(map(str.isascii, lines)):
+        valid = next((i for i, line in enumerate(lines) if not _is_utf8(line)), valid)
+    head = int(start == 0 and valid > 0 and _is_header(lines[0]))
+    lines = lines[head:valid]
     block = [line for line in lines if line.strip()]
     seps = _seps(block)
     n_fields = np.fromiter(map(str.count, block, seps), np.int64, len(block)) + 1
@@ -336,7 +366,7 @@ def _parse_block(rows: list[str], start: int, stop: int):
         bad |= event == 0
     first = int(np.argmax(bad)) if bad.any() else end
     if first < len(block):
-        row = start + 1 + [i for i, line in enumerate(lines) if line.strip()][first]
+        row = start + head + 1 + [i for i, line in enumerate(lines) if line.strip()][first]
         if first == end:
             return row, f"expected 4 fields, got {n_fields[end]}"
         if not parsed[first]:
@@ -344,7 +374,32 @@ def _parse_block(rows: list[str], start: int, stop: int):
         if not (math.isfinite(time[first]) and time[first] >= 0):
             return row, f"time must be finite and >= 0, got {time_s[first].strip()!r}"
         return row, "empty event name"
-    return time, _stripped_codes(pid), (names, event), _stripped_codes(value)
+    if valid < len(rows):
+        return start + 1 + valid, "not valid UTF-8"
+    columns = (_stripped_codes(pid), (names, event), _stripped_codes(value))
+    return (time, *((values, codes.astype(np.min_scalar_type(len(values))))
+                    for values, codes in columns))
+
+
+def _row_blocks(rows: Iterable) -> Iterator[tuple[list, int]]:
+    """Each run of ``_BLOCK_ROWS`` rows drawn from ``rows``, and the 0-based
+    row number of its first row."""
+    rows, start = iter(rows), 0
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        yield block, start
+        start += len(block)
+
+
+def _parsed_blocks(blocks: Iterable[tuple]) -> Events:
+    """The events of consecutive ``(block, start)`` pairs, parsed by
+    ``_parse_block`` in the forked pool; the earliest error is raised."""
+    parts = forked_map(_parse_block, blocks)
+    failed = [p for p in parts if isinstance(p[0], int)]
+    if failed:
+        raise EventParseError(*failed[0])
+    time = np.concatenate([p[0] for p in parts]) if parts else ()
+    return Events(_merged([p[1] for p in parts]), time, _merged([p[2] for p in parts]),
+                  _merged([p[3] for p in parts]))
 
 
 def ingest_events(rows: Iterable[str]) -> Events:
@@ -354,39 +409,37 @@ def ingest_events(rows: Iterable[str]) -> Events:
     Blank rows are skipped. A single header row at the top is tolerated when
     both its time and event_value fields are non-numeric. The first row with
     a field count other than 4, an unparseable, non-finite or negative time,
-    or an empty event name is an error carrying its row number. Empty input
-    yields empty columns.
+    or an empty event name, or that is not valid UTF-8 (holds a lone
+    surrogate), is an error carrying its row number. Empty input yields
+    empty columns.
 
-    Blocks of ``_BLOCK_ROWS`` rows are parsed in the forked pool of
-    ``sawtopics.parallel.forked_map``; input of one block is parsed in this
-    process.
+    ``rows`` is drawn lazily, in blocks of ``_BLOCK_ROWS`` rows that are
+    parsed in the forked pool of ``sawtopics.parallel.forked_map``; input of
+    one block is parsed in this process.
     """
-    rows = list(rows)
-    starts = range(1 if rows and _is_header(rows[0]) else 0, len(rows), _BLOCK_ROWS)
-    parts = forked_map(partial(_parse_block, rows),
-                       [(s, min(s + _BLOCK_ROWS, len(rows))) for s in starts])
-    failed = [p for p in parts if isinstance(p[0], int)]
-    if failed:
-        raise EventParseError(*failed[0])
-    time = np.concatenate([p[0] for p in parts]) if parts else ()
-    return Events(_merged([p[1] for p in parts]), time, _merged([p[2] for p in parts]),
-                  _merged([p[3] for p in parts]))
+    return _parsed_blocks(_row_blocks(rows))
 
 
 def load_events(path) -> Events:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return ingest_events(fh.read().split("\n"))
+    """``ingest_events`` of the rows of a UTF-8 file (a byte order mark is
+    skipped), read one block at a time; each block goes to its worker as one
+    string."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        return _parsed_blocks(("".join(block), start) for block, start in _row_blocks(fh))
 
 
 def read_labels(rows: Iterable[str]) -> dict[str, tuple[float, bool]]:
     """Parse 3-column label rows: patient_id, time (positive, days), event 0/1.
-    A patient labelled twice is an error naming both rows."""
+    A patient labelled twice is an error naming both rows, and a row that is
+    not valid UTF-8 (holds a lone surrogate) is an error."""
     out: dict[str, tuple[float, bool]] = {}
     row_of: dict[str, int] = {}
     for rownum, raw in enumerate(rows, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
+        if not _is_utf8(line):
+            raise EventParseError(rownum, "not valid UTF-8")
         fields = _fields(line)
         if len(fields) != 3:
             raise EventParseError(rownum, f"expected 3 fields, got {len(fields)}")
@@ -410,11 +463,17 @@ def read_labels(rows: Iterable[str]) -> dict[str, tuple[float, bool]]:
 
 
 def load_labels(path) -> dict[str, tuple[float, bool]]:
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    """``read_labels`` of the rows of a UTF-8 file (a byte order mark is skipped)."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         return read_labels(fh)
 
 
-def _word_codes(events: Events, kept: np.ndarray, cfg: IngestConfig,
+def _fitting(top: int):
+    """int32 if it holds every integer in [0, top), else int64."""
+    return np.int32 if top <= 2 ** 31 else np.int64
+
+
+def _word_codes(events: Events, kept, cfg: IngestConfig,
                 vocabulary: Vocabulary | None) -> tuple[list[str], np.ndarray, Mapping]:
     """The distinct words of the kept event rows, each kept row's position
     among them (-1: the row makes no word), and the bin edges.
@@ -432,7 +491,7 @@ def _word_codes(events: Events, kept: np.ndarray, cfg: IngestConfig,
     order = np.argsort(name)  # each event's rows, at order[start[e]:start[e + 1]]
     start = np.concatenate(([0], np.cumsum(rows)))
     if vocabulary is None:
-        not_numeric = np.bincount(name[~np.isfinite(x[value])], minlength=len(names))
+        not_numeric = np.bincount(name[~np.isfinite(x)[value]], minlength=len(names))
         q = np.arange(1, cfg.bins) / cfg.bins
         bin_edges = {names[e]: tuple(np.quantile(x[value[order[start[e]:start[e + 1]]]],
                                                  q).tolist())
@@ -442,18 +501,20 @@ def _word_codes(events: Events, kept: np.ndarray, cfg: IngestConfig,
     binned = np.array([nm in bin_edges for nm in names], dtype=bool) & (rows > 0)
     # a word's key is name * width + (its bin, or its value's code)
     width = max([len(values)] + [len(bin_edges[names[e]]) + 1 for e in np.flatnonzero(binned)])
-    sub = value.copy()
+    key = value.astype(_fitting(len(names) * width))
     for e in np.flatnonzero(binned).tolist():
         at = order[start[e]:start[e + 1]]
         v = value[at]
         edges = np.asarray(bin_edges[names[e]], dtype=float)
-        sub[at] = np.where(parsed[v], np.searchsorted(edges, x[v], side="left"), -1)
-    hit = sub >= 0
-    keys, inverse = np.unique(name[hit] * width + sub[hit], return_inverse=True)
+        key[at] = np.where(parsed[v], np.searchsorted(edges, x[v], side="left"), -1)
+    del order
+    hit = key >= 0
+    key += name * width
+    keys = np.unique(key[hit])
     words = [f"{names[e]}:bin{j + 1}" if binned[e] else f"{names[e]}={values[j]}"
              for e, j in (divmod(k, width) for k in keys.tolist())]
-    word_of = np.full(name.size, -1, dtype=np.int64)
-    word_of[hit] = inverse
+    word_of = np.searchsorted(keys, key)
+    word_of[~hit] = -1
     return words, word_of, bin_edges
 
 
@@ -470,21 +531,30 @@ def build_corpus(
     values become words verbatim. Words below the document-frequency floor
     are removed, then patients left with fewer than 2 tokens are dropped
     (the co-occurrence estimator needs length >= 2) and the drop is logged.
+    No event rows is an error, and so is a cutoff that drops every row.
 
     Passing a prebuilt ``vocabulary`` skips vocabulary construction and
     filtering: tokens not in it are ignored, supporting train-only
     vocabularies and scoring new patients against a fitted model.
 
     The work is on the columns' integer codes; strings are handled once per
-    distinct value.
+    distinct value. With no cutoff the code columns are read in place, and
+    the per-row arrays are int32 where their values fit.
     """
     cfg = cfg or IngestConfig()
-    kept = np.ones(len(events), bool) if cfg.cutoff is None else events.time < cfg.cutoff
-    if not kept.any():
-        raise ValueError("no events remain after cutoff filtering")
+    if not len(events):
+        raise ValueError("no event rows")
+    kept = slice(None)  # every row, so each column is read in place
+    if cfg.cutoff is not None:
+        kept = events.time < cfg.cutoff
+        if not kept.any():
+            raise ValueError("no events remain after cutoff filtering")
+        if kept.all():
+            kept = slice(None)
 
-    used, col = np.unique(events.patients.codes[kept], return_inverse=True)
-    pids = events.patients.distinct[used].tolist()
+    patient = events.patients.codes[kept]
+    present = np.bincount(patient, minlength=events.patients.distinct.size) > 0
+    pids = events.patients.distinct[present].tolist()
     missing = [p for p in pids if p not in labels]
     if missing:
         raise ValueError("patients with events but no label: " + ", ".join(missing))
@@ -496,11 +566,17 @@ def build_corpus(
     else:
         index = vocabulary.index
     d = len(index)
+    cell_type = _fitting(n * d)
     # a row without a word (word_of == -1) picks the appended -1
-    row = np.array([index.get(w, -1) for w in words] + [-1], dtype=np.int64)[word_of]
+    row = np.array([index.get(w, -1) for w in words] + [-1], dtype=cell_type)[word_of]
+    del word_of
     hit = row >= 0
     # the canonical CSC arrays of the counts, one entry per (patient, word) cell
-    cell, data = np.unique(col[hit] * d + row[hit], return_counts=True)
+    cell = (np.cumsum(present, dtype=cell_type) - 1)[patient]
+    cell *= d
+    cell += row
+    del row
+    cell, data = np.unique(cell[hit], return_counts=True)
     patient, indices = np.divmod(cell, d)
 
     if vocabulary is None:
@@ -509,9 +585,11 @@ def build_corpus(
             keep_w &= _frequency_variance(data, indices, patient, d, n) >= cfg.min_variance
         if not keep_w.any():
             raise ValueError("no words survive filtering; relax min_doc_freq or filters")
-        kept_cell = keep_w[indices]
-        patient, indices, data = (patient[kept_cell], (np.cumsum(keep_w) - 1)[indices[kept_cell]],
-                                  data[kept_cell])
+        if not keep_w.all():  # else the cells are kept as they are, not copied
+            kept_cell = keep_w[indices]
+            patient, indices, data = (patient[kept_cell],
+                                      (np.cumsum(keep_w) - 1)[indices[kept_cell]],
+                                      data[kept_cell])
         vocab = Vocabulary(tuple(w for w, k in zip(index, keep_w) if k), bin_edges)
     else:
         vocab = vocabulary
@@ -523,11 +601,11 @@ def build_corpus(
             "dropping %d patient(s) with fewer than 2 retained tokens: %s",
             len(dropped), ", ".join(dropped[:20]) + ("..." if len(dropped) > 20 else ""),
         )
-    if not keep_p.any():
-        raise ValueError("no patients remain with at least 2 retained tokens")
-    kept_cell = keep_p[patient]
-    patient, indices, data = ((np.cumsum(keep_p) - 1)[patient[kept_cell]], indices[kept_cell],
-                              data[kept_cell])
+        if not keep_p.any():
+            raise ValueError("no patients remain with at least 2 retained tokens")
+        kept_cell = keep_p[patient]
+        patient, indices, data = ((np.cumsum(keep_p) - 1)[patient[kept_cell]],
+                                  indices[kept_cell], data[kept_cell])
     final_pids = tuple(pids[i] for i in np.flatnonzero(keep_p).tolist())
     y = np.array([float(labels[p][0]) for p in final_pids])
     r = np.array([bool(labels[p][1]) for p in final_pids])

@@ -472,6 +472,9 @@ def build_corpus(
     """
     cfg = cfg or IngestConfig()
     cut = cfg.cutoff
+    events = list(events)
+    if not events:
+        raise ValueError("no event rows")
     kept = [e for e in events if cut is None or e.time < cut]
     if not kept:
         raise ValueError("no events remain after cutoff filtering")

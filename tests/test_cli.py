@@ -1,5 +1,6 @@
 import argparse
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import sawtopics
+from sawtopics import corpus as corpus_module
 from sawtopics.cli import (_SCHEMAS, _resolve, build_parser, float_list, int_list, main,
                            optional_float, optional_int, read_config, write_config)
 from sawtopics.corpus import IngestConfig, load_corpus, save_corpus
@@ -319,6 +321,46 @@ class TestIngestCli:
                  "--out", str(out), "--bins", "2", "--min-doc-freq", "1")
         assert rc == 0
         assert load_corpus(out).patient_ids == tuple(f"p{i}" for i in range(6))
+
+    EVENTS = "".join(f"p{i},{t},hr,{50 + 7 * i + t}\n" for i in range(6) for t in range(4))
+    LABELS = "".join(f"p{i},{i + 1}.5,1\n" for i in range(6))
+
+    def ingest_bytes(self, tmp_path, events: bytes, labels: bytes, *flags) -> int:
+        paths = tmp_path / "events.csv", tmp_path / "labels.csv"
+        for path, data in zip(paths, (events, labels)):
+            path.write_bytes(data)
+        return run("ingest", "--events", str(paths[0]), "--labels", str(paths[1]),
+                   "--out", str(tmp_path / "corpus.json"), "--bins", "2", "--min-doc-freq", "1",
+                   *flags)
+
+    @pytest.mark.parametrize("block_rows, row", [(1 << 16, 3), (4, 11)])
+    def test_byte_not_utf8_in_events_names_its_row(self, tmp_path, capsys, monkeypatch,
+                                                   block_rows, row):
+        # with blocks of 4 rows, row 11 is in the third block, parsed by a worker
+        monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        lines = self.EVENTS.encode().split(b"\n")
+        lines[row - 1] = lines[row - 1].replace(b"hr", b"h\xffr")
+        assert self.ingest_bytes(tmp_path, b"\n".join(lines), self.LABELS.encode()) == 1
+        assert capsys.readouterr().err == f"error: row {row}: not valid UTF-8\n"
+        assert multiprocessing.active_children() == []
+
+    def test_byte_not_utf8_in_labels_names_its_row(self, tmp_path, capsys):
+        labels = self.LABELS.encode().replace(b"p3,", b"p3\xfe,")
+        assert self.ingest_bytes(tmp_path, self.EVENTS.encode(), labels) == 1
+        assert capsys.readouterr().err == "error: row 4: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("events", ["", "patient_id,time,event,event_value\n", "\n  \n\t\n"],
+                             ids=["empty", "header-only", "blank-only"])
+    def test_no_event_rows(self, tmp_path, capsys, events):
+        assert self.ingest_bytes(tmp_path, events.encode(), self.LABELS.encode()) == 1
+        assert capsys.readouterr().err == "error: no event rows\n"
+
+    def test_cutoff_that_drops_every_row(self, tmp_path, capsys):
+        rc = self.ingest_bytes(tmp_path, self.EVENTS.encode(), self.LABELS.encode(),
+                               "--cutoff", "0")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no events remain after cutoff filtering\n"
 
     def test_patient_ids_with_commas_and_quotes(self, tmp_path):
         # a tab-separated events file may hold any of these ids; the

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy import sparse
 from sawtopics import corpus as corpus_module
 from sawtopics.corpus import (CodedColumn, Corpus, EventParseError, Events, IngestConfig,
                               SurvivalLabels, Vocabulary, _frequency_variance, build_corpus,
-                              ingest_events, load_corpus, normalize_columns,
+                              ingest_events, load_corpus, load_events, normalize_columns,
                               read_labels, save_corpus, split, subset)
 
 import helpers
@@ -326,6 +327,33 @@ def coded_fields(events):
             for c in (events.patients, events.names, events.values)] + [events.time.tolist()]
 
 
+def test_ingest_memory_per_row(tmp_path):
+    """``load_events`` + ``build_corpus`` of a two-block file, in the style of
+    the benchmark's event files, trace under 120 bytes a row in this process:
+    the coded columns take 32, and the text is held one block at a time."""
+    rng = np.random.default_rng(11)
+    n_rows, n_patients = 100_000, 1000
+    patient = np.sort(np.concatenate([np.arange(n_patients).repeat(2),
+                                      rng.integers(0, n_patients, n_rows - 2 * n_patients)]))
+    kind, time = rng.integers(0, 40, n_rows), np.round(rng.uniform(0, 1000, n_rows), 2)
+    value = np.round(rng.standard_normal(n_rows), 3)
+    letter = np.array(list("abcde"))[rng.integers(0, 5, n_rows)]
+    path = tmp_path / "events.csv"
+    path.write_text("patient_id,time,event,event_value\n" + "".join(
+        f"p{p:05d},{t!r},num{k:02d},{v!r}\n" if k < 20 else f"p{p:05d},{t!r},cat{k:02d},{c}\n"
+        for p, t, k, v, c in zip(patient.tolist(), time.tolist(), kind.tolist(), value.tolist(),
+                                 letter.tolist())))
+    labels = {f"p{i:05d}": (float(i + 1), i % 3 > 0) for i in range(n_patients)}
+    tracemalloc.start()
+    try:
+        corpus = build_corpus(load_events(path), labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corpus.n_docs == n_patients
+    assert peak / n_rows < 120
+
+
 class TestBlocksAndWorkers:
     """Rows parsed in blocks of a few rows, in one forked worker or several,
     give the columns and the corpus of one block parsed in this process."""
@@ -340,9 +368,9 @@ class TestBlocksAndWorkers:
         pids.mkdir()
         parse_block = corpus_module._parse_block
 
-        def spy(rows, start, stop):
+        def spy(block, start):
             (pids / str(os.getpid())).touch()
-            return parse_block(rows, start, stop)
+            return parse_block(block, start)
 
         monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(corpus_module, "_parse_block", spy)
