@@ -157,7 +157,8 @@ def _read_predictions(path: Path):
 def _cmd_ingest(resolved: dict) -> tuple[Path, str]:
     cfg = _config(IngestConfig, resolved)
     # no name holds the event columns, so they are freed before the corpus is saved
-    corpus = build_corpus(load_events(resolved["events"]), load_labels(resolved["labels"]), cfg)
+    corpus = build_corpus(load_events(resolved["events"], cfg.cutoff),
+                          load_labels(resolved["labels"]), cfg)
     out = Path(resolved["out"])
     save_corpus(corpus, out)
     return _beside(out), f"wrote corpus with {corpus.n_words} words x {corpus.n_docs} patients to {out}\n"

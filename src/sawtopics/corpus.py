@@ -10,11 +10,14 @@ The rows are drawn in blocks of ``_BLOCK_ROWS`` and parsed in the forked
 pool of ``sawtopics.parallel``, so no more than a few blocks of text are
 held at once: an event file is streamed, and each block goes to its worker
 as one string. Each string column is kept coded: its sorted distinct
-values and an integer code per row. The corpus is built from those codes,
-so strings are parsed, stripped and joined into words once per distinct
-value, not once per row, and without a copy of a column when no cutoff
-drops a row. Memory grows with the coded columns (32 bytes a row) and the
-corpus, not with the text.
+values and a code per row, in the narrowest unsigned type that holds the
+codes; a block's codes are merged into the column as the block arrives,
+and the first bad block stops the parse. A file's rows keep no times: a
+cutoff is applied as each block is parsed. The corpus is built from the
+codes, so strings are parsed, stripped and joined into words once per
+distinct value, not once per row. Memory grows with the coded columns
+(5 bytes a row while there are at most 65,536 patients and distinct
+values and 256 event names) and the corpus, not with the text.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ import itertools
 import json
 import logging
 import math
-from collections import Counter
-from contextlib import contextmanager
+from collections import Counter, deque
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .parallel import forked_map
+from .parallel import forked_imap
 from .survival import SurvivalLabels
 
 log = logging.getLogger(__name__)
@@ -55,7 +58,8 @@ class EventParseError(ValueError):
 
 class CodedColumn(NamedTuple):
     """A string column as its sorted distinct values (an object array of str)
-    and each row's position among them (int64 codes)."""
+    and each row's position among them (its code, in the narrowest unsigned
+    type that holds every position: ``_code_type``)."""
 
     distinct: np.ndarray
     codes: np.ndarray
@@ -65,8 +69,14 @@ class CodedColumn(NamedTuple):
         return self.distinct[self.codes]
 
 
+def _code_type(n: int) -> np.dtype:
+    """The narrowest unsigned type that holds every code of n distinct values."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
 def _coded(column) -> CodedColumn:
-    """A checked ``CodedColumn``: ``column`` itself, or its strings coded."""
+    """A checked ``CodedColumn``: ``column`` itself, or its strings coded;
+    its codes in ``_code_type``."""
     if not isinstance(column, CodedColumn):
         values = np.asarray(column, dtype=object)
         if values.ndim != 1:
@@ -79,29 +89,36 @@ def _coded(column) -> CodedColumn:
     if codes.dtype.kind not in "iu" or (codes.size and not 0 <= codes.min() <= codes.max()
                                         < distinct.size):
         raise ValueError(f"coded column codes must be integers in [0, {distinct.size})")
-    return CodedColumn(distinct, codes.astype(np.int64, copy=False))
+    return CodedColumn(distinct, codes.astype(_code_type(distinct.size), copy=False))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Events:
-    """Event rows as four aligned 1-d columns. ``time`` holds floats (days);
-    ``patients``, ``names`` and ``values`` hold the string columns
-    ``patient_id``, ``event`` and ``event_value`` as ``CodedColumn``s, and
-    those three names read each back as an object array of str."""
+    """Event rows as aligned 1-d columns. ``time`` holds floats (days), or is
+    None where the rows keep no times; ``patients``, ``names`` and
+    ``values`` hold the string columns ``patient_id``, ``event`` and
+    ``event_value`` as ``CodedColumn``s (given as one, or as its strings,
+    coded here), and those three names read each back as an object array of
+    str. Rows that keep no times were cut as they were read: ``n_cut`` rows
+    at or after ``cutoff`` (None: no cutoff) were dropped."""
 
     patients: CodedColumn
-    time: np.ndarray
+    time: np.ndarray | None
     names: CodedColumn
     values: CodedColumn
+    cutoff: float | None = None
+    n_cut: int = 0
 
-    def __init__(self, patient_id, time, event, event_value):
-        """Each string column is a ``CodedColumn``, or its strings, coded here."""
-        time = np.asarray(time, dtype=float)
-        patients, names, values = (_coded(c) for c in (patient_id, event, event_value))
-        if time.ndim != 1 or any(c.codes.shape != time.shape for c in (patients, names, values)):
+    def __post_init__(self):
+        time = None if self.time is None else np.asarray(self.time, dtype=float)
+        patients, names, values = (_coded(c) for c in (self.patients, self.names, self.values))
+        columns = [c.codes for c in (patients, names, values)] + ([] if time is None else [time])
+        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
             raise ValueError("event columns must be 1-d and aligned")
+        if time is not None and (self.cutoff is not None or self.n_cut):
+            raise ValueError("only rows that keep no times record a cutoff")
         for name, value in (("patients", patients), ("time", time), ("names", names),
-                            ("values", values)):
+                            ("values", values), ("n_cut", int(self.n_cut))):
             object.__setattr__(self, name, value)
 
     patient_id = property(lambda self: self.patients.strings)
@@ -109,7 +126,7 @@ class Events:
     event_value = property(lambda self: self.values.strings)
 
     def __len__(self) -> int:
-        return int(self.time.size)
+        return int(self.patients.codes.size)
 
 
 @dataclass(frozen=True)
@@ -148,8 +165,9 @@ def vocabulary_hash(vocab: Vocabulary) -> str:
 class Corpus:
     """Word counts (d words x n patients) with labels, held as canonical CSC
     arrays: ``indptr`` over patients, ``indices`` holding each patient's word
-    ids in increasing order, ``data`` their nonnegative integer counts
-    (int64)."""
+    ids in increasing order, ``data`` their nonnegative integer counts. The
+    counts are int64, and the word ids and offsets int32 (int64 where a
+    dimension or nnz reaches 2**31)."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -187,7 +205,7 @@ class Corpus:
 
     @property
     def doc_lengths(self) -> np.ndarray:
-        return np.diff(np.concatenate(([0], np.cumsum(self.data)))[self.indptr])
+        return _column_sums(self.data, self.indptr)
 
     def with_labels(self, labels: SurvivalLabels) -> "Corpus":
         return Corpus((self.data, self.indices, self.indptr), self.vocab, labels,
@@ -198,9 +216,11 @@ def _checked_csc(data, indices, indptr, d: int, n: int):
     """The CSC arrays of a d x n matrix, if they are canonical: ``indptr``
     rises from 0 to nnz in n + 1 entries, the word indices lie in [0, d),
     increasing strictly within each patient, and the counts are nonnegative
-    whole numbers. They come back as the counts int64 and the word indices
-    and offsets int32 where they fit, as scipy keeps them; each is narrowed
-    only once checked, so no value wraps."""
+    whole numbers. They come back as scipy keeps them: the counts int64
+    (converted first), the word indices and offsets int32 where they fit.
+    Those two are checked in their own types, by comparisons that cannot
+    wrap (not ``np.diff``, which wraps on unsigned types), and converted only
+    once checked; arrays already of these types are not copied."""
     data, indices, indptr = np.asarray(data), np.asarray(indices), np.asarray(indptr)
     if data.size and data.dtype.kind not in "biu":
         whole = np.isfinite(data) & (np.floor(data) == data)
@@ -208,16 +228,16 @@ def _checked_csc(data, indices, indptr, d: int, n: int):
             raise ValueError(f"counts must be integers, got {data[~whole][0].item()!r}")
     if any(a.size and a.dtype.kind not in "iu" for a in (indices, indptr)):
         raise ValueError("word indices and offsets must be integers")
-    data, indices, indptr = (a.astype(np.int64, copy=False) for a in (data, indices, indptr))
+    data = data.astype(np.int64, copy=False)  # as returned; a uint64 count wraps negative
     if indptr.size != n + 1:
         raise ValueError(f"indptr has {indptr.size} entries, expected {n + 1}")
     if indices.size != data.size:
         raise ValueError(f"indices has {indices.size} entries but data has {data.size}")
-    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(indptr[1:] < indptr[:-1]):
         raise ValueError(f"indptr must rise from 0 to {indices.size}")
     if indices.size and (indices.min() < 0 or indices.max() >= d):
         raise ValueError(f"word index outside [0, {d})")
-    rising = np.diff(indices) > 0
+    rising = indices[1:] > indices[:-1]
     starts = indptr[1:-1]
     rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a new column begins
     if not rising.all():
@@ -268,10 +288,12 @@ def _floats(strings) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _codes(values: list) -> tuple[list, np.ndarray]:
-    """The sorted distinct values, and each value's position among them."""
+    """The sorted distinct values, and each value's position among them, in
+    ``_code_type``."""
     distinct = sorted(set(values))
     position = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.fromiter(map(position.__getitem__, values), np.int64, len(values))
+    return distinct, np.fromiter(map(position.__getitem__, values), _code_type(len(distinct)),
+                                 len(values))
 
 
 def _stripped_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
@@ -282,17 +304,33 @@ def _stripped_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
     return distinct, position[codes]
 
 
-def _merged(parts: list[tuple[list[str], np.ndarray]]) -> CodedColumn:
-    """One coded column from the (sorted distinct values, codes) of consecutive
-    blocks, its codes written block by block into one int64 array."""
-    distinct = sorted(set().union(*(values for values, _ in parts)))
-    position = {v: i for i, v in enumerate(distinct)}
-    codes = np.empty(sum(c.size for _, c in parts), np.int64)
-    end = 0
-    for values, c in parts:
-        end += c.size
-        codes[end - c.size:end] = np.array([position[v] for v in values], dtype=np.int64)[c]
-    return CodedColumn(np.array(distinct, dtype=object), codes)
+class _MergedColumn:
+    """One coded column, merged from the (sorted distinct values, codes) of
+    consecutive blocks as each arrives: a block's codes become at once those
+    of its values in order of first arrival, in the narrowest unsigned type
+    that holds them, and are ranked among the sorted values at the end."""
+
+    def __init__(self):
+        self.arrival: dict[str, int] = {}
+        self.blocks: deque[np.ndarray] = deque()
+
+    def add(self, values: list[str], codes: np.ndarray) -> None:
+        arrival = self.arrival
+        first = [arrival.setdefault(v, len(arrival)) for v in values]
+        self.blocks.append(np.array(first, _code_type(len(arrival)))[codes])
+
+    def column(self) -> CodedColumn:
+        """The merged column; each block is freed once its codes are ranked."""
+        distinct = sorted(self.arrival)
+        rank = np.empty(len(distinct), _code_type(len(distinct)))
+        rank[[self.arrival[v] for v in distinct]] = np.arange(len(distinct))
+        codes = np.empty(sum(block.size for block in self.blocks), rank.dtype)
+        end = 0
+        while self.blocks:
+            block = self.blocks.popleft()
+            codes[end:end + block.size] = rank[block]
+            end += block.size
+        return CodedColumn(np.array(distinct, dtype=object), codes)
 
 
 def _seps(lines: list[str]) -> list[str]:
@@ -338,14 +376,16 @@ def _is_utf8(line: str) -> bool:
     return True
 
 
-def _parse_block(rows, start: int):
+def _parse_block(rows, start: int, cutoff: float | None, times: bool):
     """The event rows ``rows``, a list of rows or one str of rows joined by
     line ends ("\\n"), whose first row is row ``start`` (0-based) of the
-    input, blank ones skipped and a header skipped only at row 0, parsed:
-    their times, and the (sorted distinct stripped values, codes) of each
-    string column, the codes narrowed to the smallest unsigned type that
-    holds them. If one is malformed or not valid UTF-8, the 1-based input
-    row number of the first such row and what is wrong with it."""
+    input, blank ones skipped and a header skipped only at row 0, parsed.
+    If one is malformed or not valid UTF-8: the 1-based input row number of
+    the first such row and what is wrong with it. Else: the number of rows
+    at or after ``cutoff`` (None: no cutoff), which are dropped, the times
+    of the others if ``times`` (else None), and the (sorted distinct
+    stripped values, codes) of each string column, the codes of the kept
+    rows only."""
     rows = rows.split("\n") if isinstance(rows, str) else rows
     lines = [raw.rstrip("\r\n") for raw in rows]
     valid = len(lines)  # the rows before the first that is not UTF-8
@@ -376,30 +416,61 @@ def _parse_block(rows, start: int):
         return row, "empty event name"
     if valid < len(rows):
         return start + 1 + valid, "not valid UTF-8"
-    columns = (_stripped_codes(pid), (names, event), _stripped_codes(value))
-    return (time, *((values, codes.astype(np.min_scalar_type(len(values))))
-                    for values, codes in columns))
+    columns = [_stripped_codes(pid), (names, event), _stripped_codes(value)]
+    n_cut = 0
+    if cutoff is not None:
+        kept = time < cutoff
+        n_cut = int(kept.size - np.count_nonzero(kept))
+        if n_cut:
+            time, columns = time[kept], [(values, codes[kept]) for values, codes in columns]
+    return n_cut, time if times else None, *columns
 
 
-def _row_blocks(rows: Iterable) -> Iterator[tuple[list, int]]:
-    """Each run of ``_BLOCK_ROWS`` rows drawn from ``rows``, and the 0-based
-    row number of its first row."""
+def _row_blocks(rows: Iterable, size: int) -> Iterator[tuple[list, int]]:
+    """Each run of ``size`` rows drawn from ``rows``, and the 0-based row
+    number of its first row."""
     rows, start = iter(rows), 0
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+    while block := list(itertools.islice(rows, size)):
         yield block, start
         start += len(block)
 
 
-def _parsed_blocks(blocks: Iterable[tuple]) -> Events:
-    """The events of consecutive ``(block, start)`` pairs, parsed by
-    ``_parse_block`` in the forked pool; the earliest error is raised."""
-    parts = forked_map(_parse_block, blocks)
-    failed = [p for p in parts if isinstance(p[0], int)]
-    if failed:
-        raise EventParseError(*failed[0])
-    time = np.concatenate([p[0] for p in parts]) if parts else ()
-    return Events(_merged([p[1] for p in parts]), time, _merged([p[2] for p in parts]),
-                  _merged([p[3] for p in parts]))
+def _text_blocks(fh) -> Iterator[tuple[str, int]]:
+    """Each run of ``_BLOCK_ROWS`` lines of the text file ``fh`` as one
+    string, and the 0-based row number of its first line. The lines are
+    joined a few thousand at a time, so a block is never held as a list of
+    line strings, which take about 80 bytes a line."""
+    per_piece = math.gcd(_BLOCK_ROWS, 4096)
+    pieces = ("".join(lines) for lines, _ in _row_blocks(fh, per_piece))
+    for start in itertools.count(0, _BLOCK_ROWS):
+        if not (block := "".join(itertools.islice(pieces, _BLOCK_ROWS // per_piece))):
+            return
+        yield block, start
+
+
+def _parsed_blocks(blocks: Iterable[tuple], cutoff: float | None, times: bool) -> Events:
+    """The events of consecutive ``(block, start)`` pairs of rows, parsed by
+    ``_parse_block`` in the forked pool and cut there at ``cutoff``, each
+    block merged as it arrives; the first bad block's error is raised as
+    soon as it arrives, and the calls not yet started are cancelled. The
+    rows keep their times if ``times``."""
+    merged = [_MergedColumn() for _ in range(3)]
+    time, n_cut = [], 0
+    with closing(forked_imap(_parse_block, ((block, start, cutoff, times)
+                                            for block, start in blocks))) as parts:
+        for part in parts:
+            if isinstance(part[1], str):
+                raise EventParseError(*part)
+            cut, block_time, *columns = part
+            n_cut += cut
+            if times:
+                time.append(block_time)
+            for column, (values, codes) in zip(merged, columns):
+                column.add(values, codes)
+    patients, names, values = (column.column() for column in merged)
+    if times:
+        return Events(patients, np.concatenate(time) if time else (), names, values)
+    return Events(patients, None, names, values, cutoff, n_cut)
 
 
 def ingest_events(rows: Iterable[str]) -> Events:
@@ -414,18 +485,19 @@ def ingest_events(rows: Iterable[str]) -> Events:
     empty columns.
 
     ``rows`` is drawn lazily, in blocks of ``_BLOCK_ROWS`` rows that are
-    parsed in the forked pool of ``sawtopics.parallel.forked_map``; input of
-    one block is parsed in this process.
+    parsed in the forked pool of ``sawtopics.parallel.forked_imap``; input
+    of one block is parsed in this process.
     """
-    return _parsed_blocks(_row_blocks(rows))
+    return _parsed_blocks(_row_blocks(rows, _BLOCK_ROWS), None, times=True)
 
 
-def load_events(path) -> Events:
+def load_events(path, cutoff: float | None = None) -> Events:
     """``ingest_events`` of the rows of a UTF-8 file (a byte order mark is
-    skipped), read one block at a time; each block goes to its worker as one
-    string."""
+    skipped), read one block at a time, without the rows' times: the rows at
+    or after ``cutoff`` are dropped as each block is parsed. Each block goes
+    to its worker as one string."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return _parsed_blocks(("".join(block), start) for block, start in _row_blocks(fh))
+        return _parsed_blocks(_text_blocks(fh), cutoff, times=False)
 
 
 def read_labels(rows: Iterable[str]) -> dict[str, tuple[float, bool]]:
@@ -473,10 +545,30 @@ def _fitting(top: int):
     return np.int32 if top <= 2 ** 31 else np.int64
 
 
-def _word_codes(events: Events, kept, cfg: IngestConfig,
+def _before(events: Events, cutoff: float | None) -> Events:
+    """The rows of ``events`` before ``cutoff``. Rows that keep no times
+    must have been cut at ``cutoff`` as they were read; the rows of a cut
+    made here keep no times either."""
+    if events.time is None:
+        if cutoff != events.cutoff:
+            raise ValueError(f"events read with cutoff {events.cutoff} keep no times to cut "
+                             f"at {cutoff}; read them with that cutoff")
+        return events
+    if cutoff is None:
+        return events
+    kept = events.time < cutoff
+    n_cut = int(kept.size - np.count_nonzero(kept))
+    if not n_cut:
+        return events
+    patients, names, values = (CodedColumn(c.distinct, c.codes[kept])
+                               for c in (events.patients, events.names, events.values))
+    return Events(patients, None, names, values, cutoff, n_cut)
+
+
+def _word_codes(events: Events, cfg: IngestConfig,
                 vocabulary: Vocabulary | None) -> tuple[list[str], np.ndarray, Mapping]:
-    """The distinct words of the kept event rows, each kept row's position
-    among them (-1: the row makes no word), and the bin edges.
+    """The distinct words of the event rows, each row's position among them
+    (-1: the row makes no word), and the bin edges.
 
     An event whose values are all finite numbers is binned: "event:binJ",
     with edges at equal-frequency quantiles, or those of ``vocabulary``; a
@@ -485,7 +577,7 @@ def _word_codes(events: Events, kept, cfg: IngestConfig,
     Each distinct value string is parsed once, and each word built once.
     """
     names, values = events.names.distinct.tolist(), events.values.distinct.tolist()
-    name, value = events.names.codes[kept], events.values.codes[kept]
+    name, value = events.names.codes, events.values.codes
     x, parsed = _floats(values)
     rows = np.bincount(name, minlength=len(names))
     order = np.argsort(name)  # each event's rows, at order[start[e]:start[e + 1]]
@@ -503,13 +595,13 @@ def _word_codes(events: Events, kept, cfg: IngestConfig,
     width = max([len(values)] + [len(bin_edges[names[e]]) + 1 for e in np.flatnonzero(binned)])
     key = value.astype(_fitting(len(names) * width))
     for e in np.flatnonzero(binned).tolist():
-        at = order[start[e]:start[e + 1]]
-        v = value[at]
+        at = slice(start[e], start[e + 1])  # not a view of order, which is freed below
+        v = value[order[at]]
         edges = np.asarray(bin_edges[names[e]], dtype=float)
-        key[at] = np.where(parsed[v], np.searchsorted(edges, x[v], side="left"), -1)
+        key[order[at]] = np.where(parsed[v], np.searchsorted(edges, x[v], side="left"), -1)
     del order
     hit = key >= 0
-    key += name * width
+    key += np.multiply(name, width, dtype=key.dtype)
     keys = np.unique(key[hit])
     words = [f"{names[e]}:bin{j + 1}" if binned[e] else f"{names[e]}={values[j]}"
              for e, j in (divmod(k, width) for k in keys.tolist())]
@@ -537,22 +629,20 @@ def build_corpus(
     filtering: tokens not in it are ignored, supporting train-only
     vocabularies and scoring new patients against a fitted model.
 
+    Rows that keep no times (those of ``load_events``) must have been read
+    with the cutoff of ``cfg``.
+
     The work is on the columns' integer codes; strings are handled once per
-    distinct value. With no cutoff the code columns are read in place, and
-    the per-row arrays are int32 where their values fit.
+    distinct value. Unless a cutoff is applied here, the code columns are
+    read in place, and the per-row arrays are int32 where their values fit.
     """
     cfg = cfg or IngestConfig()
+    events = _before(events, cfg.cutoff)
     if not len(events):
-        raise ValueError("no event rows")
-    kept = slice(None)  # every row, so each column is read in place
-    if cfg.cutoff is not None:
-        kept = events.time < cfg.cutoff
-        if not kept.any():
-            raise ValueError("no events remain after cutoff filtering")
-        if kept.all():
-            kept = slice(None)
+        raise ValueError("no events remain after cutoff filtering" if events.n_cut
+                         else "no event rows")
 
-    patient = events.patients.codes[kept]
+    patient = events.patients.codes
     present = np.bincount(patient, minlength=events.patients.distinct.size) > 0
     pids = events.patients.distinct[present].tolist()
     missing = [p for p in pids if p not in labels]
@@ -560,41 +650,53 @@ def build_corpus(
         raise ValueError("patients with events but no label: " + ", ".join(missing))
     n = len(pids)
 
-    words, word_of, bin_edges = _word_codes(events, kept, cfg, vocabulary)
+    words, word_of, bin_edges = _word_codes(events, cfg, vocabulary)
     if vocabulary is None:
         index = {w: i for i, w in enumerate(sorted(set(words)))}  # two keys can spell one word
     else:
         index = vocabulary.index
     d = len(index)
-    cell_type = _fitting(n * d)
+    cell_type = _fitting(n * d + 1)
     # a row without a word (word_of == -1) picks the appended -1
     row = np.array([index.get(w, -1) for w in words] + [-1], dtype=cell_type)[word_of]
     del word_of
-    hit = row >= 0
-    # the canonical CSC arrays of the counts, one entry per (patient, word) cell
+    # each row's (patient, word) cell, patient * d + word, or n * d (sorted
+    # last) if it makes no word; sorted, their runs are the CSC entries, and
+    # the run lengths the counts, int32 where they fit
     cell = (np.cumsum(present, dtype=cell_type) - 1)[patient]
     cell *= d
     cell += row
+    cell[row < 0] = n * d
     del row
-    cell, data = np.unique(cell[hit], return_counts=True)
-    patient, indices = np.divmod(cell, d)
+    cell.sort()
+    cell = cell[:np.searchsorted(cell, n * d)]
+    count = _fitting(cell.size + 1)
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    starts = starts[:cell.size].astype(count)  # no cell: no run
+    indices, size = cell[starts], cell.size
+    del cell  # before the counts are made
+    data = np.diff(starts, append=count(size))
+    del starts
+    indptr = np.searchsorted(indices, np.arange(n + 1, dtype=cell_type) * d)
+    indices %= d
 
     if vocabulary is None:
         keep_w = np.bincount(indices, minlength=d) >= cfg.min_doc_freq
         if cfg.min_variance is not None:
+            patient = np.repeat(np.arange(n), np.diff(indptr))
             keep_w &= _frequency_variance(data, indices, patient, d, n) >= cfg.min_variance
+            del patient
         if not keep_w.any():
             raise ValueError("no words survive filtering; relax min_doc_freq or filters")
         if not keep_w.all():  # else the cells are kept as they are, not copied
-            kept_cell = keep_w[indices]
-            patient, indices, data = (patient[kept_cell],
-                                      (np.cumsum(keep_w) - 1)[indices[kept_cell]],
-                                      data[kept_cell])
+            kept = keep_w[indices]
+            indptr = np.searchsorted(np.flatnonzero(kept), indptr)
+            indices, data = (np.cumsum(keep_w, dtype=indices.dtype) - 1)[indices[kept]], data[kept]
         vocab = Vocabulary(tuple(w for w, k in zip(index, keep_w) if k), bin_edges)
     else:
         vocab = vocabulary
 
-    keep_p = np.bincount(patient, weights=data, minlength=n) >= 2
+    keep_p = _column_sums(data, indptr) >= 2
     if not keep_p.all():
         dropped = [p for p, k in zip(pids, keep_p) if not k]
         log.warning(
@@ -603,14 +705,20 @@ def build_corpus(
         )
         if not keep_p.any():
             raise ValueError("no patients remain with at least 2 retained tokens")
-        kept_cell = keep_p[patient]
-        patient, indices, data = ((np.cumsum(keep_p) - 1)[patient[kept_cell]],
-                                  indices[kept_cell], data[kept_cell])
+        kept = np.repeat(keep_p, np.diff(indptr))
+        indices, data = indices[kept], data[kept]
+        indptr = np.concatenate(([0], np.cumsum(np.diff(indptr)[keep_p])))
     final_pids = tuple(pids[i] for i in np.flatnonzero(keep_p).tolist())
     y = np.array([float(labels[p][0]) for p in final_pids])
     r = np.array([bool(labels[p][1]) for p in final_pids])
-    indptr = np.searchsorted(patient, np.arange(len(final_pids) + 1))
     return Corpus((data, indices, indptr), vocab, SurvivalLabels(y, r), final_pids)
+
+
+def _column_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The sum of each column's entries of CSC arrays."""
+    total = np.zeros(data.size + 1, data.dtype)
+    np.cumsum(data, out=total[1:])
+    return np.diff(total[indptr])
 
 
 def _frequency_variance(data, word, patient, d: int, n: int) -> np.ndarray:
@@ -639,8 +747,11 @@ def _inverse_lengths(corpus: Corpus) -> np.ndarray:
 
 def _normalized_entries(corpus: Corpus) -> np.ndarray:
     """The entries of Xbar, in the order of the CSC arrays: each count over
-    its patient's document length."""
-    return corpus.data * np.repeat(_inverse_lengths(corpus), np.diff(corpus.indptr))
+    its patient's document length (a new array, which callers may scale in
+    place)."""
+    entries = np.repeat(_inverse_lengths(corpus), np.diff(corpus.indptr))
+    entries *= corpus.data
+    return entries
 
 
 def normalize_columns(corpus: Corpus):
@@ -658,9 +769,10 @@ def mean_word_score(corpus: Corpus, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (corpus.n_words,):
         raise ValueError(f"per-word score of shape {u.shape} for {corpus.n_words} words")
+    weights = _normalized_entries(corpus)
+    weights *= u[corpus.indices]
     patient = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.indptr))
-    return np.bincount(patient, weights=_normalized_entries(corpus) * u[corpus.indices],
-                       minlength=corpus.n_docs)
+    return np.bincount(patient, weights=weights, minlength=corpus.n_docs)
 
 
 def subset(corpus: Corpus, indices) -> Corpus:

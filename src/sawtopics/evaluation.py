@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .corpus import Corpus, subset
-from .parallel import forked_map
+from .parallel import forked_imap
 from .saw import SawConfig, SawModel, fit_saw, predict
 from .seeding import derive_seed
 from .survival import SurvivalLabels
@@ -149,7 +149,8 @@ def cross_validate(
     A repeated cell is refused, and every cell's config is built, and so
     checked, before any fit starts. Cells that fail on any fold (e.g. k
     larger than the usable vocabulary) are excluded from selection, with one
-    warning per cell naming its lowest failing fold, and the run continues.
+    warning per cell naming its lowest failing fold, logged as that fold's
+    result arrives, and the run continues.
     Ties on mean RMSE go to the lexicographically smallest cell. A winner
     on the smallest or largest k or lam of the grid is logged as a warning.
     """
@@ -177,16 +178,20 @@ def cross_validate(
             raise ValueError(f"fold {f} has no observed events; use fewer folds")
 
     import scipy.sparse  # noqa: F401  (loaded once here: each worker would otherwise load it)
-    outcomes = forked_map(partial(_fold_rmse, train, fit, fold_of),
-                          zip(configs, list(range(folds)) * len(cells)))
+    outcomes = forked_imap(partial(_fold_rmse, train, fit, fold_of),
+                           zip(configs, list(range(folds)) * len(cells)))
     scores = np.full((len(cells), folds), np.nan)
-    for ci, cell in enumerate(cells):
-        row = outcomes[ci * folds:(ci + 1) * folds]
-        failed = next((f for f, r in enumerate(row) if isinstance(r, str)), None)
-        if failed is None:
-            scores[ci] = row
+    failed = np.zeros(len(cells), dtype=bool)
+    for i, outcome in enumerate(outcomes):  # in order: a cell's lowest failing fold first
+        ci, f = divmod(i, folds)
+        if failed[ci]:
+            continue
+        if isinstance(outcome, str):
+            failed[ci] = True
+            scores[ci] = np.nan
+            log.warning("cv cell %s failed on fold %d: %s", cells[ci], f, outcome)
         else:
-            log.warning("cv cell %s failed on fold %d: %s", cell, failed, row[failed])
+            scores[ci, f] = outcome
 
     valid = ~np.isnan(scores).any(axis=1)
     if not valid.any():

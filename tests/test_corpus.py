@@ -329,8 +329,9 @@ def coded_fields(events):
 
 def test_ingest_memory_per_row(tmp_path):
     """``load_events`` + ``build_corpus`` of a two-block file, in the style of
-    the benchmark's event files, trace under 120 bytes a row in this process:
-    the coded columns take 32, and the text is held one block at a time."""
+    the benchmark's event files, trace under 60 bytes a row in this process:
+    the coded columns take 5 (uint16 patients and values, uint8 names, no
+    times), and the text is held a few blocks at a time."""
     rng = np.random.default_rng(11)
     n_rows, n_patients = 100_000, 1000
     patient = np.sort(np.concatenate([np.arange(n_patients).repeat(2),
@@ -351,7 +352,83 @@ def test_ingest_memory_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert corpus.n_docs == n_patients
-    assert peak / n_rows < 120
+    assert peak / n_rows < 60
+
+
+def test_file_rows_keep_narrow_codes_and_no_times(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(event_lines()) + "\n")
+    got = load_events(path)
+    want = ingest_events(event_lines())
+    assert got.time is None and (got.cutoff, got.n_cut) == (None, 0)
+    assert [c.codes.dtype for c in (got.patients, got.names, got.values)] == [np.uint8] * 3
+    assert [(c.distinct.tolist(), c.codes.tolist()) for c in (got.patients, got.names,
+                                                                got.values)] == coded_fields(want)[:3]
+
+
+@pytest.mark.parametrize("cutoff", [None, 0.6, 3.0, 100.0])
+def test_cutoff_applied_as_a_file_is_parsed(monkeypatch, tmp_path, cutoff):
+    # blocks of 6 rows (each read as 3 pieces of 2 lines) in 2 workers, cut
+    # where they are parsed: the corpus is the one of the rows kept whole
+    # and cut in build_corpus
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(event_lines()) + "\n")
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    labels = TestBlocksAndWorkers.LABELS
+    cfg = IngestConfig(bins=3, min_doc_freq=1, cutoff=cutoff)
+    events, whole = load_events(path, cutoff), ingest_events(event_lines())
+    assert events.n_cut == (0 if cutoff is None else np.count_nonzero(whole.time >= cutoff))
+    assert corpus_fields(outcome(build_corpus, events, labels, cfg)) == \
+        corpus_fields(outcome(build_corpus, whole, labels, cfg))
+
+
+@pytest.mark.parametrize("bad", [1, 8, 21])
+def test_file_rows_numbered_across_pieces_and_blocks(monkeypatch, tmp_path, bad):
+    # blocks of 6 lines, each read as 3 pieces of 2: a malformed line keeps
+    # its row number
+    lines = event_lines()
+    lines[bad] = "p1,1,hr"
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert outcome(load_events, path) == outcome(helpers.ingest_events, lines) == \
+        (EventParseError, f"row {bad + 1}: expected 4 fields, got 3")
+
+
+def test_rows_without_times_cut_only_at_their_cutoff(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(event_lines()) + "\n")
+    with pytest.raises(ValueError, match="^events read with cutoff None keep no times to cut "
+                                         "at 2.0; read them with that cutoff$"):
+        build_corpus(load_events(path), TestBlocksAndWorkers.LABELS, IngestConfig(cutoff=2.0))
+    with pytest.raises(ValueError, match="^no events remain after cutoff filtering$"):
+        build_corpus(load_events(path, 0.1), TestBlocksAndWorkers.LABELS, IngestConfig(cutoff=0.1))
+
+
+def test_parse_stops_at_the_first_bad_block(monkeypatch, tmp_path):
+    # a bad row in block 0 of 40 blocks of 4 rows, on 2 CPUs: the parse is
+    # refused as block 0's result arrives, after at most 2 x CPUs + 1 calls
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    parse_block = corpus_module._parse_block
+
+    def spy(block, start, *rest):
+        (calls / str(start)).touch()
+        return parse_block(block, start, *rest)
+
+    lines = ["p1,1,hr,88"] * 160
+    lines[1] = "p1,1,hr"
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(corpus_module, "_parse_block", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert outcome(load_events, path) == outcome(helpers.ingest_events, lines) == \
+        (EventParseError, "row 2: expected 4 fields, got 3")
+    assert 1 <= len(list(calls.iterdir())) <= 2 * 2 + 1
+    assert multiprocessing.active_children() == []
 
 
 class TestBlocksAndWorkers:
@@ -368,9 +445,9 @@ class TestBlocksAndWorkers:
         pids.mkdir()
         parse_block = corpus_module._parse_block
 
-        def spy(block, start):
+        def spy(*args):
             (pids / str(os.getpid())).touch()
-            return parse_block(block, start)
+            return parse_block(*args)
 
         monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(corpus_module, "_parse_block", spy)
@@ -925,6 +1002,45 @@ class TestTypes:
         assert c.data.dtype == np.int64
         assert (c.data.tolist(), c.indices.tolist(), c.indptr.tolist()) == \
             ([2, 1, 3], [0, 1, 1], [0, 2, 3])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int32, np.int64])
+    @pytest.mark.parametrize("indices, indptr, message", [
+        ([0, 2, 1, 0], [0, 3, 3, 4], "word indices must increase strictly within each patient"),
+        ([0, 2, 0, 1], [0, 2, 1, 4], "indptr must rise from 0 to 4"),
+        ([0, 3, 0, 1], [0, 2, 2, 4], r"word index outside \[0, 3\)"),
+    ], ids=["falls within a patient", "indptr falls", "index of d"])
+    def test_narrow_arrays_checked_without_wrapping(self, dtype, indices, indptr, message):
+        # an unsigned np.diff would wrap a fall into a large rise
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Corpus((np.ones(4, np.int64), np.array(indices, dtype), np.array(indptr, dtype)),
+                   Vocabulary(("a", "b", "c")), SurvivalLabels(np.ones(3), np.ones(3, bool)),
+                   ("p1", "p2", "p3"))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int32, np.int64])
+    def test_narrow_arrays_accepted(self, dtype):
+        c = Corpus((np.ones(4), np.array([0, 2, 0, 1], dtype), np.array([0, 2, 2, 4], dtype)),
+                   Vocabulary(("a", "b", "c")), SurvivalLabels(np.ones(3), np.ones(3, bool)),
+                   ("p1", "p2", "p3"))
+        assert [a.dtype for a in (c.data, c.indices, c.indptr)] == [np.int64, np.int32, np.int32]
+        assert helpers.dense(c).tolist() == [[1, 0, 1], [0, 0, 1], [1, 0, 0]]
+
+    def test_canonical_arrays_checked_without_copies(self):
+        # 1M nonzeros of 1000 patients: the checks trace under 4 bytes a nonzero
+        nnz, n, d = 1_000_000, 1000, 2000
+        indices = np.tile(np.arange(0, d, 2, dtype=np.int32), n)
+        indptr = np.arange(0, nnz + 1, nnz // n, dtype=np.int32)
+        data = np.ones(nnz, np.int64)
+        vocab = Vocabulary(tuple(map(str, range(d))))
+        labels = SurvivalLabels(np.ones(n), np.ones(n, bool))
+        pids = tuple(map(str, range(n)))
+        tracemalloc.start()
+        try:
+            c = Corpus((data, indices, indptr), vocab, labels, pids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.indices is indices and c.indptr is indptr and c.data is data
+        assert peak / nnz < 4
 
 
 @hst.composite

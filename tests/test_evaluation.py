@@ -1,3 +1,4 @@
+import logging
 import multiprocessing
 import os
 import tracemalloc
@@ -314,6 +315,39 @@ class TestCrossValidate:
         assert result.best[1] == 0.1
         messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(messages) == 4 and all("failed on fold 0: refused" in m for m in messages)
+
+    def test_failed_cell_logged_as_its_result_arrives(self, monkeypatch, tmp_path):
+        # cell 0 fails on fold 1 of 3, in 12 fold fits on 2 CPUs: its warning is
+        # logged once fold 1's result arrives, when at most 2 x CPUs + 2 fits
+        # have started, and its fold 0 score is dropped
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        failing = derive_seed(4, "cv-cell0-fold1")
+
+        def fitter(sub, cfg):
+            (tmp_path / str(cfg.seed)).touch()
+            if cfg.seed == failing:
+                raise ValueError("refused")
+            return fit_saw(sub, cfg)
+
+        started = []
+
+        class Spy(logging.Handler):
+            def emit(self, record):
+                started.append((record.getMessage(), len(list(tmp_path.iterdir()))))
+
+        log = logging.getLogger("sawtopics.evaluation")
+        spy = Spy(logging.WARNING)
+        log.addHandler(spy)
+        try:
+            result, _ = cross_validate(self._corpus(), [(3, lam, 0.5) for lam in (1, 2, 3, 4)],
+                                       folds=3, seed=4, base_config=self._config(),
+                                       fitter=fitter)
+        finally:
+            log.removeHandler(spy)
+        [(message, fits)] = [s for s in started if "failed" in s[0]]
+        assert message == "cv cell (3, 1.0, 0.5) failed on fold 1: refused"
+        assert fits <= 2 * 2 + 2
+        assert np.isnan(result.fold_scores[0]).all() and np.isfinite(result.fold_scores[1:]).all()
 
     def test_fold_without_events(self):
         corpus = self._corpus(n=12)

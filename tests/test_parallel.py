@@ -1,10 +1,11 @@
+import contextlib
 import multiprocessing
 import os
 
 import pytest
 
 from sawtopics.cli import main
-from sawtopics.parallel import forked_map
+from sawtopics.parallel import forked_imap, forked_map
 
 
 def cpus(monkeypatch, n):
@@ -73,3 +74,37 @@ def test_cv_outputs_are_the_same_bytes_on_any_cpu_count(monkeypatch, tmp_path):
                      "--out-dir", str(out)]) == 0
         outputs.append([(out / name).read_bytes() for name in ("cv_result.csv", "model.json")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("stop", ["break", "raise"])
+def test_a_consumer_that_stops_early_leaves_no_worker(monkeypatch, stop):
+    # after the first result the consumer leaves its loop: the calls not yet
+    # started are cancelled, and at most 2 x workers more arguments were drawn
+    cpus(monkeypatch, 2)
+    drawn = []
+
+    def arguments():
+        for i in range(40):
+            drawn.append(i)
+            yield (i,)
+
+    taken = []
+    with pytest.raises(RuntimeError) if stop == "raise" else contextlib.nullcontext():
+        for result in forked_imap(lambda i: i * i, arguments()):
+            taken.append(result)
+            if stop == "raise":
+                raise RuntimeError("consumer failed")
+            break
+    assert taken == [0]
+    assert multiprocessing.active_children() == []
+    assert len(drawn) <= len(taken) + 2 * 2
+
+
+def test_results_arrive_before_every_call_is_done(monkeypatch, tmp_path):
+    # the first result is yielded while later calls are still to start
+    cpus(monkeypatch, 2)
+    results = forked_imap(square_in(tmp_path), ((i,) for i in range(40)))
+    assert next(results) == 0
+    assert len(list(tmp_path.iterdir())) < 40
+    results.close()
+    assert multiprocessing.active_children() == []
