@@ -754,13 +754,26 @@ def _normalized_entries(corpus: Corpus) -> np.ndarray:
     return entries
 
 
+def design_is_dense(corpus: Corpus) -> bool:
+    """Whether ``normalize_columns`` stores Xbar dense: when its d x n
+    doubles take no more bytes than the CSC values and word indices do."""
+    return 8 * corpus.n_words * corpus.n_docs <= (8 + corpus.indices.itemsize) * corpus.data.size
+
+
 def normalize_columns(corpus: Corpus):
-    """Column-stochastic count matrix Xbar, a canonical
-    ``scipy.sparse.csc_matrix``: counts[w, i] / m_i."""
+    """Column-stochastic count matrix Xbar, counts[w, i] / m_i, in the smaller
+    layout: a dense d x n array where ``design_is_dense(corpus)``, otherwise
+    a canonical ``scipy.sparse.csc_array``. Both support ``@``, ``.T`` and
+    elementwise ``** 2`` alike, so the fits run one code path on either."""
+    entries = _normalized_entries(corpus)
+    shape = (corpus.n_words, corpus.n_docs)
+    if design_is_dense(corpus):
+        Xbar = np.zeros(shape)
+        Xbar[corpus.indices, np.repeat(np.arange(shape[1]), np.diff(corpus.indptr))] = entries
+        return Xbar
     from scipy import sparse
 
-    return sparse.csc_matrix((_normalized_entries(corpus), corpus.indices, corpus.indptr),
-                             shape=(corpus.n_words, corpus.n_docs))
+    return sparse.csc_array((entries, corpus.indices, corpus.indptr), shape=shape)
 
 
 def mean_word_score(corpus: Corpus, u) -> np.ndarray:

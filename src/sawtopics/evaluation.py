@@ -8,10 +8,12 @@ remain. The c-index is Harrell's concordance over comparable pairs.
 ``cross_validate`` runs its (cell, fold) fits in parallel, in the forked
 pool of ``sawtopics.parallel``: one worker per CPU the process may use. The
 workers inherit the corpus, the fitter and the fold assignment,
-monkeypatched functions included, and start with no import cost. Each fit
-has its own seed, so the output bytes do not depend on the CPU count. An
-in-process tracer sees only the parent's spans: the selection and the
-refit, not the fold fits.
+monkeypatched functions included, and start with no import cost: where the
+training corpus's design is CSC (``corpus.design_is_dense``), the parent
+loads ``scipy.sparse`` before it forks, and a dense design needs no scipy.
+Each fit has its own seed, so the output bytes do not depend on the CPU
+count. An in-process tracer sees only the parent's spans: the selection and
+the refit, not the fold fits.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import Corpus, subset
+from .corpus import Corpus, design_is_dense, subset
 from .parallel import forked_imap
 from .saw import SawConfig, SawModel, fit_saw, predict
 from .seeding import derive_seed
@@ -177,7 +179,8 @@ def cross_validate(
         if not train.labels.observed[fold_of == f].any():
             raise ValueError(f"fold {f} has no observed events; use fewer folds")
 
-    import scipy.sparse  # noqa: F401  (loaded once here: each worker would otherwise load it)
+    if not design_is_dense(train):  # a CSC design: load scipy.sparse once, not in each worker
+        import scipy.sparse  # noqa: F401
     outcomes = forked_imap(partial(_fold_rmse, train, fit, fold_of),
                            zip(configs, list(range(folds)) * len(cells)))
     scores = np.full((len(cells), folds), np.nan)

@@ -72,8 +72,3 @@ def forked_imap(task, arg_tuples) -> Iterator:
             yield result
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def forked_map(task, arg_tuples) -> list:
-    """``[task(*args) for args in arg_tuples]``: every result of ``forked_imap``."""
-    return list(forked_imap(task, arg_tuples))

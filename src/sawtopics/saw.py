@@ -137,12 +137,13 @@ def update_theta(
 ) -> np.ndarray:
     """Minimize sum_w KL(Qbar_w || theta_w @ B) plus the Cox partial likelihood
     of the document features (which couples them) over the free rows of theta,
-    for a CSC ``Xbar``, until the coupled Frank-Wolfe gap, summed over the free
-    rows, is at most THETA_GAP_TOL * max(|f|, 1). Projected Newton-CG: CG on
-    each row's face (support and Frank-Wolfe vertex), preconditioned by the
-    separable face systems, then an Armijo halving search along the projection
-    onto the faces. Raises ConvergenceError if ``newton_budget(k)`` steps, or a
-    step that lowers nothing, leave the gap above. Returns the updated theta."""
+    for ``Xbar`` in either layout of ``normalize_columns``, until the coupled
+    Frank-Wolfe gap, summed over the free rows, is at most THETA_GAP_TOL *
+    max(|f|, 1). Projected Newton-CG: CG on each row's face (support and
+    Frank-Wolfe vertex), preconditioned by the separable face systems, then an
+    Armijo halving search along the projection onto the faces. Raises
+    ConvergenceError if ``newton_budget(k)`` steps, or a step that lowers
+    nothing, leave the gap above. Returns the updated theta."""
     theta = np.array(theta, dtype=float)
     beta = np.asarray(beta, dtype=float)
     d, k = theta.shape
@@ -151,7 +152,7 @@ def update_theta(
     if not free.size:  # every word is an anchor; nothing to optimize
         return theta
     XT = Xbar.T  # no copy of the design: Xbar and this view share its arrays
-    Xsq = Xbar.power(2)
+    Xsq = Xbar ** 2
     P, B = stats.Qbar[free], stats.Qbar[aidx]
     plogp = sum_plogp(P)
     u = theta @ beta  # per word; the anchor entries stay

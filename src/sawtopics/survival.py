@@ -210,7 +210,7 @@ def fit_elastic_net_cox(
 ) -> CoxModel:
     """Minimize the negative Cox partial log likelihood of Z @ b plus
     lam * (alpha*||b||_1 + (1-alpha)/2*||b||_2^2). Z is a dense array or a
-    scipy sparse matrix, used as it is.
+    scipy sparse array, used as it is.
 
     Proximal gradient: the ridge part rides with the smooth term, the L1
     part is handled by soft-thresholding. A step is accepted only when the

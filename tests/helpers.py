@@ -13,7 +13,8 @@ sums of their own in the log domain, as a reference for the one-pass
 risk-set term, the dense Breslow Hessian in eta as a reference for its
 product, the coupled Frank-Wolfe gap of the theta subproblem from a dense
 design, the joint objective recomputed from scratch as a reference for
-the values a saw fit traces, a row-at-a-time event parser and corpus
+the values a saw fit traces, scipy's sparse product as a reference for
+the blocked co-occurrence sum, a row-at-a-time event parser and corpus
 builder as a reference for the columnar ones, the variance-of-frequency
 word filter from sparse matrix products as a reference for the bincount
 one, the version-1 (triplet lists) and version-2 (CSC arrays as JSON
@@ -21,7 +22,8 @@ lists) corpus writers that wrote the files version 3 replaced, the analytic
 word-topic posterior of a planted topic matrix, and a seeded generator per
 test tag. ``csc_arrays`` and
 ``dense`` convert between a count matrix and the CSC arrays a ``Corpus``
-is built from.
+is built from, and ``dense_view`` reads a design in either layout of
+``normalize_columns`` as a dense array.
 """
 
 import logging
@@ -33,6 +35,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from sawtopics.cooccur import CooccurrenceStats, row_normalize
 from sawtopics.corpus import (CORPUS_FORMAT, Corpus, EventParseError, IngestConfig, SurvivalLabels,
                               Vocabulary, _gc_paused, write_json)
 from sawtopics.saw import _check_feasible
@@ -378,6 +381,26 @@ def joint_objective(theta, beta, stats, Xbar, labels: SurvivalLabels, anchors, l
     eta = doc_topic_features(theta, Xbar) @ beta
     kl = float(kl_residuals(theta, stats, anchors).sum())
     return kl + labels.risk_sets.partial_likelihood(eta)[0] + elastic_net_penalty(beta, lam, alpha)
+
+
+def cooccurrence_reference(corpus: Corpus) -> CooccurrenceStats:
+    """``build_cooccurrence`` as scipy's sparse product X diag(w) X^T, with
+    w = 1 / (m (m - 1)), less the dense diagonal correction: the reference
+    for the blocked dense form."""
+    m = corpus.doc_lengths.astype(float)
+    X = sparse.csc_matrix((corpus.data.astype(np.float64), corpus.indices, corpus.indptr),
+                          shape=(corpus.n_words, corpus.n_docs))
+    w = 1.0 / (m * (m - 1.0))
+    S = (X @ sparse.diags(w) @ X.T).toarray()
+    Q = (S - np.diag(X @ w)) / corpus.n_docs
+    Q = 0.5 * (Q + Q.T)
+    p = Q.sum(axis=1)
+    return CooccurrenceStats(p, row_normalize(Q, p), np.flatnonzero(p <= 0))
+
+
+def dense_view(X) -> np.ndarray:
+    """A design in either layout (dense array or scipy sparse) as a dense array."""
+    return X.toarray() if sparse.issparse(X) else np.asarray(X)
 
 
 # Row-at-a-time ingest: the reference for corpus.ingest_events/build_corpus.

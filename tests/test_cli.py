@@ -14,7 +14,7 @@ import sawtopics
 from sawtopics import corpus as corpus_module
 from sawtopics.cli import (_SCHEMAS, _resolve, build_parser, float_list, int_list, main,
                            optional_float, optional_int, read_config, write_config)
-from sawtopics.corpus import IngestConfig, load_corpus, save_corpus
+from sawtopics.corpus import IngestConfig, design_is_dense, load_corpus, save_corpus
 from sawtopics.methods import load_model
 from sawtopics.saw import SawConfig
 
@@ -395,9 +395,28 @@ def test_cli_import_skips_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+def scipy_sparse_loaded(commands, prelude: str = "") -> list:
+    """In one fresh process that first runs ``prelude``: whether
+    ``scipy.sparse`` is loaded at start, then after each of ``commands``,
+    with its exit code."""
+    code = (prelude + "import json, sys\n"
+            "from sawtopics.cli import main\n"
+            "seen = ['scipy.sparse' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append([main(argv), 'scipy.sparse' in sys.modules])\n"
+            "print(json.dumps(seen))\n")
+    src = str(Path(sawtopics.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def test_scoring_commands_skip_scipy_sparse(synth_corpus, tmp_path):
     # predict, evaluate and report build no matrix, so they must not pay for
-    # loading scipy.sparse; train does load it
+    # loading scipy.sparse; nor does encox train, as this corpus is 77% dense
+    # and so its design is a dense array
     models = {}
     for method in ("saw", "encox", "km"):
         models[method] = str(tmp_path / f"{method}.json")
@@ -412,19 +431,39 @@ def test_scoring_commands_skip_scipy_sparse(synth_corpus, tmp_path):
         ["report", "--model", models["saw"], "--out", str(tmp_path / "report.txt")],
         ["train", "--corpus", corpus, "--method", "encox", "--out", str(tmp_path / "m.json")],
     ]
-    code = ("import json, sys\n"
-            "from sawtopics.cli import main\n"
-            "seen = ['scipy.sparse' in sys.modules]\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    seen.append([main(argv), 'scipy.sparse' in sys.modules])\n"
-            "print(json.dumps(seen))\n")
-    src = str(Path(sawtopics.__file__).parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
-                         capture_output=True, text=True, check=True)
-    seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen == [False] + [[0, False]] * 5 + [[0, True]]
+    assert design_is_dense(load_corpus(synth_corpus))
+    assert scipy_sparse_loaded(commands) == [False] + [[0, False]] * 6
+
+
+def test_scipy_sparse_loads_only_for_a_csc_design(synth_corpus, tmp_path):
+    # saw train and cv on a dense corpus never load scipy, cv's fold fits
+    # included; encox train on a corpus at most a third dense (20 tokens
+    # over 60 words) builds a CSC design and loads it
+    sparse_corpus = tmp_path / "sparse.json"
+    assert run("synth", "--d", "60", "--k", "3", "--n", "80", "--doc-length", "20",
+               "--beta", "3,-3,0", "--seed", "5", "--out", str(sparse_corpus)) == 0
+    assert not design_is_dense(load_corpus(sparse_corpus))
+    fold_modules = tmp_path / "fold_modules.txt"
+    record = ("import sys\n"
+              "from sawtopics import evaluation\n"
+              "fold = evaluation._fold_rmse\n"
+              "def recorded(*args):\n"
+              "    out = fold(*args)\n"
+              f"    with open({str(fold_modules)!r}, 'a') as f:\n"
+              "        f.write(str('scipy.sparse' in sys.modules) + '\\n')\n"
+              "    return out\n"
+              "evaluation._fold_rmse = recorded\n")
+    corpus = str(synth_corpus)
+    commands = [
+        ["train", "--corpus", corpus, "--method", "saw", "--k", "3", "--seed", "3",
+         "--out", str(tmp_path / "saw.json")],
+        ["cv", "--corpus", corpus, "--ks", "2,3", "--lams", "0.1", "--alphas", "0.5",
+         "--folds", "2", "--seed", "3", "--out-dir", str(tmp_path / "cv")],
+        ["train", "--corpus", str(sparse_corpus), "--method", "encox",
+         "--out", str(tmp_path / "encox.json")],
+    ]
+    assert scipy_sparse_loaded(commands, record) == [False, [0, False], [0, False], [0, True]]
+    assert fold_modules.read_text().split() == ["False"] * 4
 
 
 def test_ingest_and_scoring_never_import_scipy(tmp_path):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sawtopics.cooccur import build_cooccurrence, row_normalize
+from sawtopics.cooccur import BLOCK, build_cooccurrence, row_normalize
 from sawtopics.seeding import derive_seed
-from sawtopics.synthgen import generate_corpus, generate_topic_model
+from sawtopics.synthgen import generate_corpus, generate_dataset, generate_topic_model
 
-from helpers import make_corpus
+from helpers import cooccurrence_reference, make_corpus
 
 
 class TestBuildCooccurrence:
@@ -53,7 +53,7 @@ class TestBuildCooccurrence:
         assert np.abs(s.Qbar[pos].sum(axis=1) - 1.0).max() <= 1e-10
 
     def test_short_document_error_names_patient(self):
-        with pytest.raises(ValueError, match="p001"):
+        with pytest.raises(ValueError, match="^documents with fewer than 2 tokens: p001$"):
             build_cooccurrence(make_corpus([[2, 1], [1, 0]]))
 
     def test_zero_word_flagged_uniform(self):
@@ -92,6 +92,52 @@ class TestBuildCooccurrence:
             s = build_cooccurrence(corpus)
             errs.append(np.abs(s.Qbar * s.p[:, None] - pop).max())
         assert errs[0] > errs[1] > errs[2]
+
+
+
+def readme_corpus():
+    corpus, _ = generate_dataset(d=60, k=5, n=1000, doc_length=300,
+                                 beta_true=np.array([3.0, -3.0, 0.0, 3.0, -3.0]),
+                                 dirichlet_concentration=0.1, anchor_mass=0.3, base_rate=0.1,
+                                 censor_fraction=0.2, seed=derive_seed(7, "synth"))
+    return corpus
+
+
+def random_corpus(d, n, high, seed):
+    counts = np.random.default_rng(seed).integers(0, high, size=(d, n))
+    counts[0] += 2  # every document has at least 2 tokens
+    return make_corpus(counts)
+
+
+class TestMatchesSparseReference:
+    # the blocked dense sum against scipy's sparse product X diag(w) X^T
+    @pytest.mark.parametrize("corpus", [
+        pytest.param(lambda: random_corpus(30, 2 * BLOCK + 452, 3, 0), id="partial-last-block"),
+        pytest.param(lambda: random_corpus(BLOCK + 76, 40, 2, 1), id="d-over-block"),
+        pytest.param(lambda: random_corpus(7, BLOCK, 4, 2), id="one-full-block"),
+        pytest.param(lambda: random_corpus(5, BLOCK + 1, 4, 3), id="one-patient-last-block"),
+        pytest.param(readme_corpus, id="readme"),
+    ])
+    def test_same_stats(self, corpus):
+        corpus = corpus()
+        got, want = build_cooccurrence(corpus), cooccurrence_reference(corpus)
+        assert np.abs(got.Qbar - want.Qbar).max() <= 1e-13
+        assert np.abs(got.p - want.p).max() <= 1e-13
+        assert np.array_equal(got.zero_words, want.zero_words)
+
+    def test_word_that_never_cooccurs(self, caplog):
+        counts = np.random.default_rng(3).integers(0, 3, size=(9, 50))
+        counts[0] += 2
+        counts[[4, 7]] = 0
+        corpus = make_corpus(counts)
+        with caplog.at_level("WARNING", logger="sawtopics.cooccur"):
+            got = build_cooccurrence(corpus)
+        assert caplog.messages == ["2 word(s) never co-occur; their rows are set uniform"]
+        want = cooccurrence_reference(corpus)
+        assert got.zero_words.tolist() == want.zero_words.tolist() == [4, 7]
+        assert np.array_equal(got.Qbar[[4, 7]], np.full((2, 9), 1 / 9))
+        assert np.abs(got.Qbar - want.Qbar).max() <= 1e-13
+        assert np.abs(got.p - want.p).max() <= 1e-13
 
 
 class TestRowNormalize:

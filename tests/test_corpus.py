@@ -15,8 +15,8 @@ from scipy import sparse
 from sawtopics import corpus as corpus_module
 from sawtopics.corpus import (CodedColumn, Corpus, EventParseError, Events, IngestConfig,
                               SurvivalLabels, Vocabulary, _frequency_variance, build_corpus,
-                              ingest_events, load_corpus, load_events, normalize_columns,
-                              read_labels, save_corpus, split, subset)
+                              design_is_dense, ingest_events, load_corpus, load_events,
+                              normalize_columns, read_labels, save_corpus, split, subset)
 
 import helpers
 from helpers import make_corpus
@@ -507,15 +507,15 @@ class TestBlocksAndWorkers:
 class TestNormalizeColumns:
     def test_direct(self):
         X = normalize_columns(make_corpus([[2], [1]]))
-        assert np.allclose(X.toarray().ravel(), [2 / 3, 1 / 3])
+        assert np.allclose(helpers.dense_view(X).ravel(), [2 / 3, 1 / 3])
 
     def test_single_support(self):
         X = normalize_columns(make_corpus([[5], [0], [0]]))
-        assert X.toarray().ravel().tolist() == [1.0, 0.0, 0.0]
+        assert helpers.dense_view(X).ravel().tolist() == [1.0, 0.0, 0.0]
 
     def test_uniform(self):
         X = normalize_columns(make_corpus([[1], [1], [1], [1]]))
-        assert np.allclose(X.toarray().ravel(), 0.25)
+        assert np.allclose(helpers.dense_view(X).ravel(), 0.25)
 
     def test_columns_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -525,8 +525,21 @@ class TestNormalizeColumns:
         X = normalize_columns(make_corpus(counts))
         sums = np.asarray(X.sum(axis=0)).ravel()
         assert np.abs(sums - 1.0).max() <= 1e-12
-        arr = X.toarray()
+        arr = helpers.dense_view(X)
         assert arr.min() >= 0.0 and arr.max() <= 1.0
+
+    @pytest.mark.parametrize("zeros, dense", [(4, True), (5, False)])
+    def test_layout_is_the_smaller_one(self, zeros, dense):
+        # 12 words x 1 patient: dense takes 96 bytes, CSC 12 per stored count
+        # with int32 word ids, so 8 counts (4 zeros) break even and 7 do not
+        counts = np.arange(1, 13)[:, None]
+        counts[:zeros] = 0
+        corpus = make_corpus(counts)
+        X = normalize_columns(corpus)
+        assert corpus.indices.itemsize == 4 and design_is_dense(corpus) is dense
+        assert isinstance(X, np.ndarray if dense else sparse.csc_array)
+        np.testing.assert_allclose(helpers.dense_view(X)[:, 0], counts[:, 0] / counts.sum(),
+                                   rtol=1e-15, atol=0)
 
     def test_zero_length_document_error(self):
         # such a column should have been dropped upstream; naming the

@@ -1,8 +1,10 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from sawtopics.cli import _write_predictions
 from sawtopics.corpus import Corpus, load_corpus, normalize_columns, save_corpus, subset
@@ -118,7 +120,7 @@ def test_zero_length_patient_named(corpus, cox_models, method):
 
 def test_encox_scores_the_sparse_design(corpus):
     model = fit_method(corpus, "encox", SawConfig(lam=0.01, alpha=0.5))
-    dense = normalize_columns(corpus).T.toarray() @ model.cox.beta
+    dense = helpers.dense_view(normalize_columns(corpus).T) @ model.cox.beta
     assert np.count_nonzero(model.cox.beta) > 0
     assert np.abs(predict_model(model, corpus).risk - dense).max() <= 1e-12
 
@@ -337,3 +339,25 @@ def test_retired_config_keys_ignored_on_load(corpus, tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: .*inner_step"):
         load_model(path)
+
+
+@pytest.mark.parametrize("method", ["saw", "encox"])
+def test_either_design_layout_fits_the_same_model(corpus, monkeypatch, method):
+    # the corpus is 80% dense, so its design is a dense array; the same fit
+    # on that design as a csc_array agrees to 1e-10 relative
+    def relative_gap(a, b):
+        return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+
+    module = sys.modules[{"saw": "sawtopics.saw", "encox": "sawtopics.methods"}[method]]
+    cfg = SawConfig(k=3, lam=0.1, alpha=0.5, seed=31)
+    assert isinstance(normalize_columns(corpus), np.ndarray)
+    dense = fit_method(corpus, method, cfg)
+    monkeypatch.setattr(module, "normalize_columns",
+                        lambda c: sparse.csc_array(normalize_columns(c)))
+    csc = fit_method(corpus, method, cfg)
+    assert relative_gap(csc.cox.beta, dense.cox.beta) <= 1e-10
+    assert relative_gap(csc.cox.baseline.cum_hazard, dense.cox.baseline.cum_hazard) <= 1e-10
+    if method == "saw":
+        assert csc.trace.iterations == dense.trace.iterations > 1
+        assert relative_gap(csc.trace.objective_values, dense.trace.objective_values) <= 1e-10
+        assert relative_gap(csc.topic_model.theta, dense.topic_model.theta) <= 1e-10

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from sawtopics.cli import main
-from sawtopics.parallel import forked_imap, forked_map
+from sawtopics.parallel import forked_imap
 
 
 def cpus(monkeypatch, n):
@@ -29,14 +29,14 @@ def test_lazy_arguments_drawn_a_bounded_distance_ahead(monkeypatch, tmp_path):
             done_at_draw.append(len(list(tmp_path.iterdir())))
             yield (i,)
 
-    assert forked_map(square_in(tmp_path), arguments()) == [i * i for i in range(40)]
+    assert list(forked_imap(square_in(tmp_path), arguments())) == [i * i for i in range(40)]
     assert all(done >= i - 4 for i, done in enumerate(done_at_draw))
     assert multiprocessing.active_children() == []
 
 
 def test_results_keep_their_order(monkeypatch):
     cpus(monkeypatch, 3)
-    results = forked_map(lambda a, b: (os.getpid(), a - b), ((i, 1) for i in range(25)))
+    results = list(forked_imap(lambda a, b: (os.getpid(), a - b), ((i, 1) for i in range(25))))
     assert [r for _, r in results] == list(range(-1, 24))
     assert os.getpid() not in {pid for pid, _ in results}
 
@@ -44,8 +44,8 @@ def test_results_keep_their_order(monkeypatch):
 @pytest.mark.parametrize("arguments", [[(1,)], iter([(1,)])], ids=["list", "iterator"])
 def test_one_call_runs_in_this_process(monkeypatch, arguments):
     cpus(monkeypatch, 4)
-    assert forked_map(lambda x: (os.getpid(), x), arguments) == [(os.getpid(), 1)]
-    assert forked_map(lambda x: x, iter([])) == []
+    assert list(forked_imap(lambda x: (os.getpid(), x), arguments)) == [(os.getpid(), 1)]
+    assert list(forked_imap(lambda x: x, iter([]))) == []
 
 
 def test_raising_task_propagates_and_no_worker_outlives_it(monkeypatch):
@@ -57,7 +57,7 @@ def test_raising_task_propagates_and_no_worker_outlives_it(monkeypatch):
         return i
 
     with pytest.raises(ValueError, match="task 5 refused"):
-        forked_map(task, ((i,) for i in range(30)))
+        list(forked_imap(task, ((i,) for i in range(30))))
     assert multiprocessing.active_children() == []
 
 

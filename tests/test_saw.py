@@ -15,8 +15,8 @@ from sawtopics.synthgen import generate_dataset
 from sawtopics.topics import (LOG_FLOOR, ConvergenceError, doc_topic_features, kl_divergence,
                               recover_topics_unsupervised)
 
-from helpers import (coupled_gap, csc_arrays, dense, eg_simplex_kl, joint_objective,
-                     log_domain_nll, make_corpus)
+from helpers import (coupled_gap, csc_arrays, dense, dense_view, eg_simplex_kl,
+                     joint_objective, log_domain_nll, make_corpus)
 
 
 def small_dataset(seed=0, n=120, d=20, k=3, m=60, censor=0.2):
@@ -224,7 +224,7 @@ class TestUpdateTheta:
         ts = np.arange(0.0, 1.0001, 0.01)
         kl_tab = np.array([[kl_divergence(Qbar[w], np.array([t, 1 - t]) @ B)
                             for t in ts] for w in free])
-        Xd = np.asarray(Xbar.todense())
+        Xd = dense_view(Xbar)
         base_eta = (Xd[0] * (theta0[0] @ beta) + Xd[1] * (theta0[1] @ beta))
         coef = {w: Xd[w] * (beta[0] - beta[1]) + 0.0 for w in free}
         off = {w: Xd[w] * beta[1] for w in free}
@@ -269,7 +269,7 @@ class TestUpdateTheta:
             corpus, _ = split(corpus, 0.75, seed=8)
         kernel = saw.update_theta
         gaps = []
-        design = {}  # the fit's design, dense and by rows, built once
+        design = {}  # the fit's design, dense and its free rows, built once
 
         def checked(theta, beta, stats, Xbar, labels, anchors):
             out = kernel(theta, beta, stats, Xbar, labels, anchors)
@@ -277,7 +277,8 @@ class TestUpdateTheta:
             free = np.setdiff1d(np.arange(theta.shape[0]), aidx)
             P, B = stats.Qbar[free], stats.Qbar[aidx]
             if not design:
-                design.update(X=Xbar.toarray(), Xf=Xbar.tocsr()[free], rs=RiskSets(labels))
+                X = dense_view(Xbar)
+                design.update(X=X, Xf=X[free], rs=RiskSets(labels))
             X, Xf, rs = design["X"], design["Xf"], design["rs"]
 
             def subproblem(th):

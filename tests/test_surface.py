@@ -119,11 +119,11 @@ def test_no_unused_imports():
     assert found == []
 
 
-# the functions that may import scipy: the two that build a sparse matrix for
+# the functions that may import scipy: the one that builds a CSC design for
 # its products, cv, which loads scipy.sparse once before it forks, and the
 # censoring root find
-SCIPY_SITES = {"corpus.normalize_columns", "cooccur.build_cooccurrence",
-               "evaluation.cross_validate", "synthgen.generate_survival"}
+SCIPY_SITES = {"corpus.normalize_columns", "evaluation.cross_validate",
+               "synthgen.generate_survival"}
 
 
 def scipy_import_sites(node: ast.AST, owner: str):
