@@ -11,7 +11,7 @@ subproblems.
 from .anchors import AnchorSet, default_candidates, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence
 from .corpus import (Corpus, Events, IngestConfig, SurvivalLabels, Vocabulary,
-                     build_corpus, ingest_events, load_corpus, mean_word_score,
+                     build_corpus, load_corpus, load_events, mean_word_score,
                      normalize_columns, save_corpus, split, subset, vocabulary_hash)
 from .evaluation import CvResult, Metrics, c_index, compute_metrics, cross_validate, rmse_mae
 from .methods import (EncoxModel, KmModel, fit_encox, fit_km, fit_method,
@@ -35,8 +35,8 @@ __all__ = [
     "compute_metrics", "cross_validate", "default_candidates", "doc_topic_features",
     "fit_elastic_net_cox", "fit_encox", "fit_km", "fit_method", "fit_saw", "fit_usaw",
     "generate_corpus", "generate_dataset", "generate_survival",
-    "generate_topic_model", "ingest_events", "kaplan_meier", "kl_divergence",
-    "load_corpus", "load_model", "mean_word_score", "normalize_columns", "predict",
+    "generate_topic_model", "kaplan_meier", "kl_divergence", "load_corpus", "load_events",
+    "load_model", "mean_word_score", "normalize_columns", "predict",
     "predict_median", "predict_model", "recover_topics_unsupervised", "recover_word_topic_matrix",
     "rmse_mae", "save_corpus", "save_model", "split", "stable_anchors", "subset",
     "vocabulary_hash",

@@ -1,36 +1,35 @@
 """Event ingestion, vocabulary building, and sparse corpus assembly.
 
-Input data is a stream of 4-column event rows (patient_id, time, event,
+Input data is a file of 4-column event rows (patient_id, time, event,
 event_value) plus per-patient survival labels. Continuous event values are
 discretized into equal-frequency bins and each (event, bin-or-value) pair
 becomes one vocabulary word; the corpus is the resulting word-by-patient
 count matrix with aligned survival labels.
 
-The rows are drawn in blocks of ``_BLOCK_ROWS`` and parsed in the forked
-pool of ``sawtopics.parallel``, so no more than a few blocks of text are
-held at once: an event file is streamed, and each block goes to its worker
-as one string. Each string column is kept coded: its sorted distinct
-values and a code per row, in the narrowest unsigned type that holds the
-codes; a block's codes are merged into the column as the block arrives,
-and the first bad block stops the parse. A file's rows keep no times: a
-cutoff is applied as each block is parsed. The corpus is built from the
-codes, so strings are parsed, stripped and joined into words once per
-distinct value, not once per row. Memory grows with the coded columns
-(5 bytes a row while there are at most 65,536 patients and distinct
-values and 256 event names) and the corpus, not with the text.
+``load_events`` is the one event reader. It streams the file in blocks of
+``_BLOCK_ROWS`` rows, each parsed as one string in the forked pool of
+``sawtopics.parallel``, so no more than a few blocks of text are held at
+once. Each string column is kept coded: its sorted distinct values and a
+code per row, in the narrowest unsigned type that holds the codes; a
+block's codes are merged into the column as the block arrives, and the
+first bad block stops the parse. The rows keep no times: the cutoff is
+applied as each block is parsed. The corpus is built from the codes, so
+strings are parsed, stripped and joined into words once per distinct
+value, not once per row. Memory grows with the coded columns (5 bytes a
+row while there are at most 65,536 patients and distinct values and 256
+event names) and the corpus, not with the text.
 """
 
 from __future__ import annotations
 
 import base64
-import gc
 import hashlib
 import itertools
 import json
 import logging
 import math
 from collections import Counter, deque
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -94,31 +93,25 @@ def _coded(column) -> CodedColumn:
 
 @dataclass(frozen=True, eq=False)
 class Events:
-    """Event rows as aligned 1-d columns. ``time`` holds floats (days), or is
-    None where the rows keep no times; ``patients``, ``names`` and
-    ``values`` hold the string columns ``patient_id``, ``event`` and
-    ``event_value`` as ``CodedColumn``s (given as one, or as its strings,
-    coded here), and those three names read each back as an object array of
-    str. Rows that keep no times were cut as they were read: ``n_cut`` rows
-    at or after ``cutoff`` (None: no cutoff) were dropped."""
+    """Event rows as aligned 1-d columns, without their times: ``patients``,
+    ``names`` and ``values`` hold the string columns ``patient_id``,
+    ``event`` and ``event_value`` as ``CodedColumn``s (given as one, or as
+    its strings, coded here), and those three names read each back as an
+    object array of str. ``n_cut`` counts the rows that ``load_events``
+    dropped at its cutoff."""
 
     patients: CodedColumn
-    time: np.ndarray | None
     names: CodedColumn
     values: CodedColumn
-    cutoff: float | None = None
     n_cut: int = 0
 
     def __post_init__(self):
-        time = None if self.time is None else np.asarray(self.time, dtype=float)
         patients, names, values = (_coded(c) for c in (self.patients, self.names, self.values))
-        columns = [c.codes for c in (patients, names, values)] + ([] if time is None else [time])
-        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+        codes = [c.codes for c in (patients, names, values)]
+        if any(c.ndim != 1 or c.shape != codes[0].shape for c in codes):
             raise ValueError("event columns must be 1-d and aligned")
-        if time is not None and (self.cutoff is not None or self.n_cut):
-            raise ValueError("only rows that keep no times record a cutoff")
-        for name, value in (("patients", patients), ("time", time), ("names", names),
-                            ("values", values), ("n_cut", int(self.n_cut))):
+        for name, value in (("patients", patients), ("names", names), ("values", values),
+                            ("n_cut", int(self.n_cut))):
             object.__setattr__(self, name, value)
 
     patient_id = property(lambda self: self.patients.strings)
@@ -252,9 +245,9 @@ def _checked_csc(data, indices, indptr, d: int, n: int):
 class IngestConfig:
     """Knobs for corpus construction.
 
-    ``cutoff`` is a global time bound: events at or after it are dropped.
-    ``min_variance``, when set, drops words whose normalized
-    per-document frequency variance falls below it.
+    ``cutoff`` is a global time bound, applied by ``load_events``: events
+    at or after it are dropped. ``min_variance``, when set, drops words
+    whose normalized per-document frequency variance falls below it.
     """
 
     bins: int = 5
@@ -265,6 +258,9 @@ class IngestConfig:
     def __post_init__(self):
         if not float(self.bins).is_integer() or self.bins < 1:
             raise ValueError(f"bins must be an integer >= 1, got {self.bins!r}")
+        for name in ("cutoff", "min_variance"):
+            if getattr(self, name) is not None and math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         object.__setattr__(self, "bins", int(self.bins))
 
 
@@ -376,23 +372,20 @@ def _is_utf8(line: str) -> bool:
     return True
 
 
-def _parse_block(rows, start: int, cutoff: float | None, times: bool):
-    """The event rows ``rows``, a list of rows or one str of rows joined by
-    line ends ("\\n"), whose first row is row ``start`` (0-based) of the
-    input, blank ones skipped and a header skipped only at row 0, parsed.
-    If one is malformed or not valid UTF-8: the 1-based input row number of
-    the first such row and what is wrong with it. Else: the number of rows
-    at or after ``cutoff`` (None: no cutoff), which are dropped, the times
-    of the others if ``times`` (else None), and the (sorted distinct
-    stripped values, codes) of each string column, the codes of the kept
-    rows only."""
-    rows = rows.split("\n") if isinstance(rows, str) else rows
-    lines = [raw.rstrip("\r\n") for raw in rows]
-    valid = len(lines)  # the rows before the first that is not UTF-8
-    if not all(map(str.isascii, lines)):
-        valid = next((i for i, line in enumerate(lines) if not _is_utf8(line)), valid)
-    head = int(start == 0 and valid > 0 and _is_header(lines[0]))
-    lines = lines[head:valid]
+def _parse_block(text: str, start: int, cutoff: float | None):
+    """The event rows of ``text``, joined by line ends ("\\n"), whose first
+    row is row ``start`` (0-based) of the input, blank ones skipped and a
+    header skipped only at row 0, parsed. If one is malformed or not valid
+    UTF-8: the 1-based input row number of the first such row and what is
+    wrong with it. Else: the number of rows at or after ``cutoff`` (None: no
+    cutoff), which are dropped, and the (sorted distinct stripped values,
+    codes) of each string column, the codes of the kept rows only."""
+    rows = text.split("\n")  # read with universal newlines, so no "\r" is left
+    valid = len(rows)  # the rows before the first that is not UTF-8
+    if not all(map(str.isascii, rows)):
+        valid = next((i for i, line in enumerate(rows) if not _is_utf8(line)), valid)
+    head = int(start == 0 and valid > 0 and _is_header(rows[0]))
+    lines = rows[head:valid]
     block = [line for line in lines if line.strip()]
     seps = _seps(block)
     n_fields = np.fromiter(map(str.count, block, seps), np.int64, len(block)) + 1
@@ -422,17 +415,8 @@ def _parse_block(rows, start: int, cutoff: float | None, times: bool):
         kept = time < cutoff
         n_cut = int(kept.size - np.count_nonzero(kept))
         if n_cut:
-            time, columns = time[kept], [(values, codes[kept]) for values, codes in columns]
-    return n_cut, time if times else None, *columns
-
-
-def _row_blocks(rows: Iterable, size: int) -> Iterator[tuple[list, int]]:
-    """Each run of ``size`` rows drawn from ``rows``, and the 0-based row
-    number of its first row."""
-    rows, start = iter(rows), 0
-    while block := list(itertools.islice(rows, size)):
-        yield block, start
-        start += len(block)
+            columns = [(values, codes[kept]) for values, codes in columns]
+    return n_cut, *columns
 
 
 def _text_blocks(fh) -> Iterator[tuple[str, int]]:
@@ -441,63 +425,46 @@ def _text_blocks(fh) -> Iterator[tuple[str, int]]:
     joined a few thousand at a time, so a block is never held as a list of
     line strings, which take about 80 bytes a line."""
     per_piece = math.gcd(_BLOCK_ROWS, 4096)
-    pieces = ("".join(lines) for lines, _ in _row_blocks(fh, per_piece))
+    pieces = iter(lambda: "".join(itertools.islice(fh, per_piece)), "")
     for start in itertools.count(0, _BLOCK_ROWS):
         if not (block := "".join(itertools.islice(pieces, _BLOCK_ROWS // per_piece))):
             return
         yield block, start
 
 
-def _parsed_blocks(blocks: Iterable[tuple], cutoff: float | None, times: bool) -> Events:
-    """The events of consecutive ``(block, start)`` pairs of rows, parsed by
-    ``_parse_block`` in the forked pool and cut there at ``cutoff``, each
-    block merged as it arrives; the first bad block's error is raised as
-    soon as it arrives, and the calls not yet started are cancelled. The
-    rows keep their times if ``times``."""
-    merged = [_MergedColumn() for _ in range(3)]
-    time, n_cut = [], 0
-    with closing(forked_imap(_parse_block, ((block, start, cutoff, times)
-                                            for block, start in blocks))) as parts:
-        for part in parts:
-            if isinstance(part[1], str):
-                raise EventParseError(*part)
-            cut, block_time, *columns = part
-            n_cut += cut
-            if times:
-                time.append(block_time)
-            for column, (values, codes) in zip(merged, columns):
-                column.add(values, codes)
-    patients, names, values = (column.column() for column in merged)
-    if times:
-        return Events(patients, np.concatenate(time) if time else (), names, values)
-    return Events(patients, None, names, values, cutoff, n_cut)
-
-
-def ingest_events(rows: Iterable[str]) -> Events:
-    """Parse delimiter-separated 4-column event rows into columns.
+def load_events(path, cutoff: float | None = None) -> Events:
+    """Parse a UTF-8 file (a byte order mark is skipped) of
+    delimiter-separated 4-column event rows into coded columns, without the
+    rows' times: the rows at or after ``cutoff`` (None: no cutoff) are
+    dropped as they are parsed, and counted in ``n_cut``.
 
     The delimiter is sniffed per row: tab wins over comma.
     Blank rows are skipped. A single header row at the top is tolerated when
     both its time and event_value fields are non-numeric. The first row with
     a field count other than 4, an unparseable, non-finite or negative time,
     or an empty event name, or that is not valid UTF-8 (holds a lone
-    surrogate), is an error carrying its row number. Empty input yields
+    surrogate), is an error carrying its row number. An empty file yields
     empty columns.
 
-    ``rows`` is drawn lazily, in blocks of ``_BLOCK_ROWS`` rows that are
-    parsed in the forked pool of ``sawtopics.parallel.forked_imap``; input
-    of one block is parsed in this process.
+    The file is read in blocks of ``_BLOCK_ROWS`` rows, and each block goes
+    as one string to ``_parse_block`` in the forked pool of
+    ``sawtopics.parallel.forked_imap`` (a file of one block is parsed in
+    this process). Each block is merged as it arrives; the first bad
+    block's error is raised as soon as it arrives, and the calls not yet
+    started are cancelled.
     """
-    return _parsed_blocks(_row_blocks(rows, _BLOCK_ROWS), None, times=True)
-
-
-def load_events(path, cutoff: float | None = None) -> Events:
-    """``ingest_events`` of the rows of a UTF-8 file (a byte order mark is
-    skipped), read one block at a time, without the rows' times: the rows at
-    or after ``cutoff`` are dropped as each block is parsed. Each block goes
-    to its worker as one string."""
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return _parsed_blocks(_text_blocks(fh), cutoff, times=False)
+    merged = [_MergedColumn() for _ in range(3)]
+    n_cut = 0
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh, \
+            closing(forked_imap(_parse_block, ((block, start, cutoff)
+                                               for block, start in _text_blocks(fh)))) as parts:
+        for part in parts:
+            if isinstance(part[1], str):
+                raise EventParseError(*part)
+            n_cut += part[0]
+            for column, (values, codes) in zip(merged, part[1:]):
+                column.add(values, codes)
+    return Events(*(column.column() for column in merged), n_cut)
 
 
 def read_labels(rows: Iterable[str]) -> dict[str, tuple[float, bool]]:
@@ -543,26 +510,6 @@ def load_labels(path) -> dict[str, tuple[float, bool]]:
 def _fitting(top: int):
     """int32 if it holds every integer in [0, top), else int64."""
     return np.int32 if top <= 2 ** 31 else np.int64
-
-
-def _before(events: Events, cutoff: float | None) -> Events:
-    """The rows of ``events`` before ``cutoff``. Rows that keep no times
-    must have been cut at ``cutoff`` as they were read; the rows of a cut
-    made here keep no times either."""
-    if events.time is None:
-        if cutoff != events.cutoff:
-            raise ValueError(f"events read with cutoff {events.cutoff} keep no times to cut "
-                             f"at {cutoff}; read them with that cutoff")
-        return events
-    if cutoff is None:
-        return events
-    kept = events.time < cutoff
-    n_cut = int(kept.size - np.count_nonzero(kept))
-    if not n_cut:
-        return events
-    patients, names, values = (CodedColumn(c.distinct, c.codes[kept])
-                               for c in (events.patients, events.names, events.values))
-    return Events(patients, None, names, values, cutoff, n_cut)
 
 
 def _word_codes(events: Events, cfg: IngestConfig,
@@ -623,21 +570,18 @@ def build_corpus(
     values become words verbatim. Words below the document-frequency floor
     are removed, then patients left with fewer than 2 tokens are dropped
     (the co-occurrence estimator needs length >= 2) and the drop is logged.
-    No event rows is an error, and so is a cutoff that drops every row.
+    No event rows is an error, and so is a cutoff of ``load_events`` that
+    dropped every row; ``cfg.cutoff`` is not read here.
 
     Passing a prebuilt ``vocabulary`` skips vocabulary construction and
     filtering: tokens not in it are ignored, supporting train-only
     vocabularies and scoring new patients against a fitted model.
 
-    Rows that keep no times (those of ``load_events``) must have been read
-    with the cutoff of ``cfg``.
-
     The work is on the columns' integer codes; strings are handled once per
-    distinct value. Unless a cutoff is applied here, the code columns are
-    read in place, and the per-row arrays are int32 where their values fit.
+    distinct value. The code columns are read in place, and the per-row
+    arrays are int32 where their values fit.
     """
     cfg = cfg or IngestConfig()
-    events = _before(events, cfg.cutoff)
     if not len(events):
         raise ValueError("no events remain after cutoff filtering" if events.n_cut
                          else "no event rows")
@@ -819,20 +763,6 @@ def split(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Cor
     )
 
 
-@contextmanager
-def _gc_paused():
-    """Pause cyclic garbage collection. A version-1 corpus file holds about a
-    million 3-int triplet lists; parsing them with the collector on costs
-    about twice as long, and they hold no reference cycles."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def write_json(payload, path) -> None:
     """Write ``payload`` as compact JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -864,16 +794,18 @@ def save_corpus(corpus: Corpus, path) -> None:
     }, path)
 
 
-def read_json(path, format: str, versions: tuple[int, ...], kind: str) -> dict:
+def read_json(path, format: str, version: int, kind: str, command: str) -> dict:
     """Read a file written by ``write_json``, checking its format tag and
-    that its version is a JSON integer among ``versions``."""
+    that its version is the JSON integer ``version``, the one that the CLI
+    command ``command`` writes."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != format:
         raise ValueError(f"not a {kind} file: {path}")
-    version = payload.get("version")
-    if type(version) is not int or version not in versions:  # a bool or a float is refused
-        raise ValueError(f"unsupported {kind} version {version}: {path}")
+    found = payload.get("version")
+    if type(found) is not int or found != version:  # a bool or a float is refused
+        raise ValueError(f"unsupported {kind} version {found}: {path}; "
+                         f"`sawtopics {command}` writes version {version}")
     return payload
 
 
@@ -886,32 +818,6 @@ def flat_array(values, name: str, kinds: str, what: str) -> np.ndarray:
     if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
         raise ValueError(f"{name} must be a list of {what}")
     return a
-
-
-def _triplet_counts(payload: dict, d: int, n: int) -> tuple:
-    """Version 1: one [word, patient, count] list per nonzero count (freed
-    here, while the collector is paused), summed into the CSC arrays."""
-    try:
-        trips = np.asarray(payload.pop("triplets"))
-    except ValueError:  # ragged nesting
-        trips = None
-    if trips is None or (trips.size and (trips.ndim != 2 or trips.shape[1] != 3
-                                         or trips.dtype.kind != "i")):
-        raise ValueError("triplets must be a list of [word, patient, count] integer triplets")
-    trips = trips.astype(np.int64, copy=False).reshape(-1, 3)
-    if trips.size and (trips[:, :2].min() < 0 or trips[:, 0].max() >= d
-                       or trips[:, 1].max() >= n):
-        raise ValueError(f"triplet index outside the {d} x {n} matrix")
-    word, patient, count = trips[np.lexsort((trips[:, 0], trips[:, 1]))].T
-    first = np.flatnonzero(np.diff(patient * d + word, prepend=-1))  # of each repeated cell
-    data = np.add.reduceat(count, first) if first.size else count
-    return data, word[first], np.concatenate(([0], np.cumsum(np.bincount(patient[first],
-                                                                         minlength=n))))
-
-
-def _csc_counts(payload: dict, d: int, n: int) -> tuple:
-    """Version 2: the canonical CSC arrays, as JSON lists of integers."""
-    return tuple(flat_array(payload[k], k, "i", "integers") for k in _CSC_KEYS)
 
 
 def _unpacked(value: dict, name: str) -> np.ndarray:
@@ -931,22 +837,12 @@ def _unpacked(value: dict, name: str) -> np.ndarray:
     return np.frombuffer(raw, value["dtype"])
 
 
-def _packed_counts(payload: dict, d: int, n: int) -> tuple:
-    """Version 3: the canonical CSC arrays, each packed by ``_packed``."""
-    return tuple(_unpacked(payload[k], k) for k in _CSC_KEYS)
-
-
-# per readable version: the keys holding its counts, their JSON type, and their reader
-_COUNT_LAYOUTS = {1: (("triplets",), list, _triplet_counts),
-                  2: (_CSC_KEYS, list, _csc_counts),
-                  3: (_CSC_KEYS, dict, _packed_counts)}
 _CORPUS_KEYS = {"words": list, "bin_edges": dict, "patient_ids": list, "times": list,
-                "observed": list}
+                "observed": list, **dict.fromkeys(_CSC_KEYS, dict)}
 
 
 def _corpus_from(payload: dict) -> Corpus:
-    count_keys, count_kind, read_counts = _COUNT_LAYOUTS[payload["version"]]
-    for key, kind in {**_CORPUS_KEYS, **dict.fromkeys(count_keys, count_kind)}.items():
+    for key, kind in _CORPUS_KEYS.items():
         if not isinstance(payload.get(key), kind):
             name = "object" if kind is dict else "array"
             raise ValueError(f"{key} is missing or not a JSON {name}")
@@ -958,7 +854,7 @@ def _corpus_from(payload: dict) -> Corpus:
     if not np.all((observed == 0) | (observed == 1)):
         raise ValueError("observed must be a list of 0/1 flags")
     words, pids = tuple(payload["words"]), tuple(payload["patient_ids"])
-    counts = read_counts(payload, len(words), len(pids))
+    counts = tuple(_unpacked(payload[k], k) for k in _CSC_KEYS)
     edges = {k: tuple(flat_array(v, f"bin_edges[{k!r}]", "iuf", "numbers").astype(float).tolist())
              for k, v in payload["bin_edges"].items()}
     labels = SurvivalLabels(times.astype(float), observed.astype(bool))
@@ -966,11 +862,11 @@ def _corpus_from(payload: dict) -> Corpus:
 
 
 def load_corpus(path) -> Corpus:
-    """Read a corpus file of any readable version; a malformed one raises
-    ValueError naming the file."""
-    with _gc_paused():  # for a version-1 file, known as one only once parsed
-        payload = read_json(path, CORPUS_FORMAT, tuple(_COUNT_LAYOUTS), "corpus")
-        try:
-            return _corpus_from(payload)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad corpus file {path}: {exc}") from exc
+    """Read a version-3 corpus file. Another version is refused with a
+    message naming ``ingest``, which writes version 3, and a malformed file
+    raises ValueError naming the file."""
+    payload = read_json(path, CORPUS_FORMAT, CORPUS_VERSION, "corpus", "ingest")
+    try:
+        return _corpus_from(payload)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad corpus file {path}: {exc}") from exc

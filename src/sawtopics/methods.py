@@ -25,10 +25,6 @@ from .topics import TopicModel
 
 MODEL_FORMAT = "sawtopics-model"
 MODEL_VERSION = 1
-# solver settings that saw/usaw files once carried in their config block;
-# each solver now uses its own default, so reading ignores these keys
-RETIRED_CONFIG_KEYS = ("theta_step", "theta_iters", "recover_tol", "recover_iters",
-                       "beta_tol", "beta_iters")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,24 +89,6 @@ def _whole(value, name: str, low: int) -> int:
     return value
 
 
-def _decode_matrix(payload: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
-    """theta or A: its dense rows, or the [row, column, value] triplets
-    inside ``shape`` (words, k) that files written before the dense form
-    hold. ``SawModel`` checks the shape of the result."""
-    obj = payload[key]
-    if "dense" in obj:
-        M = np.array([_numbers(row, f"{key} rows") for row in obj["dense"]])
-    else:
-        if obj["shape"] != list(shape):
-            raise ValueError(f"{key} has shape {obj['shape']}, not (words, k) = {list(shape)}")
-        M = np.zeros(shape)
-        for r, c, v in obj["triplets"]:
-            if not (type(r) is int and type(c) is int and 0 <= r < shape[0] and 0 <= c < shape[1]):
-                raise ValueError(f"{key} triplet index [{r!r}, {c!r}] outside {list(shape)}")
-            M[r, c] = v
-    return M
-
-
 def _write_cox(cox: CoxModel) -> dict:
     return {"beta": [float(x) for x in cox.beta],
             "baseline": {"times": [float(t) for t in cox.baseline.times],
@@ -145,8 +123,7 @@ def _write_saw(model: SawModel) -> dict:
 
 
 def _read_saw(payload: dict) -> SawModel:
-    cfg = SawConfig(**{k: v for k, v in payload["config"].items()
-                       if k not in RETIRED_CONFIG_KEYS})
+    cfg = SawConfig(**payload["config"])
     found, stability = payload["anchors"], payload["anchors"]["stability"]
     if not (isinstance(stability, dict) and all(w.isdecimal() for w in stability)):
         raise ValueError(f"anchors.stability must map word indices to counts, got {stability!r}")
@@ -157,10 +134,9 @@ def _read_saw(payload: dict) -> SawModel:
         projection_dim=_whole(found["projection_dim"], "anchors.projection_dim", 1),
     )
     vocab = Vocabulary(tuple(payload["words"]))
-    shape = (len(vocab), cfg.k)
-    tm = TopicModel(
-        theta=_decode_matrix(payload, "theta", shape),
-        A=_decode_matrix(payload, "A", shape),
+    tm = TopicModel(  # SawModel checks the shapes of theta and A
+        theta=np.array([_numbers(row, "theta rows") for row in payload["theta"]["dense"]]),
+        A=np.array([_numbers(row, "A rows") for row in payload["A"]["dense"]]),
         anchors=anchors,
         residuals=_numbers(payload["residuals"], "residuals"),
     )
@@ -253,8 +229,11 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Read a model file; a malformed one raises ValueError naming the file."""
-    payload = read_json(path, MODEL_FORMAT, (MODEL_VERSION,), "model")
+    """Read a model file of the current version, with dense ``theta`` and
+    ``A``. Another version is refused with a message naming ``train``, which
+    writes the current one, and a malformed file raises ValueError naming
+    the file."""
+    payload = read_json(path, MODEL_FORMAT, MODEL_VERSION, "model", "train")
     try:
         if payload["method"] not in METHODS:
             raise ValueError(f"unknown method {payload['method']!r}")

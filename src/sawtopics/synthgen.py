@@ -168,7 +168,7 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    payload = read_json(path, TRUTH_FORMAT, (TRUTH_VERSION,), "ground-truth")
+    payload = read_json(path, TRUTH_FORMAT, TRUTH_VERSION, "ground-truth", "synth")
     return GroundTruth(
         A_true=np.array(payload["A_true"], dtype=float),
         anchor_indices=tuple(payload["anchor_indices"]),

@@ -17,10 +17,10 @@ the values a saw fit traces, scipy's sparse product as a reference for
 the blocked co-occurrence sum, a row-at-a-time event parser and corpus
 builder as a reference for the columnar ones, the variance-of-frequency
 word filter from sparse matrix products as a reference for the bincount
-one, the version-1 (triplet lists) and version-2 (CSC arrays as JSON
-lists) corpus writers that wrote the files version 3 replaced, the analytic
-word-topic posterior of a planted topic matrix, and a seeded generator per
-test tag. ``csc_arrays`` and
+one, the analytic word-topic posterior of a planted topic matrix, and a
+seeded generator per test tag. ``load_rows`` reads event lines through
+the one event reader, ``load_events``, from a temporary file.
+``csc_arrays`` and
 ``dense`` convert between a count matrix and the CSC arrays a ``Corpus``
 is built from, and ``dense_view`` reads a design in either layout of
 ``normalize_columns`` as a dense array.
@@ -28,6 +28,9 @@ is built from, and ``dense_view`` reads a design in either layout of
 
 import logging
 import math
+import os
+import re
+import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -36,8 +39,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from sawtopics.cooccur import CooccurrenceStats, row_normalize
-from sawtopics.corpus import (CORPUS_FORMAT, Corpus, EventParseError, IngestConfig, SurvivalLabels,
-                              Vocabulary, _gc_paused, write_json)
+from sawtopics.corpus import (Corpus, EventParseError, Events, IngestConfig, SurvivalLabels,
+                              Vocabulary, load_events)
 from sawtopics.saw import _check_feasible
 from sawtopics.seeding import derive_seed
 from sawtopics.survival import RiskSets, elastic_net_penalty
@@ -403,7 +406,25 @@ def dense_view(X) -> np.ndarray:
     return X.toarray() if sparse.issparse(X) else np.asarray(X)
 
 
-# Row-at-a-time ingest: the reference for corpus.ingest_events/build_corpus.
+def version_refused(kind: str, version, path, command: str, current: int) -> str:
+    """The regex of the exact message that refuses a ``kind`` file at
+    ``path`` of another version than ``current``, which ``command`` writes."""
+    return (f"^unsupported {kind} version {version}: {re.escape(str(path))}; "
+            f"`sawtopics {command}` writes version {current}$")
+
+
+def load_rows(lines: Iterable[str], cutoff: float | None = None) -> Events:
+    """``load_events(path, cutoff)`` of ``lines`` joined by "\\n" and written
+    as they are (no newline translation; a lone surrogate as the byte it
+    escapes) to a file in a temporary directory, removed on return."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            fh.write("\n".join(lines))
+        return load_events(path, cutoff)
+
+
+# Row-at-a-time ingest: the reference for corpus.load_events/build_corpus.
 
 log = logging.getLogger("sawtopics.corpus")
 
@@ -585,42 +606,6 @@ def _counts_matrix(tokens: list[tuple[int, int]], d: int, n: int) -> sparse.csc_
     else:
         rows = cols = data = np.empty(0, dtype=np.int64)
     return sparse.coo_matrix((data, (rows, cols)), shape=(d, n)).tocsc()
-
-
-def save_corpus_v1(corpus: Corpus, path) -> None:
-    """The version-1 corpus writer: one [word, patient, count] list per
-    nonzero count, sorted by word, then patient."""
-    patient = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.indptr))
-    order = np.lexsort((patient, corpus.indices))
-    triplets = np.column_stack((corpus.indices, patient, corpus.data))[order]
-    with _gc_paused():
-        write_json({
-            "format": CORPUS_FORMAT,
-            "version": 1,
-            "words": list(corpus.vocab.words),
-            "bin_edges": {k: list(v) for k, v in corpus.vocab.bin_edges.items()},
-            "patient_ids": list(corpus.patient_ids),
-            "times": corpus.labels.times.tolist(),
-            "observed": corpus.labels.observed.astype(int).tolist(),
-            "triplets": triplets.tolist(),
-        }, path)
-
-
-def save_corpus_v2(corpus: Corpus, path) -> None:
-    """The version-2 corpus writer: the canonical CSC arrays of the counts
-    as JSON lists of integers."""
-    write_json({
-        "format": CORPUS_FORMAT,
-        "version": 2,
-        "words": list(corpus.vocab.words),
-        "bin_edges": {k: list(v) for k, v in corpus.vocab.bin_edges.items()},
-        "patient_ids": list(corpus.patient_ids),
-        "times": corpus.labels.times.tolist(),
-        "observed": corpus.labels.observed.astype(int).tolist(),
-        "indptr": corpus.indptr.tolist(),
-        "indices": corpus.indices.tolist(),
-        "data": corpus.data.astype(np.int64).tolist(),
-    }, path)
 
 
 def bayes_topic_posterior(A: np.ndarray, topic_weights: np.ndarray | None = None) -> np.ndarray:

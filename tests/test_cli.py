@@ -199,23 +199,29 @@ class TestTrainPredictEvaluate:
         assert "--method" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [preds]
 
-    def test_v1_corpus_scores_like_its_v2_resave(self, synth_corpus, tmp_path):
-        v1, v2, v3 = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "v3.json"
-        helpers.save_corpus_v1(load_corpus(synth_corpus), v1)
-        assert run("train", "--corpus", str(v1), "--method", "usaw", "--k", "3",
-                   "--seed", "2", "--out", str(tmp_path / "m.json")) == 0
-        helpers.save_corpus_v2(load_corpus(v1), v2)
-        save_corpus(load_corpus(v2), v3)
-        out = {}
-        for name, corpus in (("v1", v1), ("v2", v2), ("v3", v3)):
-            preds, metrics = tmp_path / f"{name}.csv", tmp_path / f"{name}_metrics.csv"
-            assert run("predict", "--model", str(tmp_path / "m.json"), "--corpus", str(corpus),
-                       "--out", str(preds)) == 0
-            assert run("evaluate", "--predictions", str(preds), "--corpus", str(corpus),
-                       "--out", str(metrics)) == 0
-            out[name] = preds.read_bytes(), metrics.read_bytes()
-        assert out["v1"] == out["v2"] == out["v3"]
-        assert v3.read_bytes() == synth_corpus.read_bytes()
+    def test_old_files_refused_naming_the_command_that_rewrites_them(self, synth_corpus,
+                                                                     tmp_path, capsys):
+        # a version-2 corpus (CSC arrays as JSON lists), and a model whose
+        # theta holds triplets, as files written before the current forms
+        old = json.loads(synth_corpus.read_text())
+        old.update(version=2, indptr=[0], indices=[], data=[])
+        v2 = tmp_path / "v2.json"
+        v2.write_text(json.dumps(old))
+        model = tmp_path / "m.json"
+        assert run("train", "--corpus", str(synth_corpus), "--method", "usaw", "--k", "3",
+                   "--seed", "2", "--out", str(model)) == 0
+        payload = json.loads(model.read_text())
+        payload["theta"] = {"shape": [len(payload["words"]), 3], "triplets": [[0, 0, 1.0]]}
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("train", "--corpus", str(v2), "--method", "km",
+                   "--out", str(tmp_path / "km.json")) == 1
+        assert capsys.readouterr().err == (f"error: unsupported corpus version 2: {v2}; "
+                                           "`sawtopics ingest` writes version 3\n")
+        assert run("predict", "--model", str(model), "--corpus", str(synth_corpus),
+                   "--out", str(tmp_path / "p.csv")) == 1
+        assert capsys.readouterr().err == f"error: bad model file {model}: missing key 'dense'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "m.json.config", "v2.json"]
 
 
 class TestReport:
@@ -305,6 +311,16 @@ class TestIngestCli:
                  "--bins", "0")
         assert rc == 1
         assert capsys.readouterr().err == "error: bins must be an integer >= 1, got 0\n"
+
+    @pytest.mark.parametrize("flag", ["--cutoff", "--min-variance"])
+    def test_nan_bound_refused_before_the_events_are_read(self, tmp_path, capsys, flag):
+        # a NaN cutoff failed only once the whole file was parsed
+        rc = run("ingest", "--events", str(tmp_path / "absent.csv"), "--labels",
+                 str(tmp_path / "absent_labels.csv"), "--out", str(tmp_path / "c.json"),
+                 flag, "nan")
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be a number, got nan\n"
 
     @pytest.mark.parametrize("bom_on", ["events", "labels"])
     def test_utf8_bom_ignored(self, tmp_path, bom_on):

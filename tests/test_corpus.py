@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -15,11 +16,11 @@ from scipy import sparse
 from sawtopics import corpus as corpus_module
 from sawtopics.corpus import (CodedColumn, Corpus, EventParseError, Events, IngestConfig,
                               SurvivalLabels, Vocabulary, _frequency_variance, build_corpus,
-                              design_is_dense, ingest_events, load_corpus, load_events,
-                              normalize_columns, read_labels, save_corpus, split, subset)
+                              design_is_dense, load_corpus, load_events, normalize_columns,
+                              read_labels, save_corpus, split, subset)
 
 import helpers
-from helpers import make_corpus
+from helpers import load_rows, make_corpus
 
 
 def ev(pid, time, event, value):
@@ -27,45 +28,62 @@ def ev(pid, time, event, value):
 
 
 def columns(rows):
-    """Events columns from (patient_id, time, event, event_value) rows."""
-    return Events(*zip(*rows)) if rows else Events((), (), (), ())
+    """Events columns from (patient_id, time, event, event_value) rows; the
+    times are dropped, as ``load_events`` drops them."""
+    return Events(*([row[k] for row in rows] for k in (0, 2, 3)))
 
 
 def rows_of(events):
-    return list(zip(events.patient_id, events.time.tolist(), events.event, events.event_value))
+    return list(zip(events.patient_id, events.event, events.event_value))
+
+
+def reference_rows(records, cutoff=None):
+    """The (patient_id, event, event_value) rows of the row-at-a-time
+    parse's records before ``cutoff``, and the number of rows cut."""
+    kept = [(r.patient_id, r.event, r.event_value) for r in records
+            if cutoff is None or r.time < cutoff]
+    return kept, len(records) - len(kept)
+
+
+def cut_exactly_at(lines, time):
+    """Whether the rows of ``lines`` are all cut at ``time`` and all kept
+    just above it: each row's time parses to ``time``."""
+    cut, kept = load_rows(lines, time), load_rows(lines, np.nextafter(time, np.inf))
+    return (len(cut), len(kept), kept.n_cut) == (0, cut.n_cut, 0)
 
 
 class TestIngestEvents:
     def test_direct_field_mapping(self):
-        recs = ingest_events(["p1,0.5,hr,88"])
-        assert rows_of(recs) == [("p1", 0.5, "hr", "88")]
+        recs = load_rows(["p1,0.5,hr,88"])
+        assert rows_of(recs) == [("p1", "hr", "88")]
+        assert cut_exactly_at(["p1,0.5,hr,88"], 0.5)
 
     def test_empty_input(self):
-        assert rows_of(ingest_events([])) == []
+        assert rows_of(load_rows([])) == []
 
     def test_unparseable_time_is_an_error_with_row_number(self):
         with pytest.raises(EventParseError, match="row 1"):
-            ingest_events(["p1,abc,hr,88"])
+            load_rows(["p1,abc,hr,88"])
 
     def test_header_row_skipped(self):
-        recs = ingest_events(["patient_id,time,event,event_value", "p1,1.0,hr,88"])
+        recs = load_rows(["patient_id,time,event,event_value", "p1,1.0,hr,88"])
         assert len(recs) == 1 and recs.patient_id[0] == "p1"
 
     def test_tab_delimited(self):
-        recs = ingest_events(["p1\t2\thr\t90"])
-        assert recs.time[0] == 2.0 and recs.event_value[0] == "90"
+        recs = load_rows(["p1\t2\thr\t90"])
+        assert cut_exactly_at(["p1\t2\thr\t90"], 2.0) and recs.event_value[0] == "90"
 
     def test_wrong_field_count(self):
         with pytest.raises(EventParseError, match="row 2"):
-            ingest_events(["p1,1,hr,88", "p1,1,hr"])
+            load_rows(["p1,1,hr,88", "p1,1,hr"])
 
     def test_negative_time_rejected(self):
         with pytest.raises(EventParseError):
-            ingest_events(["p1,-1,hr,88"])
+            load_rows(["p1,-1,hr,88"])
 
     def test_bad_time_after_header_is_error(self):
         with pytest.raises(EventParseError, match="row 2"):
-            ingest_events(["patient_id,time,event,event_value", "p1,oops,hr,88"])
+            load_rows(["patient_id,time,event,event_value", "p1,oops,hr,88"])
 
 
 class TestBuildCorpus:
@@ -139,8 +157,8 @@ class TestBuildCorpus:
     def test_cutoff_drops_events_at_or_after(self):
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "88"),
                   ev("p1", 5, "late", "x"), ev("p1", 6, "late", "x")]
-        c = build_corpus(columns(events), {"p1": (1.0, True)},
-                         IngestConfig(bins=1, min_doc_freq=1, cutoff=5.0))
+        c = build_corpus(load_rows([",".join(map(str, e)) for e in events], 5.0),
+                         {"p1": (1.0, True)}, IngestConfig(bins=1, min_doc_freq=1))
         assert c.vocab.words == ("hr:bin1",)
         assert c.doc_lengths.tolist() == [2]
 
@@ -176,6 +194,12 @@ class TestBuildCorpus:
         message = f"bins must be an integer >= 1, got {bins!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             IngestConfig(bins=bins)
+
+    @pytest.mark.parametrize("name", ["cutoff", "min_variance"])
+    def test_nan_bound_refused_with_the_config(self, name):
+        # a NaN cutoff would cut every row, and a NaN floor drop every word
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
+            IngestConfig(**{name: float("nan")})
 
     def test_words_spelled_alike_are_one_word(self):
         # event "a" with value "b=c" and event "a=b" with value "c" both spell "a=b=c"
@@ -224,9 +248,9 @@ def event_texts(draw):
     return eol.join(lines) + draw(hst.sampled_from(("", eol)))
 
 
+cutoffs = hst.none() | hst.sampled_from((0.5, 2.0, 5.0))
 ingest_configs = hst.builds(
-    IngestConfig, bins=hst.integers(1, 6), min_doc_freq=hst.integers(0, 2),
-    cutoff=hst.none() | hst.sampled_from((0.5, 2.0, 5.0)),
+    IngestConfig, bins=hst.integers(1, 6), min_doc_freq=hst.integers(0, 2), cutoff=cutoffs,
     min_variance=hst.none() | hst.sampled_from((0.0, 0.01, 0.05)))
 label_sets = hst.sampled_from(((),) * 14 + (("p4",), ("p1", "p3"))).map(
     lambda missing: {p: (float(i + 1), i % 2 == 0) for i, p in enumerate(PIDS) if p not in missing})
@@ -249,17 +273,18 @@ def corpus_fields(c):
 
 
 class TestMatchesRowReference:
-    """The columnar parser and builder against the row-at-a-time reference."""
+    """The columnar parser and builder against the row-at-a-time reference;
+    the times the parser keeps none of are checked through the cut."""
 
-    @given(event_texts())
+    @given(event_texts(), cutoffs)
     @settings(max_examples=300, deadline=None)
-    def test_ingest_events(self, text):
-        got = outcome(ingest_events, text.split("\n"))
+    def test_ingest_events(self, text, cutoff):
+        got = outcome(load_rows, text.split("\n"), cutoff)
         want = outcome(helpers.ingest_events, text.split("\n"))
         if isinstance(want, tuple):
             assert got == want
         else:
-            assert rows_of(got) == [(r.patient_id, r.time, r.event, r.event_value) for r in want]
+            assert (rows_of(got), got.n_cut) == reference_rows(want, cutoff)
 
     @given(event_texts(), event_texts(), label_sets, ingest_configs, ingest_configs)
     @settings(max_examples=300, deadline=None)
@@ -268,7 +293,7 @@ class TestMatchesRowReference:
             records = helpers.ingest_events(text.split("\n"))
         except EventParseError:
             return
-        cols = ingest_events(text.split("\n"))
+        cols = load_rows(text.split("\n"), cfg.cutoff)
         want = outcome(helpers.build_corpus, records, labels, cfg)
         assert corpus_fields(outcome(build_corpus, cols, labels, cfg)) == corpus_fields(want)
         # the prebuilt-vocabulary path, with the vocabulary of another text
@@ -285,10 +310,10 @@ class TestMatchesRowReference:
 class TestEvents:
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="aligned"):
-            Events(["p1", "p2"], [0.0], ["hr", "hr"], ["1", "2"])
+            Events(["p1", "p2"], ["hr"], ["1", "2"])
 
     def test_string_columns_are_coded_once(self):
-        e = Events(["p2", "p1", "p2"], [0.0, 1.0, 2.0], ["hr", "hr", "sex"], ["88", "90", "f"])
+        e = Events(["p2", "p1", "p2"], ["hr", "hr", "sex"], ["88", "90", "f"])
         assert e.patients.distinct.tolist() == ["p1", "p2"]
         assert e.patients.codes.tolist() == [1, 0, 1]
         assert e.patient_id.tolist() == ["p2", "p1", "p2"]
@@ -301,11 +326,11 @@ class TestEvents:
         (CodedColumn(np.array(["p1", "p2"], dtype=object), np.array([0.0, 1.0])), "integers")])
     def test_coded_columns_checked(self, column, message):
         with pytest.raises(ValueError, match=message):
-            Events(column, [0.0, 1.0], ["hr", "hr"], ["1", "2"])
+            Events(column, ["hr", "hr"], ["1", "2"])
 
     def test_header_only_on_first_line(self):
         with pytest.raises(EventParseError, match="row 2: unparseable time 'time'"):
-            ingest_events(["", "patient_id,time,event,event_value", "p1,1,hr,88"])
+            load_rows(["", "patient_id,time,event,event_value", "p1,1,hr,88"])
 
 
 def event_lines():
@@ -324,7 +349,7 @@ def event_lines():
 
 def coded_fields(events):
     return [(c.distinct.tolist(), c.codes.tolist())
-            for c in (events.patients, events.names, events.values)] + [events.time.tolist()]
+            for c in (events.patients, events.names, events.values)] + [events.n_cut]
 
 
 def test_ingest_memory_per_row(tmp_path):
@@ -359,28 +384,28 @@ def test_file_rows_keep_narrow_codes_and_no_times(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("\n".join(event_lines()) + "\n")
     got = load_events(path)
-    want = ingest_events(event_lines())
-    assert got.time is None and (got.cutoff, got.n_cut) == (None, 0)
+    want = columns([(r.patient_id, r.time, r.event, r.event_value)
+                    for r in helpers.ingest_events(event_lines())])
+    assert [f.name for f in dataclasses.fields(got)] == ["patients", "names", "values", "n_cut"]
     assert [c.codes.dtype for c in (got.patients, got.names, got.values)] == [np.uint8] * 3
-    assert [(c.distinct.tolist(), c.codes.tolist()) for c in (got.patients, got.names,
-                                                                got.values)] == coded_fields(want)[:3]
+    assert coded_fields(got) == coded_fields(want)
 
 
 @pytest.mark.parametrize("cutoff", [None, 0.6, 3.0, 100.0])
 def test_cutoff_applied_as_a_file_is_parsed(monkeypatch, tmp_path, cutoff):
     # blocks of 6 rows (each read as 3 pieces of 2 lines) in 2 workers, cut
-    # where they are parsed: the corpus is the one of the rows kept whole
-    # and cut in build_corpus
+    # where they are parsed: the rows and the corpus are those of the
+    # row-at-a-time reference, which cuts its rows in its builder
     path = tmp_path / "events.csv"
     path.write_text("\n".join(event_lines()) + "\n")
     monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 6)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     labels = TestBlocksAndWorkers.LABELS
     cfg = IngestConfig(bins=3, min_doc_freq=1, cutoff=cutoff)
-    events, whole = load_events(path, cutoff), ingest_events(event_lines())
-    assert events.n_cut == (0 if cutoff is None else np.count_nonzero(whole.time >= cutoff))
+    events, records = load_events(path, cutoff), helpers.ingest_events(event_lines())
+    assert (rows_of(events), events.n_cut) == reference_rows(records, cutoff)
     assert corpus_fields(outcome(build_corpus, events, labels, cfg)) == \
-        corpus_fields(outcome(build_corpus, whole, labels, cfg))
+        corpus_fields(outcome(helpers.build_corpus, records, labels, cfg))
 
 
 @pytest.mark.parametrize("bad", [1, 8, 21])
@@ -398,13 +423,15 @@ def test_file_rows_numbered_across_pieces_and_blocks(monkeypatch, tmp_path, bad)
 
 
 def test_rows_without_times_cut_only_at_their_cutoff(tmp_path):
+    # build_corpus does not read cfg.cutoff: rows are cut where they are read
     path = tmp_path / "events.csv"
     path.write_text("\n".join(event_lines()) + "\n")
-    with pytest.raises(ValueError, match="^events read with cutoff None keep no times to cut "
-                                         "at 2.0; read them with that cutoff$"):
-        build_corpus(load_events(path), TestBlocksAndWorkers.LABELS, IngestConfig(cutoff=2.0))
+    labels, cfg = TestBlocksAndWorkers.LABELS, TestBlocksAndWorkers.CFG
+    assert corpus_fields(build_corpus(load_events(path), labels,
+                                      dataclasses.replace(cfg, cutoff=2.0))) == \
+        corpus_fields(build_corpus(load_events(path), labels, cfg))
     with pytest.raises(ValueError, match="^no events remain after cutoff filtering$"):
-        build_corpus(load_events(path, 0.1), TestBlocksAndWorkers.LABELS, IngestConfig(cutoff=0.1))
+        build_corpus(load_events(path, 0.1), labels, cfg)
 
 
 def test_parse_stops_at_the_first_bad_block(monkeypatch, tmp_path):
@@ -452,12 +479,12 @@ class TestBlocksAndWorkers:
         monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(corpus_module, "_parse_block", spy)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        events = ingest_events(event_lines())
+        events = load_rows(event_lines())
         return events, {int(q.name) for q in pids.iterdir()}
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_same_columns_and_corpus(self, monkeypatch, tmp_path, cpus):
-        want = ingest_events(event_lines())
+        want = load_rows(event_lines())
         got, workers = self.spied(monkeypatch, tmp_path, cpus, 4)
         assert os.getpid() not in workers and 1 <= len(workers) <= cpus
         assert coded_fields(got) == coded_fields(want)
@@ -477,31 +504,32 @@ class TestBlocksAndWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         want = outcome(helpers.ingest_events, lines)
         assert want == (EventParseError, "row 7: expected 4 fields, got 3")
-        assert outcome(ingest_events, lines) == want
+        assert outcome(load_rows, lines) == want
         del lines[6]
-        assert outcome(ingest_events, lines) == outcome(helpers.ingest_events, lines) == \
+        assert outcome(load_rows, lines) == outcome(helpers.ingest_events, lines) == \
             (EventParseError, "row 16: time must be finite and >= 0, got '-1'")
 
     def test_no_worker_outlives_the_call(self, monkeypatch):
         monkeypatch.setattr(corpus_module, "_BLOCK_ROWS", 4)
-        ingest_events(event_lines())
+        load_rows(event_lines())
         assert multiprocessing.active_children() == []
         with pytest.raises(EventParseError):
-            ingest_events(event_lines() + ["p1,x,hr,1"])
+            load_rows(event_lines() + ["p1,x,hr,1"])
         assert multiprocessing.active_children() == []
 
-    @given(event_texts(), hst.integers(1, 6))
+    @given(event_texts(), hst.integers(1, 6), cutoffs)
     @settings(max_examples=25, deadline=None)
-    def test_matches_row_reference(self, text, block_rows):
+    def test_matches_row_reference(self, text, block_rows, cutoff):
         with mock.patch.object(corpus_module, "_BLOCK_ROWS", block_rows):
-            got = outcome(ingest_events, text.split("\n"))
+            got = outcome(load_rows, text.split("\n"), cutoff)
         want = outcome(helpers.ingest_events, text.split("\n"))
         if isinstance(want, tuple):
             assert got == want
             return
-        assert rows_of(got) == [(r.patient_id, r.time, r.event, r.event_value) for r in want]
-        assert corpus_fields(outcome(build_corpus, got, self.LABELS, self.CFG)) == \
-            corpus_fields(outcome(helpers.build_corpus, want, self.LABELS, self.CFG))
+        assert (rows_of(got), got.n_cut) == reference_rows(want, cutoff)
+        cfg = dataclasses.replace(self.CFG, cutoff=cutoff)
+        assert corpus_fields(outcome(build_corpus, got, self.LABELS, cfg)) == \
+            corpus_fields(outcome(helpers.build_corpus, want, self.LABELS, cfg))
 
 
 class TestNormalizeColumns:
@@ -653,24 +681,19 @@ def stored_fields(c):
 
 
 class TestVersions:
-    """Version 3 (packed CSC arrays) against the version-1 triplet files and
-    version-2 JSON-list files it replaced."""
+    """Version 3 (packed CSC arrays) is the one version read."""
 
     @given(small_corpora())
     @settings(max_examples=100, deadline=None)
-    def test_v1_and_v2_files_load_the_same(self, tmp_path_factory, corpus):
+    def test_files_keep_every_stored_field(self, tmp_path_factory, corpus):
         tmp = tmp_path_factory.mktemp("versions")
-        v1, v2, v3 = tmp / "v1.json", tmp / "v2.json", tmp / "v3.json"
-        helpers.save_corpus_v1(corpus, v1)
-        helpers.save_corpus_v2(corpus, v2)
-        save_corpus(corpus, v3)
-        assert json.loads(v3.read_text())["version"] == 3
-        loaded = [load_corpus(v) for v in (v1, v2, v3)]
-        assert all(stored_fields(c) == stored_fields(corpus) for c in loaded)
-        for c in loaded:  # an older file saved again is written as v3
-            again = tmp / "again.json"
-            save_corpus(c, again)
-            assert again.read_bytes() == v3.read_bytes()
+        path, again = tmp / "c.json", tmp / "again.json"
+        save_corpus(corpus, path)
+        assert json.loads(path.read_text())["version"] == 3
+        loaded = load_corpus(path)
+        assert stored_fields(loaded) == stored_fields(corpus)
+        save_corpus(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "c.json"
@@ -680,12 +703,25 @@ class TestVersions:
 
     @pytest.mark.parametrize("version", [True, 3.0])
     def test_version_must_be_a_json_integer(self, tmp_path, version):
-        # true read as version 1, and 3.0 as version 3
+        # true == 1 and 3.0 == 3 in Python, but neither is a JSON integer
         path = tmp_path / "c.json"
         save_corpus(make_corpus([[1, 2], [3, 4]]), path)
         payload = dict(json.loads(path.read_text()), version=version)
         path.write_text(json.dumps(payload))
-        message = f"^unsupported corpus version {version}: {re.escape(str(path))}$"
+        message = helpers.version_refused("corpus", version, path, "ingest", 3)
+        with pytest.raises(ValueError, match=message):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("version, counts", [
+        (1, {"triplets": [[0, 0, 1], [2, 0, 3], [0, 2, 2], [1, 2, 1]]}),
+        (2, {"indptr": [0, 2, 2, 4], "indices": [0, 2, 0, 1], "data": [1, 3, 2, 1]})])
+    def test_old_versions_refused(self, tmp_path, version, counts):
+        # version 1 held [word, patient, count] triplets, version 2 the CSC
+        # arrays as JSON lists; `ingest` writes them again as version 3
+        path = tmp_path / "c.json"
+        payload = corpus_payload(version=version, indptr=None, indices=None, data=None)
+        path.write_text(json.dumps({**payload, **counts}))
+        message = helpers.version_refused("corpus", version, path, "ingest", 3)
         with pytest.raises(ValueError, match=message):
             load_corpus(path)
 
@@ -701,11 +737,9 @@ class TestVersions:
         assert raw == np.array([largest, 1, 1, largest], dtype=dtype).tobytes()
         assert load_corpus(path).data.tolist() == [largest, 1, 1, largest]
 
-    @pytest.mark.parametrize("write", [helpers.save_corpus_v1, helpers.save_corpus_v2,
-                                       save_corpus])
-    def test_loaded_arrays_are_owned_and_writable(self, tmp_path, write):
+    def test_loaded_arrays_are_owned_and_writable(self, tmp_path):
         path = tmp_path / "c.json"
-        write(make_corpus([[1, 0, 2], [0, 0, 1], [3, 0, 0]]), path)
+        save_corpus(make_corpus([[1, 0, 2], [0, 0, 1], [3, 0, 0]]), path)
         c = load_corpus(path)
         for a, dtype in ((c.data, np.int64), (c.indices, np.int32), (c.indptr, np.int32)):
             assert a.dtype == dtype and a.base is None and a.flags.writeable
@@ -718,14 +752,24 @@ def packed(values, dtype="<u8"):
     return {"dtype": dtype, "base64": base64.b64encode(raw).decode()}
 
 
-def corpus_payload(**changes):
-    """A version-2 payload of 3 words x 3 patients (the middle one has no
-    counts) with some fields replaced; a field set to None is dropped."""
-    payload = {"format": "sawtopics-corpus", "version": 2, "words": ["a", "b", "c"],
+def corpus_payload(dtype=None, **changes):
+    """A version-3 payload of 3 words x 3 patients (the middle one has no
+    counts) with some fields replaced; a field set to None is dropped. Each
+    count array given as a list of integers is packed in ``dtype``, or by
+    default in the narrowest unsigned type that holds it, as ``save_corpus``
+    packs it (a list with a negative value, which none holds, in <u8); a
+    list of other values is left a JSON list."""
+    payload = {"format": "sawtopics-corpus", "version": 3, "words": ["a", "b", "c"],
                "bin_edges": {}, "patient_ids": ["p1", "p2", "p3"], "times": [1.0, 2.0, 3.0],
                "observed": [1, 0, 1], "indptr": [0, 2, 2, 4], "indices": [0, 2, 0, 1],
                "data": [1, 3, 2, 1]}
     payload.update(changes)
+    for key in ("indptr", "indices", "data"):
+        values = payload[key]
+        if isinstance(values, list) and all(type(v) is int for v in values):
+            narrowest = next((t for t in ("<u1", "<u2", "<u4") if min(values, default=0) >= 0
+                              and max(values, default=0) <= np.iinfo(t).max), "<u8")
+            payload[key] = packed(values, dtype or narrowest)
     return {k: v for k, v in payload.items() if v is not None}
 
 
@@ -751,8 +795,9 @@ MALFORMED = {
     "index past d": (dict(indices=[0, 3, 0, 1]), "outside"),
     "index repeats in a column": (dict(indices=[0, 0, 0, 1]), "increase strictly"),
     "indices out of order": (dict(indices=[0, 2, 1, 0]), "increase strictly"),
-    "indices not integers": (dict(indices=[0, 2.0, 0, 1]), "list of integers"),
-    "indices nested": (dict(indices=[0, [2], 0, 1]), "list of integers"),
+    # JSON lists, which no packed array holds
+    "indices not integers": (dict(indices=[0, 2.0, 0, 1]), "indices is missing or not a JSON obj"),
+    "indices nested": (dict(indices=[0, [2], 0, 1]), "indices is missing or not a JSON obj"),
     "negative count": (dict(data=[1, -3, 2, 1]), "nonnegative"),
     "index wraps as int32": (dict(indices=[0, 2 ** 32 + 2, 0, 1]), "outside"),
     "times length": (dict(times=[1.0, 2.0]), "aligned"),
@@ -773,15 +818,10 @@ BAD_TYPES = {
 }
 
 
-def v3_payload(**changes):
-    """``corpus_payload(**changes)`` as a version-3 payload."""
-    payload = dict(corpus_payload(**changes), version=3)
-    return {k: packed(v) if k in ("indptr", "indices", "data") and isinstance(v, list) else v
-            for k, v in payload.items()}
+def wide_payload(**changes):
+    """``corpus_payload(**changes)`` with each count array packed as <u8."""
+    return corpus_payload("<u8", **changes)
 
-
-# cases of JSON-list type errors, which a packed array cannot hold
-LIST_ONLY = ("indices not integers", "indices nested")
 
 # a version-3 count array that is not a packed array of unsigned integers
 BAD_PACKED = {
@@ -820,11 +860,12 @@ class TestMalformedFiles:
             load_corpus(path)
         assert re.search(message, str(info.value))
 
-    @pytest.mark.parametrize("case", [c for c in MALFORMED if c not in LIST_ONLY])
+    @pytest.mark.parametrize("case", MALFORMED)
     def test_v3_rejected_with_file_name(self, tmp_path, case):
+        # the same cases with each count array packed in the widest type
         changes, message = MALFORMED[case]
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(v3_payload(**changes)))
+        path.write_text(json.dumps(wide_payload(**changes)))
         with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: ")) as info:
             load_corpus(path)
         assert re.search(message, str(info.value))
@@ -833,7 +874,7 @@ class TestMalformedFiles:
     def test_bad_packed_array_rejected_with_file_name(self, tmp_path, case):
         changes, message = BAD_PACKED[case]
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**v3_payload(), **changes}))
+        path.write_text(json.dumps({**wide_payload(), **changes}))
         with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: ")) as info:
             load_corpus(path)
         assert re.search(message, str(info.value))
@@ -846,7 +887,7 @@ class TestMalformedFiles:
 
     def test_the_base_v3_payload_loads(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(v3_payload()))
+        path.write_text(json.dumps(wide_payload()))
         assert helpers.dense(load_corpus(path)).tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
 
     @pytest.mark.parametrize("case", ["negative count", "data shorter than indices",
@@ -863,72 +904,22 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=message):
             load_corpus(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_counts_built_on_first_read(self, tmp_path, version):
+    def test_counts_built_on_first_read(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(corpus_payload()))
-        if version == 1:
-            helpers.save_corpus_v1(load_corpus(path), path)
-        if version == 3:
-            save_corpus(load_corpus(path), path)
+        save_corpus(load_corpus(path), path)
         c = load_corpus(path)
         assert (c.n_words, c.n_docs, c.doc_lengths.tolist()) == (3, 3, [4, 0, 3])
         assert helpers.dense(c).tolist() == [[1, 0, 2], [0, 0, 1], [3, 0, 0]]
 
-    @pytest.mark.parametrize("triplets, error", [
-        ([[2, 0, 1], [0, 2, 1], [0, 0, 1], [0, 0, 2]], None),  # out of order, one cell twice
-        ([[3, 0, 1]], "triplet index outside the 3 x 3 matrix"),
-        ([[0, -1, 1]], "triplet index outside the 3 x 3 matrix")])
-    def test_v1_triplets_summed_like_scipy(self, tmp_path, triplets, error):
-        payload = corpus_payload(version=1, indptr=None, indices=None, data=None,
-                                 triplets=triplets)
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(payload))
-        if error:
-            with pytest.raises(ValueError, match=re.escape(error)):
-                load_corpus(path)
-            return
-        t = np.array(triplets)
-        want = sparse.coo_matrix((t[:, 2], (t[:, 0], t[:, 1])), shape=(3, 3)).tocsc()
-        got = load_corpus(path)
-        assert [a.tolist() for a in (got.indptr, got.indices, got.data)] == \
-            [a.tolist() for a in (want.indptr, want.indices, want.data)]
-
-    @pytest.mark.parametrize("triplets", [[[0, 0, 2.7]], [[0, 0]], [[0, 0, 1], [0, 1]],
-                                          [["0", 0, 1]]])
-    def test_v1_triplets_must_be_integer_triplets(self, tmp_path, triplets):
-        # a count of 2.7 is refused, not truncated to 2
-        payload = corpus_payload(version=1, indptr=None, indices=None, data=None,
-                                 triplets=triplets)
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(
-                f"bad corpus file {path}: triplets must be a list of [word, patient, count] "
-                "integer triplets")):
-            load_corpus(path)
-
-    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("case", BAD_TYPES)
-    def test_field_value_types_checked(self, tmp_path, case, version):
+    def test_field_value_types_checked(self, tmp_path, case):
         key, bad, message = BAD_TYPES[case]
         path = tmp_path / "c.json"
-        if version == 1:
-            helpers.save_corpus_v1(make_corpus(np.ones((2, 3), dtype=int)), path)
-            payload = json.loads(path.read_text())
-        else:
-            payload = corpus_payload() if version == 2 else v3_payload()
+        payload = corpus_payload()
         payload[key] = [bad] * len(payload[key])
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"bad corpus file {path}: {message}")):
-            load_corpus(path)
-
-    def test_repeated_patient_id_in_a_v1_file(self, tmp_path):
-        path = tmp_path / "c.json"
-        helpers.save_corpus_v1(make_corpus(np.ones((2, 3), dtype=int)), path)
-        payload = json.loads(path.read_text())
-        payload["patient_ids"][2] = payload["patient_ids"][0]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"bad corpus file .*duplicate patient id.*p000"):
             load_corpus(path)
 
 

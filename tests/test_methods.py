@@ -8,8 +8,7 @@ from scipy import sparse
 
 from sawtopics.cli import _write_predictions
 from sawtopics.corpus import Corpus, load_corpus, normalize_columns, save_corpus, subset
-from sawtopics.methods import (RETIRED_CONFIG_KEYS, _decode_matrix, fit_method, load_model,
-                               predict_model, save_model)
+from sawtopics.methods import fit_method, load_model, predict_model, save_model
 from sawtopics.saw import SawConfig
 from sawtopics.survival import predict_median
 from sawtopics.synthgen import generate_dataset
@@ -72,7 +71,7 @@ def test_model_version_must_be_a_json_integer(corpus, tmp_path, version):
     save_model(fit_method(corpus, "km", SawConfig()), path)
     payload = dict(json.loads(path.read_text()), version=version)
     path.write_text(json.dumps(payload))
-    message = f"^unsupported model version {version}: {re.escape(str(path))}$"
+    message = helpers.version_refused("model", version, path, "train", 1)
     with pytest.raises(ValueError, match=message):
         load_model(path)
 
@@ -92,14 +91,15 @@ def design_risk(model, c):
     return doc_topic_features(model.topic_model.theta, Xbar) @ model.cox.beta
 
 
-@pytest.mark.parametrize("source", ["v2 file", "v1 file", "subset"])
+@pytest.mark.parametrize("source", ["v2 file", "subset"])
 @pytest.mark.parametrize("method", ["saw", "usaw", "encox"])
 def test_per_word_score_is_the_design_risk(corpus, cox_models, tmp_path, method, source):
+    # "v2 file": the corpus as save_corpus writes it (version 3 since)
     model, path = cox_models[method], tmp_path / "c.json"
     if source == "subset":
         c = subset(corpus, np.arange(1, corpus.n_docs, 3))
     else:
-        (save_corpus if source == "v2 file" else helpers.save_corpus_v1)(corpus, path)
+        save_corpus(corpus, path)
         c = load_corpus(path)
     preds = predict_model(model, c)
     risk = design_risk(model, c)
@@ -125,22 +125,17 @@ def test_encox_scores_the_sparse_design(corpus):
     assert np.abs(predict_model(model, corpus).risk - dense).max() <= 1e-12
 
 
-def test_matrix_encoding_round_trip():
-    # theta and A are written dense; files written before hold triplets
-    rng = np.random.default_rng(0)
-    dense = rng.uniform(size=(6, 4))
-    assert np.array_equal(_decode_matrix({"A": {"dense": dense.tolist()}}, "A", (6, 4)), dense)
-
-    sparse = np.zeros((10, 5))
-    sparse[0, 1] = 2.5
-    sparse[7, 3] = -1.25
-    trips = {"shape": [10, 5], "triplets": [[0, 1, 2.5], [7, 3, -1.25]]}
-    assert np.array_equal(_decode_matrix({"A": trips}, "A", (10, 5)), sparse)
-    for bad in ([-1, 1, 2.5], [10, 1, 2.5], [0, 5, 2.5], [0.0, 1, 2.5]):
-        with pytest.raises(ValueError, match="outside"):
-            _decode_matrix({"A": dict(trips, triplets=[bad])}, "A", (10, 5))
-    with pytest.raises(ValueError, match="shape"):
-        _decode_matrix({"A": dict(trips, shape=[10, 6])}, "A", (10, 5))
+def test_matrix_encoding_round_trip(cox_models, tmp_path):
+    # theta and A are written as their dense rows and read back exactly
+    path = tmp_path / "m.json"
+    for model in (cox_models["saw"], cox_models["usaw"]):
+        tm = model.topic_model
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert (payload["theta"], payload["A"]) == ({"dense": tm.theta.tolist()},
+                                                    {"dense": tm.A.tolist()})
+        back = load_model(path).topic_model
+        assert np.array_equal(back.theta, tm.theta) and np.array_equal(back.A, tm.A)
 
 
 def as_triplets(M):
@@ -151,26 +146,33 @@ def as_triplets(M):
             "triplets": [[int(r), int(c), float(M[r, c])] for r, c in zip(*np.nonzero(M))]}
 
 
+# solver settings that saw/usaw config blocks carried before they left SawConfig
+RETIRED_CONFIG = {"theta_step": 1.0, "theta_iters": 100, "recover_tol": 1e-10,
+                  "recover_iters": 4000, "beta_tol": 1e-9, "beta_iters": 10000}
+
+
+@pytest.mark.parametrize("method, change, message", [
+    ("saw", lambda p: p.update(theta=as_triplets(p["theta"]["dense"])), "missing key 'dense'"),
+    ("usaw", lambda p: p.update(A=as_triplets(p["A"]["dense"])), "missing key 'dense'"),
+    ("saw", lambda p: p["config"].update(RETIRED_CONFIG), "unexpected keyword argument"),
+    ("usaw", lambda p: p["config"].update(theta_step=1.0), "unexpected keyword argument"),
+])
+def test_old_model_forms_refused(cox_models, tmp_path, method, change, message):
+    # version-1 files written before theta and A were dense, or while the
+    # config block held solver settings; `train` writes them again
+    path = tmp_path / "m.json"
+    save_model(cox_models[method], path)
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: .*{message}"):
+        load_model(path)
+
+
 def predictions_bytes(model, corpus, tmp_path) -> bytes:
     out = tmp_path / "preds.csv"
     _write_predictions(out, predict_model(model, corpus))
     return out.read_bytes()
-
-
-@pytest.mark.parametrize("method", ["saw", "usaw"])
-def test_triplet_matrices_predict_as_their_dense_resave(corpus, cox_models, tmp_path, method):
-    path, dense = tmp_path / "old.json", tmp_path / "dense.json"
-    save_model(cox_models[method], dense)
-    payload = json.loads(dense.read_text())
-    payload.update(theta=as_triplets(payload["theta"]["dense"]),
-                   A=as_triplets(payload["A"]["dense"]))
-    assert len(payload["theta"]["triplets"]) < np.size(cox_models[method].topic_model.theta)
-    path.write_text(json.dumps(payload))
-    old = load_model(path)
-    save_model(old, tmp_path / "resaved.json")
-    assert (tmp_path / "resaved.json").read_bytes() == dense.read_bytes()
-    assert (predictions_bytes(old, corpus, tmp_path)
-            == predictions_bytes(load_model(dense), corpus, tmp_path))
 
 
 def fuzzed(payload):
@@ -197,14 +199,6 @@ def fuzzed(payload):
         for bad in (len(payload["words"]), -1):
             anchors = dict(payload["anchors"], indices=[bad] + payload["anchors"]["indices"][1:])
             yield f"anchor {bad}", {**payload, "anchors": anchors}
-    for key in ("theta", "A"):
-        if "triplets" in payload.get(key, {}):
-            rows, cols = payload[key]["shape"]
-            for j, bad in ((0, rows), (0, -1), (1, cols), (1, -1)):
-                trips = [list(t) for t in payload[key]["triplets"]]
-                trips[0][j] = bad
-                matrix = dict(payload[key], triplets=trips)
-                yield f"{key} triplet index {bad}", {**payload, key: matrix}
 
 
 @pytest.mark.parametrize("method", ["saw", "usaw", "encox", "km"])
@@ -217,23 +211,17 @@ def test_model_file_fuzz_refused_or_unchanged(corpus, cox_models, tmp_path, meth
     path = tmp_path / "m.json"
     save_model(model, path)
     want = predictions_bytes(model, corpus, tmp_path)
-    payload = json.loads(path.read_text())
-    forms = [payload]
-    if method in ("saw", "usaw"):
-        forms.append({**payload, "theta": as_triplets(payload["theta"]["dense"]),
-                      "A": as_triplets(payload["A"]["dense"])})
     refused = 0
-    for form in forms:
-        for where, bad in fuzzed(form):
-            path.write_text(json.dumps(bad))
-            try:
-                loaded = load_model(path)
-            except ValueError as exc:
-                assert str(path) in str(exc), (where, exc)
-                refused += 1
-                continue
-            assert not where.startswith(("trace.", "anchors.", "lam ", "alpha ")), where
-            assert predictions_bytes(loaded, corpus, tmp_path) == want, where
+    for where, bad in fuzzed(json.loads(path.read_text())):
+        path.write_text(json.dumps(bad))
+        try:
+            loaded = load_model(path)
+        except ValueError as exc:
+            assert str(path) in str(exc), (where, exc)
+            refused += 1
+            continue
+        assert not where.startswith(("trace.", "anchors.", "lam ", "alpha ")), where
+        assert predictions_bytes(loaded, corpus, tmp_path) == want, where
     assert refused > 0
 
 
@@ -314,31 +302,6 @@ def test_saved_trace_survives_round_trip(corpus, tmp_path):
     assert back.topic_model.anchors.indices == model.topic_model.anchors.indices
     assert back.topic_model.anchors.stability == model.topic_model.anchors.stability
     assert np.array_equal(back.topic_model.residuals, model.topic_model.residuals)
-
-
-def test_retired_config_keys_ignored_on_load(corpus, tmp_path):
-    # saw/usaw files written before these solver settings left SawConfig
-    # carry them in the config block with their then-fixed defaults
-    model = fit_method(corpus, "saw", SawConfig(k=3, lam=0.1, seed=31, max_outer_iters=5))
-    path = tmp_path / "m.json"
-    save_model(model, path)
-    payload = json.loads(path.read_text())
-    old = {"theta_step": 1.0, "theta_iters": 100, "recover_tol": 1e-10,
-           "recover_iters": 4000, "beta_tol": 1e-9, "beta_iters": 10000}
-    assert set(old) == set(RETIRED_CONFIG_KEYS)
-    assert not set(old) & set(payload["config"])
-    payload["config"].update(old)
-    path.write_text(json.dumps(payload))
-    loaded = load_model(path)
-    assert loaded.config == model.config
-    before, after = predict_model(model, corpus), predict_model(loaded, corpus)
-    assert np.array_equal(before.risk, after.risk)
-    assert np.array_equal(before.median, after.median)
-    assert np.array_equal(before.saturated, after.saturated)
-    payload["config"]["inner_step"] = 1.0
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: .*inner_step"):
-        load_model(path)
 
 
 @pytest.mark.parametrize("method", ["saw", "encox"])

@@ -148,13 +148,14 @@ class TestGenerateDataset:
         assert back.anchor_indices == truth.anchor_indices
 
     @pytest.mark.parametrize("field, value, message", [
-        ("format", "sawtopics-model", "not a ground-truth file"),
-        ("version", 2, "unsupported ground-truth version 2"),
+        ("format", "sawtopics-model", "not a ground-truth file: {path}"),
+        ("version", 2, "unsupported ground-truth version 2: {path}; "
+                       "`sawtopics synth` writes version 1"),
     ])
     def test_truth_file_checked(self, tmp_path, field, value, message):
         path = tmp_path / "truth.json"
         path.write_text(json.dumps({"format": "sawtopics-truth", "version": 1, field: value}))
-        with pytest.raises(ValueError, match=f"^{message}: {re.escape(str(path))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
             load_ground_truth(path)
 
     def test_theta_star_oracle_shape(self):
