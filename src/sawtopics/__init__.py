@@ -14,9 +14,9 @@ from .corpus import (Corpus, Events, IngestConfig, SurvivalLabels, Vocabulary,
                      build_corpus, load_corpus, load_events, mean_word_score,
                      normalize_columns, save_corpus, split, subset, vocabulary_hash)
 from .evaluation import CvResult, Metrics, c_index, compute_metrics, cross_validate, rmse_mae
-from .methods import (EncoxModel, KmModel, fit_encox, fit_km, fit_method,
-                      load_model, predict_model, save_model)
-from .saw import FitTrace, Predictions, SawConfig, SawModel, fit_saw, fit_usaw, predict
+from .methods import (EncoxModel, KmModel, Predictions, fit_encox, fit_km, fit_method,
+                      load_model, predict, save_model)
+from .saw import FitTrace, SawConfig, SawModel, fit_saw, fit_usaw
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, breslow_baseline,
                        fit_elastic_net_cox, kaplan_meier, predict_median)
 from .synthgen import (GroundTruth, generate_corpus, generate_dataset,
@@ -37,7 +37,7 @@ __all__ = [
     "generate_corpus", "generate_dataset", "generate_survival",
     "generate_topic_model", "kaplan_meier", "kl_divergence", "load_corpus", "load_events",
     "load_model", "mean_word_score", "normalize_columns", "predict",
-    "predict_median", "predict_model", "recover_topics_unsupervised", "recover_word_topic_matrix",
+    "predict_median", "recover_topics_unsupervised", "recover_word_topic_matrix",
     "rmse_mae", "save_corpus", "save_model", "split", "stable_anchors", "subset",
     "vocabulary_hash",
 ]

@@ -199,7 +199,7 @@ def _cmd_predict(resolved: dict) -> tuple[Path, str]:
     model = methods.load_model(resolved["model"])
     corpus = load_corpus(resolved["corpus"])
     out = Path(resolved["out"])
-    _write_predictions(out, methods.predict_model(model, corpus))
+    _write_predictions(out, methods.predict(model, corpus))
     return _beside(out), f"wrote predictions for {corpus.n_docs} patients to {out}\n"
 
 

@@ -31,7 +31,7 @@ import math
 from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -300,6 +300,14 @@ def _stripped_codes(values: list[str]) -> tuple[list[str], np.ndarray]:
     return distinct, position[codes]
 
 
+def _used(values: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The values that ``codes`` name, in order, and the codes renumbered
+    among them."""
+    used = np.bincount(codes, minlength=len(values)) > 0
+    rank = (np.cumsum(used) - 1).astype(_code_type(int(np.count_nonzero(used))))
+    return list(itertools.compress(values, used)), rank[codes]
+
+
 class _MergedColumn:
     """One coded column, merged from the (sorted distinct values, codes) of
     consecutive blocks as each arrives: a block's codes become at once those
@@ -378,8 +386,9 @@ def _parse_block(text: str, start: int, cutoff: float | None):
     header skipped only at row 0, parsed. If one is malformed or not valid
     UTF-8: the 1-based input row number of the first such row and what is
     wrong with it. Else: the number of rows at or after ``cutoff`` (None: no
-    cutoff), which are dropped, and the (sorted distinct stripped values,
-    codes) of each string column, the codes of the kept rows only."""
+    cutoff), which are dropped once every row is checked, and the (sorted
+    distinct stripped values, codes) of each string column, of the kept rows
+    only."""
     rows = text.split("\n")  # read with universal newlines, so no "\r" is left
     valid = len(rows)  # the rows before the first that is not UTF-8
     if not all(map(str.isascii, rows)):
@@ -415,7 +424,7 @@ def _parse_block(text: str, start: int, cutoff: float | None):
         kept = time < cutoff
         n_cut = int(kept.size - np.count_nonzero(kept))
         if n_cut:
-            columns = [(values, codes[kept]) for values, codes in columns]
+            columns = [_used(values, codes[kept]) for values, codes in columns]
     return n_cut, *columns
 
 
@@ -467,44 +476,40 @@ def load_events(path, cutoff: float | None = None) -> Events:
     return Events(*(column.column() for column in merged), n_cut)
 
 
-def read_labels(rows: Iterable[str]) -> dict[str, tuple[float, bool]]:
-    """Parse 3-column label rows: patient_id, time (positive, days), event 0/1.
-    A patient labelled twice is an error naming both rows, and a row that is
-    not valid UTF-8 (holds a lone surrogate) is an error."""
+def load_labels(path) -> dict[str, tuple[float, bool]]:
+    """Parse a UTF-8 file (a byte order mark is skipped) of 3-column label
+    rows: patient_id, time (positive, days), event 0/1. Blank rows and a
+    header row at the top are skipped. A patient labelled twice is an error
+    naming both rows, and a row that is not valid UTF-8 (holds a lone
+    surrogate) is an error."""
     out: dict[str, tuple[float, bool]] = {}
     row_of: dict[str, int] = {}
-    for rownum, raw in enumerate(rows, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if not _is_utf8(line):
-            raise EventParseError(rownum, "not valid UTF-8")
-        fields = _fields(line)
-        if len(fields) != 3:
-            raise EventParseError(rownum, f"expected 3 fields, got {len(fields)}")
-        pid, y_s, r_s = fields
-        y = _try_float(y_s)
-        if y is None:
-            if rownum == 1 and not out and _try_float(r_s) is None:
-                continue  # header row
-            raise EventParseError(rownum, f"unparseable time {y_s!r}")
-        if not math.isfinite(y) or y <= 0:
-            raise EventParseError(rownum, f"label time must be finite and > 0, got {y_s!r}")
-        r = _try_float(r_s)
-        if r is None or r not in (0.0, 1.0):
-            raise EventParseError(rownum, f"event indicator must be 0 or 1, got {r_s!r}")
-        if pid in row_of:
-            raise EventParseError(
-                rownum, f"duplicate patient id {pid!r}, first labelled at row {row_of[pid]}")
-        row_of[pid] = rownum
-        out[pid] = (y, bool(r))
-    return out
-
-
-def load_labels(path) -> dict[str, tuple[float, bool]]:
-    """``read_labels`` of the rows of a UTF-8 file (a byte order mark is skipped)."""
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return read_labels(fh)
+        for rownum, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            if not _is_utf8(line):
+                raise EventParseError(rownum, "not valid UTF-8")
+            fields = _fields(line)
+            if len(fields) != 3:
+                raise EventParseError(rownum, f"expected 3 fields, got {len(fields)}")
+            pid, y_s, r_s = fields
+            y = _try_float(y_s)
+            if y is None:
+                if rownum == 1 and _try_float(r_s) is None:
+                    continue  # header row
+                raise EventParseError(rownum, f"unparseable time {y_s!r}")
+            if not math.isfinite(y) or y <= 0:
+                raise EventParseError(rownum, f"label time must be finite and > 0, got {y_s!r}")
+            r = _try_float(r_s)
+            if r is None or r not in (0.0, 1.0):
+                raise EventParseError(rownum, f"event indicator must be 0 or 1, got {r_s!r}")
+            if pid in row_of:
+                raise EventParseError(
+                    rownum, f"duplicate patient id {pid!r}, first labelled at row {row_of[pid]}")
+            row_of[pid] = rownum
+            out[pid] = (y, bool(r))
+    return out
 
 
 def _fitting(top: int):

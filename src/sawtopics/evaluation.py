@@ -25,8 +25,9 @@ from functools import partial
 import numpy as np
 
 from .corpus import Corpus, design_is_dense, subset
+from .methods import predict
 from .parallel import forked_imap
-from .saw import SawConfig, SawModel, fit_saw, predict
+from .saw import SawConfig, SawModel, fit_saw
 from .seeding import derive_seed
 from .survival import SurvivalLabels
 

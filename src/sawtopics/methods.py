@@ -3,8 +3,10 @@
 Four methods share one versioned model file format and one predictions
 format: the joint fit (saw), the two-stage baseline (usaw), elastic-net Cox
 directly on normalized word frequencies (encox), and Kaplan-Meier (km).
-The km baseline predicts the same median for everyone and has no risk
-ordering, so its risk scores are NaN.
+``predict`` scores every method: a Cox model's risk is each patient's mean
+over its tokens of the model's per-word score, ``word_score``. The km
+baseline predicts the same median for everyone and has no risk ordering, so
+its risk scores are NaN.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import numpy as np
 from .anchors import AnchorSet
 from .corpus import (Corpus, Vocabulary, flat_array, mean_word_score, normalize_columns,
                      read_json, vocabulary_hash, write_json)
-from .saw import (FitTrace, Predictions, SawConfig, SawModel, cox_predictions, fit_saw,
-                  fit_usaw, predict)
+from .saw import FitTrace, SawConfig, SawModel, fit_saw, fit_usaw
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, fit_elastic_net_cox,
-                       kaplan_meier)
+                       kaplan_meier, predict_median)
 from .topics import TopicModel
 
 MODEL_FORMAT = "sawtopics-model"
@@ -40,6 +41,7 @@ class EncoxModel:
             raise ValueError(f"want one beta per word: {self.cox.beta.shape} for {len(self.vocab)}")
 
     vocab_hash = property(lambda self: vocabulary_hash(self.vocab))
+    word_score = property(lambda self: self.cox.beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,21 +63,28 @@ def fit_km(corpus: Corpus) -> KmModel:
     return KmModel(curve, median, saturated, vocabulary_hash(corpus.vocab))
 
 
-def predict_encox(model: EncoxModel, corpus: Corpus) -> Predictions:
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    patient_ids: tuple[str, ...]
+    risk: np.ndarray
+    median: np.ndarray
+    saturated: np.ndarray
+
+
+def predict(model, corpus: Corpus) -> Predictions:
+    """Risk scores and median survival times for ``corpus``. A km model
+    gives every patient its median and a NaN risk. Any other model needs a
+    corpus built on its vocabulary: the risk is each patient's mean over its
+    tokens of ``model.word_score``, and the medians are those its Cox
+    baseline gives that risk."""
+    if isinstance(model, KmModel):
+        n = corpus.n_docs
+        return Predictions(corpus.patient_ids, np.full(n, np.nan), np.full(n, model.median),
+                           np.full(n, model.saturated, dtype=bool))
     if vocabulary_hash(corpus.vocab) != model.vocab_hash:
         raise ValueError("vocabulary mismatch between model and corpus")
-    return cox_predictions(model.cox, mean_word_score(corpus, model.cox.beta),
-                           corpus.patient_ids)
-
-
-def predict_km(model: KmModel, corpus: Corpus) -> Predictions:
-    n = corpus.n_docs
-    return Predictions(
-        corpus.patient_ids,
-        np.full(n, np.nan),
-        np.full(n, model.median),
-        np.full(n, model.saturated, dtype=bool),
-    )
+    risk = mean_word_score(corpus, model.word_score)
+    return Predictions(corpus.patient_ids, risk, *predict_median(model.cox, risk))
 
 
 def _numbers(values, name: str) -> np.ndarray:
@@ -183,33 +192,23 @@ def _read_km(payload: dict) -> KmModel:
 
 @dataclass(frozen=True)
 class Method:
-    """How one method fits and predicts, and writes and reads its fields of
-    the model file. ``fit`` and ``predict`` look functions up as module
-    globals at call time, so wrappers installed on module attributes after
-    import (``perfbench/tracing.py``) see every call."""
+    """How one method fits, and writes and reads its fields of the model
+    file. ``fit`` looks its fitter up as a module global at call time, so
+    wrappers installed on module attributes after import
+    (``perfbench/tracing.py``) see every call."""
 
     fit: Callable[[Corpus, SawConfig], object]
-    predict: Callable[[object, Corpus], Predictions]
     write: Callable[[object], dict]
     read: Callable[[dict], object]
     cv: bool = False  # cross-validated over (k, lam, alpha) by ``cli cv``
 
 
 METHODS: dict[str, Method] = {
-    "saw": Method(lambda c, cfg: fit_saw(c, cfg), lambda m, c: predict(m, c),
-                  _write_saw, _read_saw, cv=True),
-    "usaw": Method(lambda c, cfg: fit_usaw(c, cfg), lambda m, c: predict(m, c),
-                   _write_saw, _read_saw, cv=True),
-    "encox": Method(lambda c, cfg: fit_encox(c, cfg.lam, cfg.alpha),
-                    lambda m, c: predict_encox(m, c), _write_encox, _read_encox),
-    "km": Method(lambda c, cfg: fit_km(c), lambda m, c: predict_km(m, c), _write_km, _read_km),
+    "saw": Method(lambda c, cfg: fit_saw(c, cfg), _write_saw, _read_saw, cv=True),
+    "usaw": Method(lambda c, cfg: fit_usaw(c, cfg), _write_saw, _read_saw, cv=True),
+    "encox": Method(lambda c, cfg: fit_encox(c, cfg.lam, cfg.alpha), _write_encox, _read_encox),
+    "km": Method(lambda c, cfg: fit_km(c), _write_km, _read_km),
 }
-
-
-def _method_of(model, action: str) -> Method:
-    if getattr(model, "method", None) not in METHODS:
-        raise TypeError(f"cannot {action} {type(model).__name__}")
-    return METHODS[model.method]
 
 
 def fit_method(corpus: Corpus, method: str, config: SawConfig):
@@ -218,13 +217,11 @@ def fit_method(corpus: Corpus, method: str, config: SawConfig):
     return METHODS[method].fit(corpus, config)
 
 
-def predict_model(model, corpus: Corpus) -> Predictions:
-    return _method_of(model, "predict with").predict(model, corpus)
-
-
 def save_model(model, path) -> None:
+    if getattr(model, "method", None) not in METHODS:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
     payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "method": model.method,
-               "vocab_hash": model.vocab_hash, **_method_of(model, "serialize").write(model)}
+               "vocab_hash": model.vocab_hash, **METHODS[model.method].write(model)}
     write_json(payload, path)
 
 

@@ -21,11 +21,9 @@ import numpy as np
 
 from .anchors import AnchorSet, default_candidates, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence
-from .corpus import (Corpus, Vocabulary, document_frequencies, mean_word_score, normalize_columns,
-                     vocabulary_hash)
+from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns, vocabulary_hash
 from .seeding import derive_seed
-from .survival import (CoxModel, SurvivalLabels, elastic_net_penalty, fit_elastic_net_cox,
-                       predict_median)
+from .survival import CoxModel, SurvivalLabels, elastic_net_penalty, fit_elastic_net_cox
 from .topics import (LOG_FLOOR, ConvergenceError, TopicModel, doc_topic_features, face_system,
                      kl_divergence, kl_residuals, newton_budget, recover_topics_unsupervised,
                      recover_word_topic_matrix, sum_plogp)
@@ -95,14 +93,7 @@ class SawModel:
         _check_feasible(tm.theta, tm.anchors)
 
     vocab_hash = property(lambda self: vocabulary_hash(self.vocab))
-
-
-@dataclass(frozen=True, eq=False)
-class Predictions:
-    patient_ids: tuple[str, ...]
-    risk: np.ndarray
-    median: np.ndarray
-    saturated: np.ndarray
+    word_score = property(lambda self: self.topic_model.theta @ self.cox.beta)
 
 
 def _check_feasible(theta: np.ndarray, anchors: AnchorSet) -> None:
@@ -286,19 +277,3 @@ def fit_usaw(corpus: Corpus, config: SawConfig) -> SawModel:
     Cox fit on their features; ``fit_saw`` with no outer iteration."""
     model = fit_saw(corpus, replace(config, max_outer_iters=0))
     return replace(model, config=config, method="usaw")
-
-
-def predict(model: SawModel, new_corpus: Corpus) -> Predictions:
-    """Risk scores and median survival predictions for a new corpus built
-    on the same vocabulary as the training data: the risk is each patient's
-    mean over its tokens of the per-word score theta @ beta."""
-    if vocabulary_hash(new_corpus.vocab) != model.vocab_hash:
-        raise ValueError("vocabulary mismatch between model and corpus")
-    u = model.topic_model.theta @ model.cox.beta
-    return cox_predictions(model.cox, mean_word_score(new_corpus, u), new_corpus.patient_ids)
-
-
-def cox_predictions(cox: CoxModel, risk: np.ndarray, patient_ids) -> Predictions:
-    """The risk scores and the median survival times they imply."""
-    median, saturated = predict_median(cox, risk)
-    return Predictions(patient_ids, risk, median, saturated)

@@ -40,7 +40,7 @@ from scipy.optimize import linprog
 
 from sawtopics.cooccur import CooccurrenceStats, row_normalize
 from sawtopics.corpus import (Corpus, EventParseError, Events, IngestConfig, SurvivalLabels,
-                              Vocabulary, load_events)
+                              Vocabulary, load_events, load_labels)
 from sawtopics.saw import _check_feasible
 from sawtopics.seeding import derive_seed
 from sawtopics.survival import RiskSets, elastic_net_penalty
@@ -413,15 +413,25 @@ def version_refused(kind: str, version, path, command: str, current: int) -> str
             f"`sawtopics {command}` writes version {current}$")
 
 
-def load_rows(lines: Iterable[str], cutoff: float | None = None) -> Events:
-    """``load_events(path, cutoff)`` of ``lines`` joined by "\\n" and written
-    as they are (no newline translation; a lone surrogate as the byte it
+def _read_lines(reader, lines: Iterable[str], *args):
+    """``reader(path, *args)`` of ``lines`` joined by "\\n" and written as
+    they are (no newline translation; a lone surrogate as the byte it
     escapes) to a file in a temporary directory, removed on return."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "events.csv")
+        path = os.path.join(tmp, "rows.csv")
         with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             fh.write("\n".join(lines))
-        return load_events(path, cutoff)
+        return reader(path, *args)
+
+
+def load_rows(lines: Iterable[str], cutoff: float | None = None) -> Events:
+    """``load_events(path, cutoff)`` of ``lines`` written to a file."""
+    return _read_lines(load_events, lines, cutoff)
+
+
+def load_label_rows(lines: Iterable[str]) -> dict[str, tuple[float, bool]]:
+    """``load_labels(path)`` of ``lines`` written to a file."""
+    return _read_lines(load_labels, lines)
 
 
 # Row-at-a-time ingest: the reference for corpus.load_events/build_corpus.

@@ -12,7 +12,8 @@ from sawtopics.cli import main as cli_main
 from sawtopics.cooccur import build_cooccurrence
 from sawtopics.corpus import SurvivalLabels, split
 from sawtopics.evaluation import c_index
-from sawtopics.saw import (OBJECTIVE_SLACK, SawConfig, fit_saw, fit_usaw, predict)
+from sawtopics.methods import predict
+from sawtopics.saw import OBJECTIVE_SLACK, SawConfig, fit_saw, fit_usaw
 from sawtopics.seeding import derive_seed
 from sawtopics.survival import breslow_baseline, kaplan_meier
 from sawtopics.synthgen import generate_dataset, generate_survival

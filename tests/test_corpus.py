@@ -17,10 +17,10 @@ from sawtopics import corpus as corpus_module
 from sawtopics.corpus import (CodedColumn, Corpus, EventParseError, Events, IngestConfig,
                               SurvivalLabels, Vocabulary, _frequency_variance, build_corpus,
                               design_is_dense, load_corpus, load_events, normalize_columns,
-                              read_labels, save_corpus, split, subset)
+                              save_corpus, split, subset)
 
 import helpers
-from helpers import load_rows, make_corpus
+from helpers import load_label_rows, load_rows, make_corpus
 
 
 def ev(pid, time, event, value):
@@ -161,6 +161,18 @@ class TestBuildCorpus:
                          {"p1": (1.0, True)}, IngestConfig(bins=1, min_doc_freq=1))
         assert c.vocab.words == ("hr:bin1",)
         assert c.doc_lengths.tolist() == [2]
+
+    def test_cutoff_drops_the_strings_only_cut_rows_hold(self):
+        # build_corpus parses each distinct value once: a cut row's are not kept
+        events = load_rows(["p1,1,hr,88", "p1,3,sex,f", "p2,1,hr,90", "p2,1.5,hr,91",
+                            "p3,4,hr,95"], 2.0)
+        assert [c.distinct.tolist() for c in (events.patients, events.names, events.values)] == \
+            [["p1", "p2"], ["hr"], ["88", "90", "91"]]
+        assert rows_of(events) == [("p1", "hr", "88"), ("p2", "hr", "90"), ("p2", "hr", "91")]
+        assert events.n_cut == 2
+        # a cut row is checked before it is dropped
+        with pytest.raises(EventParseError, match="^row 2: empty event name$"):
+            load_rows(["p1,1,hr,88", "p1,3,,f"], 2.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
@@ -925,15 +937,15 @@ class TestMalformedFiles:
 
 class TestLabelFile:
     def test_basic(self):
-        lab = read_labels(["patient_id,Y,R", "p1,5.5,1", "p2,2,0"])
+        lab = load_label_rows(["patient_id,Y,R", "p1,5.5,1", "p2,2,0"])
         assert lab == {"p1": (5.5, True), "p2": (2.0, False)}
 
     def test_bad_indicator(self):
         with pytest.raises(EventParseError):
-            read_labels(["p1,5.5,2"])
+            load_label_rows(["p1,5.5,2"])
 
     def test_blank_rows_skipped(self):
-        assert read_labels(["patient_id,Y,R", "", "p1,5,1", "  \r\n", "p2,3,0"]) == {
+        assert load_label_rows(["patient_id,Y,R", "", "p1,5,1", "  \r\n", "p2,3,0"]) == {
             "p1": (5.0, True), "p2": (3.0, False)}
 
     @pytest.mark.parametrize("row, message", [
@@ -947,13 +959,13 @@ class TestLabelFile:
     ])
     def test_bad_row_named(self, row, message):
         with pytest.raises(EventParseError) as err:
-            read_labels(["patient_id,Y,R", "p1,5,1", "", row, "p3,4,1"])
+            load_label_rows(["patient_id,Y,R", "p1,5,1", "", row, "p3,4,1"])
         assert str(err.value) == f"row 4: {message}" and err.value.row == 4
 
     def test_repeated_patient_names_both_rows(self):
         with pytest.raises(EventParseError, match="row 4: duplicate patient id 'p1', "
                                                    "first labelled at row 2") as err:
-            read_labels(["patient_id,Y,R", "p1,5,1", "p2,3,0", "p1,9,0"])
+            load_label_rows(["patient_id,Y,R", "p1,5,1", "p2,3,0", "p1,9,0"])
         assert err.value.row == 4
 
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import sawtopics
 from sawtopics.cli import _write_predictions
-from sawtopics.corpus import Corpus, load_corpus, normalize_columns, save_corpus, subset
-from sawtopics.methods import fit_method, load_model, predict_model, save_model
+from sawtopics.corpus import (Corpus, load_corpus, mean_word_score, normalize_columns,
+                              save_corpus, subset)
+from sawtopics.methods import METHODS, fit_method, load_model, predict, save_model
 from sawtopics.saw import SawConfig
 from sawtopics.survival import predict_median
 from sawtopics.synthgen import generate_dataset
@@ -30,11 +32,11 @@ def corpus():
 def test_loaded_model_predicts_identically(corpus, tmp_path, method):
     cfg = SawConfig(k=3, lam=0.1, alpha=0.5, seed=31, max_outer_iters=5)
     model = fit_method(corpus, method, cfg)
-    before = predict_model(model, corpus)
+    before = predict(model, corpus)
     path = tmp_path / "m.json"
     save_model(model, path)
     loaded = load_model(path)
-    after = predict_model(loaded, corpus)
+    after = predict(loaded, corpus)
     assert before.patient_ids == after.patient_ids
     assert np.array_equal(before.risk, after.risk, equal_nan=True)
     assert np.array_equal(before.median, after.median)
@@ -91,6 +93,26 @@ def design_risk(model, c):
     return doc_topic_features(model.topic_model.theta, Xbar) @ model.cox.beta
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+def test_one_predict_scores_every_method(corpus, cox_models, method):
+    # the package's predict took a saw or usaw model only
+    model = cox_models[method] if method in cox_models else fit_method(corpus, method, SawConfig())
+    preds = sawtopics.predict(model, corpus)
+    assert preds.patient_ids == corpus.patient_ids
+    if method == "km":
+        n = corpus.n_docs
+        assert np.isnan(preds.risk).all() and preds.risk.shape == (n,)
+        assert np.array_equal(preds.median, np.full(n, model.median))
+        assert np.array_equal(preds.saturated, np.full(n, model.saturated))
+        return
+    u = model.cox.beta if method == "encox" else model.topic_model.theta @ model.cox.beta
+    risk = mean_word_score(corpus, u)
+    median, saturated = predict_median(model.cox, risk)
+    assert np.array_equal(preds.risk, risk)
+    assert np.array_equal(preds.median, median)
+    assert np.array_equal(preds.saturated, saturated)
+
+
 @pytest.mark.parametrize("source", ["v2 file", "subset"])
 @pytest.mark.parametrize("method", ["saw", "usaw", "encox"])
 def test_per_word_score_is_the_design_risk(corpus, cox_models, tmp_path, method, source):
@@ -101,7 +123,7 @@ def test_per_word_score_is_the_design_risk(corpus, cox_models, tmp_path, method,
     else:
         save_corpus(corpus, path)
         c = load_corpus(path)
-    preds = predict_model(model, c)
+    preds = predict(model, c)
     risk = design_risk(model, c)
     np.testing.assert_allclose(preds.risk, risk, rtol=1e-11, atol=0)
     median, saturated = predict_median(model.cox, risk)
@@ -115,14 +137,14 @@ def test_zero_length_patient_named(corpus, cox_models, method):
     counts[:, 4] = 0
     empty = Corpus(helpers.csc_arrays(counts), corpus.vocab, corpus.labels, corpus.patient_ids)
     with pytest.raises(ValueError, match=f"^zero-length document\\(s\\): {corpus.patient_ids[4]}$"):
-        predict_model(cox_models[method], empty)
+        predict(cox_models[method], empty)
 
 
 def test_encox_scores_the_sparse_design(corpus):
     model = fit_method(corpus, "encox", SawConfig(lam=0.01, alpha=0.5))
     dense = helpers.dense_view(normalize_columns(corpus).T) @ model.cox.beta
     assert np.count_nonzero(model.cox.beta) > 0
-    assert np.abs(predict_model(model, corpus).risk - dense).max() <= 1e-12
+    assert np.abs(predict(model, corpus).risk - dense).max() <= 1e-12
 
 
 def test_matrix_encoding_round_trip(cox_models, tmp_path):
@@ -171,7 +193,7 @@ def test_old_model_forms_refused(cox_models, tmp_path, method, change, message):
 
 def predictions_bytes(model, corpus, tmp_path) -> bytes:
     out = tmp_path / "preds.csv"
-    _write_predictions(out, predict_model(model, corpus))
+    _write_predictions(out, predict(model, corpus))
     return out.read_bytes()
 
 

@@ -8,7 +8,8 @@ from sawtopics.cooccur import build_cooccurrence
 from sawtopics.corpus import Corpus, SurvivalLabels, normalize_columns, split, subset
 from sawtopics.seeding import derive_seed
 from sawtopics.evaluation import c_index
-from sawtopics.saw import (OBJECTIVE_SLACK, THETA_GAP_TOL, SawConfig, fit_saw, fit_usaw, predict,
+from sawtopics.methods import predict
+from sawtopics.saw import (OBJECTIVE_SLACK, THETA_GAP_TOL, SawConfig, fit_saw, fit_usaw,
                            update_theta)
 from sawtopics.survival import RiskSets, fit_elastic_net_cox
 from sawtopics.synthgen import generate_dataset

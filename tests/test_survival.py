@@ -8,7 +8,7 @@ from scipy import sparse
 
 from sawtopics import survival
 from sawtopics.corpus import SurvivalLabels
-from sawtopics.methods import fit_km, predict_km
+from sawtopics.methods import fit_km, predict
 from sawtopics.survival import (BaselineHazard, CoxModel, RiskSets, SurvivalCurve,
                                 breslow_baseline, elastic_net_penalty,
                                 fit_elastic_net_cox, kaplan_meier, predict_median)
@@ -518,7 +518,7 @@ class TestKaplanMeier:
         assert np.array_equal(curve.times, [1.0]) and np.allclose(curve.survival, [0.75])
         assert (med, sat) == (1.0, True)
         corpus = make_corpus(np.ones((2, 4), dtype=int), labels.times, labels.observed)
-        preds = predict_km(fit_km(corpus), corpus)
+        preds = predict(fit_km(corpus), corpus)
         assert np.array_equal(preds.median, [1.0] * 4) and preds.saturated.all()
 
     def test_no_censoring_matches_empirical_survival(self):
