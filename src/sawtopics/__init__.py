@@ -10,7 +10,7 @@ subproblems.
 
 from .anchors import AnchorSet, default_candidates, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence
-from .corpus import (Corpus, Events, IngestConfig, SurvivalLabels, Vocabulary,
+from .corpus import (Corpus, IngestConfig, SurvivalLabels, Vocabulary,
                      build_corpus, load_corpus, load_events, mean_word_score,
                      normalize_columns, save_corpus, split, subset, vocabulary_hash)
 from .evaluation import CvResult, Metrics, c_index, compute_metrics, cross_validate, rmse_mae
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnchorSet", "BaselineHazard", "CooccurrenceStats", "Corpus", "CoxModel",
-    "CvResult", "EncoxModel", "Events", "FitTrace", "GroundTruth",
+    "CvResult", "EncoxModel", "FitTrace", "GroundTruth",
     "IngestConfig", "KmModel", "Metrics", "Predictions", "SawConfig", "SawModel",
     "SurvivalCurve", "SurvivalLabels", "TopicModel", "Vocabulary",
     "breslow_baseline", "build_cooccurrence", "build_corpus", "c_index",

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import evaluation, methods, synthgen
 from .anchors import anchor_report
-from .corpus import (IngestConfig, build_corpus, load_corpus, load_events,
-                     load_labels, save_corpus)
+from .corpus import IngestConfig, build_corpus, load_corpus, save_corpus
 from .saw import SawConfig, SawModel
 from .seeding import derive_seed
 from .topics import topic_report
@@ -155,10 +154,7 @@ def _read_predictions(path: Path):
 
 
 def _cmd_ingest(resolved: dict) -> tuple[Path, str]:
-    cfg = _config(IngestConfig, resolved)
-    # no name holds the event columns, so they are freed before the corpus is saved
-    corpus = build_corpus(load_events(resolved["events"], cfg.cutoff),
-                          load_labels(resolved["labels"]), cfg)
+    corpus = build_corpus(resolved["events"], resolved["labels"], _config(IngestConfig, resolved))
     out = Path(resolved["out"])
     save_corpus(corpus, out)
     return _beside(out), f"wrote corpus with {corpus.n_words} words x {corpus.n_docs} patients to {out}\n"

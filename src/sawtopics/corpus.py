@@ -6,18 +6,19 @@ discretized into equal-frequency bins and each (event, bin-or-value) pair
 becomes one vocabulary word; the corpus is the resulting word-by-patient
 count matrix with aligned survival labels.
 
-``load_events`` is the one event reader. It streams the file in blocks of
-``_BLOCK_ROWS`` rows, each parsed as one string in the forked pool of
-``sawtopics.parallel``, so no more than a few blocks of text are held at
-once. Each string column is kept coded: its sorted distinct values and a
-code per row, in the narrowest unsigned type that holds the codes; a
-block's codes are merged into the column as the block arrives, and the
-first bad block stops the parse. The rows keep no times: the cutoff is
-applied as each block is parsed. The corpus is built from the codes, so
-strings are parsed, stripped and joined into words once per distinct
-value, not once per row. Memory grows with the coded columns (5 bytes a
-row while there are at most 65,536 patients and distinct values and 256
-event names) and the corpus, not with the text.
+``build_corpus`` is the one ingest entry: it reads the labels with
+``load_labels``, then the events with ``load_events``, which streams the
+file in blocks of ``_BLOCK_ROWS`` rows, each parsed as one string in the
+forked pool of ``sawtopics.parallel``, so a few blocks of text are held at
+once. Each string column is kept coded: its sorted distinct values, each
+used by a kept row, and a code per row, in the narrowest unsigned type
+that holds the codes; a block's codes are merged into the column as it
+arrives, and the first bad block stops the parse. The rows keep no times:
+the cutoff is applied as each block is parsed. The corpus is built from
+the codes, so strings are parsed, stripped and joined into words once per
+distinct value. Memory grows with the coded columns (5 bytes a row while
+there are at most 65,536 patients and distinct values and 256 event
+names) and the corpus.
 """
 
 from __future__ import annotations
@@ -63,60 +64,21 @@ class CodedColumn(NamedTuple):
     distinct: np.ndarray
     codes: np.ndarray
 
-    @property
-    def strings(self) -> np.ndarray:
-        return self.distinct[self.codes]
-
 
 def _code_type(n: int) -> np.dtype:
     """The narrowest unsigned type that holds every code of n distinct values."""
     return np.min_scalar_type(max(n - 1, 0))
 
 
-def _coded(column) -> CodedColumn:
-    """A checked ``CodedColumn``: ``column`` itself, or its strings coded;
-    its codes in ``_code_type``."""
-    if not isinstance(column, CodedColumn):
-        values = np.asarray(column, dtype=object)
-        if values.ndim != 1:
-            raise ValueError("event columns must be 1-d and aligned")
-        distinct, codes = _codes(values.tolist())
-        return CodedColumn(np.array(distinct, dtype=object), codes)
-    distinct, codes = np.asarray(column.distinct, dtype=object), np.asarray(column.codes)
-    if distinct.ndim != 1 or any(a >= b for a, b in zip(distinct.tolist(), distinct[1:].tolist())):
-        raise ValueError("coded column values must be sorted and distinct")
-    if codes.dtype.kind not in "iu" or (codes.size and not 0 <= codes.min() <= codes.max()
-                                        < distinct.size):
-        raise ValueError(f"coded column codes must be integers in [0, {distinct.size})")
-    return CodedColumn(distinct, codes.astype(_code_type(distinct.size), copy=False))
-
-
 @dataclass(frozen=True, eq=False)
 class Events:
-    """Event rows as aligned 1-d columns, without their times: ``patients``,
-    ``names`` and ``values`` hold the string columns ``patient_id``,
-    ``event`` and ``event_value`` as ``CodedColumn``s (given as one, or as
-    its strings, coded here), and those three names read each back as an
-    object array of str. ``n_cut`` counts the rows that ``load_events``
-    dropped at its cutoff."""
+    """The rows ``load_events`` keeps, without times: their aligned coded
+    columns, each value used by a row, and ``n_cut``, the number of rows cut."""
 
     patients: CodedColumn
     names: CodedColumn
     values: CodedColumn
-    n_cut: int = 0
-
-    def __post_init__(self):
-        patients, names, values = (_coded(c) for c in (self.patients, self.names, self.values))
-        codes = [c.codes for c in (patients, names, values)]
-        if any(c.ndim != 1 or c.shape != codes[0].shape for c in codes):
-            raise ValueError("event columns must be 1-d and aligned")
-        for name, value in (("patients", patients), ("names", names), ("values", values),
-                            ("n_cut", int(self.n_cut))):
-            object.__setattr__(self, name, value)
-
-    patient_id = property(lambda self: self.patients.strings)
-    event = property(lambda self: self.names.strings)
-    event_value = property(lambda self: self.values.strings)
+    n_cut: int
 
     def __len__(self) -> int:
         return int(self.patients.codes.size)
@@ -245,8 +207,8 @@ def _checked_csc(data, indices, indptr, d: int, n: int):
 class IngestConfig:
     """Knobs for corpus construction.
 
-    ``cutoff`` is a global time bound, applied by ``load_events``: events
-    at or after it are dropped. ``min_variance``, when set, drops words
+    ``cutoff`` is a global time bound: ``build_corpus`` drops the events at
+    or after it as it reads them. ``min_variance``, when set, drops words
     whose normalized per-document frequency variance falls below it.
     """
 
@@ -455,12 +417,10 @@ def load_events(path, cutoff: float | None = None) -> Events:
     surrogate), is an error carrying its row number. An empty file yields
     empty columns.
 
-    The file is read in blocks of ``_BLOCK_ROWS`` rows, and each block goes
-    as one string to ``_parse_block`` in the forked pool of
-    ``sawtopics.parallel.forked_imap`` (a file of one block is parsed in
-    this process). Each block is merged as it arrives; the first bad
-    block's error is raised as soon as it arrives, and the calls not yet
-    started are cancelled.
+    Each block goes to ``_parse_block`` through ``forked_imap`` (a file of
+    one block is parsed in this process) and is merged as it arrives; the
+    first bad block's error is raised as it arrives, cancelling the calls
+    not yet started.
     """
     merged = [_MergedColumn() for _ in range(3)]
     n_cut = 0
@@ -531,18 +491,17 @@ def _word_codes(events: Events, cfg: IngestConfig,
     names, values = events.names.distinct.tolist(), events.values.distinct.tolist()
     name, value = events.names.codes, events.values.codes
     x, parsed = _floats(values)
-    rows = np.bincount(name, minlength=len(names))
     order = np.argsort(name)  # each event's rows, at order[start[e]:start[e + 1]]
-    start = np.concatenate(([0], np.cumsum(rows)))
+    start = np.concatenate(([0], np.cumsum(np.bincount(name))))
     if vocabulary is None:
         not_numeric = np.bincount(name[~np.isfinite(x)[value]], minlength=len(names))
         q = np.arange(1, cfg.bins) / cfg.bins
         bin_edges = {names[e]: tuple(np.quantile(x[value[order[start[e]:start[e + 1]]]],
                                                  q).tolist())
-                     for e in np.flatnonzero((rows > 0) & (not_numeric == 0)).tolist()}
+                     for e in np.flatnonzero(not_numeric == 0).tolist()}
     else:
         bin_edges = vocabulary.bin_edges
-    binned = np.array([nm in bin_edges for nm in names], dtype=bool) & (rows > 0)
+    binned = np.array([nm in bin_edges for nm in names], dtype=bool)
     # a word's key is name * width + (its bin, or its value's code)
     width = max([len(values)] + [len(bin_edges[names[e]]) + 1 for e in np.flatnonzero(binned)])
     key = value.astype(_fitting(len(names) * width))
@@ -563,40 +522,41 @@ def _word_codes(events: Events, cfg: IngestConfig,
 
 
 def build_corpus(
-    events: Events,
-    labels: Mapping[str, tuple[float, float]],
+    events_path,
+    labels_path,
     cfg: IngestConfig | None = None,
     vocabulary: Vocabulary | None = None,
 ) -> Corpus:
-    """Assemble a Corpus from event columns and per-patient labels.
+    """Assemble a Corpus from a label file, read first so that a bad one is
+    refused before any event is parsed, and an event file cut at ``cfg.cutoff``.
 
     Continuous events (all values numeric) are discretized into
     equal-frequency bins computed from the retained values; categorical
     values become words verbatim. Words below the document-frequency floor
     are removed, then patients left with fewer than 2 tokens are dropped
     (the co-occurrence estimator needs length >= 2) and the drop is logged.
-    No event rows is an error, and so is a cutoff of ``load_events`` that
-    dropped every row; ``cfg.cutoff`` is not read here.
+    No event rows is an error, and so are a cutoff that drops every row and
+    a patient with events but no label.
 
     Passing a prebuilt ``vocabulary`` skips vocabulary construction and
     filtering: tokens not in it are ignored, supporting train-only
     vocabularies and scoring new patients against a fitted model.
 
     The work is on the columns' integer codes; strings are handled once per
-    distinct value. The code columns are read in place, and the per-row
-    arrays are int32 where their values fit.
+    distinct value, and the per-row arrays are int32 where their values fit.
     """
     cfg = cfg or IngestConfig()
+    labels = load_labels(labels_path)
+    events = load_events(events_path, cfg.cutoff)
     if not len(events):
         raise ValueError("no events remain after cutoff filtering" if events.n_cut
                          else "no event rows")
 
-    patient = events.patients.codes
-    present = np.bincount(patient, minlength=events.patients.distinct.size) > 0
-    pids = events.patients.distinct[present].tolist()
+    pids = events.patients.distinct.tolist()
     missing = [p for p in pids if p not in labels]
     if missing:
-        raise ValueError("patients with events but no label: " + ", ".join(missing))
+        raise ValueError(f"{len(missing)} patient(s) with events but no label: "
+                         + ", ".join(missing[:10]))
     n = len(pids)
 
     words, word_of, bin_edges = _word_codes(events, cfg, vocabulary)
@@ -612,7 +572,7 @@ def build_corpus(
     # each row's (patient, word) cell, patient * d + word, or n * d (sorted
     # last) if it makes no word; sorted, their runs are the CSC entries, and
     # the run lengths the counts, int32 where they fit
-    cell = (np.cumsum(present, dtype=cell_type) - 1)[patient]
+    cell = events.patients.codes.astype(cell_type)
     cell *= d
     cell += row
     cell[row < 0] = n * d

@@ -3,8 +3,9 @@
 ``forked_imap`` runs a task over arguments in worker processes started with
 the POSIX ``fork`` method, so it needs a platform that has it. The workers
 inherit the task, and with it what it holds (a corpus) and every function
-the parent has monkeypatched, instead of receiving a pickled copy; each
-call's arguments and result cross a pipe, and the workers start with no
+the parent has monkeypatched, and the arguments of the calls drawn before
+they fork, instead of receiving a pickled copy; each later call's
+arguments, and each result, cross a pipe, and the workers start with no
 import cost. Results are yielded in order, each as soon as it and those
 before it are done, so the caller works on one while the workers run the
 next: event ingest merges each parsed block as it arrives and stops at the
@@ -27,15 +28,20 @@ from collections import deque
 from typing import Iterator
 
 _task = None  # the task of the running forked_imap, set in each worker
+_head: list = []  # the arguments of its first calls, set in each worker
 
 
-def _start(task) -> None:
-    global _task
-    _task = task
+def _start(task, head: list) -> None:
+    global _task, _head
+    _task, _head = task, head
 
 
 def _call(args: tuple):
     return _task(*args)
+
+
+def _call_head(i: int):
+    return _task(*_head[i])
 
 
 def forked_imap(task, arg_tuples) -> Iterator:
@@ -62,10 +68,10 @@ def forked_imap(task, arg_tuples) -> Iterator:
 
     pool = ProcessPoolExecutor(min(cpus or 1, len(head)),
                                mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start, initargs=(task,))
+                               initializer=_start, initargs=(task, head))
     try:
-        pending = deque(pool.submit(_call, args) for args in head)
-        del head  # the first arguments (blocks of text) are held by their calls alone
+        pending = deque(pool.submit(_call_head, i) for i in range(len(head)))
+        head.clear()  # the workers, forked by the first submit, alone hold these (blocks of text)
         while pending:
             result = pending.popleft().result()
             pending.extend(pool.submit(_call, args) for args in itertools.islice(arg_tuples, 1))

@@ -19,7 +19,9 @@ builder as a reference for the columnar ones, the variance-of-frequency
 word filter from sparse matrix products as a reference for the bincount
 one, the analytic word-topic posterior of a planted topic matrix, and a
 seeded generator per test tag. ``load_rows`` reads event lines through
-the one event reader, ``load_events``, from a temporary file.
+the one event reader, ``load_events``, from a temporary file, and
+``build_rows`` builds a corpus from event lines and a label set through
+the one ingest entry, ``build_corpus``, from two temporary files.
 ``csc_arrays`` and
 ``dense`` convert between a count matrix and the CSC arrays a ``Corpus``
 is built from, and ``dense_view`` reads a design in either layout of
@@ -38,6 +40,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from sawtopics import corpus as columnar
 from sawtopics.cooccur import CooccurrenceStats, row_normalize
 from sawtopics.corpus import (Corpus, EventParseError, Events, IngestConfig, SurvivalLabels,
                               Vocabulary, load_events, load_labels)
@@ -413,14 +416,19 @@ def version_refused(kind: str, version, path, command: str, current: int) -> str
             f"`sawtopics {command}` writes version {current}$")
 
 
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Write ``lines`` joined by "\\n" as they are (no newline translation;
+    a lone surrogate as the byte it escapes)."""
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        fh.write("\n".join(lines))
+
+
 def _read_lines(reader, lines: Iterable[str], *args):
-    """``reader(path, *args)`` of ``lines`` joined by "\\n" and written as
-    they are (no newline translation; a lone surrogate as the byte it
-    escapes) to a file in a temporary directory, removed on return."""
+    """``reader(path, *args)`` of ``lines`` written to a file in a temporary
+    directory, removed on return."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
-        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            fh.write("\n".join(lines))
+        _write_lines(path, lines)
         return reader(path, *args)
 
 
@@ -432,6 +440,23 @@ def load_rows(lines: Iterable[str], cutoff: float | None = None) -> Events:
 def load_label_rows(lines: Iterable[str]) -> dict[str, tuple[float, bool]]:
     """``load_labels(path)`` of ``lines`` written to a file."""
     return _read_lines(load_labels, lines)
+
+
+def label_lines(labels: Mapping[str, tuple[float, bool]]) -> list[str]:
+    """The rows of a label file that ``load_labels`` reads as ``labels``."""
+    return [f"{p},{y!r},{int(r)}" for p, (y, r) in labels.items()]
+
+
+def build_rows(lines: Iterable[str], labels: Mapping[str, tuple[float, bool]],
+               cfg: IngestConfig | None = None, vocabulary: Vocabulary | None = None) -> Corpus:
+    """``build_corpus(events_path, labels_path, cfg, vocabulary)`` of the
+    event ``lines`` and of ``labels`` (patient id -> (time, observed)),
+    each written to a file in a temporary directory, removed on return."""
+    with tempfile.TemporaryDirectory() as tmp:
+        events, label_file = os.path.join(tmp, "rows.csv"), os.path.join(tmp, "labels.csv")
+        _write_lines(events, lines)
+        _write_lines(label_file, label_lines(labels))
+        return columnar.build_corpus(events, label_file, cfg, vocabulary)
 
 
 # Row-at-a-time ingest: the reference for corpus.load_events/build_corpus.
@@ -536,7 +561,8 @@ def build_corpus(
     pids = sorted({e.patient_id for e in kept})
     missing = sorted(p for p in pids if p not in labels)
     if missing:
-        raise ValueError("patients with events but no label: " + ", ".join(missing))
+        raise ValueError(f"{len(missing)} patient(s) with events but no label: "
+                         + ", ".join(missing[:10]))
     pid_col = {p: i for i, p in enumerate(pids)}
     n = len(pids)
 

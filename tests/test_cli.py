@@ -372,6 +372,41 @@ class TestIngestCli:
         assert self.ingest_bytes(tmp_path, events.encode(), self.LABELS.encode()) == 1
         assert capsys.readouterr().err == "error: no event rows\n"
 
+    @pytest.mark.parametrize("labels, message", [
+        (None, "file not found: {labels}"),
+        (b"p0,1.5,1\np1,2.5\n", "row 2: expected 3 fields, got 2")], ids=["missing", "malformed"])
+    def test_bad_label_file_refused_before_the_events_are_parsed(self, tmp_path, capsys,
+                                                                 monkeypatch, labels, message):
+        parsed = []
+        parse_block = corpus_module._parse_block
+
+        def spy(*args):
+            parsed.append(args[1])
+            return parse_block(*args)
+
+        monkeypatch.setattr(corpus_module, "_parse_block", spy)
+        events, label_file = tmp_path / "events.csv", tmp_path / "labels.csv"
+        events.write_text(self.EVENTS)
+        if labels is not None:
+            label_file.write_bytes(labels)
+        assert run("ingest", "--events", str(events), "--labels", str(label_file),
+                   "--out", str(tmp_path / "corpus.json")) == 1
+        assert capsys.readouterr().err == f"error: {message.format(labels=label_file)}\n"
+        assert parsed == []
+
+    @pytest.mark.parametrize("cutoff", [None, 3.0])
+    def test_ingest_writes_the_library_corpus(self, tmp_path, cutoff):
+        flags = () if cutoff is None else ("--cutoff", str(cutoff))
+        assert self.ingest_bytes(tmp_path, self.EVENTS.encode(), self.LABELS.encode(),
+                                 *flags) == 0
+        cfg = IngestConfig(bins=2, min_doc_freq=1, cutoff=cutoff)
+        save_corpus(corpus_module.build_corpus(tmp_path / "events.csv", tmp_path / "labels.csv",
+                                               cfg), tmp_path / "library.json")
+        assert (tmp_path / "corpus.json").read_bytes() == (tmp_path / "library.json").read_bytes()
+        # each patient has rows at times 0-3, and the cutoff drops the last
+        assert load_corpus(tmp_path / "corpus.json").doc_lengths.tolist() == \
+            [4 if cutoff is None else 3] * 6
+
     def test_cutoff_that_drops_every_row(self, tmp_path, capsys):
         rc = self.ingest_bytes(tmp_path, self.EVENTS.encode(), self.LABELS.encode(),
                                "--cutoff", "0")

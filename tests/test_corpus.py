@@ -14,27 +14,27 @@ from hypothesis import strategies as hst
 from scipy import sparse
 
 from sawtopics import corpus as corpus_module
-from sawtopics.corpus import (CodedColumn, Corpus, EventParseError, Events, IngestConfig,
-                              SurvivalLabels, Vocabulary, _frequency_variance, build_corpus,
-                              design_is_dense, load_corpus, load_events, normalize_columns,
-                              save_corpus, split, subset)
+from sawtopics.corpus import (Corpus, EventParseError, IngestConfig, SurvivalLabels, Vocabulary,
+                              _frequency_variance, build_corpus, design_is_dense, load_corpus,
+                              load_events, normalize_columns, save_corpus, split, subset)
 
 import helpers
-from helpers import load_label_rows, load_rows, make_corpus
+from helpers import build_rows, label_lines, load_label_rows, load_rows, make_corpus
 
 
 def ev(pid, time, event, value):
     return (pid, time, event, value)
 
 
-def columns(rows):
-    """Events columns from (patient_id, time, event, event_value) rows; the
-    times are dropped, as ``load_events`` drops them."""
-    return Events(*([row[k] for row in rows] for k in (0, 2, 3)))
+def csv_lines(rows):
+    """The event file lines of (patient_id, time, event, event_value) rows."""
+    return [",".join(map(str, row)) for row in rows]
 
 
 def rows_of(events):
-    return list(zip(events.patient_id, events.event, events.event_value))
+    """The (patient_id, event, event_value) string rows of ``events``."""
+    columns = (events.patients, events.names, events.values)
+    return list(zip(*(c.distinct[c.codes].tolist() for c in columns)))
 
 
 def reference_rows(records, cutoff=None):
@@ -67,11 +67,11 @@ class TestIngestEvents:
 
     def test_header_row_skipped(self):
         recs = load_rows(["patient_id,time,event,event_value", "p1,1.0,hr,88"])
-        assert len(recs) == 1 and recs.patient_id[0] == "p1"
+        assert rows_of(recs) == [("p1", "hr", "88")]
 
     def test_tab_delimited(self):
         recs = load_rows(["p1\t2\thr\t90"])
-        assert cut_exactly_at(["p1\t2\thr\t90"], 2.0) and recs.event_value[0] == "90"
+        assert cut_exactly_at(["p1\t2\thr\t90"], 2.0) and rows_of(recs) == [("p1", "hr", "90")]
 
     def test_wrong_field_count(self):
         with pytest.raises(EventParseError, match="row 2"):
@@ -89,7 +89,7 @@ class TestIngestEvents:
 class TestBuildCorpus:
     def test_single_word_column(self):
         events = [ev("p1", 0.0, "hr", "88"), ev("p1", 1.0, "hr", "88")]
-        c = build_corpus(columns(events), {"p1": (3.0, True)},
+        c = build_rows(csv_lines(events), {"p1": (3.0, True)},
                          IngestConfig(bins=1, min_doc_freq=1))
         assert helpers.dense(c).tolist() == [[2]]
         assert c.doc_lengths.tolist() == [2]
@@ -105,7 +105,7 @@ class TestBuildCorpus:
             events += [ev(pid, 0, "common", "x"), ev(pid, 1, "common", "y")]
             if i < 2:
                 events.append(ev(pid, 2, "rare", "z"))
-        c = build_corpus(columns(events), labels, IngestConfig(min_doc_freq=3))
+        c = build_rows(csv_lines(events), labels, IngestConfig(min_doc_freq=3))
         assert "rare=z" not in c.vocab.words
         assert "common=x" in c.vocab.words
 
@@ -114,7 +114,7 @@ class TestBuildCorpus:
         events = [ev(f"p{i}", 0, "lab", str(v)) for i, v in enumerate([1, 2, 3, 4, 5, 6])]
         events += [ev(f"p{i}", 1, "pad", "x") for i in range(6)]
         labels = {f"p{i}": (1.0, True) for i in range(6)}
-        c = build_corpus(columns(events), labels, IngestConfig(bins=2, min_doc_freq=1))
+        c = build_rows(csv_lines(events), labels, IngestConfig(bins=2, min_doc_freq=1))
         assert c.vocab.bin_edges["lab"] == (3.5,)
         w = c.vocab.index["lab:bin1"]
         p1 = c.patient_ids.index("p1")  # the patient whose value was 2
@@ -124,11 +124,11 @@ class TestBuildCorpus:
         events = [ev(f"p{i}", 0, "lab", str(v)) for i, v in enumerate([1, 2, 3, 4])]
         events += [ev(f"p{i}", 1, "pad", "x") for i in range(4)]
         labels = {f"p{i}": (1.0, True) for i in range(4)}
-        c = build_corpus(columns(events), labels, IngestConfig(bins=2, min_doc_freq=1))
+        c = build_rows(csv_lines(events), labels, IngestConfig(bins=2, min_doc_freq=1))
         edge = c.vocab.bin_edges["lab"][0]
         assert edge == 2.5
         # add a record exactly at the edge via the same vocabulary
-        c2 = build_corpus(columns(events + [ev("p0", 2, "lab", "2.5")]), labels,
+        c2 = build_rows(csv_lines(events + [ev("p0", 2, "lab", "2.5")]), labels,
                           IngestConfig(bins=2, min_doc_freq=1), vocabulary=c.vocab)
         w = c.vocab.index["lab:bin1"]
         p0 = c2.patient_ids.index("p0")
@@ -138,18 +138,25 @@ class TestBuildCorpus:
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "90"),
                   ev("p2", 0, "hr", "88"), ev("p2", 1, "hr", "90")]
         with pytest.raises(ValueError, match="p2"):
-            build_corpus(columns(events), {"p1": (1.0, True)}, IngestConfig(min_doc_freq=1))
+            build_rows(csv_lines(events), {"p1": (1.0, True)}, IngestConfig(min_doc_freq=1))
+
+    def test_many_unlabelled_patients_counted_and_ten_named(self):
+        events = [ev(f"p{i:02d}", t, "hr", "88") for i in range(26) for t in (0, 1)]
+        message = ("25 patient(s) with events but no label: "
+                   + ", ".join(f"p{i:02d}" for i in range(1, 11)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_rows(csv_lines(events), {"p00": (1.0, True)}, IngestConfig(min_doc_freq=1))
 
     def test_zero_surviving_words(self):
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "90")]
         with pytest.raises(ValueError, match="no words"):
-            build_corpus(columns(events), {"p1": (1.0, True)}, IngestConfig(min_doc_freq=5))
+            build_rows(csv_lines(events), {"p1": (1.0, True)}, IngestConfig(min_doc_freq=5))
 
     def test_short_documents_dropped(self, caplog):
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "88"),
                   ev("p2", 0, "hr", "88")]  # p2 has a single token
         with caplog.at_level("WARNING"):
-            c = build_corpus(columns(events), {"p1": (1.0, True), "p2": (1.0, True)},
+            c = build_rows(csv_lines(events), {"p1": (1.0, True), "p2": (1.0, True)},
                              IngestConfig(bins=1, min_doc_freq=1))
         assert c.patient_ids == ("p1",)
         assert "p2" in caplog.text
@@ -157,8 +164,8 @@ class TestBuildCorpus:
     def test_cutoff_drops_events_at_or_after(self):
         events = [ev("p1", 0, "hr", "88"), ev("p1", 1, "hr", "88"),
                   ev("p1", 5, "late", "x"), ev("p1", 6, "late", "x")]
-        c = build_corpus(load_rows([",".join(map(str, e)) for e in events], 5.0),
-                         {"p1": (1.0, True)}, IngestConfig(bins=1, min_doc_freq=1))
+        c = build_rows(csv_lines(events), {"p1": (1.0, True)},
+                       IngestConfig(bins=1, min_doc_freq=1, cutoff=5.0))
         assert c.vocab.words == ("hr:bin1",)
         assert c.doc_lengths.tolist() == [2]
 
@@ -182,8 +189,8 @@ class TestBuildCorpus:
             labels[pid] = (float(i + 1), bool(i % 2))
             for _ in range(6):
                 events.append(ev(pid, rng.uniform(0, 10), "lab", f"{rng.uniform(0, 100):.2f}"))
-        a = build_corpus(columns(events), labels)
-        b = build_corpus(columns(events), labels)
+        a = build_rows(csv_lines(events), labels)
+        b = build_rows(csv_lines(events), labels)
         assert a.vocab.words == b.vocab.words
         assert np.array_equal(helpers.dense(a), helpers.dense(b))
         assert np.array_equal(a.labels.times, b.labels.times)
@@ -196,7 +203,7 @@ class TestBuildCorpus:
             labels[pid] = (float(i + 1), True)
             for _ in range(rng.integers(1, 5)):
                 events.append(ev(pid, 0.0, f"e{rng.integers(0, 4)}", "v"))
-        c = build_corpus(columns(events), labels, IngestConfig(min_doc_freq=1))
+        c = build_rows(csv_lines(events), labels, IngestConfig(min_doc_freq=1))
         assert (c.doc_lengths >= 2).all()
         assert np.array_equal(c.doc_lengths, helpers.dense(c).sum(axis=0))
 
@@ -219,10 +226,10 @@ class TestBuildCorpus:
                                                                        (1, "a=b", "c"))]
         labels = {"p1": (1.0, True), "p2": (2.0, False)}
         cfg = IngestConfig(min_doc_freq=1)
-        c = build_corpus(columns(events), labels, cfg)
+        c = build_rows(csv_lines(events), labels, cfg)
         assert c.vocab.words == ("a=b=c",)
         assert helpers.dense(c).tolist() == [[2, 2]]
-        records = helpers.ingest_events([",".join(map(str, e)) for e in events])
+        records = helpers.ingest_events(csv_lines(events))
         assert corpus_fields(c) == corpus_fields(helpers.build_corpus(records, labels, cfg))
 
 
@@ -305,9 +312,9 @@ class TestMatchesRowReference:
             records = helpers.ingest_events(text.split("\n"))
         except EventParseError:
             return
-        cols = load_rows(text.split("\n"), cfg.cutoff)
         want = outcome(helpers.build_corpus, records, labels, cfg)
-        assert corpus_fields(outcome(build_corpus, cols, labels, cfg)) == corpus_fields(want)
+        assert corpus_fields(outcome(build_rows, text.split("\n"), labels, cfg)) == \
+            corpus_fields(want)
         # the prebuilt-vocabulary path, with the vocabulary of another text
         try:
             vocab = helpers.build_corpus(helpers.ingest_events(other_text.split("\n")),
@@ -315,31 +322,11 @@ class TestMatchesRowReference:
         except ValueError:
             return
         want = outcome(helpers.build_corpus, records, labels, cfg, vocabulary=vocab)
-        got = outcome(build_corpus, cols, labels, cfg, vocabulary=vocab)
+        got = outcome(build_rows, text.split("\n"), labels, cfg, vocabulary=vocab)
         assert corpus_fields(got) == corpus_fields(want)
 
 
 class TestEvents:
-    def test_columns_must_align(self):
-        with pytest.raises(ValueError, match="aligned"):
-            Events(["p1", "p2"], ["hr"], ["1", "2"])
-
-    def test_string_columns_are_coded_once(self):
-        e = Events(["p2", "p1", "p2"], ["hr", "hr", "sex"], ["88", "90", "f"])
-        assert e.patients.distinct.tolist() == ["p1", "p2"]
-        assert e.patients.codes.tolist() == [1, 0, 1]
-        assert e.patient_id.tolist() == ["p2", "p1", "p2"]
-        assert e.event_value.tolist() == ["88", "90", "f"]
-
-    @pytest.mark.parametrize("column, message", [
-        (CodedColumn(np.array(["p2", "p1"], dtype=object), np.array([0, 1])), "sorted"),
-        (CodedColumn(np.array(["p1", "p1"], dtype=object), np.array([0, 1])), "distinct"),
-        (CodedColumn(np.array(["p1", "p2"], dtype=object), np.array([0, 2])), r"in \[0, 2\)"),
-        (CodedColumn(np.array(["p1", "p2"], dtype=object), np.array([0.0, 1.0])), "integers")])
-    def test_coded_columns_checked(self, column, message):
-        with pytest.raises(ValueError, match=message):
-            Events(column, ["hr", "hr"], ["1", "2"])
-
     def test_header_only_on_first_line(self):
         with pytest.raises(EventParseError, match="row 2: unparseable time 'time'"):
             load_rows(["", "patient_id,time,event,event_value", "p1,1,hr,88"])
@@ -365,10 +352,11 @@ def coded_fields(events):
 
 
 def test_ingest_memory_per_row(tmp_path):
-    """``load_events`` + ``build_corpus`` of a two-block file, in the style of
-    the benchmark's event files, trace under 60 bytes a row in this process:
-    the coded columns take 5 (uint16 patients and values, uint8 names, no
-    times), and the text is held a few blocks at a time."""
+    """``build_corpus`` of a two-block file, in the style of the benchmark's
+    event files, and of its label file traces under 45 bytes a row in this
+    process: the coded columns take 5 (uint16 patients and values, uint8
+    names, no times), the text is held a few blocks at a time, and the
+    blocks drawn before the workers fork are not pickled to them."""
     rng = np.random.default_rng(11)
     n_rows, n_patients = 100_000, 1000
     patient = np.sort(np.concatenate([np.arange(n_patients).repeat(2),
@@ -381,26 +369,31 @@ def test_ingest_memory_per_row(tmp_path):
         f"p{p:05d},{t!r},num{k:02d},{v!r}\n" if k < 20 else f"p{p:05d},{t!r},cat{k:02d},{c}\n"
         for p, t, k, v, c in zip(patient.tolist(), time.tolist(), kind.tolist(), value.tolist(),
                                  letter.tolist())))
-    labels = {f"p{i:05d}": (float(i + 1), i % 3 > 0) for i in range(n_patients)}
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join(label_lines({f"p{i:05d}": (float(i + 1), i % 3 > 0)
+                                             for i in range(n_patients)})))
     tracemalloc.start()
     try:
-        corpus = build_corpus(load_events(path), labels)
+        corpus = build_corpus(path, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert corpus.n_docs == n_patients
-    assert peak / n_rows < 60
+    assert peak / n_rows < 45
 
 
 def test_file_rows_keep_narrow_codes_and_no_times(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("\n".join(event_lines()) + "\n")
     got = load_events(path)
-    want = columns([(r.patient_id, r.time, r.event, r.event_value)
-                    for r in helpers.ingest_events(event_lines())])
+    columns = (got.patients, got.names, got.values)
     assert [f.name for f in dataclasses.fields(got)] == ["patients", "names", "values", "n_cut"]
-    assert [c.codes.dtype for c in (got.patients, got.names, got.values)] == [np.uint8] * 3
-    assert coded_fields(got) == coded_fields(want)
+    assert [c.codes.dtype for c in columns] == [np.uint8] * 3
+    assert (rows_of(got), got.n_cut) == reference_rows(helpers.ingest_events(event_lines()))
+    # each column's values are sorted and distinct, and each is some row's
+    for c in columns:
+        assert c.distinct.tolist() == sorted(set(c.distinct.tolist()))
+        assert np.unique(c.codes).tolist() == list(range(c.distinct.size))
 
 
 @pytest.mark.parametrize("cutoff", [None, 0.6, 3.0, 100.0])
@@ -416,7 +409,7 @@ def test_cutoff_applied_as_a_file_is_parsed(monkeypatch, tmp_path, cutoff):
     cfg = IngestConfig(bins=3, min_doc_freq=1, cutoff=cutoff)
     events, records = load_events(path, cutoff), helpers.ingest_events(event_lines())
     assert (rows_of(events), events.n_cut) == reference_rows(records, cutoff)
-    assert corpus_fields(outcome(build_corpus, events, labels, cfg)) == \
+    assert corpus_fields(outcome(build_rows, event_lines(), labels, cfg)) == \
         corpus_fields(outcome(helpers.build_corpus, records, labels, cfg))
 
 
@@ -434,16 +427,23 @@ def test_file_rows_numbered_across_pieces_and_blocks(monkeypatch, tmp_path, bad)
         (EventParseError, f"row {bad + 1}: expected 4 fields, got 3")
 
 
-def test_rows_without_times_cut_only_at_their_cutoff(tmp_path):
-    # build_corpus does not read cfg.cutoff: rows are cut where they are read
-    path = tmp_path / "events.csv"
-    path.write_text("\n".join(event_lines()) + "\n")
-    labels, cfg = TestBlocksAndWorkers.LABELS, TestBlocksAndWorkers.CFG
-    assert corpus_fields(build_corpus(load_events(path), labels,
-                                      dataclasses.replace(cfg, cutoff=2.0))) == \
-        corpus_fields(build_corpus(load_events(path), labels, cfg))
+def test_rows_without_times_cut_only_at_their_cutoff(monkeypatch):
+    # build_corpus passes cfg.cutoff to the one event read, where the rows
+    # are cut, and cuts no row again
+    cutoffs = []
+
+    def spy(path, cutoff):
+        cutoffs.append(cutoff)
+        return load_events(path, cutoff)
+
+    monkeypatch.setattr(corpus_module, "load_events", spy)
+    labels = TestBlocksAndWorkers.LABELS
+    cfg = dataclasses.replace(TestBlocksAndWorkers.CFG, cutoff=2.0)
+    assert corpus_fields(build_rows(event_lines(), labels, cfg)) == \
+        corpus_fields(helpers.build_corpus(helpers.ingest_events(event_lines()), labels, cfg))
+    assert cutoffs == [2.0]
     with pytest.raises(ValueError, match="^no events remain after cutoff filtering$"):
-        build_corpus(load_events(path, 0.1), labels, cfg)
+        build_rows(event_lines(), labels, dataclasses.replace(cfg, cutoff=0.1))
 
 
 def test_parse_stops_at_the_first_bad_block(monkeypatch, tmp_path):
@@ -496,12 +496,12 @@ class TestBlocksAndWorkers:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_same_columns_and_corpus(self, monkeypatch, tmp_path, cpus):
-        want = load_rows(event_lines())
+        want = load_rows(event_lines()), build_rows(event_lines(), self.LABELS, self.CFG)
         got, workers = self.spied(monkeypatch, tmp_path, cpus, 4)
         assert os.getpid() not in workers and 1 <= len(workers) <= cpus
-        assert coded_fields(got) == coded_fields(want)
-        assert corpus_fields(build_corpus(got, self.LABELS, self.CFG)) == \
-            corpus_fields(build_corpus(want, self.LABELS, self.CFG))
+        assert coded_fields(got) == coded_fields(want[0])
+        assert corpus_fields(build_rows(event_lines(), self.LABELS, self.CFG)) == \
+            corpus_fields(want[1])
 
     def test_one_block_parsed_in_this_process(self, monkeypatch, tmp_path):
         _, workers = self.spied(monkeypatch, tmp_path, 4, len(event_lines()))
@@ -532,15 +532,16 @@ class TestBlocksAndWorkers:
     @given(event_texts(), hst.integers(1, 6), cutoffs)
     @settings(max_examples=25, deadline=None)
     def test_matches_row_reference(self, text, block_rows, cutoff):
+        cfg = dataclasses.replace(self.CFG, cutoff=cutoff)
         with mock.patch.object(corpus_module, "_BLOCK_ROWS", block_rows):
             got = outcome(load_rows, text.split("\n"), cutoff)
+            corpus = outcome(build_rows, text.split("\n"), self.LABELS, cfg)
         want = outcome(helpers.ingest_events, text.split("\n"))
         if isinstance(want, tuple):
-            assert got == want
+            assert got == corpus == want
             return
         assert (rows_of(got), got.n_cut) == reference_rows(want, cutoff)
-        cfg = dataclasses.replace(self.CFG, cutoff=cutoff)
-        assert corpus_fields(outcome(build_corpus, got, self.LABELS, cfg)) == \
+        assert corpus_fields(corpus) == \
             corpus_fields(outcome(helpers.build_corpus, want, self.LABELS, cfg))
 
 
@@ -645,7 +646,7 @@ class TestSerialization:
         rows += [ev(f"p{i}", 4.0, "sex", "fm"[i % 2]) for i in range(12)]
         labels = {f"p{i}": (float(i + 1), bool(i % 3)) for i in range(12)}
         first, second = tmp_path / "a.json", tmp_path / "b.json"
-        for c in (build_corpus(columns(rows), labels, IngestConfig(bins=3, min_doc_freq=1)),
+        for c in (build_rows(csv_lines(rows), labels, IngestConfig(bins=3, min_doc_freq=1)),
                   make_corpus(np.random.default_rng(5).integers(0, 4, size=(6, 9)) + 1,
                               times=np.linspace(0.5, 9.5, 9))):
             save_corpus(c, first)

@@ -3,8 +3,9 @@ default, of every function in ``src/sawtopics``, is passed by some call in
 the source, the tests or the benchmark harness. No module of the package
 reaches into another's private (``_``-prefixed) names or imports a name it
 never uses. And scipy is
-imported only by the functions that need it, a ``Corpus`` is its CSC
-arrays alone, and the README's library examples run."""
+imported only by the functions that need it, only ``build_corpus`` reads
+the event and label files, a ``Corpus`` is its CSC arrays alone, and the
+README's library examples run."""
 
 import ast
 import re
@@ -126,26 +127,45 @@ SCIPY_SITES = {"corpus.normalize_columns", "evaluation.cross_validate",
                "synthgen.generate_survival"}
 
 
-def scipy_import_sites(node: ast.AST, owner: str):
-    """The dotted name of the function, class or module around each import
-    of scipy under ``node``, whose own name is ``owner``."""
+def sites(node: ast.AST, owner: str, found):
+    """The dotted name of the function, class or module around each node
+    under ``node``, whose own name is ``owner``, for which ``found`` holds."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            modules = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom) and not child.level:
-            modules = [child.module]
-        else:
-            modules = []
-        if any(m.split(".")[0] == "scipy" for m in modules):
+        if found(child):
             yield owner
         named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        yield from scipy_import_sites(child, f"{owner}.{child.name}" if named else owner)
+        yield from sites(child, f"{owner}.{child.name}" if named else owner, found)
+
+
+def imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        modules = [node.module]
+    else:
+        modules = []
+    return any(m.split(".")[0] == "scipy" for m in modules)
 
 
 def test_scipy_imported_only_at_its_sites():
     found = {site for path in sorted(PACKAGE.glob("*.py"))
-             for site in scipy_import_sites(parse(path), path.stem)}
+             for site in sites(parse(path), path.stem, imports_scipy)}
     assert found - SCIPY_SITES == set()
+
+
+# the file readers of ingest, which only its one entry calls
+INGEST_READERS = {"load_events", "load_labels"}
+
+
+def names_an_ingest_reader(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id in INGEST_READERS
+            or isinstance(node, ast.Attribute) and node.attr in INGEST_READERS)
+
+
+def test_ingest_readers_used_only_by_build_corpus():
+    found = {site for path in sorted(PACKAGE.glob("*.py"))
+             for site in sites(parse(path), path.stem, names_an_ingest_reader)}
+    assert found == {"corpus.build_corpus"}
 
 
 def test_corpus_holds_no_count_matrix():
