@@ -12,7 +12,7 @@ from .anchors import AnchorSet, default_candidates, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence
 from .corpus import (Corpus, IngestConfig, SurvivalLabels, Vocabulary,
                      build_corpus, load_corpus, load_events, mean_word_score,
-                     normalize_columns, save_corpus, split, subset, vocabulary_hash)
+                     normalize_columns, save_corpus, split, subset)
 from .evaluation import CvResult, Metrics, c_index, compute_metrics, cross_validate, rmse_mae
 from .methods import (EncoxModel, KmModel, Predictions, fit_encox, fit_km, fit_method,
                       load_model, predict, save_model)
@@ -39,5 +39,4 @@ __all__ = [
     "load_model", "mean_word_score", "normalize_columns", "predict",
     "predict_median", "recover_topics_unsupervised", "recover_word_topic_matrix",
     "rmse_mae", "save_corpus", "save_model", "split", "stable_anchors", "subset",
-    "vocabulary_hash",
 ]

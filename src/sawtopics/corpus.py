@@ -24,7 +24,6 @@ names) and the corpus.
 from __future__ import annotations
 
 import base64
-import hashlib
 import itertools
 import json
 import logging
@@ -90,7 +89,8 @@ class Vocabulary:
 
     ``bin_edges`` has one entry per continuous event (possibly empty when a
     single bin was requested); its presence is what marks an event as
-    continuous when a prebuilt vocabulary is applied to new data.
+    continuous when a prebuilt vocabulary is applied to new data. Both are
+    kept as tuples (of str, of float), so ``==`` ignores how they were spelled.
     """
 
     words: tuple[str, ...]
@@ -98,22 +98,22 @@ class Vocabulary:
     index: Mapping[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.words, (list, tuple)) or any(type(w) is not str for w in self.words):
+            raise ValueError("words must be a list of strings")
         index = {w: i for i, w in enumerate(self.words)}
         if len(index) != len(self.words):
             raise ValueError("vocabulary words must be unique")
-        for event, edges in self.bin_edges.items():
-            edges = np.asarray(edges, dtype=float)
-            if not (np.isfinite(edges).all() and np.all(np.diff(edges) >= 0)):
+        edges = {event: flat_array(cuts, f"bin_edges[{event!r}]", "iuf", "numbers").astype(float)
+                 for event, cuts in self.bin_edges.items()}
+        for event, cuts in edges.items():
+            if not (np.isfinite(cuts).all() and np.all(np.diff(cuts) >= 0)):
                 raise ValueError(f"bin edges of {event!r} must be finite and non-decreasing")
+        object.__setattr__(self, "words", tuple(self.words))
+        object.__setattr__(self, "bin_edges", {e: tuple(c.tolist()) for e, c in edges.items()})
         object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.words)
-
-
-def vocabulary_hash(vocab: Vocabulary) -> str:
-    """Stable fingerprint of the word list, used to match models to corpora."""
-    return hashlib.sha256("\n".join(vocab.words).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -496,8 +496,7 @@ def _word_codes(events: Events, cfg: IngestConfig,
     if vocabulary is None:
         not_numeric = np.bincount(name[~np.isfinite(x)[value]], minlength=len(names))
         q = np.arange(1, cfg.bins) / cfg.bins
-        bin_edges = {names[e]: tuple(np.quantile(x[value[order[start[e]:start[e + 1]]]],
-                                                 q).tolist())
+        bin_edges = {names[e]: np.quantile(x[value[order[start[e]:start[e + 1]]]], q)
                      for e in np.flatnonzero(not_numeric == 0).tolist()}
     else:
         bin_edges = vocabulary.bin_edges
@@ -508,8 +507,7 @@ def _word_codes(events: Events, cfg: IngestConfig,
     for e in np.flatnonzero(binned).tolist():
         at = slice(start[e], start[e + 1])  # not a view of order, which is freed below
         v = value[order[at]]
-        edges = np.asarray(bin_edges[names[e]], dtype=float)
-        key[order[at]] = np.where(parsed[v], np.searchsorted(edges, x[v], side="left"), -1)
+        key[order[at]] = np.where(parsed[v], np.searchsorted(bin_edges[names[e]], x[v]), -1)
     del order
     hit = key >= 0
     key += np.multiply(name, width, dtype=key.dtype)
@@ -750,13 +748,23 @@ def save_corpus(corpus: Corpus, path) -> None:
     write_json({
         "format": CORPUS_FORMAT,
         "version": CORPUS_VERSION,
-        "words": list(corpus.vocab.words),
-        "bin_edges": {k: list(v) for k, v in corpus.vocab.bin_edges.items()},
+        **vocabulary_fields(corpus.vocab),
         "patient_ids": list(corpus.patient_ids),
         "times": corpus.labels.times.tolist(),
         "observed": corpus.labels.observed.astype(int).tolist(),
         **{k: _packed(getattr(corpus, k)) for k in _CSC_KEYS},
     }, path)
+
+
+def vocabulary_fields(vocab: Vocabulary) -> dict:
+    """A vocabulary as corpus and model files hold it."""
+    return {"words": list(vocab.words),
+            "bin_edges": {event: list(cuts) for event, cuts in vocab.bin_edges.items()}}
+
+
+def read_vocabulary(payload: dict) -> Vocabulary:
+    """The vocabulary that ``vocabulary_fields`` put in ``payload``, checked."""
+    return Vocabulary(payload["words"], payload["bin_edges"])
 
 
 def read_json(path, format: str, version: int, kind: str, command: str) -> dict:
@@ -811,19 +819,15 @@ def _corpus_from(payload: dict) -> Corpus:
         if not isinstance(payload.get(key), kind):
             name = "object" if kind is dict else "array"
             raise ValueError(f"{key} is missing or not a JSON {name}")
-    for key in ("words", "patient_ids"):
-        if not all(isinstance(x, str) for x in payload[key]):
-            raise ValueError(f"{key} must be a list of strings")
+    if not all(isinstance(x, str) for x in payload["patient_ids"]):
+        raise ValueError("patient_ids must be a list of strings")
     times = flat_array(payload["times"], "times", "iuf", "numbers")
     observed = flat_array(payload["observed"], "observed", "bi", "0/1 flags")
     if not np.all((observed == 0) | (observed == 1)):
         raise ValueError("observed must be a list of 0/1 flags")
-    words, pids = tuple(payload["words"]), tuple(payload["patient_ids"])
     counts = tuple(_unpacked(payload[k], k) for k in _CSC_KEYS)
-    edges = {k: tuple(flat_array(v, f"bin_edges[{k!r}]", "iuf", "numbers").astype(float).tolist())
-             for k, v in payload["bin_edges"].items()}
     labels = SurvivalLabels(times.astype(float), observed.astype(bool))
-    return Corpus(counts, Vocabulary(words, edges), labels, pids)
+    return Corpus(counts, read_vocabulary(payload), labels, tuple(payload["patient_ids"]))
 
 
 def load_corpus(path) -> Corpus:

@@ -2,11 +2,12 @@
 
 Four methods share one versioned model file format and one predictions
 format: the joint fit (saw), the two-stage baseline (usaw), elastic-net Cox
-directly on normalized word frequencies (encox), and Kaplan-Meier (km).
-``predict`` scores every method: a Cox model's risk is each patient's mean
-over its tokens of the model's per-word score, ``word_score``. The km
-baseline predicts the same median for everyone and has no risk ordering, so
-its risk scores are NaN.
+directly on normalized word frequencies (encox), and Kaplan-Meier (km). A
+Cox model's file holds its corpus's ``words`` and ``bin_edges`` as a corpus
+file does, and ``predict`` scores only a corpus of an equal vocabulary: each
+patient's risk is its mean over its tokens of the model's per-word score,
+``word_score``. A km model holds no vocabulary; it predicts the same median
+for everyone and has no risk ordering, so its risk scores are NaN.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import numpy as np
 
 from .anchors import AnchorSet
 from .corpus import (Corpus, Vocabulary, flat_array, mean_word_score, normalize_columns,
-                     read_json, vocabulary_hash, write_json)
+                     read_json, read_vocabulary, vocabulary_fields, write_json)
 from .saw import FitTrace, SawConfig, SawModel, fit_saw, fit_usaw
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, fit_elastic_net_cox,
                        kaplan_meier, predict_median)
 from .topics import TopicModel
 
 MODEL_FORMAT = "sawtopics-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +41,6 @@ class EncoxModel:
         if self.cox.beta.shape != (len(self.vocab),):
             raise ValueError(f"want one beta per word: {self.cox.beta.shape} for {len(self.vocab)}")
 
-    vocab_hash = property(lambda self: vocabulary_hash(self.vocab))
     word_score = property(lambda self: self.cox.beta)
 
 
@@ -49,7 +49,6 @@ class KmModel:
     curve: SurvivalCurve
     median: float
     saturated: bool
-    vocab_hash: str
     method: str = "km"
 
 
@@ -59,8 +58,7 @@ def fit_encox(corpus: Corpus, lam: float, alpha: float) -> EncoxModel:
 
 
 def fit_km(corpus: Corpus) -> KmModel:
-    curve, median, saturated = kaplan_meier(corpus.labels)
-    return KmModel(curve, median, saturated, vocabulary_hash(corpus.vocab))
+    return KmModel(*kaplan_meier(corpus.labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +79,20 @@ def predict(model, corpus: Corpus) -> Predictions:
         n = corpus.n_docs
         return Predictions(corpus.patient_ids, np.full(n, np.nan), np.full(n, model.median),
                            np.full(n, model.saturated, dtype=bool))
-    if vocabulary_hash(corpus.vocab) != model.vocab_hash:
-        raise ValueError("vocabulary mismatch between model and corpus")
+    if corpus.vocab != model.vocab:
+        raise ValueError(_mismatch(model.vocab, corpus.vocab))
     risk = mean_word_score(corpus, model.word_score)
     return Predictions(corpus.patient_ids, risk, *predict_median(model.cox, risk))
+
+
+def _mismatch(model: Vocabulary, corpus: Vocabulary) -> str:
+    """Where two unequal vocabularies first differ: at a word, else at a binned event."""
+    for what, a, b in (("word", dict(enumerate(model.words)), dict(enumerate(corpus.words))),
+                       ("bin edges of", model.bin_edges, corpus.bin_edges)):
+        key = min((k for k in a.keys() | b.keys() if a.get(k) != b.get(k)), default=None)
+        if key is not None:
+            return (f"vocabulary mismatch between model and corpus: {what} {key!r}: "
+                    f"{a.get(key)!r} in the model, {b.get(key)!r} in the corpus")
 
 
 def _numbers(values, name: str) -> np.ndarray:
@@ -116,7 +124,7 @@ def _write_saw(model: SawModel) -> dict:
     tm = model.topic_model
     return {
         "config": asdict(model.config),
-        "words": list(model.vocab.words),
+        **vocabulary_fields(model.vocab),
         "anchors": {
             "indices": list(tm.anchors.indices),
             "stability": {str(w): c for w, c in tm.anchors.stability.items()},
@@ -142,7 +150,6 @@ def _read_saw(payload: dict) -> SawModel:
         runs=_whole(found["runs"], "anchors.runs", 1),
         projection_dim=_whole(found["projection_dim"], "anchors.projection_dim", 1),
     )
-    vocab = Vocabulary(tuple(payload["words"]))
     tm = TopicModel(  # SawModel checks the shapes of theta and A
         theta=np.array([_numbers(row, "theta rows") for row in payload["theta"]["dense"]]),
         A=np.array([_numbers(row, "A rows") for row in payload["A"]["dense"]]),
@@ -156,12 +163,12 @@ def _read_saw(payload: dict) -> SawModel:
                          f"{trace['objective_values']!r}, {trace['converged']!r}")
     trace = FitTrace(tuple(values.tolist()), trace["converged"],
                      _whole(trace["iterations"], "trace iterations", 0))
-    return SawModel(tm, _read_cox(payload, cfg.lam, cfg.alpha), cfg, trace, vocab,
-                    method=payload["method"])
+    return SawModel(tm, _read_cox(payload, cfg.lam, cfg.alpha), cfg, trace,
+                    read_vocabulary(payload), method=payload["method"])
 
 
 def _write_encox(model: EncoxModel) -> dict:
-    return {"words": list(model.vocab.words),
+    return {**vocabulary_fields(model.vocab),
             "lam": model.cox.lam, "alpha": model.cox.alpha, **_write_cox(model.cox)}
 
 
@@ -170,8 +177,7 @@ def _read_encox(payload: dict) -> EncoxModel:
     if not (type(lam) in (int, float) and 0 <= lam < np.inf
             and type(alpha) in (int, float) and 0 <= alpha <= 1):
         raise ValueError(f"want a finite lam >= 0 and an alpha in [0, 1], got {lam!r}, {alpha!r}")
-    cox = _read_cox(payload, lam, alpha)
-    return EncoxModel(cox, Vocabulary(tuple(payload["words"])))
+    return EncoxModel(_read_cox(payload, lam, alpha), read_vocabulary(payload))
 
 
 def _write_km(model: KmModel) -> dict:
@@ -187,7 +193,7 @@ def _read_km(payload: dict) -> KmModel:
     if type(median) not in (int, float) or not np.isfinite(median) or type(saturated) is not bool:
         raise ValueError(f"want a finite median and a true/false saturated, got {median!r}, "
                          f"{saturated!r}")
-    return KmModel(curve, float(median), saturated, payload["vocab_hash"])
+    return KmModel(curve, float(median), saturated)
 
 
 @dataclass(frozen=True)
@@ -220,9 +226,8 @@ def fit_method(corpus: Corpus, method: str, config: SawConfig):
 def save_model(model, path) -> None:
     if getattr(model, "method", None) not in METHODS:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "method": model.method,
-               "vocab_hash": model.vocab_hash, **METHODS[model.method].write(model)}
-    write_json(payload, path)
+    write_json({"format": MODEL_FORMAT, "version": MODEL_VERSION, "method": model.method,
+                **METHODS[model.method].write(model)}, path)
 
 
 def load_model(path):
@@ -234,10 +239,7 @@ def load_model(path):
     try:
         if payload["method"] not in METHODS:
             raise ValueError(f"unknown method {payload['method']!r}")
-        model = METHODS[payload["method"]].read(payload)
-        if not isinstance(payload["vocab_hash"], str) or model.vocab_hash != payload["vocab_hash"]:
-            raise ValueError("vocab_hash is not the hash of the model's vocabulary")
-        return model
+        return METHODS[payload["method"]].read(payload)
     except KeyError as exc:
         raise ValueError(f"bad model file {path}: missing key {exc}") from exc
     except (AttributeError, IndexError, TypeError, ValueError) as exc:  # wrong JSON types

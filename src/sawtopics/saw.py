@@ -21,7 +21,7 @@ import numpy as np
 
 from .anchors import AnchorSet, default_candidates, stable_anchors
 from .cooccur import CooccurrenceStats, build_cooccurrence
-from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns, vocabulary_hash
+from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns
 from .seeding import derive_seed
 from .survival import CoxModel, SurvivalLabels, elastic_net_penalty, fit_elastic_net_cox
 from .topics import (LOG_FLOOR, ConvergenceError, TopicModel, doc_topic_features, face_system,
@@ -92,7 +92,6 @@ class SawModel:
                              f"{self.cox.beta.shape} disagree with (words, k) = {shape}")
         _check_feasible(tm.theta, tm.anchors)
 
-    vocab_hash = property(lambda self: vocabulary_hash(self.vocab))
     word_score = property(lambda self: self.topic_model.theta @ self.cox.beta)
 
 

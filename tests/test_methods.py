@@ -8,8 +8,8 @@ from scipy import sparse
 
 import sawtopics
 from sawtopics.cli import _write_predictions
-from sawtopics.corpus import (Corpus, load_corpus, mean_word_score, normalize_columns,
-                              save_corpus, subset)
+from sawtopics.corpus import (Corpus, IngestConfig, Vocabulary, load_corpus, mean_word_score,
+                              normalize_columns, save_corpus, subset)
 from sawtopics.methods import METHODS, fit_method, load_model, predict, save_model
 from sawtopics.saw import SawConfig
 from sawtopics.survival import predict_median
@@ -66,15 +66,27 @@ def test_missing_key_names_the_file(corpus, cox_models, tmp_path, method, key):
         load_model(path)
 
 
-@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("version", [True, 2.0])
 def test_model_version_must_be_a_json_integer(corpus, tmp_path, version):
     # true and 1.0 were read as version 1
     path = tmp_path / "m.json"
     save_model(fit_method(corpus, "km", SawConfig()), path)
     payload = dict(json.loads(path.read_text()), version=version)
     path.write_text(json.dumps(payload))
-    message = helpers.version_refused("model", version, path, "train", 1)
+    message = helpers.version_refused("model", version, path, "train", 2)
     with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("method", ["saw", "km"])
+def test_version_1_model_refused(corpus, tmp_path, method):
+    # version 1 held a hash of the words and no bin edges
+    path = tmp_path / "m.json"
+    save_model(fit_method(corpus, method, SawConfig(k=3, max_outer_iters=1)), path)
+    payload = dict(json.loads(path.read_text()), version=1)
+    payload.pop("bin_edges", None)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=helpers.version_refused("model", 1, path, "train", 2)):
         load_model(path)
 
 
@@ -346,3 +358,110 @@ def test_either_design_layout_fits_the_same_model(corpus, monkeypatch, method):
         assert csc.trace.iterations == dense.trace.iterations > 1
         assert relative_gap(csc.trace.objective_values, dense.trace.objective_values) <= 1e-10
         assert relative_gap(csc.topic_model.theta, dense.topic_model.theta) <= 1e-10
+
+
+def event_rows(patients, seed):
+    """Event lines and labels for ``patients``: two numeric events whose
+    values track each patient's risk, six rows each, and one categorical
+    event."""
+    rng = np.random.default_rng(seed)
+    lines, labels = [], {}
+    for p in patients:
+        risk = rng.standard_normal()
+        for t in range(6):
+            lines.append(f"{p},{t},hr,{80 + 10 * risk + 5 * rng.standard_normal():.2f}")
+            lines.append(f"{p},{t},lab,{rng.standard_normal() - risk:.3f}")
+        lines.append(f"{p},0,sex,{'fm'[rng.integers(2)]}")
+        labels[p] = (round(float(rng.exponential(30 * np.exp(-risk))) + 0.5, 1),
+                     bool(rng.random() < 0.8))
+    return lines, labels
+
+
+EVENT_CFG = IngestConfig(bins=4, min_doc_freq=1)
+TRAIN_IDS = [f"a{i:02d}" for i in range(60)]
+TEST_IDS = [f"b{i:02d}" for i in range(40)]
+
+
+@pytest.fixture(scope="module")
+def event_train():
+    return helpers.build_rows(*event_rows(TRAIN_IDS, 5), EVENT_CFG)
+
+
+@pytest.fixture(scope="module")
+def event_models(event_train):
+    cfg = SawConfig(k=3, lam=0.1, seed=5, max_outer_iters=3)
+    return {m: fit_method(event_train, m, cfg) for m in ("saw", "usaw", "encox", "km")}
+
+
+@pytest.mark.parametrize("method", ["saw", "encox"])
+def test_loaded_vocabulary_builds_the_same_corpus(event_models, tmp_path, method):
+    # a loaded model's vocabulary had no bin edges, so new patients' numeric
+    # events made no words: half their tokens went, and predict exited 0
+    model, path = event_models[method], tmp_path / "m.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    lines, labels = event_rows(TEST_IDS, 6)
+    built = {}
+    for name, vocab in (("fitted", model.vocab), ("loaded", loaded.vocab)):
+        corpus = helpers.build_rows(lines, labels, EVENT_CFG, vocab)
+        save_corpus(corpus, tmp_path / f"{name}.json")
+        built[name] = (tmp_path / f"{name}.json").read_bytes(), predict(loaded, corpus).risk
+    assert built["loaded"][0] == built["fitted"][0]
+    assert np.array_equal(built["loaded"][1], built["fitted"][1])
+
+
+def test_edges_spelled_as_lists_or_tuples_are_one_vocabulary(event_train, tmp_path):
+    fitted = event_train.vocab
+    assert fitted.bin_edges and all(type(c) is tuple for c in fitted.bin_edges.values())
+    for spell in (np.array, list):
+        spelled = Vocabulary(list(fitted.words), {e: spell(c) for e, c in fitted.bin_edges.items()})
+        assert spelled == fitted
+        assert all(type(c) is tuple and all(type(x) is float for x in c)
+                   for c in spelled.bin_edges.values())
+    # a model trained on the list form predicts after a save and a load
+    corpus = helpers.build_rows(*event_rows(TRAIN_IDS, 5), EVENT_CFG, spelled)
+    model, path = fit_method(corpus, "encox", SawConfig(lam=0.1)), tmp_path / "m.json"
+    save_model(model, path)
+    assert np.array_equal(predict(load_model(path), corpus).risk, predict(model, corpus).risk)
+
+
+def test_corpus_ingested_on_its_own_refused(event_models):
+    # test patients ingested from their own files get the training words,
+    # but each numeric event is cut at other edges; predict scored them
+    lines, labels = event_rows(TEST_IDS, 6)
+    own = helpers.build_rows(lines, labels, EVENT_CFG)
+    model = event_models["saw"]
+    assert own.vocab.words == model.vocab.words
+    assert own.vocab.bin_edges.keys() == model.vocab.bin_edges.keys() == {"hr", "lab"}
+    edges = re.escape(repr(model.vocab.bin_edges["hr"]))
+    with pytest.raises(ValueError, match=f"^vocabulary mismatch between model and corpus: "
+                                         f"bin edges of 'hr': {edges} in the model, \\("):
+        predict(model, own)
+    # without the men's rows, the test patients lack the word sex=m
+    women = helpers.build_rows([x for x in lines if not x.endswith(",sex,m")], labels, EVENT_CFG)
+    at = model.vocab.words.index("sex=m")
+    with pytest.raises(ValueError, match=f": word {at}: 'sex=m' in the model, None in the corpus$"):
+        predict(event_models["encox"], women)
+
+
+COX_KEYS = {"format", "version", "method", "words", "bin_edges", "beta", "baseline"}
+SAW_KEYS = COX_KEYS | {"config", "anchors", "theta", "A", "residuals", "trace"}
+MODEL_KEYS = {"saw": SAW_KEYS, "usaw": SAW_KEYS, "encox": COX_KEYS | {"lam", "alpha"},
+              "km": {"format", "version", "method", "times", "survival", "median", "saturated"}}
+
+
+@pytest.mark.parametrize("method", ["saw", "usaw", "encox", "km"])
+def test_model_file_holds_the_corpus_vocabulary(event_train, event_models, tmp_path, method):
+    # the file held a hash of the words and no bin edges; a km file, whose
+    # model scores without a vocabulary, holds none
+    model, path = event_models[method], tmp_path / "m.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    assert payload.keys() == MODEL_KEYS[method]
+    if method == "km":
+        return
+    corpus = tmp_path / "c.json"
+    save_corpus(event_train, corpus)
+    held = json.loads(corpus.read_text())
+    assert (payload["words"], payload["bin_edges"]) == (held["words"], held["bin_edges"])
+    assert load_model(path).vocab == model.vocab

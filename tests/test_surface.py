@@ -4,8 +4,9 @@ the source, the tests or the benchmark harness. No module of the package
 reaches into another's private (``_``-prefixed) names or imports a name it
 never uses. And scipy is
 imported only by the functions that need it, only ``build_corpus`` reads
-the event and label files, a ``Corpus`` is its CSC arrays alone, and the
-README's library examples run."""
+the event and label files, one pair of functions writes and reads a
+vocabulary in corpus and model files, a ``Corpus`` is its CSC arrays
+alone, and the README's library examples run."""
 
 import ast
 import re
@@ -137,20 +138,56 @@ def sites(node: ast.AST, owner: str, found):
         yield from sites(child, f"{owner}.{child.name}" if named else owner, found)
 
 
-def imports_scipy(node: ast.AST) -> bool:
+def imported(node: ast.AST) -> set[str]:
+    """The top-level packages that an import statement outside the package names."""
     if isinstance(node, ast.Import):
         modules = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and not node.level:
         modules = [node.module]
     else:
         modules = []
-    return any(m.split(".")[0] == "scipy" for m in modules)
+    return {m.split(".")[0] for m in modules}
 
 
 def test_scipy_imported_only_at_its_sites():
     found = {site for path in sorted(PACKAGE.glob("*.py"))
-             for site in sites(parse(path), path.stem, imports_scipy)}
+             for site in sites(parse(path), path.stem, lambda node: "scipy" in imported(node))}
     assert found - SCIPY_SITES == set()
+
+
+def test_only_seeding_hashes():
+    # models were matched to corpora by a hash of their words alone
+    found = {site for path in sorted(PACKAGE.glob("*.py"))
+             for site in sites(parse(path), path.stem, lambda node: "hashlib" in imported(node))}
+    assert found == {"seeding"}
+
+
+def names_a_vocabulary_key(node: ast.AST) -> bool:
+    """A dict display, a subscript or a ``get`` that names a file's key of a
+    vocabulary."""
+    if isinstance(node, ast.Dict):
+        keys = node.keys
+    elif isinstance(node, ast.Subscript):
+        keys = [node.slice]
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+        keys = node.args[:1]
+    else:
+        keys = []
+    return any(isinstance(k, ast.Constant) and k.value in ("words", "bin_edges") for k in keys)
+
+
+def test_one_pair_writes_and_reads_a_vocabulary():
+    # a corpus file and a model file hold a vocabulary in one form, so a
+    # model is matched to a corpus by comparing the two vocabularies
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        # _CORPUS_KEYS types every key of a corpus file, these two among them
+        tree.body = [node for node in tree.body
+                     if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                             and getattr(node.targets[0], "id", None) == "_CORPUS_KEYS")]
+        found |= set(sites(tree, path.stem, names_a_vocabulary_key))
+    assert found == {"corpus.vocabulary_fields", "corpus.read_vocabulary"}
 
 
 # the file readers of ingest, which only its one entry calls
