@@ -36,10 +36,6 @@ class CooccurrenceStats:
     Qbar: np.ndarray
     zero_words: np.ndarray
 
-    @property
-    def n_words(self) -> int:
-        return self.Qbar.shape[0]
-
 
 def build_cooccurrence(corpus: Corpus) -> CooccurrenceStats:
     m = corpus.doc_lengths.astype(float)

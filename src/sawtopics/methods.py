@@ -31,10 +31,12 @@ MODEL_VERSION = 2
 
 @dataclass(frozen=True, eq=False)
 class EncoxModel:
-    """Elastic-net Cox on the column-normalized word counts themselves."""
+    """Elastic-net Cox on the column-normalized word counts, fitted at ``lam`` and ``alpha``."""
 
     cox: CoxModel
     vocab: Vocabulary
+    lam: float
+    alpha: float
     method: str = "encox"
 
     def __post_init__(self):
@@ -54,7 +56,7 @@ class KmModel:
 
 def fit_encox(corpus: Corpus, lam: float, alpha: float) -> EncoxModel:
     cox = fit_elastic_net_cox(normalize_columns(corpus).T, corpus.labels, lam, alpha)
-    return EncoxModel(cox, corpus.vocab)
+    return EncoxModel(cox, corpus.vocab, float(lam), float(alpha))
 
 
 def fit_km(corpus: Corpus) -> KmModel:
@@ -112,12 +114,11 @@ def _write_cox(cox: CoxModel) -> dict:
                          "cum_hazard": [float(h) for h in cox.baseline.cum_hazard]}}
 
 
-def _read_cox(payload: dict, lam: float, alpha: float) -> CoxModel:
+def _read_cox(payload: dict) -> CoxModel:
     base = payload["baseline"]
     return CoxModel(_numbers(payload["beta"], "beta"),
                     BaselineHazard(_numbers(base["times"], "baseline times"),
-                                   _numbers(base["cum_hazard"], "baseline cum_hazard")),
-                    lam, alpha)
+                                   _numbers(base["cum_hazard"], "baseline cum_hazard")))
 
 
 def _write_saw(model: SawModel) -> dict:
@@ -163,13 +164,13 @@ def _read_saw(payload: dict) -> SawModel:
                          f"{trace['objective_values']!r}, {trace['converged']!r}")
     trace = FitTrace(tuple(values.tolist()), trace["converged"],
                      _whole(trace["iterations"], "trace iterations", 0))
-    return SawModel(tm, _read_cox(payload, cfg.lam, cfg.alpha), cfg, trace,
+    return SawModel(tm, _read_cox(payload), cfg, trace,
                     read_vocabulary(payload), method=payload["method"])
 
 
 def _write_encox(model: EncoxModel) -> dict:
     return {**vocabulary_fields(model.vocab),
-            "lam": model.cox.lam, "alpha": model.cox.alpha, **_write_cox(model.cox)}
+            "lam": model.lam, "alpha": model.alpha, **_write_cox(model.cox)}
 
 
 def _read_encox(payload: dict) -> EncoxModel:
@@ -177,7 +178,7 @@ def _read_encox(payload: dict) -> EncoxModel:
     if not (type(lam) in (int, float) and 0 <= lam < np.inf
             and type(alpha) in (int, float) and 0 <= alpha <= 1):
         raise ValueError(f"want a finite lam >= 0 and an alpha in [0, 1], got {lam!r}, {alpha!r}")
-    return EncoxModel(_read_cox(payload, lam, alpha), read_vocabulary(payload))
+    return EncoxModel(_read_cox(payload), read_vocabulary(payload), lam, alpha)
 
 
 def _write_km(model: KmModel) -> dict:

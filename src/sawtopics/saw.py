@@ -7,8 +7,9 @@ front, and an elastic-net Cox fit on their features follows (the two-stage
 fit ends there). Each outer iteration then runs ``update_theta``, projected
 Newton-CG over all free theta rows, which the Cox term couples, stopped by a
 Frank-Wolfe gap certificate, and ends on a Cox fit warm-started on the new
-features (so it can only lower the objective).
-Topic recovery and its Newton simplex solver live in ``topics``.
+features (so it can only lower the objective). Recovery and each theta
+half-step hand back the KL terms of the theta they return, which the joint
+objective sums. Topic recovery and its Newton simplex solver live in ``topics``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns
 from .seeding import derive_seed
 from .survival import CoxModel, SurvivalLabels, elastic_net_penalty, fit_elastic_net_cox
 from .topics import (LOG_FLOOR, ConvergenceError, TopicModel, doc_topic_features, face_system,
-                     kl_divergence, kl_residuals, newton_budget, recover_topics_unsupervised,
+                     kl_divergence, newton_budget, recover_topics_unsupervised,
                      recover_word_topic_matrix, sum_plogp)
 
 OBJECTIVE_SLACK = 1e-9  # relative tolerance for "non-increasing" checks
@@ -124,7 +125,7 @@ def update_theta(
     Xbar,
     labels: SurvivalLabels,
     anchors: AnchorSet,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimize sum_w KL(Qbar_w || theta_w @ B) plus the Cox partial likelihood
     of the document features (which couples them) over the free rows of theta,
     for ``Xbar`` in either layout of ``normalize_columns``, until the coupled
@@ -133,14 +134,17 @@ def update_theta(
     Frank-Wolfe vertex), preconditioned by the separable face systems, then an
     Armijo halving search along the projection onto the faces. Raises
     ConvergenceError if ``newton_budget(k)`` steps, or a step that lowers
-    nothing, leave the gap above. Returns the updated theta."""
+    nothing, leave the gap above. Returns the updated theta and each word's
+    KL term at it, kept from the objective of the accepted iterate (0 on the
+    anchor rows)."""
     theta = np.array(theta, dtype=float)
     beta = np.asarray(beta, dtype=float)
     d, k = theta.shape
     aidx = np.asarray(anchors.indices, dtype=int)
     free = np.setdiff1d(np.arange(d), aidx)
+    kl = np.zeros(d)
     if not free.size:  # every word is an anchor; nothing to optimize
-        return theta
+        return theta, kl
     XT = Xbar.T  # no copy of the design: Xbar and this view share its arrays
     Xsq = Xbar ** 2
     P, B = stats.Qbar[free], stats.Qbar[aidx]
@@ -150,10 +154,11 @@ def update_theta(
     def objective(th):
         u[free] = th @ beta
         value, grad, hess = labels.risk_sets.partial_likelihood(XT @ u)
-        return kl_divergence(P, th @ B, plogp).sum() + value, grad, hess
+        terms = kl_divergence(P, th @ B, plogp)
+        return terms.sum() + value, terms, grad, hess
 
     th = theta[free]
-    f, grad, hess_eta = objective(th)
+    f, terms, grad, hess_eta = objective(th)
     budget = newton_budget(k)
     products = halvings = 0
     for step in range(budget + 1):
@@ -203,7 +208,7 @@ def update_theta(
             rz_old = rz
         for i in range(60):
             cand = _project_to_simplex(np.where(work, th + 0.5 ** i * x, -np.inf))
-            fc, grad, hess_eta = objective(cand)
+            fc, cand_terms, grad, hess_eta = objective(cand)
             if fc <= f + ARMIJO * float(np.sum(G * (cand - th))):
                 break
             halvings += 1
@@ -211,11 +216,11 @@ def update_theta(
             raise ConvergenceError(f"theta half-step: coupled Frank-Wolfe gap {gap:.3g} > "
                                    f"{tol:.3g}, no step lowers the objective; worst row {worst}",
                                    int(worst), gap)
-        th, f = cand, fc
+        th, f, terms = cand, fc, cand_terms
     log.debug("theta half-step: %d Newton steps, %d Hessian products, %d halvings, "
               "coupled gap %.3g <= tolerance %.3g", step, products, halvings, gap, tol)
-    theta[free] = th
-    return theta
+    theta[free], kl[free] = th, terms
+    return theta, kl
 
 
 def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
@@ -224,7 +229,8 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
     ``max_outer_iters == 0`` runs), then outer iterations of a monotone theta
     pass followed by a Cox fit warm-started on the new theta's features,
     until the joint objective stops improving. The returned Cox model is the
-    last fit, on the returned theta's features.
+    last fit, on the returned theta's features, and the residuals are the
+    KL terms of the returned theta, from the solver that produced it.
     """
     if corpus.n_docs < 2:
         raise ValueError("need at least 2 documents")
@@ -237,10 +243,10 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
         stats, config.k, T=config.anchor_runs, r=config.projection_dim,
         seed=derive_seed(config.seed, "anchors"), candidates=cand,
     )
-    theta = recover_topics_unsupervised(stats, anchors).theta
+    tm = recover_topics_unsupervised(stats, anchors)
+    theta, residuals = tm.theta, tm.residuals
     Xbar = normalize_columns(corpus)
-    # the current theta's KL terms and features, computed once per theta
-    residuals, Z = kl_residuals(theta, stats, anchors), doc_topic_features(theta, Xbar)
+    Z = doc_topic_features(theta, Xbar)
 
     def objective(beta):  # the joint objective at the current theta
         return (float(residuals.sum()) + labels.risk_sets.partial_likelihood(Z @ beta)[0]
@@ -253,8 +259,8 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
     converged, iterations = False, 0
     while iterations < config.max_outer_iters and not converged:
         prev = obj[-1]
-        theta = update_theta(theta, cox.beta, stats, Xbar, labels, anchors)
-        residuals, Z = kl_residuals(theta, stats, anchors), doc_topic_features(theta, Xbar)
+        theta, residuals = update_theta(theta, cox.beta, stats, Xbar, labels, anchors)
+        Z = doc_topic_features(theta, Xbar)
         obj.append(objective(cox.beta))
         cox = fit_elastic_net_cox(Z, labels, config.lam, config.alpha, beta0=cox.beta)
         obj.append(objective(cox.beta))

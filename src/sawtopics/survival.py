@@ -100,10 +100,11 @@ class SurvivalCurve:
 
 @dataclass(frozen=True, eq=False)
 class CoxModel:
+    """Cox coefficients and their Breslow baseline hazard; the penalty of the
+    fit is kept by their owner (``SawModel.config``, ``EncoxModel``)."""
+
     beta: np.ndarray
     baseline: BaselineHazard
-    lam: float
-    alpha: float
 
     def __post_init__(self):
         b = np.asarray(self.beta, dtype=float)
@@ -262,7 +263,7 @@ def fit_elastic_net_cox(
         step = s if halved else min(s * 1.5, 1e8)
         if drop <= tol * max(abs(F), 1e-12):
             break
-    return CoxModel(beta, breslow_baseline(beta, Z, labels), float(lam), float(alpha))
+    return CoxModel(beta, breslow_baseline(beta, Z, labels))
 
 
 def breslow_baseline(beta: np.ndarray, Z, labels: SurvivalLabels) -> BaselineHazard:
@@ -286,7 +287,7 @@ def predict_median(model: CoxModel, eta: np.ndarray) -> tuple[np.ndarray, np.nda
     double, so where exp(eta) is infinite a zero-hazard step is no crossing.
     """
     base = model.baseline
-    if base is None or base.times.size == 0:
+    if base.times.size == 0:
         raise ValueError("model has no baseline hazard")
     with np.errstate(over="ignore"):  # exp(-eta) = inf: the curve stays above 0.5
         target = np.maximum(np.log(2.0) * np.exp(-np.asarray(eta, dtype=float)), 5e-324)

@@ -242,14 +242,6 @@ def recover_topics_unsupervised(stats: CooccurrenceStats, anchors: AnchorSet) ->
     return TopicModel(theta, recover_word_topic_matrix(theta, stats.p), anchors, residuals)
 
 
-def kl_residuals(theta: np.ndarray, stats: CooccurrenceStats, anchors: AnchorSet) -> np.ndarray:
-    """Per-row KL(Qbar_w || theta_w @ B); exact zeros on anchor rows."""
-    aidx = np.asarray(anchors.indices, dtype=int)
-    out = kl_divergence(stats.Qbar, theta @ stats.Qbar[aidx])
-    out[aidx] = 0.0
-    return out
-
-
 def recover_word_topic_matrix(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Bayes step: A[w, g] proportional to theta[w, g] * p[w], columns
     normalized to sum to 1."""

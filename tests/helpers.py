@@ -47,7 +47,7 @@ from sawtopics.corpus import (Corpus, EventParseError, Events, IngestConfig, Sur
 from sawtopics.saw import _check_feasible
 from sawtopics.seeding import derive_seed
 from sawtopics.survival import RiskSets, elastic_net_penalty
-from sawtopics.topics import LOG_FLOOR, doc_topic_features, kl_divergence, kl_residuals, sum_plogp
+from sawtopics.topics import LOG_FLOOR, doc_topic_features, kl_divergence, sum_plogp
 
 
 def csc_arrays(counts):
@@ -385,7 +385,10 @@ def joint_objective(theta, beta, stats, Xbar, labels: SurvivalLabels, anchors, l
     beta = np.asarray(beta, dtype=float)
     _check_feasible(theta, anchors)
     eta = doc_topic_features(theta, Xbar) @ beta
-    kl = float(kl_residuals(theta, stats, anchors).sum())
+    aidx = np.asarray(anchors.indices, dtype=int)
+    terms = kl_divergence(stats.Qbar, theta @ stats.Qbar[aidx])
+    terms[aidx] = 0.0  # an anchor row is its own topic
+    kl = float(terms.sum())
     return kl + labels.risk_sets.partial_likelihood(eta)[0] + elastic_net_penalty(beta, lam, alpha)
 
 

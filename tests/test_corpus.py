@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -240,23 +241,36 @@ TIMES = ("0", "0.5", "1", "2", "3.25", "1e1", "4.0")
 HEADERS = ("patient_id,time,event,event_value", "id\tt\tev\tval", "pid,t,ev,1")
 BAD_ROWS = ("p1,1,hr", "p1,1,hr,2,3", "p1,-1,hr,2", "p1,nan,hr,2", "p1,abc,hr,2",
             "p1,1,,2", "p1\t1\t \t2", "p1\tinf\thr\t2", "p1,-0,hr,2")
+# one row in five padded; str.strip removes both pads, float() only " "
+ROW_POOLS = ((",", "\t"), PIDS, TIMES, EVENT_NAMES, VALUES, ("",) * 8 + (" ", "\x1f"))
+ROW_CODES = math.prod(len(pool) for pool in ROW_POOLS)
+# hypothesis favours small integers; multiplying by SPREAD, coprime to
+# ROW_CODES, maps the codes one to one and spreads small ones over every pool
+SPREAD = 7919
+assert math.gcd(SPREAD, ROW_CODES) == 1
+
+
+def decode_row(code: int) -> list[str]:
+    """One value from each of ROW_POOLS: the digits of ``code`` in their radices."""
+    picks = []
+    for pool in ROW_POOLS:
+        code, i = divmod(code, len(pool))
+        picks.append(pool[i])
+    return picks
 
 
 @hst.composite
 def event_texts(draw):
     """Event file texts mixing comma and tab rows, with optional header,
-    blank lines, padding, CRLF and at most one malformed row."""
+    blank lines, padding, CRLF and at most one malformed row. Each row is
+    one integer draw, decoded by ``decode_row``."""
     lines = []
     for _ in range(draw(hst.integers(0, 25))):
-        sep = draw(hst.sampled_from((",", "\t")))
-        fields = [draw(hst.sampled_from(PIDS)), draw(hst.sampled_from(TIMES)),
-                  draw(hst.sampled_from(EVENT_NAMES)), draw(hst.sampled_from(VALUES))]
+        code = draw(hst.integers(0, ROW_CODES - 1)) * SPREAD % ROW_CODES
+        sep, *fields, pad = decode_row(code)
         if sep == ",":
             fields[3] = fields[3].replace(",", ";")
-        if draw(hst.integers(0, 4)) == 0:
-            pad = draw(hst.sampled_from((" ", "\x1f")))  # str.strip removes both, float() only " "
-            fields = [pad + f + pad for f in fields]
-        lines.append(sep.join(fields))
+        lines.append(sep.join(pad + f + pad for f in fields))
     for _ in range(draw(hst.integers(0, 2))):
         lines.insert(draw(hst.integers(0, len(lines))), draw(hst.sampled_from(("", "  ", "\t"))))
     if draw(hst.booleans()):

@@ -97,7 +97,7 @@ class TestJointObjective:
         labels = corpus.labels
         kl_total = sum(
             kl_divergence(stats.Qbar[w], tm.theta[w] @ stats.Qbar[list(aset.indices)])
-            for w in range(stats.n_words) if w not in aset.indices)
+            for w in range(stats.Qbar.shape[0]) if w not in aset.indices)
         rs = RiskSets(labels)
         log_risk = rs.partial_likelihood(np.zeros(corpus.n_docs))[0]
         got = joint_objective(tm.theta, np.zeros(3), stats, Xbar, labels, aset, 1.0, 0.5)
@@ -167,8 +167,27 @@ class TestUpdateTheta:
         aset = stable_anchors(stats, 3, T=3, seed=4)
         tm = recover_topics_unsupervised(stats, aset)
         Xbar = normalize_columns(corpus)
-        out = update_theta(tm.theta, np.zeros(3), stats, Xbar, corpus.labels, aset)
+        out, _ = update_theta(tm.theta, np.zeros(3), stats, Xbar, corpus.labels, aset)
         assert np.abs(out - tm.theta).max() <= 1e-6
+
+    @pytest.mark.parametrize("d, k", [(20, 3), (8, 8)])
+    def test_returns_the_kl_terms_of_its_theta(self, d, k):
+        # the half-step's KL terms are those its objective took at the
+        # accepted iterate: bit for bit each free row's KL at the returned
+        # theta, and exact zeros on the anchor rows (at k = d, every row)
+        corpus, _ = small_dataset(seed=10, d=d)
+        stats = build_cooccurrence(corpus)
+        from sawtopics.anchors import stable_anchors
+        aset = stable_anchors(stats, k, T=3, seed=10)
+        theta0 = recover_topics_unsupervised(stats, aset).theta
+        beta = np.linspace(1.0, -1.0, k)
+        out, kl = update_theta(theta0, beta, stats, normalize_columns(corpus), corpus.labels, aset)
+        aidx = np.asarray(aset.indices)
+        free = np.setdiff1d(np.arange(d), aidx)
+        assert kl.shape == (d,) and np.array_equal(kl[aidx], np.zeros(k))
+        want = kl_divergence(stats.Qbar[free], out[free] @ stats.Qbar[aidx])
+        assert np.array_equal(kl[free], want)
+        assert free.size == 0 or not np.array_equal(out, theta0)
 
     def test_anchor_rows_stay_pinned(self):
         corpus, _ = small_dataset(seed=5)
@@ -178,7 +197,7 @@ class TestUpdateTheta:
         tm = recover_topics_unsupervised(stats, aset)
         Xbar = normalize_columns(corpus)
         beta = np.array([1.0, -1.0, 0.5])
-        out = update_theta(tm.theta, beta, stats, Xbar, corpus.labels, aset)
+        out, _ = update_theta(tm.theta, beta, stats, Xbar, corpus.labels, aset)
         for g, a in enumerate(aset.indices):
             expect = np.zeros(3)
             expect[g] = 1.0
@@ -216,7 +235,7 @@ class TestUpdateTheta:
         theta0[1] = [0, 1]
         theta0[free] = 0.5
         before = subobj(theta0)
-        out = update_theta(theta0, beta, stats, Xbar, labels, aset)
+        out, _ = update_theta(theta0, beta, stats, Xbar, labels, aset)
         after = subobj(out)
         assert after < before
 
@@ -273,7 +292,7 @@ class TestUpdateTheta:
         design = {}  # the fit's design, dense and its free rows, built once
 
         def checked(theta, beta, stats, Xbar, labels, anchors):
-            out = kernel(theta, beta, stats, Xbar, labels, anchors)
+            out, kl = kernel(theta, beta, stats, Xbar, labels, anchors)
             aidx = np.asarray(anchors.indices, dtype=int)
             free = np.setdiff1d(np.arange(theta.shape[0]), aidx)
             P, B = stats.Qbar[free], stats.Qbar[aidx]
@@ -305,7 +324,7 @@ class TestUpdateTheta:
             assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12 and out.min() >= 0.0
             assert np.array_equal(out[aidx], theta[aidx])
             gaps.append(gap)
-            return out
+            return out, kl
 
         monkeypatch.setattr(saw, "update_theta", checked)
         fit_saw(corpus, SawConfig(k=params["k"], lam=0.1, alpha=0.5, seed=7, max_outer_iters=4,
@@ -355,7 +374,7 @@ class TestUpdateTheta:
         theta0 = recover_topics_unsupervised(stats, aset).theta
         assert (theta0[4:] @ B)[P > 0].min() < LOG_FLOOR
         beta = rng.normal(size=4) * 3
-        out = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
+        out, _ = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
         before, after = (joint_objective(t, beta, stats, Xbar, corpus.labels, aset, 1.0, 0.5)
                          for t in (theta0, out))
         assert after <= before
@@ -403,7 +422,7 @@ class TestUpdateTheta:
         Xbar = normalize_columns(corpus)
         theta0 = recover_topics_unsupervised(stats, aset).theta
         beta = np.array([10.0, 10.0, -10.0])
-        out = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
+        out, _ = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12 and out.min() >= 0.0
         joint_objective(out, beta, stats, Xbar, corpus.labels, aset, 1.0, 0.5)
 
@@ -423,10 +442,10 @@ class TestUpdateTheta:
         calls = []
 
         def checked(theta, *args):
-            out = kernel(theta, *args)
+            out, kl = kernel(theta, *args)
             assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12 and out.min() >= 0.0
             calls.append(1)
-            return out
+            return out, kl
 
         monkeypatch.setattr(saw, "update_theta", checked)
         model = fit_saw(subset(corpus, train),  # cell 16 of the grid, fold 0
@@ -452,10 +471,12 @@ class TestFitSaw:
         assert np.array_equal(model.cox.baseline.cum_hazard, expect.baseline.cum_hazard)
         assert model.trace.iterations == 0 and not model.trace.converged
         assert len(model.trace.objective_values) == 2
+        assert np.array_equal(model.topic_model.residuals, tm.residuals)
 
     def test_last_cox_fit_is_on_the_returned_theta(self, monkeypatch):
-        # the saved beta and baseline belong to the saved theta: the fit
-        # ends on a Cox fit to the returned theta's features
+        # the saved beta, baseline and residuals belong to the saved theta:
+        # the fit ends on a Cox fit to the returned theta's features, and
+        # the residuals are each word's KL at that theta, 0 on anchors
         corpus, _ = small_dataset(seed=21)
         kernel = saw.fit_elastic_net_cox
         fits = []
@@ -472,6 +493,11 @@ class TestFitSaw:
         assert np.array_equal(Z, doc_topic_features(model.topic_model.theta,
                                                     normalize_columns(corpus)))
         assert cox is model.cox
+        stats, tm = build_cooccurrence(corpus), model.topic_model
+        aidx = np.asarray(tm.anchors.indices)
+        want = kl_divergence(stats.Qbar, tm.theta @ stats.Qbar[aidx])
+        want[aidx] = 0.0
+        assert np.array_equal(tm.residuals, want)
 
     def test_trace_values_are_the_joint_objective(self, monkeypatch):
         # value j of the trace is the joint objective at theta_(j // 2) and
@@ -482,8 +508,9 @@ class TestFitSaw:
         thetas, betas = [], [np.zeros(3)]
 
         def theta_spy(*args):
-            thetas.append(update(*args))
-            return thetas[-1]
+            theta, kl = update(*args)
+            thetas.append(theta)
+            return theta, kl
 
         def cox_spy(*args, **kwargs):
             cox = cox_fit(*args, **kwargs)
@@ -505,16 +532,16 @@ class TestFitSaw:
 
     def test_every_word_an_anchor(self, monkeypatch):
         # k = d: every theta row is a pinned indicator, so the theta
-        # half-step has no free row and returns its input
+        # half-step has no free row and returns its input, at zero KL
         corpus, _ = small_dataset(seed=10, d=8)
         kernel = saw.update_theta
         calls = []
 
         def checked(theta, *args):
-            out = kernel(theta, *args)
-            assert np.array_equal(out, theta)
+            out, kl = kernel(theta, *args)
+            assert np.array_equal(out, theta) and np.array_equal(kl, np.zeros(8))
             calls.append(1)
-            return out
+            return out, kl
 
         monkeypatch.setattr(saw, "update_theta", checked)
         model = fit_saw(corpus, SawConfig(k=8, seed=10))

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import sparse
 
 from sawtopics import survival
 from sawtopics.corpus import SurvivalLabels
-from sawtopics.methods import fit_km, predict
+from sawtopics.methods import fit_encox, fit_km, load_model, predict, save_model
 from sawtopics.survival import (BaselineHazard, CoxModel, RiskSets, SurvivalCurve,
                                 breslow_baseline, elastic_net_penalty,
                                 fit_elastic_net_cox, kaplan_meier, predict_median)
@@ -457,7 +458,7 @@ class TestHessianProduct:
 class TestPredictMedian:
     def _model(self):
         return CoxModel(np.array([1.0]),
-                        BaselineHazard(np.array([2.0]), np.array([1.0])), 1.0, 0.5)
+                        BaselineHazard(np.array([2.0]), np.array([1.0])))
 
     def test_crosses_half(self):
         t, sat = predict_median(self._model(), np.array([0.0]))
@@ -469,14 +470,22 @@ class TestPredictMedian:
 
     def test_extreme_risk_hits_first_time(self):
         base = BaselineHazard(np.array([1.0, 5.0]), np.array([0.1, 0.2]))
-        model = CoxModel(np.array([1.0]), base, 1.0, 0.5)
+        model = CoxModel(np.array([1.0]), base)
         t, sat = predict_median(model, np.array([1000.0]))
         assert (t[0], sat[0]) == (1.0, False)
 
-    def test_no_baseline(self):
-        model = CoxModel(np.array([1.0]), None, 1.0, 0.5)
-        with pytest.raises(ValueError, match="baseline"):
-            predict_median(model, np.array([0.0]))
+    def test_empty_baseline_refused(self, tmp_path):
+        # every fit has an event, so only a model file can hold an empty
+        # baseline: it loads, and predict refuses it by name
+        counts = np.array([[2, 1, 3, 1], [1, 2, 1, 3]])
+        corpus = make_corpus(counts, [1.0, 2.0, 3.0, 4.0], [True, False, True, True])
+        path = tmp_path / "m.json"
+        save_model(fit_encox(corpus, 0.1, 0.5), path)
+        payload = json.loads(path.read_text())
+        payload["baseline"] = {"times": [], "cum_hazard": []}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="no baseline hazard"):
+            predict(load_model(path), corpus)
 
     def test_matches_per_patient_reference(self):
         rng = np.random.default_rng(5)
@@ -486,7 +495,7 @@ class TestPredictMedian:
             H = np.cumsum(steps) + (0.0 if trial % 3 == 0 else rng.exponential(0.05))
             H = np.sort(np.append(H, np.log(2.0)))  # survival exactly 0.5 at eta = 0
             base = BaselineHazard(np.cumsum(rng.uniform(0.5, 3.0, T + 1)), H)
-            model = CoxModel(np.array([1.0]), base, 1.0, 0.5)
+            model = CoxModel(np.array([1.0]), base)
             eta = np.concatenate([rng.normal(0.0, 3.0, 50),
                                   [0.0, 700.0, -700.0, 1000.0, -1000.0, np.inf, -np.inf, np.nan]])
             median, saturated = predict_median(model, eta)
@@ -555,4 +564,4 @@ class TestSurvivalTypes:
 
     def test_cox_model_finite(self):
         with pytest.raises(ValueError):
-            CoxModel(np.array([np.inf]), None, 1.0, 0.5)
+            CoxModel(np.array([np.inf]), BaselineHazard(np.empty(0), np.empty(0)))

@@ -216,7 +216,7 @@ class TestRecoverUnsupervised:
         truth = generate_topic_model(12, 3, 0.4, seed=24)
         corpus, _ = generate_corpus(truth, 300, 60, 0.3, 25)
         stats = build_cooccurrence(corpus)
-        d = stats.n_words
+        d = stats.Qbar.shape[0]
         tm = recover_topics_unsupervised(stats, anchors_of(range(d - 1 + extra), d))
         assert tm.theta.shape == (d, d - 1 + extra)
         assert np.abs(tm.theta.sum(axis=1) - 1.0).max() <= 1e-12
