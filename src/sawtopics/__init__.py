@@ -21,8 +21,8 @@ from .survival import (BaselineHazard, CoxModel, SurvivalCurve, breslow_baseline
                        fit_elastic_net_cox, kaplan_meier, predict_median)
 from .synthgen import (GroundTruth, generate_corpus, generate_dataset,
                        generate_survival, generate_topic_model)
-from .topics import (TopicModel, doc_topic_features, kl_divergence,
-                     recover_topics_unsupervised, recover_word_topic_matrix)
+from .topics import (doc_topic_features, kl_divergence, recover_topics_unsupervised,
+                     recover_word_topic_matrix)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "AnchorSet", "BaselineHazard", "CooccurrenceStats", "Corpus", "CoxModel",
     "CvResult", "EncoxModel", "FitTrace", "GroundTruth",
     "IngestConfig", "KmModel", "Metrics", "Predictions", "SawConfig", "SawModel",
-    "SurvivalCurve", "SurvivalLabels", "TopicModel", "Vocabulary",
+    "SurvivalCurve", "SurvivalLabels", "Vocabulary",
     "breslow_baseline", "build_cooccurrence", "build_corpus", "c_index",
     "compute_metrics", "cross_validate", "default_candidates", "doc_topic_features",
     "fit_elastic_net_cox", "fit_encox", "fit_km", "fit_method", "fit_saw", "fit_usaw",

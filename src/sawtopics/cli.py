@@ -244,9 +244,9 @@ def _cmd_report(resolved: dict) -> tuple[Path, str]:
     model = methods.load_model(resolved["model"])
     if not isinstance(model, SawModel):
         raise ValueError("report requires a saw or usaw model")
-    text = topic_report(model.topic_model, model.vocab.words,
-                        top_n=resolved["top_n"], beta=model.cox.beta)
-    text += "\n" + anchor_report(model.topic_model.anchors, model.vocab)
+    text = topic_report(model.A, model.anchors, model.vocab.words, resolved["top_n"],
+                        model.cox.beta)
+    text += "\n" + anchor_report(model.anchors, model.vocab)
     out = Path(resolved["out"])
     out.write_text(text, encoding="utf-8")
     return _beside(out), text

@@ -23,7 +23,6 @@ from .corpus import (Corpus, Vocabulary, flat_array, mean_word_score, normalize_
 from .saw import FitTrace, SawConfig, SawModel, fit_saw, fit_usaw
 from .survival import (BaselineHazard, CoxModel, SurvivalCurve, fit_elastic_net_cox,
                        kaplan_meier, predict_median)
-from .topics import TopicModel
 
 MODEL_FORMAT = "sawtopics-model"
 MODEL_VERSION = 2
@@ -122,19 +121,18 @@ def _read_cox(payload: dict) -> CoxModel:
 
 
 def _write_saw(model: SawModel) -> dict:
-    tm = model.topic_model
     return {
         "config": asdict(model.config),
         **vocabulary_fields(model.vocab),
         "anchors": {
-            "indices": list(tm.anchors.indices),
-            "stability": {str(w): c for w, c in tm.anchors.stability.items()},
-            "runs": tm.anchors.runs,
-            "projection_dim": tm.anchors.projection_dim,
+            "indices": list(model.anchors.indices),
+            "stability": {str(w): c for w, c in model.anchors.stability.items()},
+            "runs": model.anchors.runs,
+            "projection_dim": model.anchors.projection_dim,
         },
-        "theta": {"dense": tm.theta.tolist()},
-        "A": {"dense": tm.A.tolist()},
-        "residuals": [float(x) for x in tm.residuals],
+        "theta": {"dense": model.theta.tolist()},
+        "A": {"dense": model.A.tolist()},
+        "residuals": [float(x) for x in model.residuals],
         "trace": asdict(model.trace),
         **_write_cox(model.cox),
     }
@@ -145,27 +143,28 @@ def _read_saw(payload: dict) -> SawModel:
     found, stability = payload["anchors"], payload["anchors"]["stability"]
     if not (isinstance(stability, dict) and all(w.isdecimal() for w in stability)):
         raise ValueError(f"anchors.stability must map word indices to counts, got {stability!r}")
-    anchors = AnchorSet(
-        indices=tuple(found["indices"]),
-        stability={int(w): _whole(c, "anchors.stability counts", 1) for w, c in stability.items()},
-        runs=_whole(found["runs"], "anchors.runs", 1),
-        projection_dim=_whole(found["projection_dim"], "anchors.projection_dim", 1),
-    )
-    tm = TopicModel(  # SawModel checks the shapes of theta and A
-        theta=np.array([_numbers(row, "theta rows") for row in payload["theta"]["dense"]]),
-        A=np.array([_numbers(row, "A rows") for row in payload["A"]["dense"]]),
-        anchors=anchors,
-        residuals=_numbers(payload["residuals"], "residuals"),
-    )
+    counts = {int(w): _whole(c, "anchors.stability counts", 1) for w, c in stability.items()}
+    runs = _whole(found["runs"], "anchors.runs", 1)
+    if max(counts.values(), default=0) > runs:
+        raise ValueError(f"anchors.stability counts must be <= anchors.runs = {runs}, "
+                         f"got {stability!r}")
+    anchors = AnchorSet(tuple(found["indices"]), counts, runs,
+                        _whole(found["projection_dim"], "anchors.projection_dim", 1))
     trace = payload["trace"]
     values = _numbers(trace["objective_values"], "trace objective_values")
     if not (np.all(np.isfinite(values)) and type(trace["converged"]) is bool):
         raise ValueError(f"want finite trace objective_values and a true/false converged, got "
                          f"{trace['objective_values']!r}, {trace['converged']!r}")
-    trace = FitTrace(tuple(values.tolist()), trace["converged"],
-                     _whole(trace["iterations"], "trace iterations", 0))
-    return SawModel(tm, _read_cox(payload), cfg, trace,
-                    read_vocabulary(payload), method=payload["method"])
+    iterations = _whole(trace["iterations"], "trace iterations", 0)
+    if values.size != 2 + 2 * iterations:  # fit_saw records 2, then 2 per outer iteration
+        raise ValueError(f"trace objective_values must hold 2 + 2 x iterations = "
+                         f"{2 + 2 * iterations} values, got {values.size}")
+    return SawModel(  # SawModel checks the shapes of theta and A
+        np.array([_numbers(row, "theta rows") for row in payload["theta"]["dense"]]),
+        np.array([_numbers(row, "A rows") for row in payload["A"]["dense"]]),
+        anchors, _numbers(payload["residuals"], "residuals"), _read_cox(payload), cfg,
+        FitTrace(tuple(values.tolist()), trace["converged"], iterations),
+        read_vocabulary(payload), method=payload["method"])
 
 
 def _write_encox(model: EncoxModel) -> dict:

@@ -8,8 +8,10 @@ fit ends there). Each outer iteration then runs ``update_theta``, projected
 Newton-CG over all free theta rows, which the Cox term couples, stopped by a
 Frank-Wolfe gap certificate, and ends on a Cox fit warm-started on the new
 features (so it can only lower the objective). Recovery and each theta
-half-step hand back the KL terms of the theta they return, which the joint
-objective sums. Topic recovery and its Newton simplex solver live in ``topics``.
+half-step return ``(theta, kl)``: the theta and each word's KL term at it,
+which the joint objective sums. The Bayes step runs once, on the final theta,
+to give the model's word-topic matrix A. Topic recovery and its Newton
+simplex solver live in ``topics``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .cooccur import CooccurrenceStats, build_cooccurrence
 from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns
 from .seeding import derive_seed
 from .survival import CoxModel, SurvivalLabels, elastic_net_penalty, fit_elastic_net_cox
-from .topics import (LOG_FLOOR, ConvergenceError, TopicModel, doc_topic_features, face_system,
+from .topics import (LOG_FLOOR, ConvergenceError, doc_topic_features, face_system,
                      kl_divergence, newton_budget, recover_topics_unsupervised,
                      recover_word_topic_matrix, sum_plogp)
 
@@ -79,7 +81,14 @@ class FitTrace:
 
 @dataclass(frozen=True, eq=False)
 class SawModel:
-    topic_model: TopicModel
+    """A fitted saw or usaw model: theta (word -> topic posterior, anchor rows
+    pinned to indicators), A (theta's Bayes step), the anchors, each word's KL
+    term at theta (``residuals``) and the Cox model fitted on theta's features."""
+
+    theta: np.ndarray
+    A: np.ndarray
+    anchors: AnchorSet
+    residuals: np.ndarray
     cox: CoxModel
     config: SawConfig
     trace: FitTrace
@@ -87,13 +96,13 @@ class SawModel:
     method: str = "saw"
 
     def __post_init__(self):
-        tm, shape = self.topic_model, (len(self.vocab), self.config.k)
-        if tm.theta.shape != shape or tm.A.shape != shape or self.cox.beta.shape != shape[1:]:
-            raise ValueError(f"theta {tm.theta.shape}, A {tm.A.shape} and beta "
+        shape = (len(self.vocab), self.config.k)
+        if self.theta.shape != shape or self.A.shape != shape or self.cox.beta.shape != shape[1:]:
+            raise ValueError(f"theta {self.theta.shape}, A {self.A.shape} and beta "
                              f"{self.cox.beta.shape} disagree with (words, k) = {shape}")
-        _check_feasible(tm.theta, tm.anchors)
+        _check_feasible(self.theta, self.anchors)
 
-    word_score = property(lambda self: self.topic_model.theta @ self.cox.beta)
+    word_score = property(lambda self: self.theta @ self.cox.beta)
 
 
 def _check_feasible(theta: np.ndarray, anchors: AnchorSet) -> None:
@@ -229,8 +238,8 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
     ``max_outer_iters == 0`` runs), then outer iterations of a monotone theta
     pass followed by a Cox fit warm-started on the new theta's features,
     until the joint objective stops improving. The returned Cox model is the
-    last fit, on the returned theta's features, and the residuals are the
-    KL terms of the returned theta, from the solver that produced it.
+    last fit, on the returned theta's features; A is that theta's Bayes
+    step, and the residuals are its KL terms, from the solver that produced it.
     """
     if corpus.n_docs < 2:
         raise ValueError("need at least 2 documents")
@@ -243,8 +252,7 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
         stats, config.k, T=config.anchor_runs, r=config.projection_dim,
         seed=derive_seed(config.seed, "anchors"), candidates=cand,
     )
-    tm = recover_topics_unsupervised(stats, anchors)
-    theta, residuals = tm.theta, tm.residuals
+    theta, residuals = recover_topics_unsupervised(stats, anchors)
     Xbar = normalize_columns(corpus)
     Z = doc_topic_features(theta, Xbar)
 
@@ -272,9 +280,9 @@ def fit_saw(corpus: Corpus, config: SawConfig) -> SawModel:
                 f"{prev} -> {obj[-1]}"
             )
         converged = bool(dec <= config.outer_tol * max(abs(prev), 1e-12))
-    tm = TopicModel(theta, recover_word_topic_matrix(theta, stats.p), anchors, residuals)
     trace = FitTrace(tuple(float(v) for v in obj), converged, iterations)
-    return SawModel(tm, cox, config, trace, corpus.vocab)
+    return SawModel(theta, recover_word_topic_matrix(theta, stats.p), anchors, residuals, cox,
+                    config, trace, corpus.vocab)
 
 
 def fit_usaw(corpus: Corpus, config: SawConfig) -> SawModel:

@@ -1,15 +1,14 @@
 """Topic recovery: represent each word's co-occurrence profile as a convex
 combination of the anchor rows by KL minimization on the simplex, solved
 for all rows at once by an active-set Newton method that certifies each row
-by its Frank-Wolfe gap, then convert the word-to-topic posteriors into the
-word-topic matrix by a Bayes step. ``newton_simplex_kl`` is the module's
-one simplex solver; the theta half-step of the joint fit, whose Cox term
-couples the rows, is ``saw.update_theta``. Both build ``face_system``s.
+by its Frank-Wolfe gap. Recovery returns theta with each word's KL term, as
+the theta half-step ``saw.update_theta`` (whose Cox term couples the rows)
+does; the Bayes step ``recover_word_topic_matrix`` turns a fitted theta into
+the word-topic matrix. ``newton_simplex_kl`` is the module's one simplex
+solver; it and ``update_theta`` both build ``face_system``s.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +28,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.worst_row = worst_row
         self.gap = gap
-
-
-@dataclass(frozen=True, eq=False)
-class TopicModel:
-    """Row-stochastic theta (word -> topic posterior, anchor rows pinned to
-    indicators), the column-stochastic word-topic matrix A from the Bayes
-    step, and the per-row KL residuals of the fit."""
-
-    theta: np.ndarray
-    A: np.ndarray
-    anchors: AnchorSet
-    residuals: np.ndarray
 
 
 def sum_plogp(P: np.ndarray) -> np.ndarray:
@@ -215,11 +202,13 @@ def newton_simplex_kl(P: np.ndarray, B: np.ndarray):
     return theta, kl_divergence(P, theta @ B), gap, steps
 
 
-def recover_topics_unsupervised(stats: CooccurrenceStats, anchors: AnchorSet) -> TopicModel:
+def recover_topics_unsupervised(stats: CooccurrenceStats,
+                                anchors: AnchorSet) -> tuple[np.ndarray, np.ndarray]:
     """Solve all non-anchor rows in one batch, each certified by its
-    Frank-Wolfe gap; anchor rows are pinned to indicator vectors. Raises
-    ConvergenceError (with the row of largest gap) if any row ends above
-    GAP_TOL."""
+    Frank-Wolfe gap; anchor rows are pinned to indicator vectors. Returns
+    the row-stochastic theta (word -> topic posterior) and each word's KL
+    term at it (0 on the anchor rows). Raises ConvergenceError (with the row
+    of largest gap) if any row ends above GAP_TOL."""
     d = stats.Qbar.shape[0]
     aidx = np.asarray(anchors.indices, dtype=int)
     if aidx.size and (aidx.min() < 0 or aidx.max() >= d):
@@ -227,9 +216,9 @@ def recover_topics_unsupervised(stats: CooccurrenceStats, anchors: AnchorSet) ->
     k = aidx.size
     theta = np.zeros((d, k))
     theta[aidx, np.arange(k)] = 1.0
-    residuals = np.zeros(d)
+    kl = np.zeros(d)
     free = np.setdiff1d(np.arange(d), aidx)
-    theta[free], residuals[free], gap, _ = newton_simplex_kl(stats.Qbar[free], stats.Qbar[aidx])
+    theta[free], kl[free], gap, _ = newton_simplex_kl(stats.Qbar[free], stats.Qbar[aidx])
     failed = gap > GAP_TOL
     if failed.any():
         worst = int(np.argmax(gap))
@@ -239,7 +228,7 @@ def recover_topics_unsupervised(stats: CooccurrenceStats, anchors: AnchorSet) ->
             f"has gap {gap[worst]:.3g}",
             worst_row=int(free[worst]), gap=float(gap[worst]),
         )
-    return TopicModel(theta, recover_word_topic_matrix(theta, stats.p), anchors, residuals)
+    return theta, kl
 
 
 def recover_word_topic_matrix(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -265,19 +254,15 @@ def doc_topic_features(theta: np.ndarray, Xbar) -> np.ndarray:
     return np.asarray(Xbar.T @ theta)
 
 
-def topic_report(model: TopicModel, words: tuple[str, ...], top_n: int = 10,
-                 beta: np.ndarray | None = None) -> str:
-    """Per topic: its anchor word, optional coefficient, and the top words
-    by within-topic probability."""
+def topic_report(A: np.ndarray, anchors: AnchorSet, words: tuple[str, ...], top_n: int,
+                 beta: np.ndarray) -> str:
+    """Per topic: its anchor word, its Cox coefficient, and the top words
+    by within-topic probability (the topic's column of A)."""
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
     lines = []
-    for g, a in enumerate(model.anchors.indices):
-        head = f"topic {g}: anchor={words[a]}"
-        if beta is not None:
-            head += f" beta={beta[g]:+.4g}"
-        lines.append(head)
-        top = np.argsort(-model.A[:, g], kind="stable")[:top_n]
-        for w in top:
-            lines.append(f"    {words[w]}\t{model.A[w, g]:.6f}")
+    for g, a in enumerate(anchors.indices):
+        lines.append(f"topic {g}: anchor={words[a]} beta={beta[g]:+.4g}")
+        for w in np.argsort(-A[:, g], kind="stable")[:top_n]:
+            lines.append(f"    {words[w]}\t{A[w, g]:.6f}")
     return "\n".join(lines) + "\n"

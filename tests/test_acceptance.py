@@ -59,10 +59,10 @@ def test_criterion_2_theta_recovery():
         stats = build_cooccurrence(corpus)
         found = stable_anchors(stats, 5, T=10, seed=derive_seed(72, "c2"))
         assert sorted(found.indices) == sorted(truth.anchor_indices)
-        tm = recover_topics_unsupervised(stats, found)
+        theta, _ = recover_topics_unsupervised(stats, found)
         theta_star = bayes_topic_posterior(truth.A_true)  # uniform topic prior
         planted_of = [truth.anchor_indices.index(a) for a in found.indices]
-        aligned = tm.theta[:, np.argsort(planted_of)]
+        aligned = theta[:, np.argsort(planted_of)]
         err = np.abs(aligned - theta_star).sum(axis=1).mean()
         assert err <= 0.10, f"mean row L1 {err:.4f}"
 
@@ -119,8 +119,8 @@ def test_criterion_6_degenerate_supervision():
         model = fit_saw(corpus, cfg)
         assert np.array_equal(model.cox.beta, np.zeros(3))
         stats = build_cooccurrence(corpus)
-        tm = recover_topics_unsupervised(stats, model.topic_model.anchors)
-        assert np.abs(model.topic_model.theta - tm.theta).max() <= 1e-6
+        theta, _ = recover_topics_unsupervised(stats, model.anchors)
+        assert np.abs(model.theta - theta).max() <= 1e-6
         for s in range(5):
             corpus, _ = family_dataset(f"c6b-{s}", d=30, n=200, doc_length=100, k=3,
                                        beta_true=np.array([3.0, -3.0, 0.0]))

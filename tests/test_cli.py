@@ -80,7 +80,7 @@ class TestTrainPredictEvaluate:
         model = tmp_path / "m.json"
         assert run("train", "--corpus", str(corpus), "--method", method, "--k", "4",
                    "--seed", "3", "--out", str(model)) == 0
-        assert load_model(model).topic_model.theta.shape == (24, 4)
+        assert load_model(model).theta.shape == (24, 4)
 
     def test_k_one_below_vocabulary_size_trains(self, tmp_path):
         corpus = tmp_path / "c.json"
@@ -130,7 +130,7 @@ class TestTrainPredictEvaluate:
             "--k", "3", "--seed", "4", "--out", str(model_path))
         model = load_model(model_path)
         assert model.method == "saw"
-        assert model.topic_model.theta.shape == (25, 3)
+        assert model.theta.shape == (25, 3)
         assert model.cox.baseline is not None
 
     def test_zero_outer_iters_model_predicts(self, synth_corpus, tmp_path):

@@ -250,7 +250,7 @@ class TestCrossValidate:
         assert len(workers1) == 1 and 1 <= len(workers4) <= 4
         assert r1.fold_scores.tobytes() == r4.fold_scores.tobytes()
         assert r1.best == r4.best
-        assert m1.topic_model.theta.tobytes() == m4.topic_model.theta.tobytes()
+        assert m1.theta.tobytes() == m4.theta.tobytes()
         assert m1.cox.beta.tobytes() == m4.cox.beta.tobytes()
 
     def test_no_worker_outlives_the_call(self):

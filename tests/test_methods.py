@@ -102,7 +102,7 @@ def design_risk(model, c):
     Xbar = normalize_columns(c)
     if model.method == "encox":
         return Xbar.T @ model.cox.beta
-    return doc_topic_features(model.topic_model.theta, Xbar) @ model.cox.beta
+    return doc_topic_features(model.theta, Xbar) @ model.cox.beta
 
 
 @pytest.mark.parametrize("method", list(METHODS))
@@ -117,7 +117,7 @@ def test_one_predict_scores_every_method(corpus, cox_models, method):
         assert np.array_equal(preds.median, np.full(n, model.median))
         assert np.array_equal(preds.saturated, np.full(n, model.saturated))
         return
-    u = model.cox.beta if method == "encox" else model.topic_model.theta @ model.cox.beta
+    u = model.cox.beta if method == "encox" else model.theta @ model.cox.beta
     risk = mean_word_score(corpus, u)
     median, saturated = predict_median(model.cox, risk)
     assert np.array_equal(preds.risk, risk)
@@ -163,13 +163,12 @@ def test_matrix_encoding_round_trip(cox_models, tmp_path):
     # theta and A are written as their dense rows and read back exactly
     path = tmp_path / "m.json"
     for model in (cox_models["saw"], cox_models["usaw"]):
-        tm = model.topic_model
         save_model(model, path)
         payload = json.loads(path.read_text())
-        assert (payload["theta"], payload["A"]) == ({"dense": tm.theta.tolist()},
-                                                    {"dense": tm.A.tolist()})
-        back = load_model(path).topic_model
-        assert np.array_equal(back.theta, tm.theta) and np.array_equal(back.A, tm.A)
+        assert (payload["theta"], payload["A"]) == ({"dense": model.theta.tolist()},
+                                                    {"dense": model.A.tolist()})
+        back = load_model(path)
+        assert np.array_equal(back.theta, model.theta) and np.array_equal(back.A, model.A)
 
 
 def as_triplets(M):
@@ -305,9 +304,13 @@ def test_unscorable_model_refused_at_load(corpus, cox_models, tmp_path, method, 
     ("saw", ("anchors", "stability"), {"0": 2.7}, "stability counts must be"),
     ("saw", ("anchors", "stability"), {"w0": 1}, "stability must map"),
     ("saw", ("anchors", "stability"), [1, 2], "stability must map"),
+    ("saw", ("trace", "objective_values"), [], "objective_values must hold 2 \\+ 2 x iterations"),
+    ("usaw", ("anchors", "stability"), {"0": 12}, "counts must be <= anchors.runs = 10"),
 ])
 def test_unread_fields_type_checked(corpus, cox_models, tmp_path, method, where, value, message):
-    # each of these loaded, and a re-save wrote it back (int(2.7) as 2)
+    # each of these loaded, and a re-save wrote it back (int(2.7) as 2); a
+    # trace of another length than the fit's iterations give, and more
+    # stability votes than anchor runs, loaded too
     path = tmp_path / "m.json"
     save_model(cox_models[method], path)
     payload = json.loads(path.read_text())
@@ -333,9 +336,9 @@ def test_saved_trace_survives_round_trip(corpus, tmp_path):
     back = load_model(path)
     assert back.trace.objective_values == model.trace.objective_values
     assert back.trace.converged == model.trace.converged
-    assert back.topic_model.anchors.indices == model.topic_model.anchors.indices
-    assert back.topic_model.anchors.stability == model.topic_model.anchors.stability
-    assert np.array_equal(back.topic_model.residuals, model.topic_model.residuals)
+    assert back.anchors.indices == model.anchors.indices
+    assert back.anchors.stability == model.anchors.stability
+    assert np.array_equal(back.residuals, model.residuals)
 
 
 @pytest.mark.parametrize("method", ["saw", "encox"])
@@ -357,7 +360,7 @@ def test_either_design_layout_fits_the_same_model(corpus, monkeypatch, method):
     if method == "saw":
         assert csc.trace.iterations == dense.trace.iterations > 1
         assert relative_gap(csc.trace.objective_values, dense.trace.objective_values) <= 1e-10
-        assert relative_gap(csc.topic_model.theta, dense.topic_model.theta) <= 1e-10
+        assert relative_gap(csc.theta, dense.theta) <= 1e-10
 
 
 def event_rows(patients, seed):

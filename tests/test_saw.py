@@ -8,13 +8,13 @@ from sawtopics.cooccur import build_cooccurrence
 from sawtopics.corpus import Corpus, SurvivalLabels, normalize_columns, split, subset
 from sawtopics.seeding import derive_seed
 from sawtopics.evaluation import c_index
-from sawtopics.methods import predict
+from sawtopics.methods import load_model, predict, save_model
 from sawtopics.saw import (OBJECTIVE_SLACK, THETA_GAP_TOL, SawConfig, fit_saw, fit_usaw,
                            update_theta)
 from sawtopics.survival import RiskSets, fit_elastic_net_cox
 from sawtopics.synthgen import generate_dataset
 from sawtopics.topics import (LOG_FLOOR, ConvergenceError, doc_topic_features, kl_divergence,
-                              recover_topics_unsupervised)
+                              recover_topics_unsupervised, recover_word_topic_matrix)
 
 from helpers import (coupled_gap, csc_arrays, dense, dense_view, eg_simplex_kl,
                      joint_objective, log_domain_nll, make_corpus)
@@ -88,34 +88,34 @@ class TestJointObjective:
         cfg = SawConfig(k=3, lam=0.5, alpha=0.5, seed=seed)
         from sawtopics.anchors import stable_anchors
         aset = stable_anchors(stats, 3, T=3, seed=seed)
-        tm = recover_topics_unsupervised(stats, aset)
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         Xbar = normalize_columns(corpus)
-        return corpus, stats, aset, tm, Xbar
+        return corpus, stats, aset, theta0, Xbar
 
     def test_beta_zero_collapses_to_kl_plus_log_risk_sets(self):
-        corpus, stats, aset, tm, Xbar = self._parts()
+        corpus, stats, aset, theta0, Xbar = self._parts()
         labels = corpus.labels
         kl_total = sum(
-            kl_divergence(stats.Qbar[w], tm.theta[w] @ stats.Qbar[list(aset.indices)])
+            kl_divergence(stats.Qbar[w], theta0[w] @ stats.Qbar[list(aset.indices)])
             for w in range(stats.Qbar.shape[0]) if w not in aset.indices)
         rs = RiskSets(labels)
         log_risk = rs.partial_likelihood(np.zeros(corpus.n_docs))[0]
-        got = joint_objective(tm.theta, np.zeros(3), stats, Xbar, labels, aset, 1.0, 0.5)
+        got = joint_objective(theta0, np.zeros(3), stats, Xbar, labels, aset, 1.0, 0.5)
         assert np.isclose(got, kl_total + log_risk, rtol=1e-10)
 
     def test_lambda_irrelevant_at_beta_zero(self):
-        corpus, stats, aset, tm, Xbar = self._parts()
-        a = joint_objective(tm.theta, np.zeros(3), stats, Xbar, corpus.labels, aset, 1.0, 0.5)
-        b = joint_objective(tm.theta, np.zeros(3), stats, Xbar, corpus.labels, aset, 2.0, 0.5)
+        corpus, stats, aset, theta0, Xbar = self._parts()
+        a = joint_objective(theta0, np.zeros(3), stats, Xbar, corpus.labels, aset, 1.0, 0.5)
+        b = joint_objective(theta0, np.zeros(3), stats, Xbar, corpus.labels, aset, 2.0, 0.5)
         assert a == b
 
     def test_infeasible_theta_rejected(self):
-        corpus, stats, aset, tm, Xbar = self._parts()
-        bad = tm.theta.copy()
+        corpus, stats, aset, theta0, Xbar = self._parts()
+        bad = theta0.copy()
         bad[0] = 2.0
         with pytest.raises(ValueError, match="simplex"):
             joint_objective(bad, np.zeros(3), stats, Xbar, corpus.labels, aset, 1.0, 0.5)
-        bad2 = tm.theta.copy()
+        bad2 = theta0.copy()
         bad2[aset.indices[0]] = [0.5, 0.5, 0.0]
         with pytest.raises(ValueError, match="anchor"):
             joint_objective(bad2, np.zeros(3), stats, Xbar, corpus.labels, aset, 1.0, 0.5)
@@ -132,11 +132,11 @@ class TestJointObjective:
         p = np.full(4, 0.25)
         stats = CooccurrenceStats(p, Qbar, np.empty(0, dtype=int))
         aset = AnchorSet((0, 1), {0: 1, 1: 1}, 1, 4)
-        tm = recover_topics_unsupervised(stats, aset)
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         labels = SurvivalLabels(np.array([1.0, 2.0, 3.0]), np.array([True] * 3))
         Xbar = normalize_columns(make_corpus(np.array([[1, 2, 1], [1, 1, 2],
                                                        [2, 1, 1], [1, 1, 1]])))
-        got = joint_objective(tm.theta, np.zeros(2), stats, Xbar, labels, aset, 1.0, 0.5)
+        got = joint_objective(theta0, np.zeros(2), stats, Xbar, labels, aset, 1.0, 0.5)
         assert abs(got - (np.log(3) + np.log(2))) <= 1e-6
 
 
@@ -165,10 +165,10 @@ class TestUpdateTheta:
         stats = build_cooccurrence(corpus)
         from sawtopics.anchors import stable_anchors
         aset = stable_anchors(stats, 3, T=3, seed=4)
-        tm = recover_topics_unsupervised(stats, aset)
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         Xbar = normalize_columns(corpus)
-        out, _ = update_theta(tm.theta, np.zeros(3), stats, Xbar, corpus.labels, aset)
-        assert np.abs(out - tm.theta).max() <= 1e-6
+        out, _ = update_theta(theta0, np.zeros(3), stats, Xbar, corpus.labels, aset)
+        assert np.abs(out - theta0).max() <= 1e-6
 
     @pytest.mark.parametrize("d, k", [(20, 3), (8, 8)])
     def test_returns_the_kl_terms_of_its_theta(self, d, k):
@@ -179,7 +179,7 @@ class TestUpdateTheta:
         stats = build_cooccurrence(corpus)
         from sawtopics.anchors import stable_anchors
         aset = stable_anchors(stats, k, T=3, seed=10)
-        theta0 = recover_topics_unsupervised(stats, aset).theta
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         beta = np.linspace(1.0, -1.0, k)
         out, kl = update_theta(theta0, beta, stats, normalize_columns(corpus), corpus.labels, aset)
         aidx = np.asarray(aset.indices)
@@ -194,10 +194,10 @@ class TestUpdateTheta:
         stats = build_cooccurrence(corpus)
         from sawtopics.anchors import stable_anchors
         aset = stable_anchors(stats, 3, T=3, seed=5)
-        tm = recover_topics_unsupervised(stats, aset)
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         Xbar = normalize_columns(corpus)
         beta = np.array([1.0, -1.0, 0.5])
-        out, _ = update_theta(tm.theta, beta, stats, Xbar, corpus.labels, aset)
+        out, _ = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
         for g, a in enumerate(aset.indices):
             expect = np.zeros(3)
             expect[g] = 1.0
@@ -336,7 +336,7 @@ class TestUpdateTheta:
         stats = build_cooccurrence(corpus)
         from sawtopics.anchors import stable_anchors
         aset = stable_anchors(stats, 3, T=3, seed=5)
-        theta0 = recover_topics_unsupervised(stats, aset).theta
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         with caplog.at_level("DEBUG", logger="sawtopics.saw"):
             update_theta(theta0, np.array([1.0, -1.0, 0.5]), stats, normalize_columns(corpus),
                          corpus.labels, aset)
@@ -371,7 +371,7 @@ class TestUpdateTheta:
         observed[0] = True
         corpus = make_corpus(counts, times=times, observed=observed)
         Xbar = normalize_columns(corpus)
-        theta0 = recover_topics_unsupervised(stats, aset).theta
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         assert (theta0[4:] @ B)[P > 0].min() < LOG_FLOOR
         beta = rng.normal(size=4) * 3
         out, _ = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
@@ -388,7 +388,7 @@ class TestUpdateTheta:
         stats = build_cooccurrence(corpus)
         from sawtopics.anchors import stable_anchors
         aset = stable_anchors(stats, 3, T=3, seed=5)
-        theta0 = recover_topics_unsupervised(stats, aset).theta
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         if stop == "budget":
             monkeypatch.setattr(saw, "newton_budget", lambda k: 0)
         else:
@@ -420,7 +420,7 @@ class TestUpdateTheta:
         observed[0] = True
         corpus = make_corpus(counts, times=times, observed=observed)
         Xbar = normalize_columns(corpus)
-        theta0 = recover_topics_unsupervised(stats, aset).theta
+        theta0, _ = recover_topics_unsupervised(stats, aset)
         beta = np.array([10.0, 10.0, -10.0])
         out, _ = update_theta(theta0, beta, stats, Xbar, corpus.labels, aset)
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12 and out.min() >= 0.0
@@ -462,16 +462,16 @@ class TestFitSaw:
         cfg = SawConfig(k=3, lam=0.1, seed=7, max_outer_iters=0)
         model = fit_saw(corpus, cfg)
         stats = build_cooccurrence(corpus)
-        tm = recover_topics_unsupervised(stats, model.topic_model.anchors)
-        assert np.array_equal(model.topic_model.theta, tm.theta)
-        expect = fit_elastic_net_cox(doc_topic_features(tm.theta, normalize_columns(corpus)),
+        theta0, kl0 = recover_topics_unsupervised(stats, model.anchors)
+        assert np.array_equal(model.theta, theta0)
+        expect = fit_elastic_net_cox(doc_topic_features(theta0, normalize_columns(corpus)),
                                      corpus.labels, 0.1, 0.5)
         assert np.array_equal(model.cox.beta, expect.beta) and np.any(expect.beta != 0)
         assert np.array_equal(model.cox.baseline.times, expect.baseline.times)
         assert np.array_equal(model.cox.baseline.cum_hazard, expect.baseline.cum_hazard)
         assert model.trace.iterations == 0 and not model.trace.converged
         assert len(model.trace.objective_values) == 2
-        assert np.array_equal(model.topic_model.residuals, tm.residuals)
+        assert np.array_equal(model.residuals, kl0)
 
     def test_last_cox_fit_is_on_the_returned_theta(self, monkeypatch):
         # the saved beta, baseline and residuals belong to the saved theta:
@@ -490,14 +490,25 @@ class TestFitSaw:
         model = fit_saw(corpus, SawConfig(k=3, lam=0.1, seed=21, max_outer_iters=2))
         assert model.trace.iterations == 2 and len(fits) == 3
         Z, cox = fits[-1]
-        assert np.array_equal(Z, doc_topic_features(model.topic_model.theta,
+        assert np.array_equal(Z, doc_topic_features(model.theta,
                                                     normalize_columns(corpus)))
         assert cox is model.cox
-        stats, tm = build_cooccurrence(corpus), model.topic_model
-        aidx = np.asarray(tm.anchors.indices)
-        want = kl_divergence(stats.Qbar, tm.theta @ stats.Qbar[aidx])
+        stats = build_cooccurrence(corpus)
+        aidx = np.asarray(model.anchors.indices)
+        want = kl_divergence(stats.Qbar, model.theta @ stats.Qbar[aidx])
         want[aidx] = 0.0
-        assert np.array_equal(tm.residuals, want)
+        assert np.array_equal(model.residuals, want)
+
+    @pytest.mark.parametrize("fit", [fit_saw, fit_usaw])
+    def test_A_is_the_bayes_step_of_theta(self, fit, tmp_path):
+        # the word-topic matrix is the Bayes step of the returned theta, bit
+        # for bit, and the model file keeps it so
+        corpus, _ = small_dataset(seed=23)
+        model = fit(corpus, SawConfig(k=3, lam=0.1, seed=23))
+        save_model(model, tmp_path / "model.json")
+        p = build_cooccurrence(corpus).p
+        for m in (model, load_model(tmp_path / "model.json")):
+            assert np.array_equal(m.A, recover_word_topic_matrix(m.theta, p))
 
     def test_trace_values_are_the_joint_objective(self, monkeypatch):
         # value j of the trace is the joint objective at theta_(j // 2) and
@@ -522,8 +533,8 @@ class TestFitSaw:
         cfg = SawConfig(k=3, lam=0.1, seed=22)
         model = fit_saw(corpus, cfg)
         stats, Xbar = build_cooccurrence(corpus), normalize_columns(corpus)
-        anchors = model.topic_model.anchors
-        thetas.insert(0, recover_topics_unsupervised(stats, anchors).theta)
+        anchors = model.anchors
+        thetas.insert(0, recover_topics_unsupervised(stats, anchors)[0])
         values = model.trace.objective_values
         assert model.trace.iterations >= 2 and len(values) == 2 * len(thetas) == 2 * len(betas) - 2
         assert list(values) == [joint_objective(thetas[j // 2], betas[(j + 1) // 2], stats, Xbar,
@@ -555,8 +566,8 @@ class TestFitSaw:
         model = fit_saw(corpus, cfg)
         assert np.array_equal(model.cox.beta, np.zeros(3))
         stats = build_cooccurrence(corpus)
-        tm = recover_topics_unsupervised(stats, model.topic_model.anchors)
-        assert np.abs(model.topic_model.theta - tm.theta).max() <= 1e-6
+        theta0, _ = recover_topics_unsupervised(stats, model.anchors)
+        assert np.abs(model.theta - theta0).max() <= 1e-6
 
     def test_block_descent_trace_monotone(self):
         for seed in range(3):
@@ -567,14 +578,14 @@ class TestFitSaw:
     def test_feasibility_after_fit(self):
         corpus, _ = small_dataset(seed=9)
         model = fit_saw(corpus, SawConfig(k=3, lam=0.1, seed=9))
-        theta = model.topic_model.theta
+        theta = model.theta
         assert np.abs(theta.sum(axis=1) - 1.0).max() <= 1e-8
         assert theta.min() >= 0.0
-        for g, a in enumerate(model.topic_model.anchors.indices):
+        for g, a in enumerate(model.anchors.indices):
             expect = np.zeros(3)
             expect[g] = 1.0
             assert np.array_equal(theta[a], expect)
-        assert np.abs(model.topic_model.A.sum(axis=0) - 1.0).max() <= 1e-8
+        assert np.abs(model.A.sum(axis=0) - 1.0).max() <= 1e-8
 
     def test_training_signal_recovered(self):
         corpus, truth = small_dataset(seed=10, n=400, m=100)
@@ -587,7 +598,7 @@ class TestFitSaw:
         cfg = SawConfig(k=3, lam=0.1, seed=11)
         m1 = fit_saw(corpus, cfg)
         m2 = fit_saw(corpus, cfg)
-        assert m1.topic_model.anchors.indices == m2.topic_model.anchors.indices
+        assert m1.anchors.indices == m2.anchors.indices
         assert m1.trace.objective_values == m2.trace.objective_values
         assert np.array_equal(m1.cox.beta, m2.cox.beta)
 
@@ -625,7 +636,7 @@ class TestFitUsaw:
         a = fit_saw(corpus, cfg)
         b = fit_usaw(corpus, cfg)
         assert np.array_equal(a.cox.beta, b.cox.beta)
-        assert np.abs(a.topic_model.theta - b.topic_model.theta).max() <= 1e-6
+        assert np.abs(a.theta - b.theta).max() <= 1e-6
 
     def test_single_beta_fit_no_alternation(self):
         corpus, _ = small_dataset(seed=16)
@@ -638,8 +649,8 @@ class TestFitUsaw:
         corpus, _ = small_dataset(seed=16)
         cfg = SawConfig(k=3, lam=0.1, seed=16)
         a, b = fit_usaw(corpus, cfg), fit_saw(corpus, replace(cfg, max_outer_iters=0))
-        for get in (lambda m: m.topic_model.theta, lambda m: m.topic_model.A,
-                    lambda m: m.topic_model.residuals, lambda m: m.cox.beta,
+        for get in (lambda m: m.theta, lambda m: m.A, lambda m: m.residuals,
+                    lambda m: m.cox.beta,
                     lambda m: m.cox.baseline.times, lambda m: m.cox.baseline.cum_hazard):
             assert np.array_equal(get(a), get(b))
         assert a.trace == b.trace
@@ -661,7 +672,7 @@ class TestPredict:
     def test_anchor_only_document_risk_is_coefficient(self):
         corpus, _ = small_dataset(seed=17, n=200, m=80)
         model = fit_saw(corpus, SawConfig(k=3, lam=0.1, seed=17))
-        a0 = model.topic_model.anchors.indices[0]
+        a0 = model.anchors.indices[0]
         counts = np.zeros((corpus.n_words, 1), dtype=int)
         counts[a0, 0] = 3
         probe = make_corpus(counts, times=[1.0], observed=[True],

@@ -6,7 +6,8 @@ never uses. And scipy is
 imported only by the functions that need it, only ``build_corpus`` reads
 the event and label files, one pair of functions writes and reads a
 vocabulary in corpus and model files, a ``Corpus`` is its CSC arrays
-alone, and the README's library examples run."""
+alone, every name in the package's ``__all__`` is bound, and the README's
+library examples run."""
 
 import ast
 import re
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+import sawtopics
 from sawtopics.corpus import Corpus, Vocabulary
 from sawtopics.survival import SurvivalLabels
 
@@ -209,6 +211,14 @@ def test_corpus_holds_no_count_matrix():
     c = Corpus((np.array([1, 2]), np.array([0, 1]), np.array([0, 1, 2])), Vocabulary(("a", "b")),
                SurvivalLabels(np.ones(2), np.ones(2, dtype=bool)), ("p1", "p2"))
     assert not hasattr(Corpus, "counts") and not hasattr(c, "counts")
+
+
+def test_every_exported_name_is_bound():
+    # a stale entry in __all__ makes ``from sawtopics import *`` raise
+    assert [name for name in sawtopics.__all__ if not hasattr(sawtopics, name)] == []
+    namespace: dict = {}
+    exec("from sawtopics import *", namespace)
+    assert set(sawtopics.__all__) <= namespace.keys()
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):
