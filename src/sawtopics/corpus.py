@@ -663,14 +663,16 @@ def _normalized_entries(corpus: Corpus) -> np.ndarray:
 
 def design_is_dense(corpus: Corpus) -> bool:
     """Whether ``normalize_columns`` stores Xbar dense: when its d x n
-    doubles take no more bytes than the CSC values and word indices do."""
-    return 8 * corpus.n_words * corpus.n_docs <= (8 + corpus.indices.itemsize) * corpus.data.size
+    doubles take at most twice the bytes of the CSC values and word indices
+    (with int32 word ids, a corpus at least a third dense). There a BLAS
+    mat-vec is no slower than scipy's CSC one, and no scipy is loaded."""
+    return 8 * corpus.n_words * corpus.n_docs <= 2 * (8 + corpus.indices.itemsize) * corpus.data.size
 
 
 def normalize_columns(corpus: Corpus):
-    """Column-stochastic count matrix Xbar, counts[w, i] / m_i, in the smaller
-    layout: a dense d x n array where ``design_is_dense(corpus)``, otherwise
-    a canonical ``scipy.sparse.csc_array``. Both support ``@``, ``.T`` and
+    """Column-stochastic count matrix Xbar, counts[w, i] / m_i: a dense d x n
+    array where ``design_is_dense(corpus)``, otherwise a canonical
+    ``scipy.sparse.csc_array``. Both support ``@``, ``.T`` and
     elementwise ``** 2`` alike, so the fits run one code path on either."""
     entries = _normalized_entries(corpus)
     shape = (corpus.n_words, corpus.n_docs)

@@ -101,6 +101,11 @@ class SawModel:
             raise ValueError(f"theta {self.theta.shape}, A {self.A.shape} and beta "
                              f"{self.cox.beta.shape} disagree with (words, k) = {shape}")
         _check_feasible(self.theta, self.anchors)
+        r = self.residuals
+        if not (r.shape == shape[:1] and np.all(r >= 0) and np.all(np.isfinite(r))
+                and not r[list(self.anchors.indices)].any()):
+            raise ValueError(f"residuals must be {shape[0]} finite KL terms >= 0, "
+                             "0 on the anchor rows")
 
     word_score = property(lambda self: self.theta @ self.cox.beta)
 

@@ -14,14 +14,17 @@ Breslow baseline hazard, from which ``predict_median`` reads the medians.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 # Smallest max-shifted risk-set sum the plain-domain pass accepts: above it,
 # terms lost to underflow (< 1e-308) each weigh below 1e-158, and S**2 is normal.
 _SAFE_RISK_SUM = 1e-150
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,18 +168,20 @@ class RiskSets:
             out[start] = values           # whose risk set holds each position
             return accumulate(out)[self.last]
 
-        if s0[start].min() > _SAFE_RISK_SUM:
-            log_s = np.log(s0[start])
-            ew = cache(lambda: e * over_events(count / s0[start]))  # e w, on first use
+        s_event = s0[start]
+        if s_event.min() > _SAFE_RISK_SUM:
+            log_s = np.log(s_event)
+            s_event_sq = s_event ** 2
+            ew = _lazy(lambda: e * over_events(count / s_event))  # e w, on first use
 
             def product(xs):
                 s1 = np.cumsum((e * xs)[::-1])[::-1][start]
-                return ew() * xs - e * over_events(count * s1 / s0[start] ** 2)
+                return ew() * xs - e * over_events(count * s1 / s_event_sq)
         else:
             lae = np.logaddexp.accumulate
             log_s = lae((es - c)[::-1])[::-1][start]
             log_w = np.log(count) - log_s
-            ew = cache(lambda: np.exp(es - c + over_events(log_w, lae, -np.inf)))
+            ew = _lazy(lambda: np.exp(es - c + over_events(log_w, lae, -np.inf)))
 
             def product(xs):
                 xs = xs - xs.min()  # H annihilates constants; now log(xs) is real
@@ -187,6 +192,17 @@ class RiskSets:
         value = float(log_s @ count) + c * self.n_events - float(es @ events)
         return (value, lambda: (ew() - events)[self.rank],
                 lambda x: product(np.asarray(x, dtype=float)[self.order])[self.rank])
+
+
+def _lazy(compute):
+    """A thunk for ``compute()``, computed on its first call and kept."""
+    memo = []
+
+    def value():
+        if not memo:
+            memo.append(compute())
+        return memo[0]
+    return value
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -216,8 +232,9 @@ def fit_elastic_net_cox(
     Proximal gradient: the ridge part rides with the smooth term, the L1
     part is handled by soft-thresholding. A step is accepted only when the
     quadratic majorization holds and the penalized objective does not
-    increase. Stops when the relative objective drop is at most ``tol``.
-    Returns the coefficients with their Breslow baseline hazard.
+    increase. Stops when the relative objective drop is at most ``tol``,
+    or with a logged warning after ``max_iter`` steps. Returns the
+    coefficients with their Breslow baseline hazard.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -235,7 +252,7 @@ def fit_elastic_net_cox(
 
     f, smooth_grad = smooth(beta)
     F = f + l1 * float(np.abs(beta).sum())
-    step = 1.0
+    step, drop = 1.0, np.inf  # no drop before the first step
     for _ in range(max_iter):
         g = smooth_grad()
         s = step
@@ -263,6 +280,9 @@ def fit_elastic_net_cox(
         step = s if halved else min(s * 1.5, 1e8)
         if drop <= tol * max(abs(F), 1e-12):
             break
+    else:
+        log.warning("elastic-net Cox fit stopped at max_iter = %d iterations; last relative "
+                    "objective drop %.3g > tol = %.3g", max_iter, drop / max(abs(F), 1e-12), tol)
     return CoxModel(beta, breslow_baseline(beta, Z, labels))
 
 

@@ -486,34 +486,55 @@ def test_scoring_commands_skip_scipy_sparse(synth_corpus, tmp_path):
     assert scipy_sparse_loaded(commands) == [False] + [[0, False]] * 6
 
 
+def fold_recorder(path) -> str:
+    """A prelude for ``scipy_sparse_loaded`` under which each cv fold fit
+    appends to ``path`` whether ``scipy.sparse`` is loaded in its worker."""
+    return ("import sys\n"
+            "from sawtopics import evaluation\n"
+            "fold = evaluation._fold_rmse\n"
+            "def recorded(*args):\n"
+            "    out = fold(*args)\n"
+            f"    with open({str(path)!r}, 'a') as f:\n"
+            "        f.write(str('scipy.sparse' in sys.modules) + '\\n')\n"
+            "    return out\n"
+            "evaluation._fold_rmse = recorded\n")
+
+
+def saw_train_and_cv(corpus, tmp_path) -> list:
+    return [["train", "--corpus", corpus, "--method", "saw", "--k", "3", "--seed", "3",
+             "--out", str(tmp_path / "saw.json")],
+            ["cv", "--corpus", corpus, "--ks", "2,3", "--lams", "0.1", "--alphas", "0.5",
+             "--folds", "2", "--seed", "3", "--out-dir", str(tmp_path / "cv")]]
+
+
 def test_scipy_sparse_loads_only_for_a_csc_design(synth_corpus, tmp_path):
     # saw train and cv on a dense corpus never load scipy, cv's fold fits
-    # included; encox train on a corpus at most a third dense (20 tokens
+    # included; encox train on a corpus under a third dense (20 tokens
     # over 60 words) builds a CSC design and loads it
     sparse_corpus = tmp_path / "sparse.json"
     assert run("synth", "--d", "60", "--k", "3", "--n", "80", "--doc-length", "20",
                "--beta", "3,-3,0", "--seed", "5", "--out", str(sparse_corpus)) == 0
     assert not design_is_dense(load_corpus(sparse_corpus))
     fold_modules = tmp_path / "fold_modules.txt"
-    record = ("import sys\n"
-              "from sawtopics import evaluation\n"
-              "fold = evaluation._fold_rmse\n"
-              "def recorded(*args):\n"
-              "    out = fold(*args)\n"
-              f"    with open({str(fold_modules)!r}, 'a') as f:\n"
-              "        f.write(str('scipy.sparse' in sys.modules) + '\\n')\n"
-              "    return out\n"
-              "evaluation._fold_rmse = recorded\n")
-    corpus = str(synth_corpus)
-    commands = [
-        ["train", "--corpus", corpus, "--method", "saw", "--k", "3", "--seed", "3",
-         "--out", str(tmp_path / "saw.json")],
-        ["cv", "--corpus", corpus, "--ks", "2,3", "--lams", "0.1", "--alphas", "0.5",
-         "--folds", "2", "--seed", "3", "--out-dir", str(tmp_path / "cv")],
-        ["train", "--corpus", str(sparse_corpus), "--method", "encox",
-         "--out", str(tmp_path / "encox.json")],
-    ]
-    assert scipy_sparse_loaded(commands, record) == [False, [0, False], [0, False], [0, True]]
+    commands = [*saw_train_and_cv(str(synth_corpus), tmp_path),
+                ["train", "--corpus", str(sparse_corpus), "--method", "encox",
+                 "--out", str(tmp_path / "encox.json")]]
+    assert (scipy_sparse_loaded(commands, fold_recorder(fold_modules))
+            == [False, [0, False], [0, False], [0, True]])
+    assert fold_modules.read_text().split() == ["False"] * 4
+
+
+def test_a_corpus_40_percent_dense_fits_without_scipy_sparse(tmp_path):
+    # at least a third dense is a dense design, so saw train and cv, fold
+    # fits included, load no scipy.sparse on a corpus 39% dense
+    corpus = tmp_path / "corpus.json"
+    assert run("synth", "--d", "30", "--k", "3", "--n", "80", "--doc-length", "20",
+               "--beta", "3,-3,0", "--seed", "5", "--out", str(corpus)) == 0
+    c = load_corpus(corpus)
+    assert 0.35 <= c.data.size / (c.n_words * c.n_docs) <= 0.45 and design_is_dense(c)
+    fold_modules = tmp_path / "fold_modules.txt"
+    assert (scipy_sparse_loaded(saw_train_and_cv(str(corpus), tmp_path),
+                                fold_recorder(fold_modules)) == [False, [0, False], [0, False]])
     assert fold_modules.read_text().split() == ["False"] * 4
 
 

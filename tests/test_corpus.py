@@ -583,10 +583,11 @@ class TestNormalizeColumns:
         arr = helpers.dense_view(X)
         assert arr.min() >= 0.0 and arr.max() <= 1.0
 
-    @pytest.mark.parametrize("zeros, dense", [(4, True), (5, False)])
-    def test_layout_is_the_smaller_one(self, zeros, dense):
+    @pytest.mark.parametrize("zeros, dense", [(8, True), (9, False)])
+    def test_layout_is_dense_up_to_twice_csc_bytes(self, zeros, dense):
         # 12 words x 1 patient: dense takes 96 bytes, CSC 12 per stored count
-        # with int32 word ids, so 8 counts (4 zeros) break even and 7 do not
+        # with int32 word ids, so 4 counts (8 zeros, 48 bytes) break even at
+        # half the dense bytes and 3 do not
         counts = np.arange(1, 13)[:, None]
         counts[:zeros] = 0
         corpus = make_corpus(counts)

@@ -258,8 +258,13 @@ def test_model_file_fuzz_refused_or_unchanged(corpus, cox_models, tmp_path, meth
     assert refused > 0
 
 
+def free_row(payload) -> int:
+    """The first word of a saw model file that is not an anchor."""
+    return next(w for w in range(len(payload["words"])) if w not in payload["anchors"]["indices"])
+
+
 def off_simplex(payload):
-    row = next(w for w in range(len(payload["words"])) if w not in payload["anchors"]["indices"])
+    row = free_row(payload)
     payload["theta"]["dense"][row] = [2 * x for x in payload["theta"]["dense"][row]]
 
 
@@ -324,6 +329,29 @@ def test_unread_fields_type_checked(corpus, cox_models, tmp_path, method, where,
         load_model(path)
 
 
+@pytest.mark.parametrize("method, change", [
+    ("saw", lambda p: p.update(residuals=p["residuals"][:3])),
+    ("usaw", lambda p: p.update(residuals=[-5.0] * len(p["residuals"]))),
+    ("saw", lambda p: p["residuals"].__setitem__(free_row(p), -1e-300)),
+    ("saw", lambda p: p["residuals"].__setitem__(free_row(p), float("nan"))),
+    ("usaw", lambda p: p["residuals"].__setitem__(free_row(p), float("inf"))),
+    ("saw", lambda p: p["residuals"].__setitem__(p["anchors"]["indices"][0], 1e-3)),
+])
+def test_residuals_checked_at_load(cox_models, tmp_path, method, change):
+    # each of these loaded, and a re-save wrote it back: a KL term per word,
+    # finite and >= 0, and 0 on an anchor row, whose theta row is fixed
+    path = tmp_path / "m.json"
+    save_model(cox_models[method], path)
+    payload = json.loads(path.read_text())
+    assert min(payload["residuals"]) == 0.0
+    change(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^bad model file {re.escape(str(path))}: residuals must "
+                                         f"be {len(payload['words'])} finite KL terms >= 0, 0 on "
+                                         "the anchor rows$"):
+        load_model(path)
+
+
 def test_unknown_method_rejected(corpus):
     with pytest.raises(ValueError, match="unknown method"):
         fit_method(corpus, "svd", SawConfig(k=2))
@@ -343,24 +371,32 @@ def test_saved_trace_survives_round_trip(corpus, tmp_path):
 
 @pytest.mark.parametrize("method", ["saw", "encox"])
 def test_either_design_layout_fits_the_same_model(corpus, monkeypatch, method):
-    # the corpus is 80% dense, so its design is a dense array; the same fit
-    # on that design as a csc_array agrees to 1e-10 relative
+    # the corpora are 80% and 41% dense, both at least a third, so each
+    # design is a dense array; the same fit on that design as a csc_array
+    # agrees to 1e-10 relative
     def relative_gap(a, b):
         return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
 
+    thin, _ = generate_dataset(d=18, k=3, n=100, doc_length=12,
+                               dirichlet_concentration=0.3, anchor_mass=0.4,
+                               beta_true=np.array([2.0, -2.0, 0.0]),
+                               base_rate=0.15, censor_fraction=0.2, seed=31)
+    assert 0.35 <= thin.data.size / (thin.n_words * thin.n_docs) <= 0.6
     module = sys.modules[{"saw": "sawtopics.saw", "encox": "sawtopics.methods"}[method]]
     cfg = SawConfig(k=3, lam=0.1, alpha=0.5, seed=31)
-    assert isinstance(normalize_columns(corpus), np.ndarray)
-    dense = fit_method(corpus, method, cfg)
-    monkeypatch.setattr(module, "normalize_columns",
-                        lambda c: sparse.csc_array(normalize_columns(c)))
-    csc = fit_method(corpus, method, cfg)
-    assert relative_gap(csc.cox.beta, dense.cox.beta) <= 1e-10
-    assert relative_gap(csc.cox.baseline.cum_hazard, dense.cox.baseline.cum_hazard) <= 1e-10
-    if method == "saw":
-        assert csc.trace.iterations == dense.trace.iterations > 1
-        assert relative_gap(csc.trace.objective_values, dense.trace.objective_values) <= 1e-10
-        assert relative_gap(csc.theta, dense.theta) <= 1e-10
+    for cohort in (corpus, thin):
+        assert isinstance(normalize_columns(cohort), np.ndarray)
+        dense = fit_method(cohort, method, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "normalize_columns",
+                          lambda c: sparse.csc_array(normalize_columns(c)))
+            csc = fit_method(cohort, method, cfg)
+        assert relative_gap(csc.cox.beta, dense.cox.beta) <= 1e-10
+        assert relative_gap(csc.cox.baseline.cum_hazard, dense.cox.baseline.cum_hazard) <= 1e-10
+        if method == "saw":
+            assert csc.trace.iterations == dense.trace.iterations > 1
+            assert relative_gap(csc.trace.objective_values, dense.trace.objective_values) <= 1e-10
+            assert relative_gap(csc.theta, dense.theta) <= 1e-10
 
 
 def event_rows(patients, seed):

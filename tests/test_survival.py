@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -189,6 +190,19 @@ class TestFitElasticNetCox:
             m = fit_elastic_net_cox(Z, lab, lam=0.3, alpha=0.7, tol=1e-16, max_iter=iters)
             values.append(objective(m.beta))
         assert np.all(np.diff(values) <= 1e-12)
+
+    def test_exhausted_max_iter_warned(self, caplog):
+        # a fit stopped by max_iter says so, with the drop it stopped at;
+        # one stopped by tol says nothing
+        rng = np.random.default_rng(15)
+        Z, lab = random_instance(rng, n=25, k=4)
+        with caplog.at_level("WARNING", logger="sawtopics.survival"):
+            fit_elastic_net_cox(Z, lab, lam=0.3, alpha=0.7, tol=0.0, max_iter=2)
+            fit_elastic_net_cox(Z, lab, lam=0.3, alpha=0.7)
+        [message] = caplog.messages
+        assert re.fullmatch(r"elastic-net Cox fit stopped at max_iter = 2 iterations; last "
+                            r"relative objective drop \S+ > tol = 0", message)
+        assert float(message.split("drop ")[1].split()[0]) > 0
 
     def test_sparsity_path_monotone_in_lambda(self):
         rng = np.random.default_rng(9)
