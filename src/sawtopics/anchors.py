@@ -1,11 +1,11 @@
 """Anchor-word search: random projection plus greedy farthest-point selection.
 
 The greedy pass picks the row of maximum norm, then repeatedly the row
-farthest from the affine span of the rows already picked, maintained by
-orthogonalizing all rows in place against each newly found direction
-(stabilized Gram-Schmidt). Because the search is randomized through the
-projection, it is repeated over several projections and the run whose picks
-were seen most often across runs wins the vote.
+farthest from the affine span of the rows already picked, kept as one
+squared distance per row that each new orthonormal direction of the span
+lowers (Gram-Schmidt, as in FastAnchorWords). Because the search is
+randomized through the projection, it is repeated over several projections
+and the run whose picks were seen most often across runs wins the vote.
 """
 
 from __future__ import annotations
@@ -54,38 +54,36 @@ def greedy_anchors(points: np.ndarray, k: int, candidates: Sequence[int]) -> lis
 
     First pick: candidate row of maximum Euclidean norm. Each later pick:
     candidate row with the largest distance to the affine span of the rows
-    already picked. Exact ties go to the smallest index.
+    already picked. Exact ties go to the smallest index. As in
+    FastAnchorWords, each row keeps its squared distance to the span, which
+    each new direction of an orthonormal basis of the span (Gram-Schmidt on
+    the picked row, twice) lowers by one mat-vec.
     """
-    pts = np.array(points, dtype=float)
     cand = np.unique(np.asarray(candidates, dtype=np.int64))
     if k < 1:
         raise ValueError("k must be >= 1")
     if cand.size < k:
         raise ValueError(f"need at least k={k} candidates, got {cand.size}")
-    active = np.zeros(pts.shape[0], dtype=bool)
-    active[cand] = True
-
-    def farthest() -> tuple[int, float]:
-        sq = np.einsum("ij,ij->i", pts, pts)
-        sq[~active] = -1.0
-        j = int(np.argmax(sq))  # argmax takes the first max: smallest index
-        return j, float(sq[j])
-
-    first, _ = farthest()
-    chosen = [first]
-    active[first] = False
-    pts -= pts[first].copy()  # shift so the first pick is the origin
+    pts = np.asarray(points, dtype=float)[cand]
+    first = int(np.argmax(np.einsum("ij,ij->i", pts, pts)))  # the first max: smallest index
+    pts -= pts[first]  # shift so the first pick is the origin
+    sq = np.einsum("ij,ij->i", pts, pts)
+    sq[first] = -np.inf
+    chosen, basis = [first], np.empty((0, pts.shape[1]))
     for _ in range(1, k):
-        j, sq = farthest()
+        j = int(np.argmax(sq))
         chosen.append(j)
-        active[j] = False
         if len(chosen) == k:
             break
-        norm = np.sqrt(sq)
+        sq[j] = -np.inf
+        v = pts[j]
+        for _ in range(2):
+            v = v - basis.T @ (basis @ v)
+        norm = np.linalg.norm(v)
         if norm > 0:
-            b = pts[j] / norm
-            pts -= np.outer(pts @ b, b)
-    return chosen
+            basis = np.vstack([basis, v / norm])
+            sq -= (pts @ basis[-1]) ** 2
+    return cand[chosen].tolist()
 
 
 def default_candidates(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:

@@ -17,23 +17,55 @@ parent that holds only the first blocks. A consumer that stops early, or
 raises, cancels the calls not yet started, and no worker outlives it.
 Forking is unsafe while another thread of the caller holds a lock; the CLI
 runs no other thread, and the pool forks every worker before it starts its
-own.
+own. Each worker runs numpy's BLAS on one thread, so that the workers do
+not stall each other on a host with as many CPUs as workers; the caller
+keeps its own thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import logging
 import os
 from collections import deque
 from typing import Iterator
+
+log = logging.getLogger(__name__)
 
 _task = None  # the task of the running forked_imap, set in each worker
 _head: list = []  # the arguments of its first calls, set in each worker
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, ``numpy.libs/libscipy_openblas64_-*.so``,
+    through ``ctypes``; None, logged once, where no such library sets its
+    thread count."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    log.debug("no scipy_openblas_set_num_threads64_ beside numpy; "
+              "forked workers keep their BLAS thread count")
+    return None
+
+
 def _start(task, head: list) -> None:
     global _task, _head
     _task, _head = task, head
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
 
 
 def _call(args: tuple):
@@ -66,6 +98,7 @@ def forked_imap(task, arg_tuples) -> Iterator:
     import multiprocessing  # imported here: only a pool needs them (~5 ms to load)
     from concurrent.futures import ProcessPoolExecutor
 
+    _openblas()  # looked up once, here, for the workers to inherit
     pool = ProcessPoolExecutor(min(cpus or 1, len(head)),
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_start, initargs=(task, head))

@@ -27,8 +27,8 @@ from .cooccur import CooccurrenceStats, build_cooccurrence
 from .corpus import Corpus, Vocabulary, document_frequencies, normalize_columns
 from .seeding import derive_seed
 from .survival import CoxModel, SurvivalLabels, elastic_net_penalty, fit_elastic_net_cox
-from .topics import (LOG_FLOOR, ConvergenceError, doc_topic_features, face_system,
-                     kl_divergence, newton_budget, recover_topics_unsupervised,
+from .topics import (LOG_FLOOR, RIDGE_FLOOR, ConvergenceError, doc_topic_features,
+                     face_system, kl_divergence, newton_budget, recover_topics_unsupervised,
                      recover_word_topic_matrix, sum_plogp)
 
 OBJECTIVE_SLACK = 1e-9  # relative tolerance for "non-increasing" checks
@@ -146,7 +146,11 @@ def update_theta(
     Frank-Wolfe gap, summed over the free rows, is at most THETA_GAP_TOL *
     max(|f|, 1). Projected Newton-CG: CG on each row's face (support and
     Frank-Wolfe vertex), preconditioned by the separable face systems, then an
-    Armijo halving search along the projection onto the faces. Raises
+    Armijo halving search along the projection onto the faces. Each Newton
+    step solves the face system regularized by the row's Frank-Wolfe gap, the
+    ridge that the preconditioner and recovery carry, so that faces made
+    singular by duplicate anchors keep Newton's fast local convergence; the
+    ridge vanishes as the certificate closes. Raises
     ConvergenceError if ``newton_budget(k)`` steps, or a step that lowers
     nothing, leave the gap above. Returns the updated theta and each word's
     KL term at it, kept from the objective of the accepted iterate (0 on the
@@ -197,6 +201,11 @@ def update_theta(
         H, M = face_system(np.where(pos, P / qs ** 2, 0.0), B, work, row_gap,
                            c[:, None, None] * np.outer(beta, beta))
         Minv = np.linalg.inv(M)[:, :k, :k]
+        # the face system CG solves: the face rows of H with the row's gap as
+        # its ridge, as M and recovery carry it, and the Cox term's face rows
+        Hw = np.where(work[:, :, None], H, 0.0)
+        Hw[:, np.arange(k), np.arange(k)] += work * np.maximum(row_gap, RIDGE_FLOOR)[:, None]
+        beta_w, size = work * beta, work.sum(axis=1, keepdims=True)
         # preconditioned CG from 0 on the faces, stopped by a forcing term
         x, p, rz_old = np.zeros_like(th), np.zeros_like(th), np.inf
         r = np.where(work, -G, 0.0)
@@ -205,14 +214,14 @@ def update_theta(
             # back to a zero sum on the face: a near-singular face system
             # can return a direction that leaves the simplex
             z = np.where(work, (Minv @ r[..., None])[..., 0], 0.0)
-            z = np.where(work, z - z.sum(axis=1, keepdims=True) / work.sum(axis=1)[:, None], 0.0)
+            z = np.where(work, z - z.sum(axis=1, keepdims=True) / size, 0.0)
             rz = float(np.sum(r * z))
             if j and rz <= forcing * rz0:
                 break
             rz0 = rz0 if j else rz
             p = z + (rz / rz_old) * p
             cox = (Xbar @ hess_eta(XT @ np.bincount(free, p @ beta, minlength=d)))[free]
-            Hp = np.where(work, (H @ p[..., None])[..., 0] + np.outer(cox, beta), 0.0)
+            Hp = (Hw @ p[..., None])[..., 0] + cox[:, None] * beta_w
             products += 1
             curv = float(np.sum(p * Hp))
             if not curv > 0:

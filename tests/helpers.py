@@ -22,7 +22,9 @@ seeded generator per test tag. ``load_rows`` reads event lines through
 the one event reader, ``load_events``, from a temporary file, and
 ``build_rows`` builds a corpus from event lines and a label set through
 the one ingest entry, ``build_corpus``, from two temporary files.
-``csc_arrays`` and
+``greedy_anchors_rank_one`` is the anchor greedy that orthogonalized every
+row against each pick, as a reference for the one that keeps residual
+norms. ``csc_arrays`` and
 ``dense`` convert between a count matrix and the CSC arrays a ``Corpus``
 is built from, and ``dense_view`` reads a design in either layout of
 ``normalize_columns`` as a dense array.
@@ -662,3 +664,36 @@ def bayes_topic_posterior(A: np.ndarray, topic_weights: np.ndarray | None = None
 
 def rng_for(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, tag))
+
+
+def greedy_anchors_rank_one(points: np.ndarray, k: int, candidates) -> list[int]:
+    """Farthest-point greedy selection of k candidate rows, as a reference for
+    ``greedy_anchors``: the same picks and tie rule, with every row
+    orthogonalized in place against each new direction by a rank-one update
+    of the whole point array."""
+    pts = np.array(points, dtype=float)
+    cand = np.unique(np.asarray(candidates, dtype=np.int64))
+    active = np.zeros(pts.shape[0], dtype=bool)
+    active[cand] = True
+
+    def farthest() -> tuple[int, float]:
+        sq = np.einsum("ij,ij->i", pts, pts)
+        sq[~active] = -1.0
+        j = int(np.argmax(sq))  # argmax takes the first max: smallest index
+        return j, float(sq[j])
+
+    first, _ = farthest()
+    chosen = [first]
+    active[first] = False
+    pts -= pts[first].copy()  # shift so the first pick is the origin
+    for _ in range(1, k):
+        j, sq = farthest()
+        chosen.append(j)
+        active[j] = False
+        if len(chosen) == k:
+            break
+        norm = np.sqrt(sq)
+        if norm > 0:
+            b = pts[j] / norm
+            pts -= np.outer(pts @ b, b)
+    return chosen

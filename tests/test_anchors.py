@@ -5,9 +5,10 @@ from scipy.spatial.distance import pdist
 from sawtopics.anchors import (AnchorSet, default_candidates, greedy_anchors,
                                project_rows, stable_anchors)
 from sawtopics.cooccur import build_cooccurrence
+from sawtopics.corpus import document_frequencies
 from sawtopics.synthgen import generate_corpus, generate_topic_model
 
-from helpers import in_convex_hull, make_corpus
+from helpers import greedy_anchors_rank_one, in_convex_hull, make_corpus
 
 
 class TestProjectRows:
@@ -82,6 +83,37 @@ class TestGreedyAnchors:
         for j, p in enumerate(picks):
             rest = [q for i, q in enumerate(picks) if i != j]
             assert not in_convex_hull(pts[p], pts[rest])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_picks_match_the_rank_one_reference_on_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        d, r = rng.integers(20, 200), rng.integers(3, 40)
+        pts = rng.standard_normal((d, r)) * rng.exponential(size=(d, 1))
+        cand = rng.choice(d, size=rng.integers(d // 2, d + 1), replace=False)
+        for k in range(1, min(r + 1, cand.size, 15) + 1):
+            assert greedy_anchors(pts, k, cand) == greedy_anchors_rank_one(pts, k, cand)
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_picks_match_the_rank_one_reference_on_planted_qbar(self, k):
+        # k = 8 over-specifies the 5 planted topics
+        truth = generate_topic_model(60, 5, anchor_mass=0.3, seed=21)
+        corpus, _ = generate_corpus(truth, 400, 100, 0.1, 22)
+        stats = build_cooccurrence(corpus)
+        cand = default_candidates(document_frequencies(corpus), corpus.n_docs)
+        for seed in range(5):
+            pts = project_rows(stats.Qbar, 60, seed)
+            assert greedy_anchors(pts, k, cand) == greedy_anchors_rank_one(pts, k, cand)
+
+    def test_exact_ties_go_to_the_smallest_index_as_in_the_reference(self):
+        # the points +-2 e_i, shuffled, each twice: every first pick ties 12
+        # ways, and every later one at least two ways (a row and its copy)
+        rng = np.random.default_rng(7)
+        cross = np.vstack([2.0 * np.eye(6), -2.0 * np.eye(6)])[rng.permutation(12)]
+        pts = np.vstack([cross, cross])
+        for k in range(1, 8):
+            picks = greedy_anchors(pts, k, range(24))
+            assert picks == greedy_anchors_rank_one(pts, k, range(24))
+            assert max(picks) < 12 and picks[0] == 0
 
 
 class TestStableAnchors:

@@ -1,9 +1,12 @@
 import contextlib
+import functools
+import glob
 import multiprocessing
 import os
 
 import pytest
 
+from sawtopics import parallel
 from sawtopics.cli import main
 from sawtopics.parallel import forked_imap
 
@@ -108,3 +111,42 @@ def test_results_arrive_before_every_call_is_done(monkeypatch, tmp_path):
     assert len(list(tmp_path.iterdir())) < 40
     results.close()
     assert multiprocessing.active_children() == []
+
+
+def blas_threads():
+    return parallel._openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.mark.skipif(parallel._openblas() is None,
+                    reason="numpy bundles no OpenBLAS that sets its thread count")
+def test_each_worker_runs_one_blas_thread_and_the_caller_keeps_its_count(monkeypatch):
+    # the caller runs two threads, so one thread in a worker is the pool's doing
+    cpus(monkeypatch, 2)
+    lib = parallel._openblas()
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        counts = list(forked_imap(lambda i: (os.getpid(), blas_threads()),
+                                  ((i,) for i in range(8))))
+        assert {n for _, n in counts} == {1}
+        assert os.getpid() not in {pid for pid, _ in counts}
+        assert multiprocessing.active_children() == []
+        assert blas_threads() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_without_a_thread_setter_workers_keep_their_count_logged_once(monkeypatch, caplog):
+    # another BLAS build: no library beside numpy sets its thread count, which
+    # the caller looks up once, before it forks, and the workers leave alone
+    cpus(monkeypatch, 2)
+    lib = parallel._openblas()
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(parallel, "_openblas", functools.cache(parallel._openblas.__wrapped__))
+    count = lib.scipy_openblas_get_num_threads64_ if lib is not None else lambda: None
+    with caplog.at_level("DEBUG", logger="sawtopics.parallel"):
+        counts = list(forked_imap(lambda i: count(), ((i,) for i in range(6))))
+    assert counts == [count()] * 6
+    assert parallel._openblas() is None
+    assert [r.levelname for r in caplog.records] == ["DEBUG"]
+    assert "keep their BLAS thread count" in caplog.records[0].getMessage()

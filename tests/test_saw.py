@@ -27,6 +27,16 @@ def small_dataset(seed=0, n=120, d=20, k=3, m=60, censor=0.2):
         base_rate=0.15, censor_fraction=censor, seed=seed)
 
 
+def readme_corpus():
+    """The README walkthrough's corpus (``synth`` at seed 7)."""
+    corpus, _ = generate_dataset(d=60, k=5, n=1000, doc_length=300,
+                                 dirichlet_concentration=0.1, anchor_mass=0.3,
+                                 beta_true=np.array([3.0, -3.0, 0.0, 3.0, -3.0]),
+                                 base_rate=0.1, censor_fraction=0.2,
+                                 seed=derive_seed(7, "synth"))
+    return corpus
+
+
 def objective_is_monotone(values, slack=OBJECTIVE_SLACK):
     v = np.asarray(values)
     return bool(np.all(np.diff(v) <= slack * np.maximum(np.abs(v[:-1]), 1.0)))
@@ -430,11 +440,7 @@ class TestUpdateTheta:
         # the README cv grid's cell (8, 0.01, 0.5), fold 0, cv seed 7: k = 8
         # over-specifies the 5 planted topics, so near-duplicate anchors
         # make faces near-singular
-        corpus, _ = generate_dataset(d=60, k=5, n=1000, doc_length=300,
-                                     dirichlet_concentration=0.1, anchor_mass=0.3,
-                                     beta_true=np.array([3.0, -3.0, 0.0, 3.0, -3.0]),
-                                     base_rate=0.1, censor_fraction=0.2,
-                                     seed=derive_seed(7, "synth"))
+        corpus = readme_corpus()
         cv_seed = derive_seed(7, "cv")
         perm = np.random.default_rng(derive_seed(cv_seed, "cv-folds")).permutation(corpus.n_docs)
         train = np.setdiff1d(np.arange(corpus.n_docs), np.array_split(perm, 3)[0])
@@ -452,6 +458,19 @@ class TestUpdateTheta:
                         SawConfig(k=8, lam=0.01, alpha=0.5,
                                   seed=derive_seed(cv_seed, "cv-cell16-fold0")))
         assert calls and model.trace.converged
+
+    def test_over_specified_fit_takes_few_hessian_products_and_halvings(self, caplog):
+        # k = 8 over the README corpus's 5 planted topics: duplicate anchors
+        # make faces singular, and an operator without the gap ridge took
+        # 1597 Hessian products and 588 line-search halvings (817 and 179 with it)
+        corpus = subset(readme_corpus(), np.arange(667))
+        with caplog.at_level("DEBUG", logger="sawtopics.saw"):
+            model = fit_saw(corpus, SawConfig(k=8, lam=0.1, alpha=0.5, seed=3))
+        records = [r.args for r in caplog.records if r.name == "sawtopics.saw"]
+        assert len(records) == model.trace.iterations >= 1
+        _, products, halvings = np.sum([r[:3] for r in records], axis=0)
+        assert products <= 1000 and halvings <= 300
+        assert all(gap <= tol for *_, gap, tol in records)
 
 
 class TestFitSaw:
